@@ -6,7 +6,7 @@ GO ?= go
 BENCH_MAX_ATOMS ?= 2000
 BENCH_REPEATS ?= 3
 
-.PHONY: build test lint lint-json lint-self check check-race chaos-smoke trace-smoke serve-smoke soak soak-short bench-json bench-gate
+.PHONY: build test lint lint-json lint-self check check-race chaos-smoke trace-smoke serve-smoke soak soak-short bench-json bench-gate perfbench-selftest
 
 build:
 	$(GO) build ./...
@@ -98,6 +98,13 @@ bench-json:
 bench-gate: bench-json
 	$(GO) run ./cmd/benchdiff BENCH_seed.json BENCH_head.json
 
+# perfbench-selftest builds the end-to-end benchmark (_perfbench, a module
+# of its own that the main module's ./... skips) against this checkout and
+# runs its unit tests and short-mode self-test, so a library change that
+# breaks the benchmark fails here rather than in a benchmark run.
+perfbench-selftest:
+	cd _perfbench && GOWORK=off $(GO) test -count=1 ./...
+
 # check-race is the quick race pass: short mode skips the figure
 # sweeps, PB grid solves, and calibration probes (the numerics they
 # cover are single-goroutine anyway), leaving the concurrency-bearing
@@ -109,6 +116,6 @@ check-race:
 # The race detector multiplies the bench suite's runtime ~14x (past go
 # test's 600s default package timeout on modest hardware), so the race
 # pass carries an explicit generous timeout.
-check: chaos-smoke lint lint-self trace-smoke serve-smoke soak-short
+check: chaos-smoke lint lint-self trace-smoke serve-smoke soak-short perfbench-selftest
 	$(GO) vet ./...
 	$(GO) test -race -timeout 3600s ./...

@@ -415,6 +415,20 @@ func (s *System) validateResume(ck *Checkpoint) error {
 	if len(ck.Payload) != want {
 		return fmt.Errorf("gb: %s checkpoint payload has %d values, want %d", ck.Phase, len(ck.Payload), want)
 	}
+	// The CRC only proves these are the bytes saved: a NaN radius would
+	// resume into a NaN energy, a zero or infinite one breaks the class
+	// aggregates. |x| ≤ MaxFloat64 is false exactly for NaN and ±Inf.
+	if n := s.NumAtoms(); ck.Phase >= PhaseRadii {
+		for i, r := range ck.Payload[:n] {
+			if !(r > 0 && r <= math.MaxFloat64) {
+				return fmt.Errorf("gb: %s checkpoint holds Born radius %v for atom %d, want finite and positive", ck.Phase, r, i)
+			}
+		}
+		if pl := ck.Payload; ck.Phase == PhaseEpol &&
+			!(math.Abs(pl[n]) <= math.MaxFloat64 && math.Abs(pl[n+2]) <= math.MaxFloat64) {
+			return fmt.Errorf("gb: epol checkpoint holds energy %v and bound %v, want finite values", pl[n], pl[n+2])
+		}
+	}
 	return nil
 }
 

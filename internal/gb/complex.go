@@ -165,17 +165,16 @@ func (c *Complex) Epol(tr geom.Transform) (*PoseResult, error) {
 	recAgg := recView.buildEpolAggregatesRange(res.RecBorn, rmin, rmax)
 	ligAgg := ligView.buildEpolAggregatesRange(res.LigBorn, rmin, rmax)
 
-	kernel := pairEnergyKernel(rec.Params.Math)
 	factor := rec.epolFactor()
 	sum := 0.0
 	// rec–rec and lig–lig (ordered pairs within each molecule).
 	for _, v := range rec.aLeaves {
-		vs, vops := recView.approxEpol(rec.TA.Root(), v, res.RecBorn, recAgg, kernel, factor, nil)
+		vs, vops := recView.approxEpol(rec.TA.Root(), v, res.RecBorn, recAgg, factor, nil)
 		sum += vs
 		res.Ops += vops
 	}
 	for _, v := range ligTA.Leaves() {
-		vs, vops := ligView.approxEpol(ligTA.Root(), v, res.LigBorn, ligAgg, kernel, factor, nil)
+		vs, vops := ligView.approxEpol(ligTA.Root(), v, res.LigBorn, ligAgg, factor, nil)
 		sum += vs
 		res.Ops += vops
 	}
@@ -183,7 +182,7 @@ func (c *Complex) Epol(tr geom.Transform) (*PoseResult, error) {
 	ep := &epolCrossPass{
 		u: recView, uAgg: recAgg, uRadii: res.RecBorn,
 		v: ligView, vAgg: ligAgg, vRadii: res.LigBorn,
-		kernel: kernel, factor: factor,
+		factor: factor,
 	}
 	for _, v := range ligTA.Leaves() {
 		vs, vops := ep.run(rec.TA.Root(), v)
@@ -282,7 +281,6 @@ type epolCrossPass struct {
 	v      *System
 	vAgg   *epolAggregates
 	vRadii []float64
-	kernel func(qq, r2, RiRj float64) float64
 	factor float64
 }
 
@@ -290,9 +288,9 @@ func (ep *epolCrossPass) run(u, v int32) (float64, int64) {
 	un := &ep.u.TA.Nodes[u]
 	vn := &ep.v.TA.Nodes[v]
 	d := un.Center.Dist(vn.Center)
+	approx := ep.u.Params.Math == ApproxMath
 	if !un.Leaf && epolFar(d, un.Radius, vn.Radius, ep.factor) {
-		return crossFarClassSum(ep.u, ep.uAgg, u, ep.v, ep.vAgg, v, d,
-			vn.Center.Sub(un.Center), ep.u.Params.Math == ApproxMath)
+		return farClassSum(ep.uAgg, u, ep.vAgg, v, d, vn.Center.Sub(un.Center), approx, nil)
 	}
 	if un.Leaf {
 		sum := 0.0
@@ -301,7 +299,11 @@ func (ep *epolCrossPass) run(u, v int32) (float64, int64) {
 			qi, pi, ri := ep.u.Mol.Atoms[ui].Charge, ep.u.atomPos[ui], ep.uRadii[ui]
 			for _, vi := range ep.v.TA.ItemsOf(v) {
 				r2 := pi.Dist2(ep.v.atomPos[vi])
-				sum += ep.kernel(qi*ep.v.Mol.Atoms[vi].Charge, r2, ri*ep.vRadii[vi])
+				if qq, rr := qi*ep.v.Mol.Atoms[vi].Charge, ri*ep.vRadii[vi]; approx {
+					sum += qq * invFGBApprox(r2, rr)
+				} else {
+					sum += qq * (1 / fGB(r2, rr))
+				}
 				ops++
 			}
 		}
@@ -315,82 +317,6 @@ func (ep *epolCrossPass) run(u, v int32) (float64, int64) {
 			sum += cs
 			ops += cops
 		}
-	}
-	return sum, ops
-}
-
-// crossFarClassSum is farClassSum across two aggregate sets sharing the
-// same Rmin and bin base (guaranteed by buildEpolAggregatesRange).
-func crossFarClassSum(us *System, uAgg *epolAggregates, u int32,
-	vs *System, vAgg *epolAggregates, v int32,
-	d float64, dvec geom.Vec3, approx bool) (float64, int64) {
-	r2 := d * d
-	dhat := dvec.Scale(1 / d)
-	sum := 0.0
-	ops := int64(0)
-	ubase, vbase := int(u)*uAgg.M, int(v)*vAgg.M
-	m := uAgg.M
-	if vAgg.M < m {
-		m = vAgg.M
-	}
-	ord := uAgg.order
-	for i := 0; i < uAgg.M; i++ {
-		qu := uAgg.hist[ubase+i]
-		var du float64
-		var dipU geom.Vec3
-		if ord >= OrderDipole {
-			dipU = uAgg.dip[ubase+i]
-			du = dhat.Dot(dipU)
-		}
-		if qu == 0 && du == 0 &&
-			(ord != OrderQuadrupole || uAgg.quad[ubase+i] == (geom.Mat3{})) {
-			continue
-		}
-		for j := 0; j < vAgg.M; j++ {
-			qv := vAgg.hist[vbase+j]
-			var dv float64
-			var dipV geom.Vec3
-			if ord >= OrderDipole {
-				dipV = vAgg.dip[vbase+j]
-				dv = dhat.Dot(dipV)
-			}
-			if qv == 0 && dv == 0 &&
-				(ord != OrderQuadrupole || vAgg.quad[vbase+j] == (geom.Mat3{})) {
-				continue
-			}
-			// Both aggregate sets are built over the same [Rmin, Rmax]
-			// and bin base, so the shared product table applies.
-			t := uAgg.powR[i+j]
-			var e, invF float64
-			if approx {
-				e = fastExp(-r2 / (4 * t))
-				invF = fastInvSqrt(r2 + t*e)
-			} else {
-				e = math.Exp(-r2 / (4 * t))
-				invF = 1 / math.Sqrt(r2+t*e)
-			}
-			if ord == OrderMonopole {
-				sum += qu * qv * invF
-				ops++
-				continue
-			}
-			gp := -d * (1 - e/4) * invF * invF * invF
-			sum += qu*qv*invF + gp*(qu*dv-du*qv)
-			if ord == OrderQuadrupole {
-				up := 2 * d * (1 - e/4)
-				upp := 2*(1-e/4) + (r2/(4*t))*e
-				invF3 := invF * invF * invF
-				gpp := 0.75*up*up*invF3*invF*invF - 0.5*upp*invF3
-				ku, kv := &uAgg.quad[ubase+i], &vAgg.quad[vbase+j]
-				a2 := qu*dhat.Dot(kv.MulVec(dhat)) - 2*du*dv + dhat.Dot(ku.MulVec(dhat))*qv
-				b2 := qu*(kv[0]+kv[4]+kv[8]) - 2*dipU.Dot(dipV) + (ku[0]+ku[4]+ku[8])*qv
-				sum += 0.5*gpp*a2 + (0.5*gp/d)*(b2-a2)
-			}
-			ops++
-		}
-	}
-	if ops == 0 {
-		ops = 1
 	}
 	return sum, ops
 }

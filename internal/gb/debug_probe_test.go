@@ -145,16 +145,15 @@ func TestProbeFarPairAccuracy(t *testing.T) {
 		if u != v && epolFar(d, un.Radius, vn.Radius, factor) {
 			r2 := d * d
 			apx := 0.0
-			ub, vb := int(u)*agg.M, int(v)*agg.M
-			for i := 0; i < agg.M; i++ {
-				if agg.hist[ub+i] == 0 {
+			for a := agg.off[u]; a < agg.off[u+1]; a++ {
+				if agg.q[a] == 0 {
 					continue
 				}
-				for j := 0; j < agg.M; j++ {
-					if agg.hist[vb+j] == 0 {
+				for b := agg.off[v]; b < agg.off[v+1]; b++ {
+					if agg.q[b] == 0 {
 						continue
 					}
-					apx += kernel(agg.hist[ub+i]*agg.hist[vb+j], r2, agg.powR[i+j])
+					apx += kernel(agg.q[a]*agg.q[b], r2, agg.powR[int(agg.cls[a])+int(agg.cls[b])])
 				}
 			}
 			ext := 0.0

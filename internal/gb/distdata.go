@@ -257,13 +257,12 @@ func (s *System) distSegRadii(P, segRank int, ops *int64) []float64 {
 // vector. Coverage matches the ring protocol: each ordered cross pair is
 // produced exactly once as long as every segment has exactly one owner.
 func (s *System) distSegEnergy(P, vSeg int, radiiFull []float64, rmin, rmax float64, ops *int64) float64 {
-	kernel := pairEnergyKernel(s.Params.Math)
 	factor := s.epolFactor()
 	vb := s.distABundle(P, vSeg, radiiFull)
 	vView, vAgg := bundleView(s.Params, vb, rmin, rmax)
 	partial := 0.0
 	for _, v := range vb.tree.Leaves() {
-		vs, vops := vView.approxEpol(vb.tree.Root(), v, vb.radii, vAgg, kernel, factor, nil)
+		vs, vops := vView.approxEpol(vb.tree.Root(), v, vb.radii, vAgg, factor, nil)
 		partial += vs
 		*ops += vops
 	}
@@ -277,7 +276,7 @@ func (s *System) distSegEnergy(P, vSeg int, radiiFull []float64, rmin, rmax floa
 		ep := &epolCrossPass{
 			u: uView, uAgg: uAgg, uRadii: ub.radii,
 			v: vView, vAgg: vAgg, vRadii: vb.radii,
-			kernel: kernel, factor: factor,
+			factor: factor,
 		}
 		for _, v := range vb.tree.Leaves() {
 			vs, vops := ep.run(ub.tree.Root(), v)
@@ -529,12 +528,11 @@ func (s *System) runDistData(P int, cfg *FaultConfig) (*Result, error) {
 			ownAEnc := ab.encode()
 			ownView, ownAgg := bundleView(s.Params, ab, rmin, rmax)
 
-			kernel := pairEnergyKernel(s.Params.Math)
 			factor := s.epolFactor()
 			partial := 0.0
 			// Own × own (ordered pairs within the segment).
 			for _, v := range ab.tree.Leaves() {
-				vs, vops := ownView.approxEpol(ab.tree.Root(), v, ab.radii, ownAgg, kernel, factor, nil)
+				vs, vops := ownView.approxEpol(ab.tree.Root(), v, ab.radii, ownAgg, factor, nil)
 				partial += vs
 				perCoreOps[rank] += vops
 			}
@@ -558,7 +556,7 @@ func (s *System) runDistData(P int, cfg *FaultConfig) (*Result, error) {
 				ep := &epolCrossPass{
 					u: remView, uAgg: remAgg, uRadii: remote.radii,
 					v: ownView, vAgg: ownAgg, vRadii: ab.radii,
-					kernel: kernel, factor: factor,
+					factor: factor,
 				}
 				for _, v := range ab.tree.Leaves() {
 					vs, vops := ep.run(remote.tree.Root(), v)

@@ -122,13 +122,12 @@ func (s *System) runSerial(rec *obs.Recorder) *Result {
 	sp.End()
 
 	sp = rec.StartSpan(0, spanEpol)
-	kernel := pairEnergyKernel(s.Params.Math)
 	factor := s.epolFactor()
 	var tally pairTally
 	sum := 0.0
 	epolOps := int64(0)
 	for _, v := range s.aLeaves {
-		vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, kernel, factor, &tally)
+		vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, factor, &tally)
 		sum += vs
 		epolOps += vops
 	}
@@ -208,7 +207,6 @@ func (s *System) runCilk(pool *sched.Pool, rec *obs.Recorder) *Result {
 	agg := s.buildEpolAggregates(radii)
 	sp.End()
 	sp = rec.StartSpan(0, spanEpol)
-	kernel := pairEnergyKernel(s.Params.Math)
 	factor := s.epolFactor()
 	grain = len(s.aLeaves)/(8*p) + 1
 	totalP := sched.ParallelReduce(pool, len(s.aLeaves), grain,
@@ -217,7 +215,7 @@ func (s *System) runCilk(pool *sched.Pool, rec *obs.Recorder) *Result {
 			sum := 0.0
 			ops := int64(0)
 			for _, v := range s.aLeaves[lo:hi] {
-				vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, kernel, factor, &part.tally)
+				vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, factor, &part.tally)
 				sum += vs
 				ops += vops
 			}
@@ -651,7 +649,6 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 			// original octree-build spans.
 			agg = s.buildEpolAggregates(radii)
 		}
-		kernel := pairEnergyKernel(s.Params.Math)
 		factor := s.epolFactor()
 		energy := 0.0
 		degraded := false
@@ -678,7 +675,7 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 						sum := 0.0
 						ops := int64(0)
 						for _, v := range s.aLeaves[lo+i0 : lo+i1] {
-							vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, kernel, factor, &part.tally)
+							vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, factor, &part.tally)
 							sum += vs
 							ops += vops
 						}
@@ -695,7 +692,7 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 						ops := int64(0)
 						for pos := alo + i0; pos < alo+i1; pos++ {
 							ai := s.TA.Items[pos]
-							vs, vops := s.approxEpolAtom(ai, s.TA.Root(), radii, agg, kernel, factor, &part.tally)
+							vs, vops := s.approxEpolAtom(ai, s.TA.Root(), radii, agg, factor, &part.tally)
 							sum += vs
 							ops += vops
 						}

@@ -19,13 +19,18 @@ import (
 // chunk-protocol message layout: a worker sends {workerRank}; the
 // coordinator answers {lo, hi} (hi ≤ lo means "phase drained").
 
-// coordinator serves chunks of [0, total) to ranks 1..P−1 and returns
-// when every worker has been told the phase is drained. Guided
-// self-scheduling: each grant is remaining/(2·workers), floored at
-// minChunk. Workers that die mid-phase are counted as drained so the
-// coordinator cannot spin forever waiting for their requests.
+// gssGrant is the guided-self-scheduling grant rule: the next chunk of
+// [next, total) is remaining/(2·workers) items, at least one.
+func gssGrant(next, total, workers int) (lo, hi int) {
+	grant := max((total-next)/(2*workers), 1)
+	return next, min(next+grant, total)
+}
+
+// coordinator serves chunks of [0, total) to ranks 1..P−1 by gssGrant
+// and returns when every worker has been told the phase is drained.
+// Workers that die mid-phase are counted as drained so the coordinator
+// cannot spin forever waiting for their requests.
 func coordinate(c *simmpi.Comm, total int) error {
-	const minChunk = 1
 	workers := c.Size() - 1
 	next := 0
 	done := 0
@@ -55,11 +60,7 @@ func coordinate(c *simmpi.Comm, total int) error {
 				done++
 				continue
 			}
-			grant := (total - next) / (2 * workers)
-			if grant < minChunk {
-				grant = minChunk
-			}
-			lo, hi := next, min(next+grant, total)
+			lo, hi := gssGrant(next, total, workers)
 			next = hi
 			//lint:ignore hotalloc two-word control message per protocol turn; Send copies it immediately
 			if err := c.Send(from, []float64{float64(lo), float64(hi)}); err != nil {

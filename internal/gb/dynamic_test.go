@@ -52,7 +52,11 @@ func TestRunMPIDynamicValidation(t *testing.T) {
 // On a workload with skewed leaf costs — a dense globule plus a sparse
 // distant helix, so some octree leaves interact with far more near
 // neighbors than others — dynamic balancing should even out per-rank
-// work better than static segments.
+// work better than static segments. Which rank a real run grants each
+// chunk to follows goroutine scheduling, so the claim is checked on a
+// replay of the grant rule over the system's real per-leaf op costs, in
+// which each request comes from the worker that finishes first; the
+// real run must do the same total work and produce the same energy.
 func TestRunMPIDynamicBalancesSkew(t *testing.T) {
 	dense := molecule.Exactly(molecule.Globule("dense", 2200, 5), 2200, 5)
 	sparse := molecule.Helix("sparse", 800, 6).ApplyTransform(
@@ -71,28 +75,65 @@ func TestRunMPIDynamicBalancesSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Chunk assignment depends on request arrival order (goroutine
-	// scheduling), so take the best of a few dynamic runs: the claim is
-	// that on-demand chunks CAN balance a skewed workload better than
-	// static segments ever do.
-	var dynamic *Result
-	for attempt := 0; attempt < 3; attempt++ {
-		d, err := sys.RunMPIDynamic(computeRanks + 1) // + coordinator
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dynamic == nil || imbalanceOf(d.PerCoreOps) < imbalanceOf(dynamic.PerCoreOps) {
-			dynamic = d
+	dynamic, err := sys.RunMPIDynamic(computeRanks + 1) // + coordinator
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Per-item costs of the two dynamically scheduled phases, and the
+	// static push segments between them.
+	acc := sys.newBornAccum()
+	bornCost := make([]int64, len(sys.qLeaves))
+	for i, q := range sys.qLeaves {
+		bornCost[i] = sys.ApproxIntegrals(sys.TA.Root(), q, acc)
+	}
+	radii := make([]float64, sys.NumAtoms())
+	replay := make([]int64, computeRanks+1)
+	for w := 1; w <= computeRanks; w++ {
+		lo, hi := segment(sys.NumAtoms(), computeRanks, w-1)
+		replay[w] += sys.PushIntegralsToAtoms(acc, lo, hi, radii)
+	}
+	agg := sys.buildEpolAggregates(radii)
+	epolCost := make([]int64, len(sys.aLeaves))
+	for i, v := range sys.aLeaves {
+		_, epolCost[i] = sys.ApproxEpol(sys.TA.Root(), v, radii, agg)
+	}
+	for _, cost := range [][]int64{bornCost, epolCost} {
+		busy := make([]int64, computeRanks+1) // per-phase finish times
+		for next := 0; next < len(cost); {
+			w := 1
+			for x := 2; x <= computeRanks; x++ {
+				if busy[x] < busy[w] {
+					w = x
+				}
+			}
+			lo, hi := gssGrant(next, len(cost), computeRanks)
+			chunk := sumOps(cost[lo:hi])
+			busy[w] += chunk
+			replay[w] += chunk
+			next = hi
 		}
 	}
+	if got, want := dynamic.TotalOps(), sumOps(replay); got != want {
+		t.Fatalf("real dynamic run did %d ops, replayed costs sum to %d", got, want)
+	}
 	si := imbalanceOf(static.PerCoreOps)
-	di := imbalanceOf(dynamic.PerCoreOps)
+	di := imbalanceOf(replay)
+	t.Logf("imbalance: static %.3f, replayed dynamic %.3f", si, di)
 	if di >= si {
 		t.Errorf("dynamic imbalance %.3f not below static %.3f", di, si)
 	}
 	if math.Abs(dynamic.Epol-static.Epol)/math.Abs(static.Epol) > 1e-12 {
 		t.Errorf("energies differ: %v vs %v", dynamic.Epol, static.Epol)
 	}
+}
+
+func sumOps(ops []int64) int64 {
+	sum := int64(0)
+	for _, o := range ops {
+		sum += o
+	}
+	return sum
 }
 
 // imbalanceOf is max/mean over the non-idle cores.

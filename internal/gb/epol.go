@@ -2,6 +2,7 @@ package gb
 
 import (
 	"math"
+	"math/bits"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/octree"
@@ -30,29 +31,33 @@ func (s *System) NaiveEpol(radii []float64) (float64, int64) {
 	return -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * sum, ops
 }
 
-// epolAggregates holds the per-node Born-radius-class charge histograms
-// q_U[k] of Fig. 3: class k collects the total charge of atoms with Born
-// radius in [Rmin(1+ε)^k, Rmin(1+ε)^(k+1)).
+// epolAggregates holds the per-node Born-radius-class moments of Fig. 3:
+// class k collects the atoms with Born radius in [Rmin(1+ε)^k,
+// Rmin(1+ε)^(k+1)). Only the classes present under a node are stored
+// (DESIGN.md §11): node n's are cls[off[n]:off[n+1]], ascending, with
+// their moments at the same positions of q, dip and quad.
 type epolAggregates struct {
 	M       int       // number of classes: ceil(log_{1+ε}(Rmax/Rmin)), ≥ 1
 	Rmin    float64   //
-	hist    []float64 // dense [node*M + k] charge histogram
 	powR    []float64 // powR[k] = Rmin²·(1+ε)^(k+1) for k ∈ [0, 2M)
 	classOf []int     // per-atom class (original index)
-	// dip[node*M + k] is the class-k charge dipole Σ q_a·(p_a − center)
-	// about the node's ball center: the first-order (FMM p=1) correction
-	// that the "Greengard–Rokhlin type" far field needs, because
-	// protein charge distributions are locally dipolar and a pure
-	// monopole histogram drops their leading far-field term.
+	off     []int     // per-node entry offsets, NumNodes+1 of them
+	cls     []uint8   // class index per entry (M ≤ maxEpolClasses ≤ 256)
+	q       []float64 // class charge Q_U[k] per entry
+	// dip is the class charge dipole Σ q_a·(p_a − center) about the node's
+	// ball center: the first-order (FMM p=1) correction that the
+	// "Greengard–Rokhlin type" far field needs, because protein charge
+	// distributions are locally dipolar and a pure monopole histogram
+	// drops their leading far-field term.
 	dip []geom.Vec3
 	// order is the expansion order the far-field evaluation runs at
 	// (always built from the owning system's accuracy spec). The dip
 	// slice is populated regardless — it is cheap and Complex shares
 	// aggregates across passes — but OrderMonopole evaluation ignores it.
 	order int
-	// quad[node*M + k] is the class-k charge quadrupole Σ q_a·m_a m_aᵀ
-	// (m_a = p_a − center): the second-order moment of the p=2 far
-	// field. Nil below OrderQuadrupole.
+	// quad is the class charge quadrupole Σ q_a·m_a m_aᵀ (m_a = p_a −
+	// center): the second-order moment of the p=2 far field. Nil below
+	// OrderQuadrupole.
 	quad []geom.Mat3
 }
 
@@ -61,9 +66,19 @@ type epolAggregates struct {
 // error, and the cap bounds the O(M²) class-pair loops.
 const maxEpolClasses = 128
 
-// buildEpolAggregates computes the histograms for the given Born radii.
-// The bin width is log(1+ε) unless that would exceed maxEpolClasses, in
-// which case the bins are widened just enough to span [Rmin, Rmax].
+// classRank returns the position of class k among the classes of set, a
+// two-word bitset (so maxEpolClasses is at most 128).
+func classRank(set *[2]uint64, k int) int {
+	if k < 64 {
+		return bits.OnesCount64(set[0] & (1<<k - 1))
+	}
+	return bits.OnesCount64(set[0]) + bits.OnesCount64(set[1]&(1<<(k-64)-1))
+}
+
+// buildEpolAggregates computes the class aggregates for the given Born
+// radii. The bin width is log(1+ε) unless that would exceed
+// maxEpolClasses, in which case the bins are widened just enough to span
+// [Rmin, Rmax].
 func (s *System) buildEpolAggregates(radii []float64) *epolAggregates {
 	rmin, rmax := math.Inf(1), 0.0
 	for _, r := range radii {
@@ -77,9 +92,11 @@ func (s *System) buildEpolAggregates(radii []float64) *epolAggregates {
 	return s.buildEpolAggregatesRange(radii, rmin, rmax)
 }
 
-// buildEpolAggregatesRange builds the histograms over an explicit radius
+// buildEpolAggregatesRange builds the aggregates over an explicit radius
 // range [rmin, rmax] — two systems sharing a range produce directly
 // comparable class indices (the cross-molecule energy pass of Complex).
+// The moments accumulate in the order of a dense NumNodes·M layout, so
+// each entry is bitwise its dense slot (DESIGN.md §11).
 func (s *System) buildEpolAggregatesRange(radii []float64, rmin, rmax float64) *epolAggregates {
 	eps := math.Min(s.Params.EpsEpol, defaultBinEps)
 	if s.Params.EpsBin > 0 {
@@ -120,25 +137,57 @@ func (s *System) buildEpolAggregatesRange(radii []float64, rmin, rmax float64) *
 	for k := range agg.powR {
 		agg.powR[k] = rmin * rmin * math.Pow(1+epsBin, float64(k+1))
 	}
-	// Bottom-up aggregation: parents precede children in DFS index order,
-	// so iterating in reverse has every child ready before its parent.
-	agg.hist = make([]float64, s.TA.NumNodes()*agg.M)
-	agg.dip = make([]geom.Vec3, s.TA.NumNodes()*agg.M)
-	if agg.order == OrderQuadrupole {
-		agg.quad = make([]geom.Mat3, s.TA.NumNodes()*agg.M)
-	}
-	for i := s.TA.NumNodes() - 1; i >= 0; i-- {
-		n := &s.TA.Nodes[i]
-		base := i * agg.M
-		if n.Leaf {
+
+	// Class sets (one bit per class), then offsets and class lists.
+	// Parents precede children in DFS index order, so iterating in
+	// reverse has every child ready before its parent.
+	nodes := s.TA.Nodes
+	sets := make([][2]uint64, len(nodes))
+	nnz := 0
+	for i := len(nodes) - 1; i >= 0; i-- {
+		set := &sets[i]
+		if nodes[i].Leaf {
 			for _, ai := range s.TA.ItemsOf(int32(i)) {
 				k := agg.classOf[ai]
+				set[k>>6] |= 1 << (k & 63)
+			}
+		} else {
+			for _, c := range nodes[i].Children {
+				if c != octree.NoChild {
+					set[0] |= sets[c][0]
+					set[1] |= sets[c][1]
+				}
+			}
+		}
+		nnz += bits.OnesCount64(set[0]) + bits.OnesCount64(set[1])
+	}
+	agg.off = make([]int, 1, len(nodes)+1)
+	agg.cls = make([]uint8, 0, nnz)
+	for _, set := range sets {
+		for w, word := range set {
+			for ; word != 0; word &= word - 1 {
+				agg.cls = append(agg.cls, uint8(w<<6+bits.TrailingZeros64(word)))
+			}
+		}
+		agg.off = append(agg.off, len(agg.cls))
+	}
+	agg.q = make([]float64, nnz)
+	agg.dip = make([]geom.Vec3, nnz)
+	if agg.order == OrderQuadrupole {
+		agg.quad = make([]geom.Mat3, nnz)
+	}
+	for i := len(nodes) - 1; i >= 0; i-- {
+		n := &nodes[i]
+		base := agg.off[i]
+		if n.Leaf {
+			for _, ai := range s.TA.ItemsOf(int32(i)) {
+				e := base + classRank(&sets[i], agg.classOf[ai])
 				q := s.Mol.Atoms[ai].Charge
-				agg.hist[base+k] += q
-				agg.dip[base+k] = agg.dip[base+k].Add(s.atomPos[ai].Sub(n.Center).Scale(q))
+				agg.q[e] += q
+				agg.dip[e] = agg.dip[e].Add(s.atomPos[ai].Sub(n.Center).Scale(q))
 				if agg.quad != nil {
 					m := s.atomPos[ai].Sub(n.Center)
-					addOuter(&agg.quad[base+k], m.Scale(q), m)
+					addOuter(&agg.quad[e], m.Scale(q), m)
 				}
 			}
 			continue
@@ -147,19 +196,18 @@ func (s *System) buildEpolAggregatesRange(radii []float64, rmin, rmax float64) *
 			if c == octree.NoChild {
 				continue
 			}
-			cn := &s.TA.Nodes[c]
-			shift := cn.Center.Sub(n.Center)
-			cbase := int(c) * agg.M
-			for k := 0; k < agg.M; k++ {
-				q := agg.hist[cbase+k]
-				agg.hist[base+k] += q
+			shift := nodes[c].Center.Sub(n.Center)
+			for ce := agg.off[c]; ce < agg.off[c+1]; ce++ {
+				e := base + classRank(&sets[i], int(agg.cls[ce]))
+				q := agg.q[ce]
+				agg.q[e] += q
 				if agg.quad != nil {
 					// Re-center the child quadrupole about the parent:
 					// K' = K + s⊗D + D⊗s + q·s⊗s, with the child dipole D
 					// taken BEFORE its own re-centering.
-					cd := agg.dip[cbase+k]
-					kq := &agg.quad[base+k]
-					cq := &agg.quad[cbase+k]
+					cd := agg.dip[ce]
+					kq := &agg.quad[e]
+					cq := &agg.quad[ce]
 					for t := 0; t < 9; t++ {
 						kq[t] += cq[t]
 					}
@@ -168,7 +216,7 @@ func (s *System) buildEpolAggregatesRange(radii []float64, rmin, rmax float64) *
 					addOuter(kq, shift.Scale(q), shift)
 				}
 				// Re-center the child dipole about the parent center.
-				agg.dip[base+k] = agg.dip[base+k].Add(agg.dip[cbase+k]).Add(shift.Scale(q))
+				agg.dip[e] = agg.dip[e].Add(agg.dip[ce]).Add(shift.Scale(q))
 			}
 		}
 	}
@@ -238,31 +286,31 @@ func (t *pairTally) addFar(n int64) {
 
 // ApproxEpol is Fig. 3's APPROX-Epol(U, V): the raw pair sum
 // Σ q_u q_v / f_GB between the atoms under U and the atoms under leaf V,
-// approximated by class histograms when (U, V) is far, exact at leaves.
+// approximated by class aggregates when (U, V) is far, exact at leaves.
 // Returns (sum, interaction evaluations).
 func (s *System) ApproxEpol(u, v int32, radii []float64, agg *epolAggregates) (float64, int64) {
-	kernel := pairEnergyKernel(s.Params.Math)
-	factor := s.epolFactor()
-	return s.approxEpol(u, v, radii, agg, kernel, factor, nil)
+	return s.approxEpol(u, v, radii, agg, s.epolFactor(), nil)
 }
 
 func (s *System) approxEpol(u, v int32, radii []float64, agg *epolAggregates,
-	kernel func(qq, r2, RiRj float64) float64, factor float64, tally *pairTally) (float64, int64) {
+	factor float64, tally *pairTally) (float64, int64) {
 	un := &s.TA.Nodes[u]
 	vn := &s.TA.Nodes[v]
 	d := un.Center.Dist(vn.Center)
-	// The class-histogram approximation only applies when U is internal:
-	// leaf–leaf pairs are evaluated exactly below at comparable cost
-	// (≤ leaf² pairs vs nnz² class pairs), and skipping the binning there
-	// matters because two small leaves can be geometrically "far" (tiny
-	// radii) while still close on the f_GB scale √(R_iR_j), where binned
-	// radii misprice the kernel.
+	approx := s.Params.Math == ApproxMath
+	// The class approximation only applies when U is internal: leaf–leaf
+	// pairs are evaluated exactly below at comparable cost (≤ leaf² pairs
+	// vs nnz² class pairs), and skipping the binning there matters
+	// because two small leaves can be geometrically "far" (tiny radii)
+	// while still close on the f_GB scale √(R_iR_j), where binned radii
+	// misprice the kernel.
 	if u != v && !un.Leaf && epolFar(d, un.Radius, vn.Radius, factor) {
-		return s.farClassSum(u, v, d, vn.Center.Sub(un.Center), agg, tally)
+		return farClassSum(agg, u, agg, v, d, vn.Center.Sub(un.Center), approx, tally)
 	}
 	if un.Leaf {
 		// Exact: ordered pairs (u-atom, v-atom); self terms arise when
-		// U == V via r² = 0 ⇒ f = R_i (q_i²/R_i).
+		// U == V via r² = 0 ⇒ f = R_i (q_i²/R_i). The exact term is
+		// written out so fGB inlines into the loop.
 		sum := 0.0
 		ops := int64(0)
 		uItems := s.TA.ItemsOf(u)
@@ -276,7 +324,11 @@ func (s *System) approxEpol(u, v int32, radii []float64, agg *epolAggregates,
 					continue
 				}
 				r2 := pi.Dist2(s.atomPos[vi])
-				sum += kernel(qi*s.Mol.Atoms[vi].Charge, r2, ri*radii[vi])
+				if qq, rr := qi*s.Mol.Atoms[vi].Charge, ri*radii[vi]; approx {
+					sum += qq * invFGBApprox(r2, rr)
+				} else {
+					sum += qq * (1 / fGB(r2, rr))
+				}
 				ops++
 			}
 		}
@@ -287,7 +339,7 @@ func (s *System) approxEpol(u, v int32, radii []float64, agg *epolAggregates,
 	ops := int64(1)
 	for _, c := range un.Children {
 		if c != octree.NoChild {
-			cs, cops := s.approxEpol(c, v, radii, agg, kernel, factor, tally)
+			cs, cops := s.approxEpol(c, v, radii, agg, factor, tally)
 			sum += cs
 			ops += cops
 		}
@@ -295,11 +347,12 @@ func (s *System) approxEpol(u, v int32, radii []float64, agg *epolAggregates,
 	return sum, ops
 }
 
-// farClassSum evaluates the far-field interaction of node pair (U, V) at
-// center distance d (direction vector dvec = c_V − c_U): for every
-// non-empty Born-radius class pair (i, j), the order-p expansion of
-// g(|d·d̂ + δ|) about δ = 0, with δ = m_v − m_u the pair offset and
-// g(r) = 1/f_GB(r; R_iR_j ≈ Rmin²(1+ε)^(i+j+1)):
+// farClassSum evaluates the far-field interaction of node U of aggregate
+// set ua with node V of set va (one set within a molecule, two sets over
+// one radius range across molecules) at center distance d (direction
+// vector dvec = c_V − c_U): for every occupied class pair (i, j), the
+// order-p expansion of g(|d·d̂ + δ|) about δ = 0, with δ = m_v − m_u the
+// pair offset and g(r) = 1/f_GB(r; R_iR_j ≈ Rmin²(1+ε)^(i+j+1)):
 //
 //	p ≥ 0:  Q_U[i]·Q_V[j]·g(d)
 //	p ≥ 1:  + g'(d)·[Q_U[i]·(d̂·D_V[j]) − (d̂·D_U[i])·Q_V[j]]
@@ -307,41 +360,43 @@ func (s *System) approxEpol(u, v int32, radii []float64, agg *epolAggregates,
 //
 // where the second-moment contractions come from the class quadrupoles:
 // ⟨(d̂·δ)²⟩ = Q_U·d̂ᵀK_Vd̂ − 2(d̂·D_U)(d̂·D_V) + d̂ᵀK_Ud̂·Q_V and
-// ⟨|δ|²⟩ = Q_U·tr K_V − 2 D_U·D_V + tr K_U·Q_V. The p=1 branch is the
-// pre-Accuracy arithmetic verbatim. Returns (raw sum, evaluations).
-func (s *System) farClassSum(u, v int32, d float64, dvec geom.Vec3, agg *epolAggregates, tally *pairTally) (float64, int64) {
+// ⟨|δ|²⟩ = Q_U·tr K_V − 2 D_U·D_V + tr K_U·Q_V. Classes whose moments
+// vanish along d̂ are skipped and not counted. Returns (raw sum,
+// evaluations).
+func farClassSum(ua *epolAggregates, u int32, va *epolAggregates, v int32,
+	d float64, dvec geom.Vec3, approx bool, tally *pairTally) (float64, int64) {
 	r2 := d * d
 	dhat := dvec.Scale(1 / d)
-	approx := s.Params.Math == ApproxMath
-	ord := agg.order
+	ord := ua.order
 	sum := 0.0
 	ops := int64(0)
-	ubase, vbase := int(u)*agg.M, int(v)*agg.M
-	for i := 0; i < agg.M; i++ {
-		qu := agg.hist[ubase+i]
+	vlo, vhi := va.off[v], va.off[v+1]
+	for a := ua.off[u]; a < ua.off[u+1]; a++ {
+		i := int(ua.cls[a])
+		qu := ua.q[a]
 		var du float64
 		var dipU geom.Vec3
 		if ord >= OrderDipole {
-			dipU = agg.dip[ubase+i]
+			dipU = ua.dip[a]
 			du = dhat.Dot(dipU)
 		}
 		if qu == 0 && du == 0 &&
-			(ord != OrderQuadrupole || agg.quad[ubase+i] == (geom.Mat3{})) {
+			(ord != OrderQuadrupole || ua.quad[a] == (geom.Mat3{})) {
 			continue
 		}
-		for j := 0; j < agg.M; j++ {
-			qv := agg.hist[vbase+j]
+		for b := vlo; b < vhi; b++ {
+			qv := va.q[b]
 			var dv float64
 			var dipV geom.Vec3
 			if ord >= OrderDipole {
-				dipV = agg.dip[vbase+j]
+				dipV = va.dip[b]
 				dv = dhat.Dot(dipV)
 			}
 			if qv == 0 && dv == 0 &&
-				(ord != OrderQuadrupole || agg.quad[vbase+j] == (geom.Mat3{})) {
+				(ord != OrderQuadrupole || va.quad[b] == (geom.Mat3{})) {
 				continue
 			}
-			t := agg.powR[i+j]
+			t := ua.powR[i+int(va.cls[b])]
 			var e float64
 			if approx {
 				e = fastExp(-r2 / (4 * t))
@@ -370,7 +425,7 @@ func (s *System) farClassSum(u, v int32, d float64, dvec geom.Vec3, agg *epolAgg
 				upp := 2*(1-e/4) + (r2/(4*t))*e
 				invF3 := invF * invF * invF
 				gpp := 0.75*up*up*invF3*invF*invF - 0.5*upp*invF3
-				ku, kv := &agg.quad[ubase+i], &agg.quad[vbase+j]
+				ku, kv := &ua.quad[a], &va.quad[b]
 				a2 := qu*dhat.Dot(kv.MulVec(dhat)) - 2*du*dv + dhat.Dot(ku.MulVec(dhat))*qv
 				b2 := qu*(kv[0]+kv[4]+kv[8]) - 2*dipU.Dot(dipV) + (ku[0]+ku[4]+ku[8])*qv
 				sum += 0.5*gpp*a2 + (0.5*gp/d)*(b2-a2)

@@ -112,10 +112,10 @@ func TestEpolAggregatesHistogram(t *testing.T) {
 	if agg.M < 1 || agg.M > maxEpolClasses {
 		t.Fatalf("M = %d", agg.M)
 	}
-	// Root histogram must sum to the total charge.
+	// The root's classes must sum to the total charge.
 	rootSum := 0.0
-	for k := 0; k < agg.M; k++ {
-		rootSum += agg.hist[k]
+	for e := agg.off[0]; e < agg.off[1]; e++ {
+		rootSum += agg.q[e]
 	}
 	if math.Abs(rootSum-s.Mol.TotalCharge()) > 1e-9 {
 		t.Errorf("root histogram sums to %v, total charge %v", rootSum, s.Mol.TotalCharge())

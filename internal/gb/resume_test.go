@@ -1,6 +1,7 @@
 package gb
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -312,5 +313,57 @@ func TestResumeRejectsLooserCheckpoint(t *testing.T) {
 	legacy.EpsBorn, legacy.EpsEpol = 0, 0
 	if err := s.CanResume(&legacy); err != nil {
 		t.Errorf("ε-unrecorded snapshot refused: %v", err)
+	}
+}
+
+// A CRC-valid snapshot whose values are unusable must be refused by
+// CanResume (the supervisor then drops it and recomputes) and by Run,
+// never resumed into a NaN energy or a failed aggregate build.
+func TestResumeRejectsBadValues(t *testing.T) {
+	s := buildSys(t, 300, DefaultParams())
+	sink := &memSink{}
+	if _, err := s.Run(RunSpec{Processes: 2, Checkpoint: sink}); err != nil {
+		t.Fatal(err)
+	}
+	saved := map[CheckpointPhase][]byte{}
+	for _, sv := range sink.saves {
+		saved[sv.phase] = sv.data
+	}
+	n := s.NumAtoms()
+	type damage struct {
+		phase CheckpointPhase
+		slot  int // payload index
+		what  string
+	}
+	var cases []damage
+	for _, ph := range []CheckpointPhase{PhaseRadii, PhaseAggregates, PhaseEpol} {
+		cases = append(cases, damage{ph, n / 2, "radius"})
+	}
+	cases = append(cases, damage{PhaseEpol, n, "energy"}, damage{PhaseEpol, n + 2, "bound"})
+	for _, c := range cases {
+		bad := []float64{math.NaN(), math.Inf(1), 0, -1}
+		if c.what != "radius" {
+			bad = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+		}
+		for _, v := range bad {
+			ck, err := DecodeCheckpoint(saved[c.phase])
+			if err != nil {
+				t.Fatalf("%s: %v", c.phase, err)
+			}
+			if err := s.CanResume(ck); err != nil {
+				t.Fatalf("%s: intact snapshot refused: %v", c.phase, err)
+			}
+			ck.Payload[c.slot] = v
+			ck, err = DecodeCheckpoint(ck.Encode())
+			if err != nil {
+				t.Fatalf("%s: re-encoded snapshot does not decode: %v", c.phase, err)
+			}
+			if err := s.CanResume(ck); err == nil {
+				t.Errorf("%s with %s %v: CanResume accepted it", c.phase, c.what, v)
+			}
+			if res, err := s.Run(RunSpec{Processes: 2, Resume: ck}); err == nil {
+				t.Errorf("%s with %s %v: resumed to Epol %v", c.phase, c.what, v, res.Epol)
+			}
+		}
 	}
 }

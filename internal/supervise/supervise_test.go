@@ -416,3 +416,53 @@ func TestNoTraceMeansNoStamp(t *testing.T) {
 		t.Errorf("sink fired %d times over %d attempts", fired, len(out.Attempts))
 	}
 }
+
+// A stored snapshot that decodes (its CRC holds) but carries an unusable
+// radius, energy or bound must be dropped and the job recomputed from
+// scratch, never resumed into a NaN energy or a failed attempt.
+func TestBadValueCheckpointIsDroppedAndRecomputed(t *testing.T) {
+	const P = 2
+	s := buildSys(t, 300)
+	clean, err := Run(s, Spec{Processes: P})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		phase gb.CheckpointPhase
+		slot  func(n int) int // payload index to damage
+	}{
+		{gb.PhaseRadii, func(int) int { return 0 }},
+		{gb.PhaseAggregates, func(n int) int { return n - 1 }},
+		{gb.PhaseEpol, func(n int) int { return n }}, // the energy
+	} {
+		store := NewMemStore()
+		if _, err := s.Run(gb.RunSpec{Processes: P, Faults: &gb.FaultConfig{ForceProtocol: true},
+			Checkpoint: rewindSink{store, c.phase}}); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := store.Latest()
+		if err != nil || ck == nil || ck.Phase != c.phase {
+			t.Fatalf("%s: store latest = %+v, %v", c.phase, ck, err)
+		}
+		ck.Payload[c.slot(s.NumAtoms())] = math.NaN()
+		if err := store.Save(ck.Phase, ck.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		rec := obs.NewRecorder(nil)
+		out, err := Run(s, Spec{Processes: P, Store: store, Obs: rec})
+		if err != nil {
+			t.Fatalf("%s: %v", c.phase, err)
+		}
+		first := out.Attempts[0]
+		if !first.DroppedCheckpoint || first.ResumedFrom != gb.PhaseNone {
+			t.Errorf("%s: first attempt dropped=%v resumed from %s, want a drop and a recompute",
+				c.phase, first.DroppedCheckpoint, first.ResumedFrom)
+		}
+		if rec.Counters()["supervise.checkpoint_dropped"] != 1 {
+			t.Errorf("%s: supervise.checkpoint_dropped = %d, want 1", c.phase, rec.Counters()["supervise.checkpoint_dropped"])
+		}
+		if out.Result.Epol != clean.Result.Epol {
+			t.Errorf("%s: recomputed Epol %v, clean run %v", c.phase, out.Result.Epol, clean.Result.Epol)
+		}
+	}
+}
