@@ -6,7 +6,7 @@ GO ?= go
 BENCH_MAX_ATOMS ?= 2000
 BENCH_REPEATS ?= 3
 
-.PHONY: build test lint lint-json lint-self check check-race chaos-smoke trace-smoke serve-smoke soak soak-short bench-json bench-gate perfbench-selftest
+.PHONY: build test lint lint-json lint-self check check-race chaos-smoke trace-smoke serve-smoke soak soak-short bench-json bench-gate perfbench-selftest fuzz-short
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,14 @@ bench-gate: bench-json
 perfbench-selftest:
 	cd _perfbench && GOWORK=off $(GO) test -count=1 ./...
 
+# fuzz-short runs the checkpoint decoder's fuzz target for 15 s from its
+# seed corpus (the four phase snapshots of a small run, with and without
+# Obs): no input may panic or abort the process, and any input that
+# decodes must re-encode to a fixed point. Minimizing a new input is
+# capped at 1 s (the default is 60 s) so the budget goes to fuzzing.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 15s -fuzzminimizetime 1s ./internal/gb/
+
 # check-race is the quick race pass: short mode skips the figure
 # sweeps, PB grid solves, and calibration probes (the numerics they
 # cover are single-goroutine anyway), leaving the concurrency-bearing
@@ -116,6 +124,6 @@ check-race:
 # The race detector multiplies the bench suite's runtime ~14x (past go
 # test's 600s default package timeout on modest hardware), so the race
 # pass carries an explicit generous timeout.
-check: chaos-smoke lint lint-self trace-smoke serve-smoke soak-short perfbench-selftest
+check: chaos-smoke lint lint-self trace-smoke serve-smoke soak-short perfbench-selftest fuzz-short
 	$(GO) vet ./...
 	$(GO) test -race -timeout 3600s ./...

@@ -14,7 +14,6 @@ import (
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/octree"
 	"gbpolar/internal/perf"
-	"gbpolar/internal/sched"
 	"gbpolar/internal/surface"
 )
 
@@ -136,11 +135,9 @@ func BenchmarkEpolNaive(b *testing.B) {
 
 func BenchmarkRunCilk12(b *testing.B) {
 	sys := benchSystem(b, 3000)
-	pool := sched.New(12)
-	defer pool.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Run(gb.RunSpec{Pool: pool}); err != nil {
+		if _, err := sys.Run(gb.RunSpec{ThreadsPerProcess: 12}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,14 +14,15 @@
 //	gbpol -in m.pqr -metrics-out metrics.json   # JSON metrics to a file
 //	gbpol -in m.pqr -serve 127.0.0.1:8080       # live /metrics + pprof
 //
-// Distributed runs (-driver mpi or hybrid) can be supervised: phase
+// The octree drivers name one (P, p) layout each: serial is 1×1, cilk is
+// 1×p, mpi is P×1 and hybrid is P×p. Any of them can be supervised: phase
 // checkpoints land in -checkpoint-dir, a killed run picks up from the
 // last completed phase with -resume, and -deadline/-retries bound how
 // long the supervisor fights a bad cluster before shedding accuracy:
 //
 //	gbpol -in m.pqr -driver mpi -P 4 -checkpoint-dir ckpt
 //	gbpol -in m.pqr -driver mpi -P 4 -checkpoint-dir ckpt -resume
-//	gbpol -in m.pqr -driver mpi -P 4 -deadline 30s -retries 3
+//	gbpol -in m.pqr -driver cilk -p 4 -deadline 30s -retries 3
 package main
 
 import (
@@ -37,7 +38,6 @@ import (
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/obs"
 	"gbpolar/internal/perf"
-	"gbpolar/internal/sched"
 	"gbpolar/internal/supervise"
 	"gbpolar/internal/surface"
 	"gbpolar/internal/tune"
@@ -79,12 +79,13 @@ func main() {
 	if *resumeF && *ckptDir == "" {
 		fatal(fmt.Errorf("-resume needs -checkpoint-dir to resume from"))
 	}
-	if supervised {
-		switch strings.ToLower(*driver) {
-		case "mpi", "hybrid":
-		default:
-			fatal(fmt.Errorf("-checkpoint-dir/-resume/-deadline/-retries need -driver mpi or hybrid"))
-		}
+	drv := strings.ToLower(*driver)
+	P, p, octree := layoutOf(drv, *bigP, *smallP)
+	if !octree && drv != "naive" {
+		fatal(fmt.Errorf("unknown driver %q", *driver))
+	}
+	if supervised && !octree {
+		fatal(fmt.Errorf("-checkpoint-dir/-resume/-deadline/-retries need an octree driver, not -driver naive"))
 	}
 
 	mol, err := loadMolecule(*in, *synth, *atoms, *seed)
@@ -145,7 +146,7 @@ func main() {
 	var rec *obs.Recorder
 	if *traceOut != "" || *metrics != "" || *metricsOut != "" || *serveF != "" {
 		rec = obs.NewRecorder(perf.StartTimer().Elapsed)
-		rec.SetLabel(fmt.Sprintf("gbpol %s %s", mol.Name, strings.ToLower(*driver)))
+		rec.SetLabel(fmt.Sprintf("gbpol %s %s", mol.Name, drv))
 	}
 	var srv *obs.Server
 	if *serveF != "" {
@@ -159,32 +160,16 @@ func main() {
 
 	var res *gb.Result
 	var sup *supervise.Outcome
-	switch strings.ToLower(*driver) {
-	case "serial":
-		res, err = sys.Run(gb.RunSpec{Obs: rec})
-	case "cilk":
-		pool := sched.New(*smallP)
-		res, err = sys.Run(gb.RunSpec{Pool: pool, Obs: rec})
-		pool.Close()
-	case "mpi":
-		if supervised {
-			sup, err = runSupervised(sys, *bigP, 1, *ckptDir, *resumeF, *deadlineF, *retriesF, ladder, rec)
-		} else {
-			res, err = sys.Run(gb.RunSpec{Processes: *bigP, Obs: rec})
-		}
-	case "hybrid":
-		if supervised {
-			sup, err = runSupervised(sys, *bigP, *smallP, *ckptDir, *resumeF, *deadlineF, *retriesF, ladder, rec)
-		} else {
-			res, err = sys.Run(gb.RunSpec{Processes: *bigP, ThreadsPerProcess: *smallP, Obs: rec})
-		}
-	case "naive":
+	switch {
+	case !octree:
 		radii, bornOps := sys.NaiveBornRadiiR6()
 		e, epolOps := sys.NaiveEpol(radii)
 		res = &gb.Result{Epol: e, Born: radii, Processes: 1, ThreadsPerProcess: 1,
 			PerCoreOps: []int64{bornOps + epolOps}}
+	case supervised:
+		sup, err = runSupervised(sys, P, p, *ckptDir, *resumeF, *deadlineF, *retriesF, ladder, rec)
 	default:
-		fatal(fmt.Errorf("unknown driver %q", *driver))
+		res, err = sys.Run(gb.RunSpec{Processes: P, ThreadsPerProcess: p, Obs: rec})
 	}
 	if err != nil {
 		fatal(err)
@@ -196,7 +181,7 @@ func main() {
 		// keeps the supervisor's own counters and escalation events.
 		if rec != nil {
 			rec = sup.Recorder
-			rec.SetLabel(fmt.Sprintf("gbpol %s %s supervised", mol.Name, strings.ToLower(*driver)))
+			rec.SetLabel(fmt.Sprintf("gbpol %s %s supervised", mol.Name, drv))
 		}
 	}
 	fmt.Printf("molecule      %s (%d atoms, %d quadrature points)\n",
@@ -286,7 +271,23 @@ func main() {
 	}
 }
 
-// runSupervised routes a distributed run through the run supervisor:
+// layoutOf maps an octree -driver to its (P, p) layout; ok is false for
+// any other driver name.
+func layoutOf(driver string, P, p int) (int, int, bool) {
+	switch driver {
+	case "serial":
+		return 1, 1, true
+	case "cilk":
+		return 1, p, true
+	case "mpi":
+		return P, 1, true
+	case "hybrid":
+		return P, p, true
+	}
+	return 0, 0, false
+}
+
+// runSupervised routes a run through the run supervisor:
 // checkpoints go to dir (in memory when dir is empty), the deadline and
 // retry budget bound the escalation ladder. Without -resume, a directory
 // already holding checkpoints is refused rather than silently resumed

@@ -15,7 +15,6 @@ import (
 	"gbpolar/internal/gb"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/perf"
-	"gbpolar/internal/sched"
 	"gbpolar/internal/surface"
 )
 
@@ -53,12 +52,10 @@ func main() {
 			float64(b.MemPerNodeBytes)/(1<<20), res.Steals)
 	}
 
-	pool := sched.New(12)
-	cilk, err := sys.Run(gb.RunSpec{Pool: pool})
+	cilk, err := sys.Run(gb.RunSpec{ThreadsPerProcess: 12})
 	if err != nil {
 		log.Fatal(err)
 	}
-	pool.Close()
 	show("OCT_CILK 1×12", cilk)
 
 	mpi, err := sys.Run(gb.RunSpec{Processes: 12})

@@ -8,7 +8,6 @@ import (
 	"gbpolar/internal/gb"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/perf"
-	"gbpolar/internal/sched"
 	"gbpolar/internal/simmpi"
 )
 
@@ -38,22 +37,23 @@ func fig11(o Options) (*Table, error) {
 	factor := float64(fullAtoms) / float64(scaledAtoms)
 
 	// --- octree programs ---------------------------------------------
-	pool := sched.New(12)
-	cilk := sys.RunCilk(pool)
-	pool.Close()
-	mpi12, err := sys.RunMPI(12)
+	cilk, err := sys.Run(gb.RunSpec{ThreadsPerProcess: 12})
 	if err != nil {
 		return nil, err
 	}
-	hyb12, err := sys.RunHybrid(2, 6)
+	mpi12, err := sys.Run(gb.RunSpec{Processes: 12})
 	if err != nil {
 		return nil, err
 	}
-	mpi144, err := sys.RunMPI(144)
+	hyb12, err := sys.Run(gb.RunSpec{Processes: 2, ThreadsPerProcess: 6})
 	if err != nil {
 		return nil, err
 	}
-	hyb144, err := sys.RunHybrid(24, 6)
+	mpi144, err := sys.Run(gb.RunSpec{Processes: 144})
+	if err != nil {
+		return nil, err
+	}
+	hyb144, err := sys.Run(gb.RunSpec{Processes: 24, ThreadsPerProcess: 6})
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"gbpolar/internal/baselines"
 	"gbpolar/internal/gb"
 	"gbpolar/internal/molecule"
-	"gbpolar/internal/sched"
 	"gbpolar/internal/stats"
 )
 
@@ -30,13 +29,13 @@ func runOctPrograms(e molecule.BenchmarkEntry, params gb.Params) (*octRosterRun,
 		return nil, err
 	}
 	run := &octRosterRun{entry: e, sys: entry}
-	pool := sched.New(12)
-	run.cilk = entry.sys.RunCilk(pool)
-	pool.Close()
-	if run.mpi, err = entry.sys.RunMPI(12); err != nil {
+	if run.cilk, err = entry.sys.Run(gb.RunSpec{ThreadsPerProcess: 12}); err != nil {
 		return nil, err
 	}
-	if run.hybrid, err = entry.sys.RunHybrid(2, 6); err != nil {
+	if run.mpi, err = entry.sys.Run(gb.RunSpec{Processes: 12}); err != nil {
+		return nil, err
+	}
+	if run.hybrid, err = entry.sys.Run(gb.RunSpec{Processes: 2, ThreadsPerProcess: 6}); err != nil {
 		return nil, err
 	}
 	return run, nil
@@ -245,7 +244,7 @@ func fig10(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := entry.sys.RunHybrid(2, 6)
+			res, err := entry.sys.Run(gb.RunSpec{Processes: 2, ThreadsPerProcess: 6})
 			if err != nil {
 				return nil, err
 			}

@@ -60,9 +60,9 @@ func btvRun(o Options, sys *gb.System, fullAtoms int, P, p int, seed int64) (*sc
 	var res *gb.Result
 	var err error
 	if p == 1 {
-		res, err = sys.RunMPI(P)
+		res, err = sys.Run(gb.RunSpec{Processes: P})
 	} else {
-		res, err = sys.RunHybrid(P, p)
+		res, err = sys.Run(gb.RunSpec{Processes: P, ThreadsPerProcess: p})
 	}
 	if err != nil {
 		return nil, err

@@ -10,7 +10,6 @@ import (
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/obs"
 	"gbpolar/internal/perf"
-	"gbpolar/internal/sched"
 )
 
 // The bench trajectory is the repo's perf history: cmd/benchjson runs
@@ -82,12 +81,11 @@ type Trajectory struct {
 // baselines that predate the variants.
 var trajectoryLayouts = []struct {
 	name string
-	pool int          // shared-memory pool width (OCT_CILK)
-	P, p int          // distributed layout (OCT_MPI / hybrid)
+	P, p int          // ranks × threads per rank
 	acc  *gb.Accuracy // accuracy override (multipole kernels)
 }{
 	{name: "serial"},
-	{name: "cilk4", pool: 4},
+	{name: "cilk4", p: 4},
 	{name: "mpi4", P: 4},
 	{name: "hybrid2x2", P: 2, p: 2},
 	// Monopole at the default ε: the paper's literal Fig. 2/3 scheme.
@@ -142,15 +140,7 @@ func CollectTrajectory(o Options, label string, repeats int) (*Trajectory, error
 				if rep == 0 && lay.acc == nil {
 					spec.Obs = rec
 				}
-				var pool *sched.Pool
-				if lay.pool > 0 {
-					pool = sched.New(lay.pool)
-					spec.Pool = pool
-				}
 				res, err := sys.Run(spec)
-				if pool != nil {
-					pool.Close()
-				}
 				if err != nil {
 					return nil, fmt.Errorf("bench: trajectory kernel %s/%s: %w", lay.name, e.Name, err)
 				}

@@ -28,7 +28,10 @@ func workprec(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := entry.sys.RunSerial()
+	ref, err := entry.sys.Run(gb.RunSpec{})
+	if err != nil {
+		return nil, err
+	}
 
 	// The default point anchors the speedup column.
 	defAcc := gb.DefaultAccuracy()

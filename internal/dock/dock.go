@@ -75,8 +75,12 @@ func NewScorer(receptor, ligand *molecule.Molecule, params gb.Params, surfCfg su
 	if err != nil {
 		return nil, err
 	}
-	s.recEnergy = recSys.RunSerial().Epol
-	s.ligEnergy = ligSys.RunSerial().Epol
+	if s.recEnergy, err = serialEpol(recSys); err != nil {
+		return nil, err
+	}
+	if s.ligEnergy, err = serialEpol(ligSys); err != nil {
+		return nil, err
+	}
 	if s.complex, err = gb.NewComplex(recSys, ligSys); err != nil {
 		return nil, err
 	}
@@ -109,7 +113,16 @@ func (s *Scorer) epolOf(m *molecule.Molecule) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return sys.RunSerial().Epol, nil
+	return serialEpol(sys)
+}
+
+// serialEpol runs the serial octree pipeline (one rank, one thread).
+func serialEpol(sys *gb.System) (float64, error) {
+	res, err := sys.Run(gb.RunSpec{})
+	if err != nil {
+		return 0, err
+	}
+	return res.Epol, nil
 }
 
 // ScorePose scores one pose by rebuilding the complex from scratch

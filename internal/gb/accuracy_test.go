@@ -58,7 +58,7 @@ func TestAccuracyDefaultBitwiseCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := oldSys.RunSerial(), newSys.RunSerial()
+	a, b := mustRun(t, oldSys, RunSpec{}), mustRun(t, newSys, RunSpec{})
 	if math.Float64bits(a.Epol) != math.Float64bits(b.Epol) {
 		t.Errorf("explicit default Accuracy changed Epol: %v vs %v", b.Epol, a.Epol)
 	}
@@ -151,7 +151,7 @@ func TestRunSpecAccuracyOverrideMatchesDedicatedSystem(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct := dedicated.RunSerial()
+		direct := mustRun(t, dedicated, RunSpec{})
 		if math.Float64bits(over.Epol) != math.Float64bits(direct.Epol) {
 			t.Errorf("override at %+v: Epol %v, dedicated system %v", acc, over.Epol, direct.Epol)
 		}
@@ -172,7 +172,7 @@ func TestWithAccuracyBuildsMissingMoments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := base.RunSerial()
+	baseline := mustRun(t, base, RunSpec{})
 
 	acc := Accuracy{EpsBorn: 0.9, EpsEpol: 0.9, QuadOrder: 1, Order: OrderQuadrupole}
 	up, err := base.WithAccuracy(acc)
@@ -185,13 +185,13 @@ func TestWithAccuracyBuildsMissingMoments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := up.RunSerial(), dedicated.RunSerial()
+	got, want := mustRun(t, up, RunSpec{}), mustRun(t, dedicated, RunSpec{})
 	if math.Float64bits(got.Epol) != math.Float64bits(want.Epol) {
 		t.Errorf("WithAccuracy quadrupole Epol %v, dedicated %v", got.Epol, want.Epol)
 	}
 
 	// The original system is untouched.
-	again := base.RunSerial()
+	again := mustRun(t, base, RunSpec{})
 	if math.Float64bits(again.Epol) != math.Float64bits(baseline.Epol) {
 		t.Errorf("WithAccuracy perturbed the receiver: %v vs %v", again.Epol, baseline.Epol)
 	}

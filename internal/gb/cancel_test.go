@@ -3,6 +3,7 @@ package gb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"gbpolar/internal/obs"
@@ -50,52 +51,40 @@ func TestNilContextNeverCancels(t *testing.T) {
 // TestCancelAtPhaseBoundaryResumesBitwise is the drain contract: a run
 // canceled at a phase boundary keeps its last completed phase's
 // checkpoint, and resuming from it reproduces the uninterrupted run's
-// Epol and Born radii bitwise.
+// Epol and Born radii bitwise. Serial, shared-memory and message-passing
+// layouts share the one driver, so each must honour it, with the plain
+// protocol and with the fault-tolerant one the supervisor forces.
 func TestCancelAtPhaseBoundaryResumesBitwise(t *testing.T) {
-	const P = 4
 	s := buildSys(t, 300, DefaultParams())
+	for _, lay := range []struct{ P, p int }{{1, 1}, {1, 4}, {4, 1}} {
+		for _, force := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%dx%d/force=%v", lay.P, lay.p, force), func(t *testing.T) {
+				spec := RunSpec{Processes: lay.P, ThreadsPerProcess: lay.p, Faults: &FaultConfig{ForceProtocol: force}}
+				ref := mustRun(t, s, spec)
+				for _, at := range []CheckpointPhase{PhaseIntegrals, PhaseRadii, PhaseAggregates} {
+					ctx, cancel := context.WithCancel(context.Background())
+					sink := &cancelSink{at: at, cancel: cancel}
+					canceled := spec
+					canceled.Checkpoint, canceled.Ctx = sink, ctx
+					_, err := s.Run(canceled)
+					cancel()
+					if !errors.Is(err, ErrRunCanceled) {
+						t.Fatalf("cancel at %s: got error %v, want ErrRunCanceled", at, err)
+					}
+					ck := sink.latest(t)
+					if ck.Phase != at {
+						t.Fatalf("cancel at %s: last durable checkpoint is %s", at, ck.Phase)
+					}
 
-	ref, err := s.Run(RunSpec{Processes: P, Faults: &FaultConfig{ForceProtocol: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, at := range []CheckpointPhase{PhaseIntegrals, PhaseRadii, PhaseAggregates} {
-		ctx, cancel := context.WithCancel(context.Background())
-		sink := &cancelSink{at: at, cancel: cancel}
-		_, err := s.Run(RunSpec{
-			Processes:  P,
-			Faults:     &FaultConfig{ForceProtocol: true},
-			Checkpoint: sink,
-			Ctx:        ctx,
-		})
-		cancel()
-		if !errors.Is(err, ErrRunCanceled) {
-			t.Fatalf("cancel at %s: got error %v, want ErrRunCanceled", at, err)
-		}
-		ck := sink.latest(t)
-		if ck.Phase != at {
-			t.Fatalf("cancel at %s: last durable checkpoint is %s", at, ck.Phase)
-		}
-
-		rec := obs.NewRecorder(nil)
-		res, err := s.Run(RunSpec{
-			Processes: P,
-			Faults:    &FaultConfig{ForceProtocol: true},
-			Obs:       rec,
-			Resume:    ck,
-		})
-		if err != nil {
-			t.Fatalf("resume after cancel at %s: %v", at, err)
-		}
-		if res.Epol != ref.Epol {
-			t.Errorf("cancel at %s: resumed Epol %v != uninterrupted %v", at, res.Epol, ref.Epol)
-		}
-		for i := range ref.Born {
-			if res.Born[i] != ref.Born[i] {
-				t.Errorf("cancel at %s: Born[%d] differs", at, i)
-				break
-			}
+					resumed := spec
+					resumed.Obs, resumed.Resume = obs.NewRecorder(nil), ck
+					res, err := s.Run(resumed)
+					if err != nil {
+						t.Fatalf("resume after cancel at %s: %v", at, err)
+					}
+					bitwiseSame(t, fmt.Sprintf("cancel at %s", at), ref, res)
+				}
+			})
 		}
 	}
 }

@@ -10,11 +10,11 @@ import (
 	"gbpolar/internal/obs"
 )
 
-// Phase checkpoints: after each completed algorithm phase the
-// distributed driver can serialize a deterministic, versioned,
-// checksummed snapshot of the run's world-global state through a
-// CheckpointSink, and a later run can resume from the snapshot,
-// re-entering the pipeline at the first incomplete phase.
+// Phase checkpoints: after each completed algorithm phase the driver can
+// serialize a deterministic, versioned, checksummed snapshot of the run's
+// world-global state through a CheckpointSink, and a later run can resume
+// from the snapshot, re-entering the pipeline at the first incomplete
+// phase.
 //
 // Three properties make resume exact (asserted by resume_test.go):
 //
@@ -242,6 +242,21 @@ func (r *checkpointReader) float() float64 {
 	return 0
 }
 
+// count reads a u32 element count and rejects it as truncation when that
+// many elements of at least minBytes each cannot fit in the remaining
+// input, so no count read from the file can size an allocation beyond
+// the file itself.
+func (r *checkpointReader) count(minBytes int) int {
+	n := int(r.u32())
+	if r.err == nil && n > (len(r.b)-r.off)/minBytes {
+		r.err = fmt.Errorf("gb: truncated checkpoint (count %d of %d-byte elements at offset %d of %d)", n, minBytes, r.off, len(r.b))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
 func (r *checkpointReader) str() string {
 	n := int(r.u32())
 	if b := r.take(n); b != nil {
@@ -251,8 +266,8 @@ func (r *checkpointReader) str() string {
 }
 
 func (r *checkpointReader) intSlice() []int {
-	n := int(r.u32())
-	if r.err != nil || n == 0 {
+	n := r.count(8)
+	if n == 0 {
 		return nil
 	}
 	out := make([]int, 0, n)
@@ -291,8 +306,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		ck.EpsBorn = r.float()
 		ck.EpsEpol = r.float()
 	}
-	n := int(r.u32())
-	if r.err == nil && n > 0 {
+	if n := r.count(8); n > 0 {
 		ck.Payload = make([]float64, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			ck.Payload = append(ck.Payload, r.float())
@@ -304,15 +318,14 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 			Hists:      make(map[string]obs.HistState),
 			SpanCounts: make(map[string]int64),
 		}
-		for i, cnt := 0, int(r.u32()); i < cnt && r.err == nil; i++ {
+		for i, cnt := 0, r.count(12); i < cnt && r.err == nil; i++ {
 			name := r.str()
 			s.Counters[name] = r.i64()
 		}
-		for i, cnt := 0, int(r.u32()); i < cnt && r.err == nil; i++ {
+		for i, cnt := 0, r.count(24); i < cnt && r.err == nil; i++ {
 			name := r.str()
 			h := obs.HistState{Count: r.i64(), Sum: r.i64()}
-			nb := int(r.u32())
-			if r.err == nil && nb > 0 {
+			if nb := r.count(8); nb > 0 {
 				h.Buckets = make([]int64, 0, nb)
 				for j := 0; j < nb && r.err == nil; j++ {
 					h.Buckets = append(h.Buckets, r.i64())
@@ -320,7 +333,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 			}
 			s.Hists[name] = h
 		}
-		for i, cnt := 0, int(r.u32()); i < cnt && r.err == nil; i++ {
+		for i, cnt := 0, r.count(12); i < cnt && r.err == nil; i++ {
 			name := r.str()
 			s.SpanCounts[name] = r.i64()
 		}

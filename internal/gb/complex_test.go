@@ -33,8 +33,8 @@ func complexFixture(t *testing.T, recN, ligN int) (*System, *System, *Complex) {
 // the solo radii.
 func TestComplexFarPoseSeparates(t *testing.T) {
 	rec, lig, cx := complexFixture(t, 400, 60)
-	recSolo := rec.RunSerial()
-	ligSolo := lig.RunSerial()
+	recSolo := mustRun(t, rec, RunSpec{})
+	ligSolo := mustRun(t, lig, RunSpec{})
 	res, err := cx.Epol(geom.Translate(geom.V(800, 0, 0)))
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestComplexTracksFullRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := full.RunSerial()
+		ref := mustRun(t, full, RunSpec{})
 		rel := math.Abs(fast.Epol-ref.Epol) / math.Abs(ref.Epol)
 		if rel > tc.tol {
 			t.Errorf("gap %v Å: reuse %v vs rebuild %v (rel %v > %v)",

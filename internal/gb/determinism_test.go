@@ -3,8 +3,6 @@ package gb
 import (
 	"math"
 	"testing"
-
-	"gbpolar/internal/sched"
 )
 
 // These tests are the dynamic counterpart of the static `determinism`
@@ -40,11 +38,7 @@ func bitwiseSame(t *testing.T, label string, a, b *Result) {
 func TestCilkBitwiseDeterministic(t *testing.T) {
 	s := buildSys(t, 500, DefaultParams())
 	for _, p := range []int{1, 2, 4, 7} {
-		run := func() *Result {
-			pool := sched.New(p)
-			defer pool.Close()
-			return s.RunCilk(pool)
-		}
+		run := func() *Result { return mustRun(t, s, RunSpec{ThreadsPerProcess: p}) }
 		a, b := run(), run()
 		bitwiseSame(t, "cilk", a, b)
 	}
@@ -57,22 +51,22 @@ func TestDistributedBitwiseDeterministic(t *testing.T) {
 	s := buildSys(t, 500, DefaultParams())
 
 	for _, P := range []int{2, 5} {
-		a, err := s.RunMPI(P)
+		a, err := s.Run(RunSpec{Processes: P})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := s.RunMPI(P)
+		b, err := s.Run(RunSpec{Processes: P})
 		if err != nil {
 			t.Fatal(err)
 		}
 		bitwiseSame(t, "mpi", a, b)
 	}
 
-	ha, err := s.RunHybrid(2, 3)
+	ha, err := s.Run(RunSpec{Processes: 2, ThreadsPerProcess: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err := s.RunHybrid(2, 3)
+	hb, err := s.Run(RunSpec{Processes: 2, ThreadsPerProcess: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestDistributedDataMatchesEpsilonBand(t *testing.T) {
 	s := buildSys(t, 700, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	naiveR, _ := s.NaiveBornRadiiR6()
 	naiveE, _ := s.NaiveEpol(naiveR)
 	for _, P := range []int{1, 2, 4, 6} {
@@ -76,7 +76,7 @@ func TestDistributedDataSingleRank(t *testing.T) {
 	if r.Traffic.P2PMessages != 0 {
 		t.Errorf("single rank sent %d messages", r.Traffic.P2PMessages)
 	}
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	// One rank, one tree — but built over item-order-permuted subsets, so
 	// allow tiny decomposition differences.
 	if rel := math.Abs(r.Epol-serial.Epol) / math.Abs(serial.Epol); rel > 1e-3 {

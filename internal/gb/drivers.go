@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"gbpolar/internal/obs"
 	"gbpolar/internal/perf"
 	"gbpolar/internal/sched"
 	"gbpolar/internal/simmpi"
@@ -22,11 +21,12 @@ type Result struct {
 	// PerCoreOps holds the measured interaction-evaluation count of every
 	// core (P×p entries): the input to the performance model.
 	PerCoreOps []int64
-	// Traffic is the communication log (empty for shared-memory runs).
+	// Traffic is the communication log.
 	Traffic simmpi.Stats
 	// Wall is the in-process wall-clock time of the run.
 	Wall time.Duration
-	// Steals counts work-stealing events (shared-memory runs).
+	// Steals counts the work-stealing events of the winning rank's pool
+	// (zero at one thread per rank).
 	Steals int64
 
 	// Degraded marks a partial result: ranks died mid-run under the
@@ -72,78 +72,6 @@ func phaseName(base string, iter int) string {
 	return redoPrefix + base
 }
 
-// countPairSplit publishes an iteration's near/far evaluation split. The
-// counts are work-done totals across ranks (and across redo iterations),
-// so they are deterministic exactly when the iteration structure is —
-// always for crash-free runs.
-func countPairSplit(rec *obs.Recorder, bornNear, bornFar, epolNear, epolFar int64) {
-	rec.Count("pairs.born.near", bornNear)
-	rec.Count("pairs.born.far", bornFar)
-	rec.Count("pairs.epol.near", epolNear)
-	rec.Count("pairs.epol.far", epolFar)
-}
-
-// observePairSplit feeds one rank's (or the whole run's, for the
-// non-distributed drivers) near/far split into the counter-side
-// ".rank"-suffixed histograms: the distribution across ranks is how load
-// imbalance of the static division shows up, and it is as deterministic
-// as the per-rank totals themselves.
-func observePairSplit(rec *obs.Recorder, bornNear, bornFar, epolNear, epolFar int64) {
-	rec.Observe("pairs.born.near.rank", bornNear)
-	rec.Observe("pairs.born.far.rank", bornFar)
-	rec.Observe("pairs.epol.near.rank", epolNear)
-	rec.Observe("pairs.epol.far.rank", epolFar)
-}
-
-// runSerial is the serial octree baseline (P = p = 1), instrumented. The
-// phase structure and floating-point operation order are exactly
-// BornRadii + Epol, so the result is bitwise identical to the
-// uninstrumented pipeline (asserted by runspec_test.go).
-func (s *System) runSerial(rec *obs.Recorder) *Result {
-	sw := perf.StartTimer()
-	root := rec.StartSpan(0, spanRank)
-	defer root.End()
-
-	sp := rec.StartSpan(0, spanBorn)
-	acc := s.newBornAccum()
-	bornOps := int64(0)
-	for _, q := range s.qLeaves {
-		bornOps += s.ApproxIntegrals(s.TA.Root(), q, acc)
-	}
-	sp.End()
-
-	sp = rec.StartSpan(0, spanPush)
-	radii := make([]float64, s.NumAtoms())
-	bornOps += s.PushIntegralsToAtoms(acc, 0, s.NumAtoms(), radii)
-	sp.End()
-
-	sp = rec.StartSpan(0, spanOctree)
-	agg := s.buildEpolAggregates(radii)
-	sp.End()
-
-	sp = rec.StartSpan(0, spanEpol)
-	factor := s.epolFactor()
-	var tally pairTally
-	sum := 0.0
-	epolOps := int64(0)
-	for _, v := range s.aLeaves {
-		vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, factor, &tally)
-		sum += vs
-		epolOps += vops
-	}
-	sp.End()
-
-	countPairSplit(rec, acc.near, acc.far, tally.near, tally.far)
-	observePairSplit(rec, acc.near, acc.far, tally.near, tally.far)
-	return &Result{
-		Epol:      -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * sum,
-		Born:      radii,
-		Processes: 1, ThreadsPerProcess: 1,
-		PerCoreOps: []int64{bornOps + epolOps},
-		Wall:       sw.Elapsed(),
-	}
-}
-
 // epolPart is the energy-phase reduction accumulator: the partial raw sum
 // plus the near/far evaluation tally riding along. The sum field is
 // accumulated and merged exactly like the former bare *float64, so the
@@ -159,85 +87,6 @@ func (p *epolPart) merge(o *epolPart) {
 	p.sum += o.sum
 	p.tally.near += o.tally.near
 	p.tally.far += o.tally.far
-}
-
-// runCilk is OCT_CILK, the shared-memory driver, instrumented.
-func (s *System) runCilk(pool *sched.Pool, rec *obs.Recorder) *Result {
-	sw := perf.StartTimer()
-	root := rec.StartSpan(0, spanRank)
-	defer root.End()
-	p := pool.NumWorkers()
-	stealsBefore := pool.Steals()
-
-	perWorkerOps := make([]int64, p)
-
-	// Phase A: APPROX-INTEGRALS over quadrature leaves. Accumulators are
-	// per-SUBRANGE, not per-worker, and merged in range order: under
-	// randomized stealing the leaf→worker assignment varies run to run, and
-	// per-worker accumulation would make the floating-point merge order —
-	// and hence the low bits of every radius and energy — scheduling-
-	// dependent. ParallelReduce pins the reduction tree to (n, grain) so
-	// results are bitwise reproducible (see determinism_test.go).
-	sp := rec.StartSpan(0, spanBorn)
-	grain := len(s.qLeaves)/(8*p) + 1
-	acc := sched.ParallelReduce(pool, len(s.qLeaves), grain,
-		s.newBornAccum,
-		func(w *sched.Worker, lo, hi int, acc *bornAccum) {
-			ops := int64(0)
-			for _, q := range s.qLeaves[lo:hi] {
-				ops += s.ApproxIntegrals(s.TA.Root(), q, acc)
-			}
-			perWorkerOps[w.ID()] += ops
-		},
-		(*bornAccum).add)
-	sp.End()
-
-	// Phase B: PUSH-INTEGRALS over atom segments.
-	sp = rec.StartSpan(0, spanPush)
-	radii := make([]float64, s.NumAtoms())
-	grain = s.NumAtoms()/(8*p) + 1
-	pool.ParallelRange(s.NumAtoms(), grain, func(w *sched.Worker, lo, hi int) {
-		perWorkerOps[w.ID()] += s.PushIntegralsToAtoms(acc, lo, hi, radii)
-	})
-	sp.End()
-
-	// Phase C: APPROX-Epol over atom leaves, reduced in range order for the
-	// same bitwise reproducibility as phase A.
-	sp = rec.StartSpan(0, spanOctree)
-	agg := s.buildEpolAggregates(radii)
-	sp.End()
-	sp = rec.StartSpan(0, spanEpol)
-	factor := s.epolFactor()
-	grain = len(s.aLeaves)/(8*p) + 1
-	totalP := sched.ParallelReduce(pool, len(s.aLeaves), grain,
-		newEpolPart,
-		func(w *sched.Worker, lo, hi int, part *epolPart) {
-			sum := 0.0
-			ops := int64(0)
-			for _, v := range s.aLeaves[lo:hi] {
-				vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, factor, &part.tally)
-				sum += vs
-				ops += vops
-			}
-			part.sum += sum
-			perWorkerOps[w.ID()] += ops
-		},
-		(*epolPart).merge)
-	total := totalP.sum
-	sp.End()
-
-	countPairSplit(rec, acc.near, acc.far, totalP.tally.near, totalP.tally.far)
-	observePairSplit(rec, acc.near, acc.far, totalP.tally.near, totalP.tally.far)
-	rec.GaugeAdd("sched.steals", pool.Steals()-stealsBefore)
-
-	return &Result{
-		Epol:      -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * total,
-		Born:      radii,
-		Processes: 1, ThreadsPerProcess: p,
-		PerCoreOps: balancePool(perWorkerOps),
-		Wall:       sw.Elapsed(),
-		Steals:     pool.Steals() - stealsBefore,
-	}
 }
 
 // balancePool redistributes a work-stealing pool's operation counts evenly
@@ -263,15 +112,10 @@ func balancePool(ops []int64) []int64 {
 	return out
 }
 
-// validateLayout rejects impossible process layouts up front with a
-// descriptive error instead of producing empty segments downstream.
-func (s *System) validateLayout(P, p int) error {
-	if P <= 0 {
-		return fmt.Errorf("gb: invalid layout: processes P=%d must be positive", P)
-	}
-	if p <= 0 {
-		return fmt.Errorf("gb: invalid layout: threads per process p=%d must be positive", p)
-	}
+// validateLayout rejects a layout with more ranks than work items up
+// front with a descriptive error instead of producing empty segments
+// downstream. dispatch has already made P and p at least one.
+func (s *System) validateLayout(P int) error {
 	if P > s.NumAtoms() {
 		return fmt.Errorf("gb: invalid layout: P=%d exceeds the %d atoms (at most one atom per rank segment)", P, s.NumAtoms())
 	}
@@ -286,8 +130,12 @@ func (s *System) validateLayout(P, p int) error {
 	return nil
 }
 
-// runDistributed executes the shared-data distributed algorithm. With an
-// inactive fault config it reproduces the seed protocol bit-for-bit. With
+// runDistributed executes the shared-data algorithm on P ranks × p
+// threads, the one driver behind every layout: serial is 1×1 and OCT_CILK
+// is 1×p. A one-rank collective copies its only slot, so those layouts
+// compute the same bits a dedicated serial or shared-memory loop would
+// (DESIGN.md §12). With an inactive fault config it reproduces the seed
+// protocol bit-for-bit. With
 // an active plan, every phase runs under the heal-by-redo discipline
 // described in faulttol.go: partition over the agreed live set, run the
 // phase, re-agree, and redo the phase over the shrunk set if membership
@@ -307,7 +155,7 @@ func (s *System) validateLayout(P, p int) error {
 // phase as usual).
 func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 	cfg, rec, sink, resume := spec.Faults, spec.Obs, spec.Checkpoint, spec.Resume
-	if err := s.validateLayout(P, p); err != nil {
+	if err := s.validateLayout(P); err != nil {
 		return nil, err
 	}
 	sw := perf.StartTimer()
@@ -821,9 +669,6 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 	}, nil
 }
 
-// forRange runs fn over [0, n) either serially (pool nil: worker 0 gets
-// everything) or via the rank's work-stealing pool. fn receives the
-// worker index and a half-open subrange.
 // reduceRange is forRange with an ordered reduction: each subrange folds
 // into its own accumulator and merge combines them in ascending-range
 // order via sched.ParallelReduce, so a fixed (P, p) layout reduces in a
@@ -845,6 +690,9 @@ func reduceRange[T any](pool *sched.Pool, n int, mk func() T, fn func(worker, lo
 		merge)
 }
 
+// forRange runs fn over [0, n) either serially (pool nil: worker 0 gets
+// everything) or via the rank's work-stealing pool. fn receives the
+// worker index and a half-open subrange.
 func (s *System) forRange(pool *sched.Pool, n int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return

@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"gbpolar/internal/molecule"
-	"gbpolar/internal/sched"
 	"gbpolar/internal/simmpi"
 	"gbpolar/internal/surface"
 )
 
 // buildSys prepares a medium test system shared by the driver tests.
-func buildSys(t *testing.T, n int, params Params) *System {
+func buildSys(t testing.TB, n int, params Params) *System {
 	t.Helper()
 	m := molecule.Exactly(molecule.Globule("drv", n, 61), n, 61)
 	surf, err := surface.Build(m, surface.DefaultConfig())
@@ -27,7 +26,7 @@ func buildSys(t *testing.T, n int, params Params) *System {
 
 func TestRunSerial(t *testing.T) {
 	s := buildSys(t, 400, DefaultParams())
-	r := s.RunSerial()
+	r := mustRun(t, s, RunSpec{})
 	if r.Epol >= 0 {
 		t.Errorf("Epol = %v, must be negative", r.Epol)
 	}
@@ -44,11 +43,9 @@ func TestRunSerial(t *testing.T) {
 
 func TestRunCilkMatchesSerial(t *testing.T) {
 	s := buildSys(t, 400, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	for _, p := range []int{1, 2, 4} {
-		pool := sched.New(p)
-		r := s.RunCilk(pool)
-		pool.Close()
+		r := mustRun(t, s, RunSpec{ThreadsPerProcess: p})
 		if math.Abs(r.Epol-serial.Epol)/math.Abs(serial.Epol) > 1e-12 {
 			t.Errorf("p=%d: Epol %v vs serial %v", p, r.Epol, serial.Epol)
 		}
@@ -70,9 +67,9 @@ func TestRunCilkMatchesSerial(t *testing.T) {
 
 func TestRunMPIMatchesSerial(t *testing.T) {
 	s := buildSys(t, 400, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	for _, P := range []int{1, 2, 4, 7} {
-		r, err := s.RunMPI(P)
+		r, err := s.Run(RunSpec{Processes: P})
 		if err != nil {
 			t.Fatalf("P=%d: %v", P, err)
 		}
@@ -103,10 +100,10 @@ func TestRunMPIMatchesSerial(t *testing.T) {
 
 func TestRunHybridMatchesSerial(t *testing.T) {
 	s := buildSys(t, 400, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	cases := []struct{ P, p int }{{1, 2}, {2, 2}, {2, 3}, {3, 2}}
 	for _, tc := range cases {
-		r, err := s.RunHybrid(tc.P, tc.p)
+		r, err := s.Run(RunSpec{Processes: tc.P, ThreadsPerProcess: tc.p})
 		if err != nil {
 			t.Fatalf("P=%d p=%d: %v", tc.P, tc.p, err)
 		}
@@ -126,7 +123,7 @@ func TestRunHybridMatchesSerial(t *testing.T) {
 
 func TestRunMPIWorkBalance(t *testing.T) {
 	s := buildSys(t, 2000, DefaultParams())
-	r, err := s.RunMPI(4)
+	r, err := s.Run(RunSpec{Processes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,17 +147,18 @@ func TestAtomDivisionEnergyVariesWithP(t *testing.T) {
 	params := DefaultParams()
 	params.Division = AtomNode
 	s := buildSys(t, 600, params)
+	// The serial run is the one-rank layout, so it honours the division
+	// too: Run(RunSpec{}) is bitwise the P = 1 atom-division run.
+	bitwiseSame(t, "serial vs P=1", mustRun(t, s, RunSpec{Processes: 1}), mustRun(t, s, RunSpec{}))
 	// §IV: with atom-based division the error changes with the process
 	// count (division boundaries split tree nodes); with node-based
-	// division it does not. Also the result must stay close to serial.
-	serial := s.RunSerial()
+	// division it does not. Every P must stay close to the node-division
+	// energy.
+	ref := mustRun(t, buildSys(t, 600, DefaultParams()), RunSpec{})
 	energies := map[float64]bool{}
 	for _, P := range []int{1, 2, 5} {
-		r, err := s.RunMPI(P)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rel := math.Abs(r.Epol-serial.Epol) / math.Abs(serial.Epol); rel > 0.05 {
+		r := mustRun(t, s, RunSpec{Processes: P})
+		if rel := math.Abs(r.Epol-ref.Epol) / math.Abs(ref.Epol); rel > 0.05 {
 			t.Errorf("P=%d: atom division energy off by %v", P, rel)
 		}
 		energies[r.Epol] = true
@@ -174,7 +172,7 @@ func TestNodeDivisionEnergyConstantAcrossP(t *testing.T) {
 	s := buildSys(t, 600, DefaultParams())
 	var first float64
 	for i, P := range []int{1, 2, 5, 8} {
-		r, err := s.RunMPI(P)
+		r, err := s.Run(RunSpec{Processes: P})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,11 +193,11 @@ func TestNodeDivisionEnergyConstantAcrossP(t *testing.T) {
 // reductions leave no room for scheduling noise.
 func TestRunMPIDeterministicAtFixedP(t *testing.T) {
 	s := buildSys(t, 500, DefaultParams())
-	a, err := s.RunMPI(3)
+	a, err := s.Run(RunSpec{Processes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.RunMPI(3)
+	b, err := s.Run(RunSpec{Processes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +213,11 @@ func TestRunMPIDeterministicAtFixedP(t *testing.T) {
 
 func TestHybridUsesFewerRanksSameEnergy(t *testing.T) {
 	s := buildSys(t, 800, DefaultParams())
-	mpi, err := s.RunMPI(6)
+	mpi, err := s.Run(RunSpec{Processes: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyb, err := s.RunHybrid(2, 3)
+	hyb, err := s.Run(RunSpec{Processes: 2, ThreadsPerProcess: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,12 +243,23 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 }
 
+// TestRunDistributedValidation: zero counts mean one rank and one thread
+// per rank, and a layout with more ranks than atoms is refused up front.
 func TestRunDistributedValidation(t *testing.T) {
 	s := buildSys(t, 200, DefaultParams())
-	if _, err := s.RunMPI(0); err == nil {
-		t.Error("P=0 accepted")
+	bitwiseSame(t, "P=0", mustRun(t, s, RunSpec{Processes: 1}), mustRun(t, s, RunSpec{Processes: 0}))
+	bitwiseSame(t, "p=0", mustRun(t, s, RunSpec{Processes: 2, ThreadsPerProcess: 1}), mustRun(t, s, RunSpec{Processes: 2}))
+	if _, err := s.Run(RunSpec{Processes: s.NumAtoms() + 1}); err == nil {
+		t.Error("more ranks than atoms accepted")
 	}
-	if _, err := s.RunHybrid(2, 0); err == nil {
-		t.Error("p=0 accepted")
+}
+
+// mustRun runs spec on s and fails the test on error.
+func mustRun(t testing.TB, s *System, spec RunSpec) *Result {
+	t.Helper()
+	res, err := s.Run(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res
 }

@@ -27,7 +27,7 @@ func TestEpolRigidMotionInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sys.RunSerial().Epol
+		return mustRun(t, sys, RunSpec{}).Epol
 	}
 	e0, e1 := run(mol), run(moved)
 	// The octree decomposition is orientation-dependent (axis-aligned

@@ -6,34 +6,27 @@ import (
 	"io"
 
 	"gbpolar/internal/obs"
-	"gbpolar/internal/sched"
 )
 
-// RunSpec selects the driver for one full polarization-energy computation
-// and carries its cross-cutting options. The zero value is the serial
-// octree baseline; setting exactly one of Pool or Processes selects the
-// shared-memory or distributed driver:
+// RunSpec selects the layout of one full polarization-energy computation
+// and carries its cross-cutting options. Every layout runs through one
+// driver: P message-passing ranks × p work-stealing threads per rank. The
+// zero value is one rank and one thread, the serial octree baseline:
 //
 //	Run(RunSpec{})                                     // serial (P = p = 1)
-//	Run(RunSpec{Pool: pool})                           // shared memory (OCT_CILK)
+//	Run(RunSpec{ThreadsPerProcess: 12})                // shared memory (OCT_CILK)
 //	Run(RunSpec{Processes: 12})                        // message passing (OCT_MPI)
 //	Run(RunSpec{Processes: 2, ThreadsPerProcess: 6})   // hybrid (OCT_MPI+CILK)
 //
-// Faults and Obs compose with the distributed layouts (Obs with every
-// layout): there are no per-combination entry points.
+// Faults, Obs, Ctx, Checkpoint and Resume apply to every layout: there
+// are no per-combination entry points.
 type RunSpec struct {
-	// Processes is the number of message-passing ranks P. Zero selects a
-	// non-distributed driver (serial, or shared-memory when Pool is set).
+	// Processes is the number of message-passing ranks P. Zero means one.
 	Processes int
-	// ThreadsPerProcess is the per-rank work-stealing pool width p of the
-	// hybrid driver. Zero means one thread. With Pool set it is redundant
-	// and must be either zero or the pool's worker count.
+	// ThreadsPerProcess is the per-rank work-stealing pool width p. Zero
+	// means one thread.
 	ThreadsPerProcess int
-	// Pool runs the computation on a caller-owned work-stealing pool (the
-	// shared-memory driver). The caller keeps ownership: Run does not
-	// close it. Incompatible with Processes and Faults.
-	Pool *sched.Pool
-	// Faults replays a fault-injection plan against a distributed run (see
+	// Faults replays a fault-injection plan against the run (see
 	// faulttol.go). Nil or inactive means a clean run.
 	Faults *FaultConfig
 	// Obs collects spans, counters, and gauges for the run (see
@@ -46,15 +39,13 @@ type RunSpec struct {
 	// tracing on. Nil (or a nil Obs) disables the dump.
 	Flight io.Writer
 	// Checkpoint receives an encoded phase snapshot after each completed
-	// algorithm phase (see checkpoint.go). Distributed layouts only.
-	// Saving is communication- and counter-neutral: a run with a sink
+	// algorithm phase (see checkpoint.go). Saving is communication- and counter-neutral: a run with a sink
 	// produces bitwise-identical numbers and summaries to one without.
 	Checkpoint CheckpointSink
 	// Resume re-enters the pipeline at the snapshot's phase instead of
 	// starting from scratch. The snapshot must come from a system with the
 	// same configuration tag (ε may differ — see WithRelaxedEps); the
-	// process count may differ from the saving run's. Distributed layouts
-	// only.
+	// process count may differ from the saving run's.
 	Resume *Checkpoint
 	// Accuracy overrides the system's accuracy point for this run only:
 	// the run executes on a shallow WithAccuracy copy, so one prepared
@@ -69,14 +60,13 @@ type RunSpec struct {
 	// run carries it. The zero value leaves Obs untouched. Stamping is
 	// write-only instrumentation — it never changes computed numbers.
 	Trace obs.TraceContext
-	// Ctx cancels the run cooperatively. The distributed driver checks it
+	// Ctx cancels the run cooperatively. The driver checks it up front and
 	// at phase boundaries: a completed phase still saves its checkpoint,
 	// then every rank returns ErrRunCanceled (wrapping ctx.Err()) before
 	// starting the next phase — so a canceled run loses at most one
 	// phase of work and its store resumes bitwise-identically later.
 	// This is the graceful-drain hook of the serving layer. Nil means
-	// never canceled. Non-distributed drivers only check it up front:
-	// they have no checkpoints to protect mid-run.
+	// never canceled.
 	Ctx context.Context
 }
 
@@ -98,7 +88,7 @@ func (spec *RunSpec) canceled() error {
 }
 
 // Run executes the computation the spec describes. It is the single
-// driver entry point; the Run* methods below are deprecated wrappers.
+// driver entry point.
 func (s *System) Run(spec RunSpec) (*Result, error) {
 	if !spec.Trace.IsZero() {
 		spec.Obs.SetTrace(spec.Trace)
@@ -126,9 +116,6 @@ func (s *System) dispatch(spec RunSpec) (*Result, error) {
 	if spec.ThreadsPerProcess < 0 {
 		return nil, fmt.Errorf("gb: invalid spec: ThreadsPerProcess=%d must be non-negative", spec.ThreadsPerProcess)
 	}
-	if spec.Processes == 0 && (spec.Checkpoint != nil || spec.Resume != nil) {
-		return nil, fmt.Errorf("gb: invalid spec: checkpointing needs the distributed driver (set Processes >= 1)")
-	}
 	if spec.Accuracy != nil {
 		ws, err := s.WithAccuracy(*spec.Accuracy)
 		if err != nil {
@@ -141,97 +128,5 @@ func (s *System) dispatch(spec RunSpec) (*Result, error) {
 			return nil, err
 		}
 	}
-	if spec.Pool != nil {
-		if spec.Processes > 0 {
-			return nil, fmt.Errorf("gb: invalid spec: Pool selects the shared-memory driver and cannot combine with Processes=%d", spec.Processes)
-		}
-		if t := spec.ThreadsPerProcess; t != 0 && t != spec.Pool.NumWorkers() {
-			return nil, fmt.Errorf("gb: invalid spec: ThreadsPerProcess=%d disagrees with the %d-worker Pool", t, spec.Pool.NumWorkers())
-		}
-		if spec.Faults.active() {
-			return nil, fmt.Errorf("gb: invalid spec: fault injection needs a distributed layout (set Processes, not Pool)")
-		}
-		return s.runCilk(spec.Pool, spec.Obs), nil
-	}
-	if spec.Processes == 0 {
-		if spec.ThreadsPerProcess > 1 {
-			return nil, fmt.Errorf("gb: invalid spec: ThreadsPerProcess=%d needs Processes >= 1 or a Pool", spec.ThreadsPerProcess)
-		}
-		if spec.Faults.active() {
-			return nil, fmt.Errorf("gb: invalid spec: fault injection needs a distributed layout (set Processes)")
-		}
-		return s.runSerial(spec.Obs), nil
-	}
-	p := spec.ThreadsPerProcess
-	if p == 0 {
-		p = 1
-	}
-	return s.runDistributed(spec.Processes, p, spec)
-}
-
-// RunSerial computes Born radii and Epol with the serial octree algorithm
-// (the OCT baseline at P = p = 1).
-//
-// Deprecated: use Run(RunSpec{}).
-func (s *System) RunSerial() *Result {
-	res, _ := s.Run(RunSpec{})
-	return res
-}
-
-// RunCilk is OCT_CILK: the shared-memory driver. Work is divided over the
-// quadrature leaves (Born phase), atom segments (push phase) and atom
-// leaves (energy phase) by recursive splitting onto the work-stealing
-// pool, the paper's implicit dynamic load balancing.
-//
-// Deprecated: use Run(RunSpec{Pool: pool}).
-func (s *System) RunCilk(pool *sched.Pool) *Result {
-	res, _ := s.Run(RunSpec{Pool: pool})
-	return res
-}
-
-// RunMPI is OCT_MPI: P single-threaded message-passing ranks following
-// Fig. 4 (static node-based division, Allreduce of partial integrals,
-// Allgatherv of Born-radius segments, Allreduce of partial energies).
-// With Params.Division == AtomNode the atom-based division of §IV is used
-// instead.
-//
-// Deprecated: use Run(RunSpec{Processes: P}).
-func (s *System) RunMPI(P int) (*Result, error) {
-	if P < 1 {
-		return nil, s.validateLayout(P, 1)
-	}
-	return s.Run(RunSpec{Processes: P})
-}
-
-// RunHybrid is OCT_MPI+CILK: P ranks × p work-stealing threads.
-//
-// Deprecated: use Run(RunSpec{Processes: P, ThreadsPerProcess: p}).
-func (s *System) RunHybrid(P, p int) (*Result, error) {
-	if P < 1 || p < 1 {
-		return nil, s.validateLayout(P, p)
-	}
-	return s.Run(RunSpec{Processes: P, ThreadsPerProcess: p})
-}
-
-// RunMPIWithFaults is RunMPI under fault injection: the config's plan is
-// replayed against the run and the driver self-heals (or degrades, per
-// the policy) as ranks crash, messages drop, and stragglers stall. A nil
-// or empty config is exactly RunMPI.
-//
-// Deprecated: use Run(RunSpec{Processes: P, Faults: cfg}).
-func (s *System) RunMPIWithFaults(P int, cfg *FaultConfig) (*Result, error) {
-	if P < 1 {
-		return nil, s.validateLayout(P, 1)
-	}
-	return s.Run(RunSpec{Processes: P, Faults: cfg})
-}
-
-// RunHybridWithFaults is RunHybrid under fault injection.
-//
-// Deprecated: use Run(RunSpec{Processes: P, ThreadsPerProcess: p, Faults: cfg}).
-func (s *System) RunHybridWithFaults(P, p int, cfg *FaultConfig) (*Result, error) {
-	if P < 1 || p < 1 {
-		return nil, s.validateLayout(P, p)
-	}
-	return s.Run(RunSpec{Processes: P, ThreadsPerProcess: p, Faults: cfg})
+	return s.runDistributed(max(spec.Processes, 1), max(spec.ThreadsPerProcess, 1), spec)
 }

@@ -1,14 +1,17 @@
 package gb
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"gbpolar/internal/fault"
+	"gbpolar/internal/molecule"
 	"gbpolar/internal/obs"
 	"gbpolar/internal/perf"
-	"gbpolar/internal/sched"
+	"gbpolar/internal/surface"
 )
 
 // crashFreePlan builds a deterministic fault schedule without crashes:
@@ -24,118 +27,58 @@ func crashFreePlan() *fault.Plan {
 	}}
 }
 
-// TestRunMatchesLegacyWrappers pins the API redesign's core contract:
-// Run(RunSpec) is bitwise-identical to every deprecated Run* entry
-// point it replaces.
-func TestRunMatchesLegacyWrappers(t *testing.T) {
-	s := buildSys(t, 400, DefaultParams())
-
-	t.Run("serial", func(t *testing.T) {
-		legacy := s.RunSerial()
-		res, err := s.Run(RunSpec{})
-		if err != nil {
-			t.Fatal(err)
+// TestRunMatchesSerialPhaseAPI pins the base case of the one driver
+// contract: Run(RunSpec{}), one rank and one thread, reproduces the
+// serial phase API that internal/md calls (BornRadii + Epol) bit for bit
+// in Epol, every Born radius and the operation count, over the roster at
+// orders 0/1/2 in both math modes.
+func TestRunMatchesSerialPhaseAPI(t *testing.T) {
+	maxAtoms := 1200
+	if testing.Short() {
+		maxAtoms = 600
+	}
+	for _, e := range molecule.ZDockRoster() {
+		if e.Atoms > maxAtoms {
+			break
 		}
-		bitwiseSame(t, "serial", legacy, res)
-	})
-
-	t.Run("cilk", func(t *testing.T) {
-		pool := sched.New(4)
-		defer pool.Close()
-		legacy := s.RunCilk(pool)
-		res, err := s.Run(RunSpec{Pool: pool})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitwiseSame(t, "cilk", legacy, res)
-	})
-
-	t.Run("mpi", func(t *testing.T) {
-		legacy, err := s.RunMPI(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run(RunSpec{Processes: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitwiseSame(t, "mpi", legacy, res)
-	})
-
-	t.Run("hybrid", func(t *testing.T) {
-		legacy, err := s.RunHybrid(2, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run(RunSpec{Processes: 2, ThreadsPerProcess: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitwiseSame(t, "hybrid", legacy, res)
-	})
-
-	t.Run("mpi-faults", func(t *testing.T) {
-		cfg := &FaultConfig{Plan: crashFreePlan()}
-		legacy, err := s.RunMPIWithFaults(4, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run(RunSpec{Processes: 4, Faults: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitwiseSame(t, "mpi-faults", legacy, res)
-	})
-
-	t.Run("hybrid-faults", func(t *testing.T) {
-		cfg := &FaultConfig{Plan: crashFreePlan()}
-		legacy, err := s.RunHybridWithFaults(4, 2, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run(RunSpec{Processes: 4, ThreadsPerProcess: 2, Faults: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitwiseSame(t, "hybrid-faults", legacy, res)
-	})
+		t.Run(e.Name, func(t *testing.T) {
+			base := newTestSystem(t, molecule.ZDockMolecule(e), surface.DefaultConfig(), DefaultParams())
+			forEachMode(t, base, func(t *testing.T, s *System) {
+				label := fmt.Sprintf("order %d math %d", s.order(), s.Params.Math)
+				radii, bornOps := s.BornRadii()
+				epol, epolOps := s.Epol(radii)
+				res := mustRun(t, s, RunSpec{})
+				if math.Float64bits(res.Epol) != math.Float64bits(epol) {
+					t.Errorf("%s: Run Epol %v, phase API %v", label, res.Epol, epol)
+				}
+				for i := range radii {
+					if math.Float64bits(res.Born[i]) != math.Float64bits(radii[i]) {
+						t.Fatalf("%s: Born[%d] %v, phase API %v", label, i, res.Born[i], radii[i])
+					}
+				}
+				if got, want := res.TotalOps(), bornOps+epolOps; got != want {
+					t.Errorf("%s: Run ops %d, phase API %d", label, got, want)
+				}
+			})
+		})
+	}
 }
 
-// TestRunSpecValidation walks the invalid-spec space: every conflicting
-// combination must produce an error, not a silently-chosen driver.
+// TestRunSpecValidation walks the invalid-spec space: every invalid spec
+// must produce an error, not a silently-chosen layout.
 func TestRunSpecValidation(t *testing.T) {
 	s := buildSys(t, 120, DefaultParams())
-	pool := sched.New(2)
-	defer pool.Close()
-	faulty := &FaultConfig{Plan: crashFreePlan()}
-
 	bad := []struct {
 		name string
 		spec RunSpec
 	}{
 		{"negative-processes", RunSpec{Processes: -1}},
 		{"negative-threads", RunSpec{ThreadsPerProcess: -2}},
-		{"pool-with-processes", RunSpec{Pool: pool, Processes: 2}},
-		{"pool-thread-mismatch", RunSpec{Pool: pool, ThreadsPerProcess: 5}},
-		{"pool-with-faults", RunSpec{Pool: pool, Faults: faulty}},
-		{"threads-without-layout", RunSpec{ThreadsPerProcess: 2}},
-		{"faults-without-processes", RunSpec{Faults: faulty}},
 	}
 	for _, tc := range bad {
 		if _, err := s.Run(tc.spec); err == nil {
 			t.Errorf("%s: Run accepted an invalid spec", tc.name)
 		}
-	}
-
-	// The legacy wrappers keep their historical validation errors.
-	if _, err := s.RunMPI(0); err == nil {
-		t.Error("RunMPI(0) must error")
-	}
-	if _, err := s.RunHybrid(0, 1); err == nil {
-		t.Error("RunHybrid(0, 1) must error")
-	}
-	if _, err := s.RunHybrid(2, 0); err == nil {
-		t.Error("RunHybrid(2, 0) must error")
 	}
 
 	// An inactive fault config is not an error anywhere.

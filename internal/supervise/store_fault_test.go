@@ -1,7 +1,9 @@
 package supervise
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -153,5 +155,41 @@ func TestDirStoreQuarantineDoubleCorrupt(t *testing.T) {
 	}
 	if qents, _ := os.ReadDir(filepath.Join(dir, "quarantine")); len(qents) != 2 {
 		t.Fatalf("Prune disturbed the quarantine: %v", qents)
+	}
+}
+
+// A snapshot whose Live count claims 2^32−1 elements in a 32-byte file,
+// under a valid CRC, is a decode error like any other: Latest
+// quarantines it and falls back to the next-newest snapshot instead of
+// sizing an allocation from the count and taking the process down.
+func TestDirStoreQuarantinesHugeCount(t *testing.T) {
+	dir := t.TempDir()
+	rec := testRecorder()
+	d := &DirStore{Dir: dir, Obs: rec}
+	if err := d.Save(gb.PhaseRadii, encodedSnap(gb.PhaseRadii)); err != nil {
+		t.Fatalf("save radii: %v", err)
+	}
+	blob := []byte("GBCP")
+	blob = binary.LittleEndian.AppendUint32(blob, 2)
+	blob = binary.LittleEndian.AppendUint64(blob, uint64(gb.PhaseEpol))
+	blob = binary.LittleEndian.AppendUint64(blob, 1)
+	blob = binary.LittleEndian.AppendUint32(blob, 0xFFFFFFFF)
+	blob = binary.LittleEndian.AppendUint32(blob, crc32.ChecksumIEEE(blob))
+	if len(blob) != 32 {
+		t.Fatalf("blob is %d bytes, want 32", len(blob))
+	}
+	epolPath := d.path(gb.PhaseEpol)
+	if err := os.WriteFile(epolPath, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := d.Latest()
+	if err != nil || ck == nil || ck.Phase != gb.PhaseRadii {
+		t.Fatalf("Latest = %v %v, want the radii snapshot", ck, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", filepath.Base(epolPath))); err != nil {
+		t.Fatalf("huge-count snapshot not quarantined: %v", err)
+	}
+	if rec.Counters()["storage.quarantines"] != 1 {
+		t.Fatalf("counters = %v, want quarantines=1", rec.Counters())
 	}
 }

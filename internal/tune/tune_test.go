@@ -8,7 +8,6 @@ import (
 	"gbpolar/internal/gb"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/obs"
-	"gbpolar/internal/sched"
 	"gbpolar/internal/surface"
 )
 
@@ -54,7 +53,7 @@ func TestSelectMeetsTargetAcrossRoster(t *testing.T) {
 			}
 			// Independent check: run the returned system and measure
 			// against the reference ourselves.
-			res := sel.System.RunSerial()
+			res := mustRun(t, sel.System, gb.RunSpec{})
 			if got := math.Abs(res.Epol - sel.ReferenceEpol); got > target {
 				t.Errorf("re-run error %v exceeds target %v (reference %v, re-run %v)",
 					got, target, sel.ReferenceEpol, res.Epol)
@@ -80,7 +79,7 @@ func TestSelectTightTargetStaysAdmissible(t *testing.T) {
 		t.Errorf("tight target: verified=%v measured=%v target=%v",
 			sel.Point.Verified, sel.Point.MeasuredError, target)
 	}
-	res := sel.System.RunSerial()
+	res := mustRun(t, sel.System, gb.RunSpec{})
 	if got := math.Abs(res.Epol - sel.ReferenceEpol); got > target {
 		t.Errorf("re-run error %v exceeds tight target %v", got, target)
 	}
@@ -257,18 +256,17 @@ func TestDriversWithinBoundAtHigherOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := sys.RunSerial()
+	ref := mustRun(t, sys, gb.RunSpec{})
 
 	for _, ord := range []int{gb.OrderDipole, gb.OrderQuadrupole} {
 		acc := gb.Accuracy{EpsBorn: 0.9, EpsEpol: 0.9, QuadOrder: 2, Order: ord}
 		bound := RelErrorBound(acc) * math.Abs(ref.Epol)
-		pool := sched.New(4)
 		drivers := []struct {
 			name string
 			run  func() (*gb.Result, error)
 		}{
 			{"serial", func() (*gb.Result, error) { return sys.Run(gb.RunSpec{Accuracy: &acc}) }},
-			{"cilk", func() (*gb.Result, error) { return sys.Run(gb.RunSpec{Pool: pool, Accuracy: &acc}) }},
+			{"cilk", func() (*gb.Result, error) { return sys.Run(gb.RunSpec{ThreadsPerProcess: 4, Accuracy: &acc}) }},
 			{"mpi", func() (*gb.Result, error) { return sys.Run(gb.RunSpec{Processes: 3, Accuracy: &acc}) }},
 			{"hybrid", func() (*gb.Result, error) {
 				return sys.Run(gb.RunSpec{Processes: 2, ThreadsPerProcess: 2, Accuracy: &acc})
@@ -290,6 +288,15 @@ func TestDriversWithinBoundAtHigherOrders(t *testing.T) {
 				t.Errorf("p=%d %s: |Epol − ref| = %v exceeds model bound %v", ord, d.name, got, bound)
 			}
 		}
-		pool.Close()
 	}
+}
+
+// mustRun runs spec on s and fails the test on error.
+func mustRun(t testing.TB, s *gb.System, spec gb.RunSpec) *gb.Result {
+	t.Helper()
+	res, err := s.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
