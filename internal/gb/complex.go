@@ -169,12 +169,12 @@ func (c *Complex) Epol(tr geom.Transform) (*PoseResult, error) {
 	sum := 0.0
 	// rec–rec and lig–lig (ordered pairs within each molecule).
 	for _, v := range rec.aLeaves {
-		vs, vops := recView.approxEpol(rec.TA.Root(), v, res.RecBorn, recAgg, factor, nil)
+		vs, vops := recView.approxEpol(rec.TA.Root(), v, res.RecBorn, recAgg, factor, wholeTree(rec.TA), nil)
 		sum += vs
 		res.Ops += vops
 	}
 	for _, v := range ligTA.Leaves() {
-		vs, vops := ligView.approxEpol(ligTA.Root(), v, res.LigBorn, ligAgg, factor, nil)
+		vs, vops := ligView.approxEpol(ligTA.Root(), v, res.LigBorn, ligAgg, factor, wholeTree(ligTA), nil)
 		sum += vs
 		res.Ops += vops
 	}

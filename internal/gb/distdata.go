@@ -262,7 +262,7 @@ func (s *System) distSegEnergy(P, vSeg int, radiiFull []float64, rmin, rmax floa
 	vView, vAgg := bundleView(s.Params, vb, rmin, rmax)
 	partial := 0.0
 	for _, v := range vb.tree.Leaves() {
-		vs, vops := vView.approxEpol(vb.tree.Root(), v, vb.radii, vAgg, factor, nil)
+		vs, vops := vView.approxEpol(vb.tree.Root(), v, vb.radii, vAgg, factor, wholeTree(vb.tree), nil)
 		partial += vs
 		*ops += vops
 	}
@@ -532,7 +532,7 @@ func (s *System) runDistData(P int, cfg *FaultConfig) (*Result, error) {
 			partial := 0.0
 			// Own × own (ordered pairs within the segment).
 			for _, v := range ab.tree.Leaves() {
-				vs, vops := ownView.approxEpol(ab.tree.Root(), v, ab.radii, ownAgg, factor, nil)
+				vs, vops := ownView.approxEpol(ab.tree.Root(), v, ab.radii, ownAgg, factor, wholeTree(ab.tree), nil)
 				partial += vs
 				perCoreOps[rank] += vops
 			}

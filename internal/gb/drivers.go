@@ -18,8 +18,11 @@ type Result struct {
 	Born []float64
 	// Processes and ThreadsPerProcess describe the layout (P and p).
 	Processes, ThreadsPerProcess int
-	// PerCoreOps holds the measured interaction-evaluation count of every
-	// core (P×p entries): the input to the performance model.
+	// PerCoreOps holds the interaction count of every core (P×p
+	// entries): the input to the performance model. It counts the
+	// paper's ordered interactions, not kernel calls: an exact leaf pair
+	// that the symmetric near field evaluates once (DESIGN.md §13) still
+	// counts |U|·|V| on each side.
 	PerCoreOps []int64
 	// Traffic is the communication log.
 	Traffic simmpi.Stats
@@ -520,10 +523,11 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 				partialP = reduceRange(pool, hi-lo, newEpolPart,
 					//lint:ignore hotalloc per-phase worker body; allocated once per energy round and amortized over its whole range
 					func(worker, i0, i1 int, part *epolPart) {
+						own := leafSpan{s.aLeaves[lo], s.aLeaves[hi-1]}
 						sum := 0.0
 						ops := int64(0)
 						for _, v := range s.aLeaves[lo+i0 : lo+i1] {
-							vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, factor, &part.tally)
+							vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, factor, own, &part.tally)
 							sum += vs
 							ops += vops
 						}
@@ -550,6 +554,7 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 					(*epolPart).merge)
 			}
 			partial := partialP.sum
+			// Ordered interactions, as in PerCoreOps (see pairTally).
 			rec.Count("pairs.epol.near", partialP.tally.near)
 			rec.Count("pairs.epol.far", partialP.tally.far)
 			rec.Observe("pairs.epol.near.rank", partialP.tally.near)

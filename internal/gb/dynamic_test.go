@@ -96,7 +96,7 @@ func TestRunMPIDynamicBalancesSkew(t *testing.T) {
 	agg := sys.buildEpolAggregates(radii)
 	epolCost := make([]int64, len(sys.aLeaves))
 	for i, v := range sys.aLeaves {
-		_, epolCost[i] = sys.ApproxEpol(sys.TA.Root(), v, radii, agg)
+		_, epolCost[i] = sys.approxEpol(sys.TA.Root(), v, radii, agg, sys.epolFactor(), wholeTree(sys.TA), nil)
 	}
 	for _, cost := range [][]int64{bornCost, epolCost} {
 		busy := make([]int64, computeRanks+1) // per-phase finish times

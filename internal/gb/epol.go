@@ -266,10 +266,13 @@ func epolFar(d, ru, rv, factor float64) bool {
 	return d > (ru+rv)*factor
 }
 
-// pairTally splits an energy traversal's evaluation count into exact
-// (near) and class-approximated (far) pair evaluations for the obs
-// counters. A nil tally disables counting, so callers that only want the
-// sum (Complex, the distributed data variants) pass nil.
+// pairTally splits an energy traversal's interaction count into exact
+// (near) and class-approximated (far) interactions for the obs counters
+// pairs.epol.{near,far}. Like the op count, near counts ordered
+// interactions, not kernel calls: a mutually near leaf pair evaluated
+// once still counts on both sides (DESIGN.md §13). A nil tally disables
+// counting, so callers that only want the sum (Complex, the distributed
+// data variants) pass nil.
 type pairTally struct{ near, far int64 }
 
 func (t *pairTally) addNear(n int64) {
@@ -284,16 +287,42 @@ func (t *pairTally) addFar(n int64) {
 	}
 }
 
-// ApproxEpol is Fig. 3's APPROX-Epol(U, V): the raw pair sum
-// Σ q_u q_v / f_GB between the atoms under U and the atoms under leaf V,
-// approximated by class aggregates when (U, V) is far, exact at leaves.
-// Returns (sum, interaction evaluations).
-func (s *System) ApproxEpol(u, v int32, radii []float64, agg *epolAggregates) (float64, int64) {
-	return s.approxEpol(u, v, radii, agg, s.epolFactor(), nil)
+// leafSpan is the node-index interval [lo, hi] of the target leaves one
+// energy pass sums over: a NodeNode share [aLeaves[lo], aLeaves[hi-1]],
+// or the whole tree. A mutually near leaf pair with both leaves inside it
+// is evaluated once, by its larger-index leaf, and weighted by 2
+// (DESIGN.md §13).
+type leafSpan struct{ lo, hi int32 }
+
+// wholeTree spans every leaf of t.
+func wholeTree(t *octree.Tree) leafSpan { return leafSpan{0, int32(t.NumNodes() - 1)} }
+
+// epolReaches reports whether the energy traversal of target leaf t
+// reaches leaf l as an exact leaf: whether none of l's proper ancestors W
+// passes approxEpol's far test against t, with the same operands. The
+// whole chain is walked: a child's ball need not nest in its parent's,
+// and below factor 1 (a small OpeningScale) even an ancestor containing t
+// can test far.
+func (s *System) epolReaches(t, l int32, factor float64) bool {
+	tn := &s.TA.Nodes[t]
+	for w := s.TA.Nodes[l].Parent; w != octree.NoChild; w = s.TA.Nodes[w].Parent {
+		wn := &s.TA.Nodes[w]
+		if epolFar(wn.Center.Dist(tn.Center), wn.Radius, tn.Radius, factor) {
+			return false
+		}
+	}
+	return true
 }
 
+// approxEpol is Fig. 3's APPROX-Epol(U, V): the raw pair sum
+// Σ q_u q_v / f_GB between the atoms under U and the atoms under target
+// leaf V, approximated by class aggregates when (U, V) is far, exact at
+// leaves. An exact leaf pair that is mutually near within own is summed
+// by one side only (×2), so only the sum over all of own's targets is
+// Fig. 3's. Returns (sum, interaction evaluations); the count is always
+// the ordered pairs', skipped leaves included.
 func (s *System) approxEpol(u, v int32, radii []float64, agg *epolAggregates,
-	factor float64, tally *pairTally) (float64, int64) {
+	factor float64, own leafSpan, tally *pairTally) (float64, int64) {
 	un := &s.TA.Nodes[u]
 	vn := &s.TA.Nodes[v]
 	d := un.Center.Dist(vn.Center)
@@ -308,38 +337,47 @@ func (s *System) approxEpol(u, v int32, radii []float64, agg *epolAggregates,
 		return farClassSum(agg, u, agg, v, d, vn.Center.Sub(un.Center), approx, tally)
 	}
 	if un.Leaf {
-		// Exact: ordered pairs (u-atom, v-atom); self terms arise when
-		// U == V via r² = 0 ⇒ f = R_i (q_i²/R_i). The exact term is
-		// written out so fGB inlines into the loop.
-		sum := 0.0
-		ops := int64(0)
+		// Exact: f_GB is symmetric, so U == V sums i < j ×2 plus the
+		// self terms q_i²/R_i, and a mutually near U ≠ V in own is summed
+		// ×2 by the larger index and skipped by the smaller. The exact
+		// term is written out so fGB inlines into the loop.
 		uItems := s.TA.ItemsOf(u)
 		vItems := s.TA.ItemsOf(v)
-		for _, ui := range uItems {
+		ops := int64(len(uItems)) * int64(len(vItems))
+		tally.addNear(ops)
+		weight := 1.0
+		if u == v {
+			weight = 2
+		} else if own.lo <= u && u <= own.hi && s.epolReaches(u, v, factor) {
+			if u > v {
+				return 0, ops
+			}
+			weight = 2
+		}
+		sum, self := 0.0, 0.0
+		for a, ui := range uItems {
 			qi, pi, ri := s.Mol.Atoms[ui].Charge, s.atomPos[ui], radii[ui]
-			for _, vi := range vItems {
-				if ui == vi {
-					sum += qi * qi / ri
-					ops++
-					continue
-				}
+			vs := vItems
+			if u == v {
+				self += qi * qi / ri
+				vs = vItems[a+1:]
+			}
+			for _, vi := range vs {
 				r2 := pi.Dist2(s.atomPos[vi])
 				if qq, rr := qi*s.Mol.Atoms[vi].Charge, ri*radii[vi]; approx {
 					sum += qq * invFGBApprox(r2, rr)
 				} else {
 					sum += qq * (1 / fGB(r2, rr))
 				}
-				ops++
 			}
 		}
-		tally.addNear(ops)
-		return sum, ops
+		return self + weight*sum, ops
 	}
 	sum := 0.0
 	ops := int64(1)
 	for _, c := range un.Children {
 		if c != octree.NoChild {
-			cs, cops := s.approxEpol(c, v, radii, agg, factor, tally)
+			cs, cops := s.approxEpol(c, v, radii, agg, factor, own, tally)
 			sum += cs
 			ops += cops
 		}
@@ -445,10 +483,11 @@ func farClassSum(ua *epolAggregates, u int32, va *epolAggregates, v int32,
 // by −τκ/2. Returns the energy in kcal/mol and the interaction count.
 func (s *System) Epol(radii []float64) (float64, int64) {
 	agg := s.buildEpolAggregates(radii)
+	factor, own := s.epolFactor(), wholeTree(s.TA)
 	sum := 0.0
 	ops := int64(0)
 	for _, v := range s.aLeaves {
-		vs, vops := s.ApproxEpol(s.TA.Root(), v, radii, agg)
+		vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, factor, own, nil)
 		sum += vs
 		ops += vops
 	}

@@ -1,6 +1,7 @@
 package gb
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -79,31 +80,39 @@ func TestCrashRecoverMatchesSerial(t *testing.T) {
 }
 
 func TestCrashDegradeHonestBound(t *testing.T) {
-	// Rank 2 dies entering the energy phase (op 7): its share's V-side
+	// A rank dies entering the energy phase (op 7): its share's V-side
 	// terms are missing from the accepted partial sum. Under Degrade the
 	// result must carry an ErrorBound that really contains the deficit.
+	// Mutually near leaf pairs are owned within a share (DESIGN.md §13),
+	// so every layout and every dead rank must keep the bound honest.
 	s := buildSys(t, 400, DefaultParams())
 	serial := mustRun(t, s, RunSpec{})
-	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: 2, AtOp: 7}}}
-	r, err := s.Run(RunSpec{Processes: 4, Faults: &FaultConfig{Plan: plan, Policy: Degrade}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Degraded {
-		t.Fatal("result not marked Degraded")
-	}
-	if r.ErrorBound <= 0 {
-		t.Fatalf("ErrorBound = %v, want positive", r.ErrorBound)
-	}
-	miss := math.Abs(r.Epol - serial.Epol)
-	if miss > r.ErrorBound {
-		t.Errorf("|Epol−serial| = %v exceeds ErrorBound %v", miss, r.ErrorBound)
-	}
-	if miss == 0 {
-		t.Error("degraded energy equals serial — the crash injected nothing")
-	}
-	if len(r.LostRanks) != 1 || r.LostRanks[0] != 2 {
-		t.Errorf("LostRanks = %v, want [2]", r.LostRanks)
+	for _, P := range []int{2, 3, 4} {
+		for rank := range P {
+			t.Run(fmt.Sprintf("P%d/crash%d", P, rank), func(t *testing.T) {
+				plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: rank, AtOp: 7}}}
+				r, err := s.Run(RunSpec{Processes: P, Faults: &FaultConfig{Plan: plan, Policy: Degrade}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !r.Degraded {
+					t.Fatal("result not marked Degraded")
+				}
+				if r.ErrorBound <= 0 {
+					t.Fatalf("ErrorBound = %v, want positive", r.ErrorBound)
+				}
+				miss := math.Abs(r.Epol - serial.Epol)
+				if miss > r.ErrorBound {
+					t.Errorf("|Epol−serial| = %v exceeds ErrorBound %v", miss, r.ErrorBound)
+				}
+				if miss == 0 {
+					t.Error("degraded energy equals serial — the crash injected nothing")
+				}
+				if len(r.LostRanks) != 1 || r.LostRanks[0] != rank {
+					t.Errorf("LostRanks = %v, want [%d]", r.LostRanks, rank)
+				}
+			})
+		}
 	}
 }
 

@@ -20,13 +20,35 @@ func WriteXYZRQ(w io.Writer, m *Molecule) error {
 		return err
 	}
 	for _, a := range m.Atoms {
-		if _, err := fmt.Fprintf(bw, "%.6f %.6f %.6f %.4f %.6f\n",
+		format := "%.6f %.6f %.6f %.4f %.6f\n"
+		if !(a.Radius >= minFixedRadius) {
+			format = "%.6f %.6f %.6f %g %.6f\n"
+		}
+		if _, err := fmt.Fprintf(bw, format,
 			a.Pos.X, a.Pos.Y, a.Pos.Z, a.Radius, a.Charge); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
+
+// minFixedRadius is the smallest radius both writers' 4-decimal radius
+// field keeps nonzero. A smaller (still valid) radius is written exactly
+// with %g instead, so a valid molecule always reads back valid.
+const minFixedRadius = 1e-4
+
+// fitsPQRColumns reports whether an atom's coordinates leave a blank in
+// their 8-column fields and its radius stays nonzero at 4 decimals. The
+// reader splits on whitespace, so a coordinate that fills its field
+// would merge with the one before it.
+func fitsPQRColumns(a Atom) bool {
+	in := func(v float64) bool { return v >= -99.999 && v <= 999.999 }
+	return in(a.Pos.X) && in(a.Pos.Y) && in(a.Pos.Z) && a.Radius >= minFixedRadius
+}
+
+// maxAtomsHint caps the preallocation ReadXYZRQ takes from its header:
+// the count is untrusted, so a larger molecule grows by append instead.
+const maxAtomsHint = 1 << 16
 
 // ReadXYZRQ parses the XYZRQ format written by WriteXYZRQ.
 func ReadXYZRQ(r io.Reader) (*Molecule, error) {
@@ -47,7 +69,7 @@ func ReadXYZRQ(r io.Reader) (*Molecule, error) {
 	if len(header) > 1 {
 		name = strings.Join(header[1:], " ")
 	}
-	m := &Molecule{Name: name, Atoms: make([]Atom, 0, n)}
+	m := &Molecule{Name: name, Atoms: make([]Atom, 0, min(n, maxAtomsHint))}
 	line := 1
 	for sc.Scan() {
 		line++
@@ -78,7 +100,10 @@ func ReadXYZRQ(r io.Reader) (*Molecule, error) {
 	if len(m.Atoms) != n {
 		return nil, fmt.Errorf("molecule: header says %d atoms, file has %d", n, len(m.Atoms))
 	}
-	return m, m.Validate()
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // WritePQR writes the molecule in PQR format (the PDB-like format with
@@ -96,8 +121,11 @@ func WritePQR(w io.Writer, m *Molecule) error {
 		// Serials are NOT wrapped at the PDB column limit: this is the
 		// whitespace dialect, and wrapped serials would collide — which
 		// ReadPQR now rejects as duplicate atom indices.
-		if _, err := fmt.Fprintf(bw,
-			"ATOM  %5d  C   GLY A%4d    %8.3f%8.3f%8.3f %7.4f %6.4f\n",
+		format := "ATOM  %5d  C   GLY A%4d    %8.3f%8.3f%8.3f %7.4f %6.4f\n"
+		if !fitsPQRColumns(a) {
+			format = "ATOM  %5d  C   GLY A%4d    %8.3f %8.3f %8.3f %7.4f %6g\n"
+		}
+		if _, err := fmt.Fprintf(bw, format,
 			serial, resSeq%10000, a.Pos.X, a.Pos.Y, a.Pos.Z, a.Charge, a.Radius); err != nil {
 			return err
 		}
@@ -165,7 +193,10 @@ func ReadPQR(r io.Reader) (*Molecule, error) {
 	if len(m.Atoms) == 0 {
 		return nil, fmt.Errorf("molecule: pqr input has no ATOM records")
 	}
-	return m, m.Validate()
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // LoadFile reads a molecule from a file, dispatching on the extension:

@@ -2,10 +2,14 @@ package molecule
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"gbpolar/internal/geom"
 )
 
 func TestXYZRQRoundTrip(t *testing.T) {
@@ -113,5 +117,52 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadFile(filepath.Join(dir, "missing.pqr")); err == nil {
 		t.Error("no error for missing file")
+	}
+}
+
+// hugeCountXYZRQ claims three billion atoms in 23 bytes. Preallocating
+// from that header asks for a 120 GB block, which ends the process with
+// a fatal out-of-memory error instead of a decode error.
+const hugeCountXYZRQ = "3000000000 x\n1 2 3 1 0\n"
+
+func TestReadXYZRQHugeHeaderCount(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := ReadXYZRQ(strings.NewReader(hugeCountXYZRQ))
+	runtime.ReadMemStats(&after)
+	if m != nil || err == nil || !strings.Contains(err.Error(), "header says 3000000000 atoms, file has 1") {
+		t.Fatalf("got (%v, %v), want a nil molecule and the count-mismatch error", m, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("decoding %d bytes allocated %d MiB", len(hugeCountXYZRQ), grew>>20)
+	}
+}
+
+// A valid molecule writes files that read back valid: coordinates that
+// fill their PQR column stay separate fields, and radii too small for
+// the fixed decimals keep a nonzero value.
+func TestWritersKeepExtremeValuesReadable(t *testing.T) {
+	m := &Molecule{Name: "extreme", Atoms: []Atom{
+		{Pos: geom.V(-1234.5, -100.25, 99999.125), Radius: 1e-9, Charge: 0.5},
+		{Pos: geom.V(1, 2, 3), Radius: 1.5, Charge: -0.25},
+	}}
+	for _, c := range []struct {
+		name  string
+		write func(io.Writer, *Molecule) error
+		read  func(io.Reader) (*Molecule, error)
+	}{{"xyzrq", WriteXYZRQ, ReadXYZRQ}, {"pqr", WritePQR, ReadPQR}} {
+		var buf bytes.Buffer
+		if err := c.write(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.read(&buf)
+		if err != nil {
+			t.Fatalf("%s: written molecule does not read back: %v", c.name, err)
+		}
+		for i, a := range got.Atoms {
+			if a.Pos.Sub(m.Atoms[i].Pos).Norm() > 1e-3 || a.Radius != m.Atoms[i].Radius {
+				t.Errorf("%s atom %d: read %+v, wrote %+v", c.name, i, a, m.Atoms[i])
+			}
+		}
 	}
 }
