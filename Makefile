@@ -108,16 +108,19 @@ perfbench-selftest:
 # fuzz-short runs each decoder fuzz target for 15 s from its seed corpus,
 # one `go test -fuzz` invocation per target (go test fuzzes one target at
 # a time): the checkpoint decoder (the four phase snapshots of a small
-# run, with and without Obs) and the XYZRQ and PQR readers (a 20-atom
-# globule, 1PPE_l_b and a huge atom-count header). No input may panic or
-# abort the process, a failed decode returns no value, and any input that
-# decodes must reach a fixed point after one encode-decode round.
-# Minimizing a new input is capped at 1 s (the default is 60 s) so the
-# budget goes to fuzzing.
+# run, with and without Obs), the XYZRQ and PQR readers (a 20-atom
+# globule, 1PPE_l_b and a huge atom-count header), and the network and
+# storage fault-plan grammars (the round-trip test plans and seeded
+# Chaos plans). No input may panic or abort the process, a failed decode
+# returns no value, and any input that decodes must reach a fixed point
+# after one encode-decode round. Minimizing a new input is capped at 1 s
+# (the default is 60 s) so the budget goes to fuzzing.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/gb/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadXYZRQ$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/molecule/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadPQR$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/molecule/
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/fault/
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/fault/fs/
 
 # check-race is the quick race pass: short mode skips the figure
 # sweeps, PB grid solves, and calibration probes (the numerics they

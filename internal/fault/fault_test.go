@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -197,6 +198,39 @@ func TestParseErrorsNameTheToken(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.wantSub) {
 			t.Errorf("Parse(%q) error %q does not name the token %s", tc.src, err, tc.wantSub)
+		}
+	}
+}
+
+// TestParseRejectsUnprintedSuffixes: a suffix the kind does not take
+// used to parse and then vanish from String ("crash:0@0+2" parsed to
+// Count 2 and printed back as "crash:0@0"), so a plan was not a fixed
+// point of Parse∘String. Each is now an error naming the token.
+func TestParseRejectsUnprintedSuffixes(t *testing.T) {
+	for _, src := range []string{
+		"crash:0@0+2",
+		"crash:1@4~1ms",
+		"drop:0>1@2+1~5ms",
+		"corrupt:2@5+3~1s",
+		"crash:1@6,drop:2>0@3+2,crash:0@0+2",
+	} {
+		p, err := Parse(src)
+		if err == nil {
+			t.Errorf("Parse(%q) accepted: %v", src, p.String())
+			continue
+		}
+		if p != nil {
+			t.Errorf("Parse(%q) returned a plan with its error", src)
+		}
+		bad := src[strings.LastIndex(src, ",")+1:]
+		if !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Errorf("Parse(%q) error %q does not name the token %q", src, err, bad)
+		}
+	}
+	// Delay and slow keep both suffixes.
+	for _, ok := range []string{"delay:0>1@2+3~1ms", "slow:1@0+4~2ms"} {
+		if _, err := Parse(ok); err != nil {
+			t.Errorf("Parse(%q) rejected: %v", ok, err)
 		}
 	}
 }

@@ -115,8 +115,12 @@ func parseEvent(tok string) (Event, error) {
 	}
 
 	// Split off ~DUR first, then +COUNT, then @OP; what remains is the
-	// rank (and >TO for the send kinds).
+	// rank (and >TO for the send kinds). A suffix the kind does not take
+	// is rejected: String could not print it back.
 	if head, durStr, ok := strings.Cut(rest, "~"); ok {
+		if ev.Kind != Delay && ev.Kind != Straggle {
+			return Event{}, fmt.Errorf("fault: duration %q not valid for %s in token %q (only delay and slow take ~DUR)", "~"+durStr, ev.Kind, tok)
+		}
 		d, err := time.ParseDuration(durStr)
 		if err != nil {
 			return Event{}, fmt.Errorf("fault: bad duration %q in token %q: %v", durStr, tok, err)
@@ -129,6 +133,9 @@ func parseEvent(tok string) (Event, error) {
 		return Event{}, fmt.Errorf("fault: missing @op in token %q", tok)
 	}
 	if opPart, countStr, hasCount := strings.Cut(opStr, "+"); hasCount {
+		if ev.Kind == Crash {
+			return Event{}, fmt.Errorf("fault: count %q not valid for crash in token %q (a rank crashes once)", "+"+countStr, tok)
+		}
 		n, err := strconv.ParseInt(countStr, 10, 64)
 		if err != nil || n < 1 {
 			return Event{}, fmt.Errorf("fault: bad count %q in token %q (want an integer ≥ 1)", countStr, tok)

@@ -124,10 +124,9 @@ func (a Accuracy) Validate() error {
 }
 
 // Relaxed returns the point with the eps pair scaled by factor (> 1
-// loosens). This is the Accuracy-space image of the deprecated
-// WithRelaxedEps / supervise.Spec.StartEpsFactor knob: relaxing a point
-// by factor and running it is bitwise identical to running the point and
-// relaxing the system.
+// loosens): the supervisor's relax rung and its deprecated
+// supervise.Spec.StartEpsFactor pre-shed run on
+// WithAccuracy(s.Params.Accuracy.Relaxed(factor)). The bin width is kept.
 func (a Accuracy) Relaxed(factor float64) Accuracy {
 	if factor <= 1 {
 		return a
@@ -175,10 +174,9 @@ func (p Params) EffectiveAccuracy() Accuracy {
 }
 
 // order is the effective expansion order of this system's far fields.
-// Internal System views built by struct literal (bundle and complex
-// views) copy a normalized Params, so the Accuracy field is always
-// populated there; the IsZero fallback keeps hand-rolled test fixtures
-// on the calibrated default.
+// System views (DESIGN.md §14) copy a normalized Params, so the Accuracy
+// field is always populated there; the IsZero fallback keeps hand-rolled
+// test fixtures on the calibrated default.
 func (s *System) order() int {
 	if s.Params.Accuracy.IsZero() {
 		return OrderDipole
@@ -197,8 +195,8 @@ func (s *System) epolFactor() float64 {
 }
 
 // WithAccuracy returns a copy of the system running at the given
-// accuracy point. Like WithRelaxedEps the copy is shallow — octrees and
-// first-order aggregates do not depend on the accuracy knobs — except
+// accuracy point. The copy is shallow — octrees and first-order
+// aggregates do not depend on the accuracy knobs — except
 // that raising the order to quadrupole builds the second-moment
 // aggregates if the system does not have them yet. QuadOrder cannot be
 // honored on an existing system (the surface is prebuilt); it is

@@ -25,32 +25,11 @@ func (s *System) approxIntegralsAtomRange(a, q int32, lo, hi int32, acc *bornAcc
 		return 1
 	}
 	if an.Start >= lo && an.End <= hi {
-		qn := &s.TQ.Nodes[q]
-		return s.approxIntegrals(a, q, qn, s.nodeNormal[q], s.bornBeta(), s.order(), acc)
+		return s.ApproxIntegrals(a, q, acc)
 	}
 	// Partially owned: cannot approximate here.
 	if an.Leaf {
-		r4Form := s.Params.Integral == IntegralR4
-		ops := int64(0)
-		for pos := max(an.Start, lo); pos < min(an.End, hi); pos++ {
-			ai := s.TA.Items[pos]
-			pa := s.atomPos[ai]
-			sum := 0.0
-			for _, qi := range s.TQ.ItemsOf(q) {
-				qp := &s.Surf.Points[qi]
-				dv := qp.Pos.Sub(pa)
-				r2 := dv.Norm2()
-				rp := r2 * r2
-				if !r4Form {
-					rp *= r2
-				}
-				sum += qp.Weight * dv.Dot(qp.Normal) / rp
-				ops++
-			}
-			acc.atomS[ai] += sum
-		}
-		acc.near += ops
-		return ops
+		return s.exactIntegrals(s.TA.Items[max(an.Start, lo):min(an.End, hi)], q, acc)
 	}
 	ops := int64(1)
 	for _, c := range an.Children {

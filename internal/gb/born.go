@@ -168,6 +168,16 @@ func (s *System) ApproxIntegrals(a, q int32, acc *bornAccum) int64 {
 	return s.approxIntegrals(a, q, qn, qNormal, beta, s.order(), acc)
 }
 
+// approxAllIntegrals runs APPROX-INTEGRALS from the root of T_A for every
+// quadrature leaf, in leaf order: the whole surface's flux at the atoms.
+func (s *System) approxAllIntegrals(acc *bornAccum) int64 {
+	ops := int64(0)
+	for _, q := range s.qLeaves {
+		ops += s.ApproxIntegrals(s.TA.Root(), q, acc)
+	}
+	return ops
+}
+
 // bornFarNode accumulates the order-ord far-field expansion of one
 // (A-node, Q-node) far pair into the A-node accumulator slots. The
 // kernel is K(u; n) = (u·n)/|u|ᵖᵒʷ with u pointing from the evaluation
@@ -267,26 +277,7 @@ func (s *System) approxIntegrals(a, q int32, qn *octree.Node, qNormal geom.Vec3,
 		return 1
 	}
 	if an.Leaf {
-		// Exact: every atom under A against every q-point under Q.
-		ops := int64(0)
-		for _, ai := range s.TA.ItemsOf(a) {
-			pa := s.atomPos[ai]
-			sum := 0.0
-			for _, qi := range s.TQ.ItemsOf(q) {
-				qp := &s.Surf.Points[qi]
-				dv := qp.Pos.Sub(pa)
-				r2 := dv.Norm2()
-				rp := r2 * r2
-				if !r4Form {
-					rp *= r2
-				}
-				sum += qp.Weight * dv.Dot(qp.Normal) / rp
-			}
-			acc.atomS[ai] += sum
-			ops += int64(len(s.TQ.ItemsOf(q)))
-		}
-		acc.near += ops
-		return ops
+		return s.exactIntegrals(s.TA.ItemsOf(a), q, acc)
 	}
 	ops := int64(1)
 	for _, c := range an.Children {
@@ -294,6 +285,32 @@ func (s *System) approxIntegrals(a, q int32, qn *octree.Node, qNormal geom.Vec3,
 			ops += s.approxIntegrals(c, q, qn, qNormal, beta, ord, acc)
 		}
 	}
+	return ops
+}
+
+// exactIntegrals adds the exact surface integrals of the atoms items
+// (original indices) against every q-point under T_Q node q into acc:
+// the near field of APPROX-INTEGRALS. Returns the pair count.
+func (s *System) exactIntegrals(items []int32, q int32, acc *bornAccum) int64 {
+	r4Form := s.Params.Integral == IntegralR4
+	qItems := s.TQ.ItemsOf(q)
+	for _, ai := range items {
+		pa := s.atomPos[ai]
+		sum := 0.0
+		for _, qi := range qItems {
+			qp := &s.Surf.Points[qi]
+			dv := qp.Pos.Sub(pa)
+			r2 := dv.Norm2()
+			rp := r2 * r2
+			if !r4Form {
+				rp *= r2
+			}
+			sum += qp.Weight * dv.Dot(qp.Normal) / rp
+		}
+		acc.atomS[ai] += sum
+	}
+	ops := int64(len(items)) * int64(len(qItems))
+	acc.near += ops
 	return ops
 }
 
@@ -415,10 +432,7 @@ func (b *bornAccum) decode(flat []float64) {
 // returns the Born radii and the interaction-evaluation count.
 func (s *System) BornRadii() ([]float64, int64) {
 	acc := s.newBornAccum()
-	ops := int64(0)
-	for _, q := range s.qLeaves {
-		ops += s.ApproxIntegrals(s.TA.Root(), q, acc)
-	}
+	ops := s.approxAllIntegrals(acc)
 	radii := make([]float64, s.NumAtoms())
 	ops += s.PushIntegralsToAtoms(acc, 0, s.NumAtoms(), radii)
 	return radii, ops

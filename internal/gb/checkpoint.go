@@ -444,30 +444,3 @@ func (s *System) validateResume(ck *Checkpoint) error {
 	}
 	return nil
 }
-
-// WithRelaxedEps returns a copy of the system whose far-field criteria
-// use factor-times-relaxed approximation parameters (EpsBorn and
-// EpsEpol). The octrees and precomputed data do not depend on ε, so the
-// copy is shallow and shares them; only the traversal thresholds change.
-// This is the supervisor's accuracy-shedding knob: under fault pressure
-// a relaxed ε trades bounded accuracy for completion (the work/precision
-// trade Knepley & Bardhan analyze), and the relaxation is priced into
-// the returned ErrorBound by the supervisor.
-//
-// Deprecated: use WithAccuracy(s.Params.Accuracy.Relaxed(factor)); this
-// wrapper remains for the legacy supervisor rung and behaves identically.
-func (s *System) WithRelaxedEps(factor float64) *System {
-	if factor <= 1 {
-		return s
-	}
-	c := *s
-	c.Params.EpsBorn *= factor
-	c.Params.EpsEpol *= factor
-	if !c.Params.Accuracy.IsZero() {
-		// Keep the normalized mirror in sync (NewSystem always populates
-		// it) so order() and the Accuracy readers see the relaxed point.
-		c.Params.Accuracy.EpsBorn = c.Params.EpsBorn
-		c.Params.Accuracy.EpsEpol = c.Params.EpsEpol
-	}
-	return &c
-}

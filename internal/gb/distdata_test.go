@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"gbpolar/internal/molecule"
 	"gbpolar/internal/simmpi"
+	"gbpolar/internal/surface"
 )
 
 func TestDistributedDataMatchesEpsilonBand(t *testing.T) {
@@ -67,20 +69,38 @@ func TestDistributedDataShipsBundles(t *testing.T) {
 	}
 }
 
+// TestDistributedDataSingleRank: at one rank the data segments are the
+// whole molecule, so the distributed-data driver reproduces the serial
+// driver up to the summation order inside leaves (its trees are rebuilt
+// over item-order-permuted points): Epol and every radius within 1e-12
+// relative, with equal ops.
 func TestDistributedDataSingleRank(t *testing.T) {
-	s := buildSys(t, 300, DefaultParams())
-	r, err := s.RunMPIDistributedData(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Traffic.P2PMessages != 0 {
-		t.Errorf("single rank sent %d messages", r.Traffic.P2PMessages)
-	}
-	serial := mustRun(t, s, RunSpec{})
-	// One rank, one tree — but built over item-order-permuted subsets, so
-	// allow tiny decomposition differences.
-	if rel := math.Abs(r.Epol-serial.Epol) / math.Abs(serial.Epol); rel > 1e-3 {
-		t.Errorf("P=1 energy differs from serial by %v", rel)
+	for _, e := range molecule.ZDockRoster() {
+		if e.Atoms > 1200 {
+			break
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			s := newTestSystem(t, molecule.ZDockMolecule(e), surface.DefaultConfig(), DefaultParams())
+			r, err := s.RunMPIDistributedData(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Traffic.P2PMessages != 0 {
+				t.Errorf("single rank sent %d messages", r.Traffic.P2PMessages)
+			}
+			serial := mustRun(t, s, RunSpec{})
+			if rel := relDiff(r.Epol, serial.Epol); rel > 1e-12 {
+				t.Errorf("P=1 energy %v differs from serial %v by %.3g", r.Epol, serial.Epol, rel)
+			}
+			for i := range serial.Born {
+				if rel := relDiff(r.Born[i], serial.Born[i]); rel > 1e-12 {
+					t.Fatalf("P=1 Born radius %d: %v, serial %v (rel %.3g)", i, r.Born[i], serial.Born[i], rel)
+				}
+			}
+			if got, want := r.TotalOps(), serial.TotalOps(); got != want {
+				t.Errorf("P=1 ops %d, serial %d", got, want)
+			}
+		})
 	}
 }
 

@@ -478,6 +478,55 @@ func farClassSum(ua *epolAggregates, u int32, va *epolAggregates, v int32,
 	return sum, ops
 }
 
+// epolCrossPass is APPROX-Epol between two different atom trees: node u
+// descends system u's tree against leaf v of system v's tree.
+type epolCrossPass struct {
+	u      *System
+	uAgg   *epolAggregates
+	uRadii []float64
+	v      *System
+	vAgg   *epolAggregates
+	vRadii []float64
+	factor float64
+}
+
+func (ep *epolCrossPass) run(u, v int32) (float64, int64) {
+	un := &ep.u.TA.Nodes[u]
+	vn := &ep.v.TA.Nodes[v]
+	d := un.Center.Dist(vn.Center)
+	approx := ep.u.Params.Math == ApproxMath
+	if !un.Leaf && epolFar(d, un.Radius, vn.Radius, ep.factor) {
+		return farClassSum(ep.uAgg, u, ep.vAgg, v, d, vn.Center.Sub(un.Center), approx, nil)
+	}
+	if un.Leaf {
+		sum := 0.0
+		ops := int64(0)
+		for _, ui := range ep.u.TA.ItemsOf(u) {
+			qi, pi, ri := ep.u.Mol.Atoms[ui].Charge, ep.u.atomPos[ui], ep.uRadii[ui]
+			for _, vi := range ep.v.TA.ItemsOf(v) {
+				r2 := pi.Dist2(ep.v.atomPos[vi])
+				if qq, rr := qi*ep.v.Mol.Atoms[vi].Charge, ri*ep.vRadii[vi]; approx {
+					sum += qq * invFGBApprox(r2, rr)
+				} else {
+					sum += qq * (1 / fGB(r2, rr))
+				}
+				ops++
+			}
+		}
+		return sum, ops
+	}
+	sum := 0.0
+	ops := int64(1)
+	for _, ch := range un.Children {
+		if ch != octree.NoChild {
+			cs, cops := ep.run(ch, v)
+			sum += cs
+			ops += cops
+		}
+	}
+	return sum, ops
+}
+
 // Epol runs the full serial octree energy pass: every atoms-octree leaf V
 // interacts with the whole tree (Fig. 4 Step 6), the raw sums are scaled
 // by −τκ/2. Returns the energy in kcal/mol and the interaction count.

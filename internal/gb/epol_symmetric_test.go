@@ -130,3 +130,46 @@ func TestSymmetricNearFieldSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestCrossPassMatchesOwnPass pins the two energy kernels to each other:
+// the two-tree pass run from a second view of a system (a distinct
+// pointer over the same trees) onto the system itself walks the same
+// node pairs as the own pass, so its sum matches to rounding with equal
+// ops. Only Exact math: the cross pass sends the i = j term through
+// invFGBApprox rather than q²/R, which differs by design in Approx math.
+func TestCrossPassMatchesOwnPass(t *testing.T) {
+	maxAtoms := 1200
+	if testing.Short() {
+		maxAtoms = 600
+	}
+	for _, e := range molecule.ZDockRoster() {
+		if e.Atoms > maxAtoms {
+			break
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			base := newTestSystem(t, molecule.ZDockMolecule(e), surface.DefaultConfig(), DefaultParams())
+			for _, ord := range []int{OrderMonopole, OrderDipole, OrderQuadrupole} {
+				s := withMode(t, base, ord, ExactMath)
+				radii, _ := s.BornRadii()
+				agg := s.buildEpolAggregates(radii)
+				factor := s.epolFactor()
+				view := *s
+				ep := &epolCrossPass{u: &view, uAgg: agg, uRadii: radii, v: s, vAgg: agg, vRadii: radii, factor: factor}
+				own, cross := 0.0, 0.0
+				ownOps, crossOps := int64(0), int64(0)
+				for _, v := range s.aLeaves {
+					vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, factor, wholeTree(s.TA), nil)
+					cs, cops := ep.run(view.TA.Root(), v)
+					own, ownOps = own+vs, ownOps+vops
+					cross, crossOps = cross+cs, crossOps+cops
+				}
+				if rel := relDiff(cross, own); rel > 1e-13 {
+					t.Errorf("p=%d: cross pass %v, own pass %v (rel %.3g)", ord, cross, own, rel)
+				}
+				if crossOps != ownOps {
+					t.Errorf("p=%d: cross pass %d ops, own pass %d", ord, crossOps, ownOps)
+				}
+			}
+		})
+	}
+}

@@ -265,7 +265,11 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	if _, err := s2.Run(RunSpec{Processes: 2, Resume: ck}); err == nil {
 		t.Error("foreign checkpoint accepted")
 	}
-	if _, err := s1.WithRelaxedEps(1.5).Run(RunSpec{Processes: 2, Resume: ck}); err != nil {
+	relaxed, err := s1.WithAccuracy(s1.Params.Accuracy.Relaxed(1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := relaxed.Run(RunSpec{Processes: 2, Resume: ck}); err != nil {
 		t.Errorf("ε-relaxed resume of own checkpoint refused: %v", err)
 	}
 	// The payload is world-global, so the one-rank serial layout resumes
@@ -283,7 +287,10 @@ func TestResumeRejectsLooserCheckpoint(t *testing.T) {
 	// harness caught. The same snapshot stays valid for an equally
 	// relaxed system, and a v1 snapshot (ε unrecorded) is grandfathered.
 	s := buildSys(t, 300, DefaultParams())
-	relaxed := s.WithRelaxedEps(1.5)
+	relaxed, err := s.WithAccuracy(s.Params.Accuracy.Relaxed(1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sink := &memSink{}
 	if _, err := relaxed.Run(RunSpec{Processes: 2, Checkpoint: sink}); err != nil {
 		t.Fatal(err)
@@ -294,7 +301,7 @@ func TestResumeRejectsLooserCheckpoint(t *testing.T) {
 			ck.EpsBorn, ck.EpsEpol, relaxed.Params.EpsBorn, relaxed.Params.EpsEpol)
 	}
 
-	_, err := s.Run(RunSpec{Processes: 2, Resume: ck})
+	_, err = s.Run(RunSpec{Processes: 2, Resume: ck})
 	if err == nil {
 		t.Fatal("full-accuracy run resumed a relaxed snapshot")
 	}

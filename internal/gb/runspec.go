@@ -44,7 +44,7 @@ type RunSpec struct {
 	Checkpoint CheckpointSink
 	// Resume re-enters the pipeline at the snapshot's phase instead of
 	// starting from scratch. The snapshot must come from a system with the
-	// same configuration tag (ε may differ — see WithRelaxedEps); the
+	// same configuration tag (ε may differ — see Accuracy.Relaxed); the
 	// process count may differ from the saving run's.
 	Resume *Checkpoint
 	// Accuracy overrides the system's accuracy point for this run only:

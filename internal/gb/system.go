@@ -146,6 +146,13 @@ func (p Params) Validate() error {
 // same octrees (Fig. 4 Step 1); in-process the ranks share them read-only
 // and the replication is accounted by the performance model (DESIGN.md
 // §2).
+//
+// The Born and energy kernels walk Systems only. Complex and the
+// distributed-data driver run them on views (DESIGN.md §14): System
+// values that share trees and slices with other systems and fill only the
+// fields their pass reads — a moved ligand, one molecule's atoms paired
+// with another's surface (withSurfaceOf), or one data segment's atoms or
+// quadrature points.
 type System struct {
 	Params Params
 	Mol    *molecule.Molecule
@@ -200,17 +207,31 @@ func NewSystem(mol *molecule.Molecule, surf *surface.Surface, params Params) (*S
 	params.EpsBorn = acc.EpsBorn
 	params.EpsEpol = acc.EpsEpol
 	params.EpsBin = acc.BinWidth
-	s := &System{
-		Params:  params,
-		Mol:     mol,
-		Surf:    surf,
-		atomPos: mol.Positions(),
-		qPos:    surf.Positions(),
-	}
-	s.TA = octree.Build(s.atomPos, params.LeafAtoms)
-	s.TQ = octree.Build(s.qPos, params.LeafQPoints)
-	s.qLeaves = s.TQ.Leaves()
+	s := &System{Params: params}
+	s.setAtoms(mol)
+	s.setSurface(surf)
+	return s, nil
+}
+
+// setAtoms installs the molecule's atoms: positions, T_A and its leaves.
+// A System with atoms only is an atom-segment view of the distributed-data
+// driver.
+func (s *System) setAtoms(mol *molecule.Molecule) {
+	s.Mol = mol
+	s.atomPos = mol.Positions()
+	s.TA = octree.Build(s.atomPos, s.Params.LeafAtoms)
 	s.aLeaves = s.TA.Leaves()
+}
+
+// setSurface installs the quadrature points: T_Q, its leaves and the
+// far-field moments at the system's expansion order. A System with a
+// surface only is a quadrature-segment view of the distributed-data
+// driver.
+func (s *System) setSurface(surf *surface.Surface) {
+	s.Surf = surf
+	s.qPos = surf.Positions()
+	s.TQ = octree.Build(s.qPos, s.Params.LeafQPoints)
+	s.qLeaves = s.TQ.Leaves()
 
 	// Aggregate the weighted normal and normal-moment tensor of every
 	// T_Q node bottom-up (children precede parents in reverse DFS index
@@ -250,10 +271,19 @@ func NewSystem(mol *molecule.Molecule, surf *surface.Surface, params Params) (*S
 		s.nodeNormal[i] = sum
 		s.nodeMoment[i] = mom
 	}
-	if acc.Order == OrderQuadrupole {
+	if s.order() == OrderQuadrupole {
 		s.nodeMoment2 = buildQuadMoments(s.TQ, surf.Points, s.nodeNormal, s.nodeMoment)
 	}
-	return s, nil
+}
+
+// withSurfaceOf returns a view pairing s's atoms with q's surface: the
+// APPROX-INTEGRALS pass of the view accumulates q's surface flux at s's
+// atoms. Trees and slices are shared, not copied.
+func (s *System) withSurfaceOf(q *System) *System {
+	v := *s
+	v.Surf, v.TQ, v.qPos, v.qLeaves = q.Surf, q.TQ, q.qPos, q.qLeaves
+	v.nodeNormal, v.nodeMoment, v.nodeMoment2 = q.nodeNormal, q.nodeMoment, q.nodeMoment2
+	return &v
 }
 
 // buildQuadMoments aggregates the second-order surface moments

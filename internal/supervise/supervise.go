@@ -53,7 +53,7 @@ const (
 	// RungShrink resumes with the process count shrunk to the
 	// checkpoint's agreed live membership.
 	RungShrink
-	// RungRelax relaxes the ε tolerances one notch (gb.WithRelaxedEps)
+	// RungRelax relaxes the ε tolerances one notch (gb.Accuracy.Relaxed)
 	// and prices the shed accuracy into ErrorBound.
 	RungRelax
 	// RungDegrade switches to gb's Degrade policy: accept a partial
@@ -187,9 +187,8 @@ type Spec struct {
 	// skipped — escalation only ever relaxes further.
 	//
 	// Deprecated: the factor now maps onto Accuracy scaling — the
-	// pre-shed system is gb.WithRelaxedEps(factor), whose accuracy
-	// point is exactly Params.Accuracy.Relaxed(factor). Callers with a
-	// tuned ladder should prefer starting on AccuracyLadder[0].
+	// pre-shed system runs at Params.Accuracy.Relaxed(factor). Callers
+	// with a tuned ladder should prefer starting on AccuracyLadder[0].
 	StartEpsFactor float64
 }
 
@@ -325,7 +324,11 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 	baseEps := s.Params.EpsEpol
 	if spec.StartEpsFactor > 1 {
 		curFactor = spec.StartEpsFactor
-		curSys = s.WithRelaxedEps(curFactor)
+		ws, err := s.WithAccuracy(s.Params.Accuracy.Relaxed(curFactor))
+		if err != nil {
+			return nil, fmt.Errorf("supervise: pre-shed to eps factor %g: %w", curFactor, err)
+		}
+		curSys = ws
 		rec.Count("supervise.preshed", 1)
 		rec.Event(0, "supervise", fmt.Sprintf("pre-shed: start at eps factor %.3g", curFactor))
 	}
@@ -549,7 +552,11 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 			}
 			escalate(RungRelax)
 			curFactor = f
-			curSys = s.WithRelaxedEps(f)
+			ws, err := s.WithAccuracy(s.Params.Accuracy.Relaxed(f))
+			if err != nil {
+				return nil, fmt.Errorf("supervise: relax to eps factor %g: %w", f, err)
+			}
+			curSys = ws
 			if ok, err := attempt(RungRelax, spec.Policy, true); err != nil || ok {
 				return out, err
 			}
