@@ -105,22 +105,28 @@ bench-gate: bench-json
 perfbench-selftest:
 	cd _perfbench && GOWORK=off $(GO) test -count=1 ./...
 
-# fuzz-short runs each decoder fuzz target for 15 s from its seed corpus,
-# one `go test -fuzz` invocation per target (go test fuzzes one target at
-# a time): the checkpoint decoder (the four phase snapshots of a small
-# run, with and without Obs), the XYZRQ and PQR readers (a 20-atom
-# globule, 1PPE_l_b and a huge atom-count header), and the network and
-# storage fault-plan grammars (the round-trip test plans and seeded
-# Chaos plans). No input may panic or abort the process, a failed decode
-# returns no value, and any input that decodes must reach a fixed point
-# after one encode-decode round. Minimizing a new input is capped at 1 s
-# (the default is 60 s) so the budget goes to fuzzing.
+# fuzz-short runs each fuzz target for 15 s from its seed corpus, one
+# `go test -fuzz` invocation per target (go test fuzzes one target at a
+# time): the checkpoint decoder (the four phase snapshots of a small run,
+# with and without Obs), the XYZRQ and PQR readers (a 20-atom globule,
+# 1PPE_l_b and a huge atom-count header), the network and storage
+# fault-plan grammars (the round-trip test plans and seeded Chaos plans),
+# the trace ingester (a two-rank run's Chrome trace and obs JSON export)
+# and the surface sampler (two atoms 2·10⁴ Å apart, a 20-atom globule and
+# the first 48 atoms of 1PPE_l_b). No input may panic or abort the
+# process, and a failed decode returns no value. Any input the decoders
+# accept must reach a fixed point after one encode-decode round, and the
+# sampler must equal its brute-force reference bit for bit. Minimizing a
+# new input is capped at 1 s (the default is 60 s) so the budget goes to
+# fuzzing.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/gb/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadXYZRQ$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/molecule/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadPQR$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/molecule/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/fault/fs/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/obs/critpath/
+	$(GO) test -run '^$$' -fuzz '^FuzzBuildSurface$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/surface/
 
 # check-race is the quick race pass: short mode skips the figure
 # sweeps, PB grid solves, and calibration probes (the numerics they

@@ -53,7 +53,7 @@ const maxAtomsHint = 1 << 16
 // ReadXYZRQ parses the XYZRQ format written by WriteXYZRQ.
 func ReadXYZRQ(r io.Reader) (*Molecule, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // lines up to 1 MiB; the buffer grows only for long lines
 	if !sc.Scan() {
 		return nil, fmt.Errorf("molecule: empty XYZRQ input")
 	}
@@ -141,7 +141,7 @@ func WritePQR(w io.Writer, m *Molecule) error {
 // "whitespace" PQR dialect emitted by pdb2pqr and WritePQR.
 func ReadPQR(r io.Reader) (*Molecule, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // lines up to 1 MiB; the buffer grows only for long lines
 	m := &Molecule{Name: "pqr"}
 	line := 0
 	seen := make(map[int64]int) // atom serial → atom position, for duplicate detection

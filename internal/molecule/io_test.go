@@ -1,7 +1,9 @@
 package molecule
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"path/filepath"
@@ -135,6 +137,40 @@ func TestReadXYZRQHugeHeaderCount(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
 		t.Errorf("decoding %d bytes allocated %d MiB", len(hugeCountXYZRQ), grew>>20)
+	}
+}
+
+// Both readers accept lines up to 1 MiB and reject longer ones with
+// bufio.ErrTooLong, but a small input does not pay for the long-line
+// buffer up front.
+func TestReadersLineLimit(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		read            func(io.Reader) (*Molecule, error)
+		head, pad, tail string
+	}{
+		{"xyzrq", ReadXYZRQ, "1 long\n", "#", "0 0 0 1.5 0.1\n"},
+		{"pqr", ReadPQR, "", "REMARK ", "ATOM      1  C   GLY A   1       0.000   0.000   0.000  0.1000 1.5000\n"},
+	} {
+		doc := func(lineBytes int) string {
+			return tc.head + tc.pad + strings.Repeat("x", lineBytes-len(tc.pad)-1) + "\n" + tc.tail
+		}
+		if m, err := tc.read(strings.NewReader(doc(900 << 10))); err != nil || m.NumAtoms() != 1 {
+			t.Errorf("%s: 900 KiB comment line: got (%v, %v), want one atom", tc.name, m, err)
+		}
+		if m, err := tc.read(strings.NewReader(doc(1<<20 + 1))); m != nil || !errors.Is(err, bufio.ErrTooLong) {
+			t.Errorf("%s: line over 1 MiB: got (%v, %v), want bufio.ErrTooLong", tc.name, m, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := tc.read(strings.NewReader(tc.head + tc.tail))
+		runtime.ReadMemStats(&after)
+		if err != nil || m.NumAtoms() != 1 {
+			t.Fatalf("%s: one-atom input: got (%v, %v)", tc.name, m, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<10 {
+			t.Errorf("%s: parsing one atom allocated %d KiB", tc.name, grew>>10)
+		}
 	}
 }
 

@@ -120,7 +120,7 @@ func TestAnalyzeEmptyAndSingleRank(t *testing.T) {
 	}
 }
 
-func buildSys(t *testing.T, n int) *gb.System {
+func buildSys(t testing.TB, n int) *gb.System {
 	t.Helper()
 	m := molecule.Globule("critpath", n, 7)
 	surf, err := surface.Build(m, surface.DefaultConfig())

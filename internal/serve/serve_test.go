@@ -385,3 +385,36 @@ func TestReadyzFlipsOnDrain(t *testing.T) {
 		t.Errorf("post-drain POST: %d %s", code, data)
 	}
 }
+
+// Two valid atoms 2·10⁴ Å apart used to end the whole process: the
+// worker's surface build asked for a 164 GB neighbour grid, and since the
+// job is durable a restarted daemon would re-queue it and die again. The
+// job must reach a terminal state, and the server must keep answering.
+func TestFarApartAtomsJobDoesNotKillServer(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const far = 9999.999
+	spec := MoleculeSpec{Name: "far", Atoms: []AtomSpec{
+		{X: -far, Y: -far, Z: -far, Radius: 1.5, Charge: 1},
+		{X: far, Y: far, Z: far, Radius: 1.5, Charge: -1},
+	}}
+	code, data := postJob(t, ts.URL, JobRequest{Molecule: spec})
+	if code != http.StatusAccepted {
+		t.Fatalf("POST status %d: %s", code, data)
+	}
+	var accepted JobView
+	if err := json.Unmarshal(data, &accepted); err != nil || accepted.ID == "" {
+		t.Fatalf("accepted view %s: %v", data, err)
+	}
+	awaitTerminal(t, ts.URL, accepted.ID)
+
+	code, data = postJob(t, ts.URL, JobRequest{Molecule: molSpec(testMol(50, 5))})
+	if code != http.StatusAccepted {
+		t.Fatalf("POST after the two-atom job: status %d: %s", code, data)
+	}
+	if err := json.Unmarshal(data, &accepted); err != nil || accepted.ID == "" {
+		t.Fatalf("accepted view %s: %v", data, err)
+	}
+	if view := awaitTerminal(t, ts.URL, accepted.ID); view.State != StateDone {
+		t.Errorf("next job ended %s, want %s", view.State, StateDone)
+	}
+}

@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"gbpolar/internal/geom"
 	"gbpolar/internal/molecule"
-	"gbpolar/internal/nblist"
-	"gbpolar/internal/quadrature"
 	"gbpolar/internal/sched"
 )
 
@@ -59,79 +56,21 @@ func BuildParallel(m *molecule.Molecule, cfg Config, pool *sched.Pool) (*Surface
 	if pool == nil || pool.NumWorkers() == 1 {
 		return Build(m, cfg)
 	}
-	cfg = cfg.withDefaults()
-	if cfg.IcoLevel < 0 || cfg.IcoLevel > 6 {
-		return nil, fmt.Errorf("surface: icosphere level %d out of range [0,6]", cfg.IcoLevel)
-	}
-	rule, err := quadrature.Dunavant(cfg.RuleDegree)
+	sp, err := newSampler(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	mesh := quadrature.Icosphere(cfg.IcoLevel)
-	corr := 4 * 3.141592653589793 / mesh.Area()
-	positions := m.Positions()
-	maxR := m.MaxRadius() + cfg.ProbeRadius
-	grid := nblist.NewCellGrid(positions, 2*maxR)
-
 	perAtom := make([][]QPoint, m.NumAtoms())
 	grain := m.NumAtoms()/(8*pool.NumWorkers()) + 1
 	pool.ParallelRange(m.NumAtoms(), grain, func(w *sched.Worker, lo, hi int) {
-		scaled := make([]geom.Vec3, len(mesh.Vertices))
-		var neighbors []int
-		var qbuf []quadrature.QuadPoint
-		// One grid visitor per chunk, not per atom (see Build).
-		var curI int
-		var curPos geom.Vec3
-		var curRAcc float64
-		collectNeighbors := func(j int) bool {
-			if j != curI {
-				rj := m.Atoms[j].Radius + cfg.ProbeRadius
-				if positions[j].Dist(curPos) < curRAcc+rj {
-					neighbors = append(neighbors, j)
-				}
-			}
-			return true
-		}
+		var sc scratch
 		for i := lo; i < hi; i++ {
-			a := m.Atoms[i]
-			rAcc := a.Radius + cfg.ProbeRadius
-			rVdW := a.Radius
-			neighbors = neighbors[:0]
-			curI, curPos, curRAcc = i, a.Pos, rAcc
-			grid.ForEachWithin(a.Pos, rAcc+maxR, collectNeighbors)
-			for vi, v := range mesh.Vertices {
-				scaled[vi] = a.Pos.Add(v.Scale(rVdW))
-			}
-			var pts []QPoint
-			for _, tr := range mesh.Triangles {
-				cen := mesh.Vertices[tr.A].Add(mesh.Vertices[tr.B]).Add(mesh.Vertices[tr.C]).Unit()
-				p := a.Pos.Add(cen.Scale(rAcc))
-				if buried(p, m, cfg.ProbeRadius, neighbors) {
-					continue
-				}
-				qbuf = rule.ForTriangle(qbuf[:0], scaled[tr.A], scaled[tr.B], scaled[tr.C])
-				for _, qp := range qbuf {
-					dir := qp.P.Sub(a.Pos).Unit()
-					//lint:ignore hotalloc exposed-patch count is data-dependent; worst-case preallocation would pin len(tris)*len(rule) points per atom
-					pts = append(pts, QPoint{
-						Pos:    a.Pos.Add(dir.Scale(rVdW)),
-						Normal: dir,
-						Weight: qp.W * corr,
-						Atom:   int32(i),
-					})
-				}
-			}
-			perAtom[i] = pts
+			perAtom[i] = sp.appendAtom(nil, i, &sc)
 		}
 	})
 	s := &Surface{}
 	for _, pts := range perAtom {
-		if len(pts) > 0 {
-			s.ExposedAtoms++
-		}
-		for _, q := range pts {
-			s.Area += q.Weight
-		}
+		s.tally(pts)
 		s.Points = append(s.Points, pts...)
 	}
 	return s, nil

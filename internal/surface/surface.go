@@ -80,6 +80,43 @@ func (c Config) withDefaults() Config {
 
 // Build samples the molecular surface of m under cfg.
 func Build(m *molecule.Molecule, cfg Config) (*Surface, error) {
+	sp, err := newSampler(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	var sc scratch
+	s := &Surface{}
+	for i := range m.Atoms {
+		n := len(s.Points)
+		s.Points = sp.appendAtom(s.Points, i, &sc)
+		s.tally(s.Points[n:])
+	}
+	return s, nil
+}
+
+// tally adds one atom's points, appended in order, to the totals.
+func (s *Surface) tally(pts []QPoint) {
+	if len(pts) > 0 {
+		s.ExposedAtoms++
+	}
+	for _, q := range pts {
+		s.Area += q.Weight
+	}
+}
+
+// sampler is one build's read-only state, shared by every atom.
+type sampler struct {
+	m     *molecule.Molecule
+	probe float64
+	maxR  float64 // largest accessibility radius
+	grid  *nblist.CellGrid
+	mesh  quadrature.SphereMesh
+	cens  []geom.Vec3 // unit triangle centres, one per mesh triangle
+	rule  quadrature.TriangleRule
+	corr  float64
+}
+
+func newSampler(m *molecule.Molecule, cfg Config) (*sampler, error) {
 	cfg = cfg.withDefaults()
 	if cfg.IcoLevel < 0 || cfg.IcoLevel > 6 {
 		return nil, fmt.Errorf("surface: icosphere level %d out of range [0,6]", cfg.IcoLevel)
@@ -89,86 +126,74 @@ func Build(m *molecule.Molecule, cfg Config) (*Surface, error) {
 		return nil, err
 	}
 	mesh := quadrature.Icosphere(cfg.IcoLevel)
+	cens := make([]geom.Vec3, len(mesh.Triangles))
+	for t, tr := range mesh.Triangles {
+		cens[t] = mesh.Vertices[tr.A].Add(mesh.Vertices[tr.B]).Add(mesh.Vertices[tr.C]).Unit()
+	}
+	maxR := m.MaxRadius() + cfg.ProbeRadius
 	// Spherical-area correction: the inscribed triangulation underestimates
 	// the sphere area by a constant factor at a given level; scaling the
 	// planar weights by 4π/meshArea makes a full sphere integrate exactly.
 	corr := 4 * 3.141592653589793 / mesh.Area()
-
-	positions := m.Positions()
-	maxR := m.MaxRadius() + cfg.ProbeRadius
-	grid := nblist.NewCellGrid(positions, 2*maxR)
-
-	s := &Surface{}
-	var scaled []geom.Vec3 // reused per atom: mesh vertices on the atom sphere
-	scaled = make([]geom.Vec3, len(mesh.Vertices))
-	var neighbors []int
-	var qbuf []quadrature.QuadPoint
-	// The grid visitor is hoisted out of the atom loop (one closure for
-	// the whole build, not one per atom); the per-atom state it needs is
-	// threaded through these locals.
-	var curI int
-	var curPos geom.Vec3
-	var curRAcc float64
-	collectNeighbors := func(j int) bool {
-		if j != curI {
-			rj := m.Atoms[j].Radius + cfg.ProbeRadius
-			if positions[j].Dist(curPos) < curRAcc+rj {
-				neighbors = append(neighbors, j)
-			}
-		}
-		return true
-	}
-	for i, a := range m.Atoms {
-		rAcc := a.Radius + cfg.ProbeRadius // accessibility (culling) radius
-		rVdW := a.Radius                   // integration radius
-		// Gather neighbors that could bury part of this sphere.
-		neighbors = neighbors[:0]
-		curI, curPos, curRAcc = i, a.Pos, rAcc
-		grid.ForEachWithin(a.Pos, rAcc+maxR, collectNeighbors)
-		for vi, v := range mesh.Vertices {
-			scaled[vi] = a.Pos.Add(v.Scale(rVdW))
-		}
-		exposedAny := false
-		for _, tr := range mesh.Triangles {
-			// Cull by the probe-inflated sphere: the patch contributes
-			// iff its center on the accessible sphere is outside every
-			// inflated neighbor.
-			cen := mesh.Vertices[tr.A].Add(mesh.Vertices[tr.B]).Add(mesh.Vertices[tr.C]).Unit()
-			p := a.Pos.Add(cen.Scale(rAcc))
-			if buried(p, m, cfg.ProbeRadius, neighbors) {
-				continue
-			}
-			exposedAny = true
-			qbuf = rule.ForTriangle(qbuf[:0], scaled[tr.A], scaled[tr.B], scaled[tr.C])
-			for _, qp := range qbuf {
-				// Project the quadrature point radially onto the vdW
-				// sphere so normals are exact; keep the (corrected)
-				// planar weight.
-				dir := qp.P.Sub(a.Pos).Unit()
-				w := qp.W * corr
-				s.Points = append(s.Points, QPoint{
-					Pos:    a.Pos.Add(dir.Scale(rVdW)),
-					Normal: dir,
-					Weight: w,
-					Atom:   int32(i),
-				})
-				s.Area += w
-			}
-		}
-		if exposedAny {
-			s.ExposedAtoms++
-		}
-	}
-	return s, nil
+	return &sampler{m: m, probe: cfg.ProbeRadius, maxR: maxR, grid: nblist.NewCellGrid(m.Positions(), 2*maxR),
+		mesh: mesh, cens: cens, rule: rule, corr: corr}, nil
 }
 
-// buried reports whether point p lies strictly inside any of the listed
-// neighbor atoms (radii expanded by probe).
-func buried(p geom.Vec3, m *molecule.Molecule, probe float64, neighbors []int) bool {
-	const tol = 1e-9
-	for _, j := range neighbors {
-		rj := m.Atoms[j].Radius + probe
-		if p.Dist2(m.Atoms[j].Pos) < (rj-tol)*(rj-tol) {
+// scratch is one goroutine's per-atom working memory.
+type scratch struct {
+	nb   []burier
+	qbuf []quadrature.QuadPoint
+}
+
+// burier is a neighbour that may bury part of an atom's sphere: its
+// centre and its squared probe-inflated radius less the burial tolerance.
+type burier struct {
+	pos geom.Vec3
+	r2  float64
+}
+
+// appendAtom appends atom i's quadrature points to dst: the rule's points
+// on every icosphere triangle whose centre, placed on the probe-inflated
+// sphere, lies outside every inflated neighbour. The points themselves lie
+// on the vdW sphere.
+func (sp *sampler) appendAtom(dst []QPoint, i int, sc *scratch) []QPoint {
+	a := sp.m.Atoms[i]
+	rAcc := a.Radius + sp.probe // accessibility (culling) radius
+	rVdW := a.Radius            // integration radius
+	sc.nb = sc.nb[:0]
+	sp.grid.ForEachWithin(a.Pos, rAcc+sp.maxR, func(j int) bool {
+		const tol = 1e-9
+		b := sp.m.Atoms[j]
+		if rj := b.Radius + sp.probe; j != i && b.Pos.Dist(a.Pos) < rAcc+rj {
+			sc.nb = append(sc.nb, burier{pos: b.Pos, r2: (rj - tol) * (rj - tol)})
+		}
+		return true
+	})
+	vs := sp.mesh.Vertices
+	for t, tr := range sp.mesh.Triangles {
+		if sc.covers(a.Pos.Add(sp.cens[t].Scale(rAcc))) {
+			continue
+		}
+		sc.qbuf = sp.rule.ForTriangle(sc.qbuf[:0],
+			a.Pos.Add(vs[tr.A].Scale(rVdW)), a.Pos.Add(vs[tr.B].Scale(rVdW)), a.Pos.Add(vs[tr.C].Scale(rVdW)))
+		for _, qp := range sc.qbuf {
+			// Project the quadrature point radially onto the vdW sphere
+			// so normals are exact; keep the (corrected) planar weight.
+			dir := qp.P.Sub(a.Pos).Unit()
+			dst = append(dst, QPoint{Pos: a.Pos.Add(dir.Scale(rVdW)), Normal: dir, Weight: qp.W * sp.corr, Atom: int32(i)})
+		}
+	}
+	return dst
+}
+
+// covers reports whether p lies strictly inside a gathered neighbour.
+// Burial is an any-test, so the neighbours' order cannot change the
+// answer; a neighbour that buries p moves to the front, because adjacent
+// triangles of an atom tend to be buried by the same neighbour.
+func (sc *scratch) covers(p geom.Vec3) bool {
+	for k, b := range sc.nb {
+		if p.Dist2(b.pos) < b.r2 {
+			sc.nb[0], sc.nb[k] = b, sc.nb[0]
 			return true
 		}
 	}

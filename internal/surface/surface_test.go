@@ -9,6 +9,7 @@ import (
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/molecule"
+	"gbpolar/internal/quadrature"
 	"gbpolar/internal/sched"
 )
 
@@ -277,39 +278,169 @@ func TestSurfacePositions(t *testing.T) {
 	}
 }
 
-func TestBuildParallelMatchesSerial(t *testing.T) {
-	m := molecule.Globule("p", 1500, 61)
-	serial, err := Build(m, DefaultConfig())
+// referenceBuild is the sampler at its plainest, the oracle Build must
+// match bit for bit: every other atom within reach of an atom's
+// accessible sphere is a neighbour, found by brute force in index order,
+// and each triangle centre is tested against the neighbours in that
+// order. The expressions are the sampler's, operand for operand.
+func referenceBuild(m *molecule.Molecule, cfg Config) (*Surface, error) {
+	cfg = cfg.withDefaults()
+	rule, err := quadrature.Dunavant(cfg.RuleDegree)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	pool := sched.New(4)
-	defer pool.Close()
-	par, err := BuildParallel(m, DefaultConfig(), pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.NumPoints() != serial.NumPoints() {
-		t.Fatalf("points: %d vs %d", par.NumPoints(), serial.NumPoints())
-	}
-	if math.Abs(par.Area-serial.Area) > 1e-9 {
-		t.Errorf("area: %v vs %v", par.Area, serial.Area)
-	}
-	if par.ExposedAtoms != serial.ExposedAtoms {
-		t.Errorf("exposed: %d vs %d", par.ExposedAtoms, serial.ExposedAtoms)
-	}
-	for i := range serial.Points {
-		if par.Points[i] != serial.Points[i] {
-			t.Fatalf("point %d differs", i)
+	mesh := quadrature.Icosphere(cfg.IcoLevel)
+	corr := 4 * 3.141592653589793 / mesh.Area()
+	s := &Surface{}
+	for i, a := range m.Atoms {
+		rAcc := a.Radius + cfg.ProbeRadius
+		var neighbors []int
+		for j, b := range m.Atoms {
+			rj := b.Radius + cfg.ProbeRadius
+			if j != i && b.Pos.Dist(a.Pos) < rAcc+rj {
+				neighbors = append(neighbors, j)
+			}
+		}
+		buried := func(p geom.Vec3) bool {
+			const tol = 1e-9
+			for _, j := range neighbors {
+				rj := m.Atoms[j].Radius + cfg.ProbeRadius
+				if p.Dist2(m.Atoms[j].Pos) < (rj-tol)*(rj-tol) {
+					return true
+				}
+			}
+			return false
+		}
+		exposed := false
+		for _, tr := range mesh.Triangles {
+			cen := mesh.Vertices[tr.A].Add(mesh.Vertices[tr.B]).Add(mesh.Vertices[tr.C]).Unit()
+			if buried(a.Pos.Add(cen.Scale(rAcc))) {
+				continue
+			}
+			exposed = true
+			vertex := func(k int) geom.Vec3 { return a.Pos.Add(mesh.Vertices[k].Scale(a.Radius)) }
+			for _, qp := range rule.ForTriangle(nil, vertex(tr.A), vertex(tr.B), vertex(tr.C)) {
+				dir := qp.P.Sub(a.Pos).Unit()
+				w := qp.W * corr
+				s.Points = append(s.Points, QPoint{Pos: a.Pos.Add(dir.Scale(a.Radius)), Normal: dir, Weight: w, Atom: int32(i)})
+				s.Area += w
+			}
+		}
+		if exposed {
+			s.ExposedAtoms++
 		}
 	}
-	// Nil pool falls back to the serial path.
-	fallback, err := BuildParallel(m, DefaultConfig(), nil)
+	return s, nil
+}
+
+// surfaceDiff describes the first difference between two surfaces,
+// comparing every float by its bits, or returns "" if they are identical.
+func surfaceDiff(got, want *Surface) string {
+	if len(got.Points) != len(want.Points) {
+		return fmt.Sprintf("%d points, want %d", len(got.Points), len(want.Points))
+	}
+	bits := func(q QPoint) [8]uint64 {
+		f := math.Float64bits
+		return [8]uint64{f(q.Pos.X), f(q.Pos.Y), f(q.Pos.Z), f(q.Normal.X), f(q.Normal.Y), f(q.Normal.Z), f(q.Weight), uint64(q.Atom)}
+	}
+	for i := range want.Points {
+		if bits(got.Points[i]) != bits(want.Points[i]) {
+			return fmt.Sprintf("point %d = %+v, want %+v", i, got.Points[i], want.Points[i])
+		}
+	}
+	if math.Float64bits(got.Area) != math.Float64bits(want.Area) {
+		return fmt.Sprintf("area %v, want %v", got.Area, want.Area)
+	}
+	if got.ExposedAtoms != want.ExposedAtoms {
+		return fmt.Sprintf("%d exposed atoms, want %d", got.ExposedAtoms, want.ExposedAtoms)
+	}
+	return ""
+}
+
+// referenceConfigs span the sampler's knobs: the default, a 3-point rule,
+// a finer mesh with plain vdW culling, and the icosahedron itself.
+var referenceConfigs = []Config{
+	DefaultConfig(),
+	{IcoLevel: 1, RuleDegree: 2, ProbeRadius: 1.4},
+	{IcoLevel: 2, RuleDegree: 1, ProbeRadius: 0},
+	{IcoLevel: 0, RuleDegree: 3, ProbeRadius: 1.4},
+}
+
+// Build, and BuildParallel at 2 and 4 workers, equal the reference
+// sampler bit for bit on the roster's small molecules under every
+// reference config, and on the 1,500-atom globule that pins BuildParallel
+// to Build.
+func TestBuildMatchesReference(t *testing.T) {
+	maxAtoms := 1200
+	if testing.Short() {
+		maxAtoms = 600
+	}
+	type input struct {
+		m   *molecule.Molecule
+		cfg Config
+	}
+	var inputs []input
+	for _, e := range molecule.ZDockRoster() {
+		if e.Atoms > maxAtoms {
+			break
+		}
+		m := molecule.ZDockMolecule(e)
+		for _, cfg := range referenceConfigs {
+			inputs = append(inputs, input{m, cfg})
+		}
+	}
+	inputs = append(inputs, input{molecule.Globule("p", 1500, 61), DefaultConfig()})
+	pools := []*sched.Pool{nil, sched.New(2), sched.New(4)} // nil falls back to Build
+	for _, pool := range pools[1:] {
+		defer pool.Close()
+	}
+	for _, in := range inputs {
+		want, err := referenceBuild(in.m, in.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Build(in.m, in.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := surfaceDiff(got, want); d != "" {
+			t.Fatalf("%s %+v: Build: %s", in.m.Name, in.cfg, d)
+		}
+		for _, pool := range pools {
+			got, err := BuildParallel(in.m, in.cfg, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := surfaceDiff(got, want); d != "" {
+				t.Fatalf("%s %+v: BuildParallel(%v): %s", in.m.Name, in.cfg, pool, d)
+			}
+		}
+	}
+}
+
+// Two valid atoms 2·10⁴ Å apart, as ReadPQR accepts them: sizing the
+// neighbour grid from their span asked for a 164 GB cell array and ended
+// the process (and gbd with it) with a fatal out-of-memory error. Each is
+// a free sphere.
+func TestBuildFarApartAtoms(t *testing.T) {
+	const far = 9999.999
+	m := &molecule.Molecule{Name: "far", Atoms: []molecule.Atom{
+		{Pos: geom.V(-far, -far, -far), Radius: 1.5, Charge: 1},
+		{Pos: geom.V(far, far, far), Radius: 1.5, Charge: -1},
+	}}
+	s, err := Build(m, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fallback.NumPoints() != serial.NumPoints() {
-		t.Error("nil-pool fallback differs")
+	if s.NumPoints() != 160 || s.ExposedAtoms != 2 {
+		t.Fatalf("%d points on %d exposed atoms, want 160 on 2", s.NumPoints(), s.ExposedAtoms)
+	}
+	want, err := referenceBuild(m, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := surfaceDiff(s, want); d != "" {
+		t.Fatal(d)
 	}
 }
 
