@@ -111,12 +111,15 @@ perfbench-selftest:
 # with and without Obs), the XYZRQ and PQR readers (a 20-atom globule,
 # 1PPE_l_b and a huge atom-count header), the network and storage
 # fault-plan grammars (the round-trip test plans and seeded Chaos plans),
-# the trace ingester (a two-rank run's Chrome trace and obs JSON export)
-# and the surface sampler (two atoms 2·10⁴ Å apart, a 20-atom globule and
-# the first 48 atoms of 1PPE_l_b). No input may panic or abort the
+# the trace ingester (a two-rank run's Chrome trace and obs JSON export),
+# the surface sampler (two atoms 2·10⁴ Å apart, a 20-atom globule and
+# the first 48 atoms of 1PPE_l_b) and serve's job-request decoder with
+# admission's validation (the serve tests' requests, a 2^40-thread
+# request and a persisted job record). No input may panic or abort the
 # process, and a failed decode returns no value. Any input the decoders
-# accept must reach a fixed point after one encode-decode round, and the
-# sampler must equal its brute-force reference bit for bit. Minimizing a
+# accept must reach a fixed point after one encode-decode round, the
+# sampler must equal its brute-force reference bit for bit, and an
+# admitted job request must be finite with no more threads than atoms. Minimizing a
 # new input is capped at 1 s (the default is 60 s) so the budget goes to
 # fuzzing.
 fuzz-short:
@@ -127,6 +130,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/fault/fs/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/obs/critpath/
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildSurface$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/surface/
+	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/serve/
 
 # check-race is the quick race pass: short mode skips the figure
 # sweeps, PB grid solves, and calibration probes (the numerics they

@@ -40,38 +40,37 @@ func (s *System) approxIntegralsAtomRange(a, q int32, lo, hi int32, acc *bornAcc
 	return ops
 }
 
-// approxEpolAtom computes one atom's interaction with the subtree under
-// node u, Barnes-Hut style (the atom is a point, so the far criterion
-// reduces to d > r_U·factor): the atom-based energy traversal. Returns the
-// raw Σ_j q_i q_j/f sum and the evaluation count.
-func (s *System) approxEpolAtom(ai int32, u int32, radii []float64, agg *epolAggregates,
+// approxEpolAtom computes the interaction of the atom at T_A item
+// position pos with the subtree under node u, Barnes-Hut style (the atom
+// is a point, so the far criterion reduces to d > r_U·factor): the
+// atom-based energy traversal. Returns the raw Σ_j q_i q_j/f sum and the
+// evaluation count.
+func (s *System) approxEpolAtom(pos int32, u int32, agg *epolAggregates,
 	factor float64, tally *pairTally) (float64, int64) {
 	un := &s.TA.Nodes[u]
-	pi := s.atomPos[ai]
-	qi := s.Mol.Atoms[ai].Charge
-	ri := radii[ai]
+	pi, qi, ri := s.atomRecs[pos].pos, s.atomRecs[pos].q, agg.radii[pos]
 	d := un.Center.Dist(pi)
 	approx := s.Params.Math == ApproxMath
 	if !un.Leaf && epolFar(d, un.Radius, 0, factor) {
 		return farClassSumAtom(agg, u, qi, ri, d, un.Center.Sub(pi), approx, tally)
 	}
 	if un.Leaf {
+		vr, vR := s.atomsOf(un, agg)
+		vR = vR[:len(vr)]
 		sum := 0.0
-		ops := int64(0)
-		for _, vi := range s.TA.ItemsOf(u) {
-			if vi == ai {
+		for b := range vr {
+			if un.Start+int32(b) == pos {
 				sum += qi * qi / ri
-				ops++
 				continue
 			}
-			r2 := pi.Dist2(s.atomPos[vi])
-			if qq, rr := qi*s.Mol.Atoms[vi].Charge, ri*radii[vi]; approx {
+			r2 := pi.Dist2(vr[b].pos)
+			if qq, rr := qi*vr[b].q, ri*vR[b]; approx {
 				sum += qq * invFGBApprox(r2, rr)
 			} else {
 				sum += qq * (1 / fGB(r2, rr))
 			}
-			ops++
 		}
+		ops := int64(len(vr))
 		tally.addNear(ops)
 		return sum, ops
 	}
@@ -79,7 +78,7 @@ func (s *System) approxEpolAtom(ai int32, u int32, radii []float64, agg *epolAgg
 	ops := int64(1)
 	for _, c := range un.Children {
 		if c != octree.NoChild {
-			cs, cops := s.approxEpolAtom(ai, c, radii, agg, factor, tally)
+			cs, cops := s.approxEpolAtom(pos, c, agg, factor, tally)
 			sum += cs
 			ops += cops
 		}

@@ -100,24 +100,23 @@ func (c *Complex) Epol(tr geom.Transform) (*PoseResult, error) {
 	ligAgg := lig.buildEpolAggregatesRange(res.LigBorn, rmin, rmax)
 
 	factor := rec.epolFactor()
+	// The shared radius range gives both aggregate sets one class count,
+	// so one far-kernel scratch serves all three interactions.
+	sc := newFarScratch(recAgg.M)
 	sum := 0.0
 	// rec–rec and lig–lig (ordered pairs within each molecule).
 	for _, v := range rec.aLeaves {
-		vs, vops := rec.approxEpol(rec.TA.Root(), v, res.RecBorn, recAgg, factor, wholeTree(rec.TA), nil)
+		vs, vops := rec.approxEpol(rec.TA.Root(), v, recAgg, sc, factor, wholeTree(rec.TA), nil)
 		sum += vs
 		res.Ops += vops
 	}
 	for _, v := range lig.aLeaves {
-		vs, vops := lig.approxEpol(lig.TA.Root(), v, res.LigBorn, ligAgg, factor, wholeTree(lig.TA), nil)
+		vs, vops := lig.approxEpol(lig.TA.Root(), v, ligAgg, sc, factor, wholeTree(lig.TA), nil)
 		sum += vs
 		res.Ops += vops
 	}
 	// rec–lig cross terms, counted twice (ordered-pair convention).
-	ep := &epolCrossPass{
-		u: rec, uAgg: recAgg, uRadii: res.RecBorn,
-		v: lig, vAgg: ligAgg, vRadii: res.LigBorn,
-		factor: factor,
-	}
+	ep := &epolCrossPass{u: rec, uAgg: recAgg, v: lig, vAgg: ligAgg, factor: factor, sc: sc}
 	for _, v := range lig.aLeaves {
 		vs, vops := ep.run(rec.TA.Root(), v)
 		sum += 2 * vs
@@ -137,8 +136,8 @@ func copyAccum(dst, src *bornAccum) {
 // moved returns the system rigidly moved by tr: positions, both trees and
 // the surface transformed in O(n) with no rebuild, and the surface moments
 // rotated with the pose. Node indices, leaf lists and Mol are shared with
-// s; the kernels read the moved positions from atomPos and the moved
-// surface, never from Mol.
+// s; the kernels read the moved positions from atomPos, the atom records
+// rebuilt from it and the moved surface, never from Mol.
 func (s *System) moved(tr geom.Transform) (*System, error) {
 	m := *s
 	m.atomPos = make([]geom.Vec3, len(s.atomPos))
@@ -149,6 +148,7 @@ func (s *System) moved(tr geom.Transform) (*System, error) {
 	if m.TA, err = s.TA.Transformed(tr, m.atomPos); err != nil {
 		return nil, err
 	}
+	m.atomRecs = m.records()
 	m.Surf = s.Surf.ApplyTransform(tr)
 	m.qPos = m.Surf.Positions()
 	if m.TQ, err = s.TQ.Transformed(tr, m.qPos); err != nil {

@@ -158,21 +158,22 @@ func (s *System) radiusPairs(P, seg int, radii []float64) []float64 {
 // Coverage matches the ring protocol: each ordered cross pair is
 // produced exactly once as long as every segment has exactly one owner.
 func (s *System) distSegEnergy(P, vSeg int, radiiFull []float64, rmin, rmax float64, ops *int64) float64 {
-	withRadii := func(seg int) (*System, []float64, *epolAggregates) {
+	withRadii := func(seg int) (*System, *epolAggregates) {
 		a := s.distAtomSeg(P, seg)
 		alo, ahi := segment(s.NumAtoms(), P, seg)
 		radii := make([]float64, 0, ahi-alo)
 		for _, ai := range s.TA.Items[alo:ahi] {
 			radii = append(radii, radiiFull[ai])
 		}
-		return a, radii, a.buildEpolAggregatesRange(radii, rmin, rmax)
+		return a, a.buildEpolAggregatesRange(radii, rmin, rmax)
 	}
-	v, vRadii, vAgg := withRadii(vSeg)
-	partial := segEpol(0, ops, v, vRadii, vAgg, v, vRadii, vAgg)
+	v, vAgg := withRadii(vSeg)
+	sc := newFarScratch(vAgg.M)
+	partial := segEpol(0, ops, sc, v, vAgg, v, vAgg)
 	for u := 0; u < P; u++ {
 		if u != vSeg {
-			us, uRadii, uAgg := withRadii(u)
-			partial = segEpol(partial, ops, us, uRadii, uAgg, v, vRadii, vAgg)
+			us, uAgg := withRadii(u)
+			partial = segEpol(partial, ops, sc, us, uAgg, v, vAgg)
 		}
 	}
 	return partial
@@ -182,15 +183,15 @@ func (s *System) distSegEnergy(P, vSeg int, radiiFull []float64, rmin, rmax floa
 // sum over the ordered pairs (atom of u, atom of v) of two atom segments
 // whose aggregates share one radius range: the own-pass recursion
 // approxEpol when u is v, the two-tree epolCrossPass otherwise.
-func segEpol(partial float64, ops *int64, u *System, uRadii []float64, uAgg *epolAggregates,
-	v *System, vRadii []float64, vAgg *epolAggregates) float64 {
+func segEpol(partial float64, ops *int64, sc *farScratch, u *System, uAgg *epolAggregates,
+	v *System, vAgg *epolAggregates) float64 {
 	factor := v.epolFactor()
-	ep := &epolCrossPass{u: u, uAgg: uAgg, uRadii: uRadii, v: v, vAgg: vAgg, vRadii: vRadii, factor: factor}
+	ep := &epolCrossPass{u: u, uAgg: uAgg, v: v, vAgg: vAgg, factor: factor, sc: sc}
 	for _, l := range v.aLeaves {
 		var ls float64
 		var lops int64
 		if u == v {
-			ls, lops = v.approxEpol(v.TA.Root(), l, vRadii, vAgg, factor, wholeTree(v.TA), nil)
+			ls, lops = v.approxEpol(v.TA.Root(), l, vAgg, sc, factor, wholeTree(v.TA), nil)
 		} else {
 			ls, lops = ep.run(u.TA.Root(), l)
 		}
@@ -416,8 +417,9 @@ func (s *System) runDistData(P int, cfg *FaultConfig) (*Result, error) {
 		if !ft {
 			ownAEnc := encodeA(aseg, radii)
 			ownAgg := aseg.buildEpolAggregatesRange(radii, rmin, rmax)
+			sc := newFarScratch(ownAgg.M)
 			// Own × own (ordered pairs within the segment).
-			partial := segEpol(0, &perCoreOps[rank], aseg, radii, ownAgg, aseg, radii, ownAgg)
+			partial := segEpol(0, &perCoreOps[rank], sc, aseg, ownAgg, aseg, ownAgg)
 			// Own × every remote segment: each rank computes the ordered
 			// pairs (remote atom, own atom) with U the remote tree and V its
 			// own leaves; over all ranks every cross ordered pair is counted
@@ -436,7 +438,7 @@ func (s *System) runDistData(P int, cfg *FaultConfig) (*Result, error) {
 				}
 				remote, remRadii := s.decodeA(data)
 				remAgg := remote.buildEpolAggregatesRange(remRadii, rmin, rmax)
-				partial = segEpol(partial, &perCoreOps[rank], remote, remRadii, remAgg, aseg, radii, ownAgg)
+				partial = segEpol(partial, &perCoreOps[rank], sc, remote, remAgg, aseg, ownAgg)
 			}
 			sum, err := c.Allreduce([]float64{partial}, simmpi.Sum)
 			if err != nil {

@@ -115,12 +115,18 @@ func balancePool(ops []int64) []int64 {
 	return out
 }
 
-// validateLayout rejects a layout with more ranks than work items up
-// front with a descriptive error instead of producing empty segments
-// downstream. dispatch has already made P and p at least one.
-func (s *System) validateLayout(P int) error {
-	if P > s.NumAtoms() {
-		return fmt.Errorf("gb: invalid layout: P=%d exceeds the %d atoms (at most one atom per rank segment)", P, s.NumAtoms())
+// validateLayout rejects a layout with more ranks, or more cores, than
+// work items up front with a descriptive error instead of producing empty
+// segments downstream, and before anything P·p-sized is allocated.
+// dispatch has already made P and p at least one.
+func (s *System) validateLayout(P, p int) error {
+	n := s.NumAtoms()
+	if P > n {
+		return fmt.Errorf("gb: invalid layout: P=%d exceeds the %d atoms (at most one atom per rank segment)", P, n)
+	}
+	// P·p > n, tested without forming the product, which can overflow.
+	if p > n/P {
+		return fmt.Errorf("gb: invalid layout: P×p = %d×%d cores exceed the %d atoms (at least one atom per core)", P, p, n)
 	}
 	if s.Params.Division == NodeNode {
 		if n := len(s.qLeaves); P > n {
@@ -158,7 +164,7 @@ func (s *System) validateLayout(P int) error {
 // phase as usual).
 func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 	cfg, rec, sink, resume := spec.Faults, spec.Obs, spec.Checkpoint, spec.Resume
-	if err := s.validateLayout(P); err != nil {
+	if err := s.validateLayout(P, p); err != nil {
 		return nil, err
 	}
 	sw := perf.StartTimer()
@@ -501,6 +507,12 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 			agg = s.buildEpolAggregates(radii)
 		}
 		factor := s.epolFactor()
+		// One far-kernel scratch per worker, reused by every far pair of
+		// the energy phase (DESIGN.md §16).
+		scratch := make([]*farScratch, p)
+		for w := range scratch {
+			scratch[w] = newFarScratch(agg.M)
+		}
 		energy := 0.0
 		degraded := false
 		bound := 0.0
@@ -527,7 +539,7 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 						sum := 0.0
 						ops := int64(0)
 						for _, v := range s.aLeaves[lo+i0 : lo+i1] {
-							vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, factor, own, &part.tally)
+							vs, vops := s.approxEpol(s.TA.Root(), v, agg, scratch[worker], factor, own, &part.tally)
 							sum += vs
 							ops += vops
 						}
@@ -543,8 +555,7 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 						sum := 0.0
 						ops := int64(0)
 						for pos := alo + i0; pos < alo+i1; pos++ {
-							ai := s.TA.Items[pos]
-							vs, vops := s.approxEpolAtom(ai, s.TA.Root(), radii, agg, factor, &part.tally)
+							vs, vops := s.approxEpolAtom(int32(pos), s.TA.Root(), agg, factor, &part.tally)
 							sum += vs
 							ops += vops
 						}

@@ -39,8 +39,9 @@ func (s *System) NaiveEpol(radii []float64) (float64, int64) {
 type epolAggregates struct {
 	M       int       // number of classes: ceil(log_{1+ε}(Rmax/Rmin)), ≥ 1
 	Rmin    float64   //
+	logBase float64   // log(1+ε) of the realized bin width
 	powR    []float64 // powR[k] = Rmin²·(1+ε)^(k+1) for k ∈ [0, 2M)
-	classOf []int     // per-atom class (original index)
+	radii   []float64 // per-atom Born radius, in T_A item order
 	off     []int     // per-node entry offsets, NumNodes+1 of them
 	cls     []uint8   // class index per entry (M ≤ maxEpolClasses ≤ 256)
 	q       []float64 // class charge Q_U[k] per entry
@@ -59,6 +60,15 @@ type epolAggregates struct {
 	// center): the second-order moment of the p=2 far field. Nil below
 	// OrderQuadrupole.
 	quad []geom.Mat3
+}
+
+// class returns the Born-radius class of radius r.
+func (agg *epolAggregates) class(r float64) int {
+	k := 0
+	if r > agg.Rmin {
+		k = int(math.Log(r/agg.Rmin) / agg.logBase)
+	}
+	return min(k, agg.M-1)
 }
 
 // maxEpolClasses caps the histogram width: below the corresponding bin
@@ -109,25 +119,18 @@ func (s *System) buildEpolAggregatesRange(radii []float64, rmin, rmax float64) *
 			epsBin = math.Expm1(math.Log(rmax/rmin) / (maxEpolClasses - 1))
 		}
 	}
-	logBase := math.Log1p(epsBin)
+	agg.logBase = math.Log1p(epsBin)
 	if rmax <= rmin {
 		agg.M = 1
 	} else {
-		agg.M = int(math.Ceil(math.Log(rmax/rmin)/logBase)) + 1
+		agg.M = int(math.Ceil(math.Log(rmax/rmin)/agg.logBase)) + 1
 		if agg.M > maxEpolClasses {
 			agg.M = maxEpolClasses
 		}
 	}
-	agg.classOf = make([]int, len(radii))
-	for i, r := range radii {
-		k := 0
-		if r > rmin {
-			k = int(math.Log(r/rmin) / logBase)
-		}
-		if k >= agg.M {
-			k = agg.M - 1
-		}
-		agg.classOf[i] = k
+	agg.radii = make([]float64, len(s.TA.Items))
+	for k, ai := range s.TA.Items {
+		agg.radii[k] = radii[ai]
 	}
 	// powR[k] = Rmin²(1+ε)^(k+1): the class-product representative at the
 	// geometric middle of its cell (a pair (i, j) has true R_iR_j in
@@ -147,8 +150,8 @@ func (s *System) buildEpolAggregatesRange(radii []float64, rmin, rmax float64) *
 	for i := len(nodes) - 1; i >= 0; i-- {
 		set := &sets[i]
 		if nodes[i].Leaf {
-			for _, ai := range s.TA.ItemsOf(int32(i)) {
-				k := agg.classOf[ai]
+			for _, r := range agg.radii[nodes[i].Start:nodes[i].End] {
+				k := agg.class(r)
 				set[k>>6] |= 1 << (k & 63)
 			}
 		} else {
@@ -180,13 +183,14 @@ func (s *System) buildEpolAggregatesRange(radii []float64, rmin, rmax float64) *
 		n := &nodes[i]
 		base := agg.off[i]
 		if n.Leaf {
-			for _, ai := range s.TA.ItemsOf(int32(i)) {
-				e := base + classRank(&sets[i], agg.classOf[ai])
-				q := s.Mol.Atoms[ai].Charge
+			recs, rs := s.atomsOf(n, agg)
+			for k, r := range recs {
+				e := base + classRank(&sets[i], agg.class(rs[k]))
+				q := r.q
 				agg.q[e] += q
-				agg.dip[e] = agg.dip[e].Add(s.atomPos[ai].Sub(n.Center).Scale(q))
+				agg.dip[e] = agg.dip[e].Add(r.pos.Sub(n.Center).Scale(q))
 				if agg.quad != nil {
-					m := s.atomPos[ai].Sub(n.Center)
+					m := r.pos.Sub(n.Center)
 					addOuter(&agg.quad[e], m.Scale(q), m)
 				}
 			}
@@ -321,7 +325,7 @@ func (s *System) epolReaches(t, l int32, factor float64) bool {
 // by one side only (×2), so only the sum over all of own's targets is
 // Fig. 3's. Returns (sum, interaction evaluations); the count is always
 // the ordered pairs', skipped leaves included.
-func (s *System) approxEpol(u, v int32, radii []float64, agg *epolAggregates,
+func (s *System) approxEpol(u, v int32, agg *epolAggregates, sc *farScratch,
 	factor float64, own leafSpan, tally *pairTally) (float64, int64) {
 	un := &s.TA.Nodes[u]
 	vn := &s.TA.Nodes[v]
@@ -334,16 +338,13 @@ func (s *System) approxEpol(u, v int32, radii []float64, agg *epolAggregates,
 	// while still close on the f_GB scale √(R_iR_j), where binned radii
 	// misprice the kernel.
 	if u != v && !un.Leaf && epolFar(d, un.Radius, vn.Radius, factor) {
-		return farClassSum(agg, u, agg, v, d, vn.Center.Sub(un.Center), approx, tally)
+		return farClassSum(agg, u, agg, v, d, vn.Center.Sub(un.Center), approx, sc, tally)
 	}
 	if un.Leaf {
 		// Exact: f_GB is symmetric, so U == V sums i < j ×2 plus the
 		// self terms q_i²/R_i, and a mutually near U ≠ V in own is summed
-		// ×2 by the larger index and skipped by the smaller. The exact
-		// term is written out so fGB inlines into the loop.
-		uItems := s.TA.ItemsOf(u)
-		vItems := s.TA.ItemsOf(v)
-		ops := int64(len(uItems)) * int64(len(vItems))
+		// ×2 by the larger index and skipped by the smaller.
+		ops := int64(un.Count()) * int64(vn.Count())
 		tally.addNear(ops)
 		weight := 1.0
 		if u == v {
@@ -354,35 +355,84 @@ func (s *System) approxEpol(u, v int32, radii []float64, agg *epolAggregates,
 			}
 			weight = 2
 		}
-		sum, self := 0.0, 0.0
-		for a, ui := range uItems {
-			qi, pi, ri := s.Mol.Atoms[ui].Charge, s.atomPos[ui], radii[ui]
-			vs := vItems
-			if u == v {
-				self += qi * qi / ri
-				vs = vItems[a+1:]
-			}
-			for _, vi := range vs {
-				r2 := pi.Dist2(s.atomPos[vi])
-				if qq, rr := qi*s.Mol.Atoms[vi].Charge, ri*radii[vi]; approx {
-					sum += qq * invFGBApprox(r2, rr)
-				} else {
-					sum += qq * (1 / fGB(r2, rr))
-				}
-			}
-		}
+		ur, uR := s.atomsOf(un, agg)
+		vr, vR := s.atomsOf(vn, agg)
+		sum, self := nearSum(ur, uR, vr, vR, u == v, approx)
 		return self + weight*sum, ops
 	}
 	sum := 0.0
 	ops := int64(1)
 	for _, c := range un.Children {
 		if c != octree.NoChild {
-			cs, cops := s.approxEpol(c, v, radii, agg, factor, own, tally)
+			cs, cops := s.approxEpol(c, v, agg, sc, factor, own, tally)
 			sum += cs
 			ops += cops
 		}
 	}
 	return sum, ops
+}
+
+// nearSum is the exact near field between two leaves: Σ q_u q_v / f_GB
+// over the atom records ur × vr with Born radii uR, vR (contiguous, in
+// T_A item order). With same set, ur and vr are one leaf: only the pairs
+// i < j are summed and self returns Σ q_i²/R_i. The math mode is decided
+// per row, outside the inner loop, and the exact term is written out so
+// fGB inlines into it.
+func nearSum(ur []atomRec, uR []float64, vr []atomRec, vR []float64, same, approx bool) (sum, self float64) {
+	uR = uR[:len(ur)]
+	for a := range ur {
+		qi, pi, ri := ur[a].q, ur[a].pos, uR[a]
+		vs, vsR := vr, vR
+		if same {
+			self += qi * qi / ri
+			vs, vsR = vr[a+1:], vR[a+1:]
+		}
+		vsR = vsR[:len(vs)]
+		if approx {
+			for b := range vs {
+				r2 := pi.Dist2(vs[b].pos)
+				sum += qi * vs[b].q * invFGBApprox(r2, ri*vsR[b])
+			}
+			continue
+		}
+		for b := range vs {
+			r2 := pi.Dist2(vs[b].pos)
+			sum += qi * vs[b].q * (1 / fGB(r2, ri*vsR[b]))
+		}
+	}
+	return sum, self
+}
+
+// farScratch is one worker's far-kernel scratch, sized once per energy
+// round by the class count M and overwritten by every far pair: g holds
+// the kernel at each class sum (2M entries), v the target node's class
+// moments along d̂ (at most M entries).
+type farScratch struct {
+	g []farKernel
+	v []farTarget
+}
+
+// farKernel is g(d) = 1/f_GB(d; t) and the derivatives the expansion
+// order needs, at the class-sum representative t = powR[i+j]; e is
+// exp(−d²/4t), which the derivatives reuse.
+type farKernel struct {
+	e    float64
+	invF float64 // g(d)
+	gp   float64 // g′(d), p ≥ 1
+	gpp  float64 // g″(d), p = 2
+	hgd  float64 // ½g′(d)/d, p = 2
+}
+
+// farTarget is one class of the target node V: Q_V, d̂·D_V, and at p = 2
+// d̂ᵀK_Vd̂ and tr K_V; skip marks moments that vanish along d̂.
+type farTarget struct {
+	cls           int
+	q, dv, kd, tr float64
+	skip          bool
+}
+
+func newFarScratch(M int) *farScratch {
+	return &farScratch{g: make([]farKernel, 2*M), v: make([]farTarget, M)}
 }
 
 // farClassSum evaluates the far-field interaction of node U of aggregate
@@ -399,17 +449,72 @@ func (s *System) approxEpol(u, v int32, radii []float64, agg *epolAggregates,
 // where the second-moment contractions come from the class quadrupoles:
 // ⟨(d̂·δ)²⟩ = Q_U·d̂ᵀK_Vd̂ − 2(d̂·D_U)(d̂·D_V) + d̂ᵀK_Ud̂·Q_V and
 // ⟨|δ|²⟩ = Q_U·tr K_V − 2 D_U·D_V + tr K_U·Q_V. Classes whose moments
-// vanish along d̂ are skipped and not counted. Returns (raw sum,
+// vanish along d̂ are skipped and not counted. The kernel depends on a
+// class pair only through i + j, so g and its derivatives are evaluated
+// once per class sum into sc (DESIGN.md §16). Returns (raw sum,
 // evaluations).
 func farClassSum(ua *epolAggregates, u int32, va *epolAggregates, v int32,
-	d float64, dvec geom.Vec3, approx bool, tally *pairTally) (float64, int64) {
+	d float64, dvec geom.Vec3, approx bool, sc *farScratch, tally *pairTally) (float64, int64) {
 	r2 := d * d
 	dhat := dvec.Scale(1 / d)
 	ord := ua.order
+	ulo, uhi := ua.off[u], ua.off[u+1]
+	vlo, vhi := va.off[v], va.off[v+1]
+	// The kernel at every class sum of the span, in two passes: e and g
+	// in a loop per math mode, then the derivatives the order needs.
+	tab := sc.g
+	klo, khi := int(ua.cls[ulo])+int(va.cls[vlo]), int(ua.cls[uhi-1])+int(va.cls[vhi-1])
+	g, pw := tab[klo:khi+1], ua.powR[klo:khi+1]
+	g = g[:len(pw)]
+	if approx {
+		for k, t := range pw {
+			e := fastExp(-r2 / (4 * t))
+			g[k].e, g[k].invF = e, fastInvSqrt(r2+t*e)
+		}
+	} else {
+		for k, t := range pw {
+			e := math.Exp(-r2 / (4 * t))
+			g[k].e, g[k].invF = e, 1/math.Sqrt(r2+t*e)
+		}
+	}
+	if ord >= OrderDipole {
+		for k := range g {
+			gk := &g[k]
+			e, invF := gk.e, gk.invF
+			// g'(d) = −d·(1 − e/4)/f³.
+			gk.gp = -d * (1 - e/4) * invF * invF * invF
+			if ord == OrderQuadrupole {
+				// g″(d) = ¾u'²/f⁵ − ½u″/f³ with u = f², u' = 2d(1−e/4),
+				// u″ = 2(1−e/4) + (r²/4t)e.
+				t := pw[k]
+				up := 2 * d * (1 - e/4)
+				upp := 2*(1-e/4) + (r2/(4*t))*e
+				invF3 := invF * invF * invF
+				gk.gpp = 0.75*up*up*invF3*invF*invF - 0.5*upp*invF3
+				gk.hgd = 0.5 * gk.gp / d
+			}
+		}
+	}
+	vt := sc.v[:vhi-vlo]
+	for b := range vt {
+		c := &vt[b]
+		c.cls = int(va.cls[vlo+b])
+		c.q = va.q[vlo+b]
+		c.dv = 0
+		if ord >= OrderDipole {
+			c.dv = dhat.Dot(va.dip[vlo+b])
+		}
+		c.skip = c.q == 0 && c.dv == 0 &&
+			(ord != OrderQuadrupole || va.quad[vlo+b] == (geom.Mat3{}))
+		if ord == OrderQuadrupole {
+			kv := &va.quad[vlo+b]
+			c.kd = dhat.Dot(kv.MulVec(dhat))
+			c.tr = kv[0] + kv[4] + kv[8]
+		}
+	}
 	sum := 0.0
 	ops := int64(0)
-	vlo, vhi := va.off[v], va.off[v+1]
-	for a := ua.off[u]; a < ua.off[u+1]; a++ {
+	for a := ulo; a < uhi; a++ {
 		i := int(ua.cls[a])
 		qu := ua.q[a]
 		var du float64
@@ -422,53 +527,29 @@ func farClassSum(ua *epolAggregates, u int32, va *epolAggregates, v int32,
 			(ord != OrderQuadrupole || ua.quad[a] == (geom.Mat3{})) {
 			continue
 		}
-		for b := vlo; b < vhi; b++ {
-			qv := va.q[b]
-			var dv float64
-			var dipV geom.Vec3
-			if ord >= OrderDipole {
-				dipV = va.dip[b]
-				dv = dhat.Dot(dipV)
-			}
-			if qv == 0 && dv == 0 &&
-				(ord != OrderQuadrupole || va.quad[b] == (geom.Mat3{})) {
+		var kdU, trU float64
+		if ord == OrderQuadrupole {
+			ku := &ua.quad[a]
+			kdU = dhat.Dot(ku.MulVec(dhat))
+			trU = ku[0] + ku[4] + ku[8]
+		}
+		for b := range vt {
+			c := &vt[b]
+			if c.skip {
 				continue
-			}
-			t := ua.powR[i+int(va.cls[b])]
-			var e float64
-			if approx {
-				e = fastExp(-r2 / (4 * t))
-			} else {
-				e = math.Exp(-r2 / (4 * t))
-			}
-			f2 := r2 + t*e
-			var invF float64
-			if approx {
-				invF = fastInvSqrt(f2)
-			} else {
-				invF = 1 / math.Sqrt(f2)
-			}
-			if ord == OrderMonopole {
-				sum += qu * qv * invF
-				ops++
-				continue
-			}
-			// g'(d) = −d·(1 − e/4)/f³.
-			gp := -d * (1 - e/4) * invF * invF * invF
-			sum += qu*qv*invF + gp*(qu*dv-du*qv)
-			if ord == OrderQuadrupole {
-				// g″(d) = ¾u'²/f⁵ − ½u″/f³ with u = f², u' = 2d(1−e/4),
-				// u″ = 2(1−e/4) + (r²/4t)e.
-				up := 2 * d * (1 - e/4)
-				upp := 2*(1-e/4) + (r2/(4*t))*e
-				invF3 := invF * invF * invF
-				gpp := 0.75*up*up*invF3*invF*invF - 0.5*upp*invF3
-				ku, kv := &ua.quad[a], &va.quad[b]
-				a2 := qu*dhat.Dot(kv.MulVec(dhat)) - 2*du*dv + dhat.Dot(ku.MulVec(dhat))*qv
-				b2 := qu*(kv[0]+kv[4]+kv[8]) - 2*dipU.Dot(dipV) + (ku[0]+ku[4]+ku[8])*qv
-				sum += 0.5*gpp*a2 + (0.5*gp/d)*(b2-a2)
 			}
 			ops++
+			gk := &tab[i+c.cls]
+			if ord == OrderMonopole {
+				sum += qu * c.q * gk.invF
+				continue
+			}
+			sum += qu*c.q*gk.invF + gk.gp*(qu*c.dv-du*c.q)
+			if ord == OrderQuadrupole {
+				a2 := qu*c.kd - 2*du*c.dv + kdU*c.q
+				b2 := qu*c.tr - 2*dipU.Dot(va.dip[vlo+b]) + trU*c.q
+				sum += 0.5*gk.gpp*a2 + gk.hgd*(b2-a2)
+			}
 		}
 	}
 	if ops == 0 {
@@ -479,15 +560,15 @@ func farClassSum(ua *epolAggregates, u int32, va *epolAggregates, v int32,
 }
 
 // epolCrossPass is APPROX-Epol between two different atom trees: node u
-// descends system u's tree against leaf v of system v's tree.
+// descends system u's tree against leaf v of system v's tree. The two
+// aggregate sets share one radius range, so one scratch serves both.
 type epolCrossPass struct {
 	u      *System
 	uAgg   *epolAggregates
-	uRadii []float64
 	v      *System
 	vAgg   *epolAggregates
-	vRadii []float64
 	factor float64
+	sc     *farScratch
 }
 
 func (ep *epolCrossPass) run(u, v int32) (float64, int64) {
@@ -496,24 +577,13 @@ func (ep *epolCrossPass) run(u, v int32) (float64, int64) {
 	d := un.Center.Dist(vn.Center)
 	approx := ep.u.Params.Math == ApproxMath
 	if !un.Leaf && epolFar(d, un.Radius, vn.Radius, ep.factor) {
-		return farClassSum(ep.uAgg, u, ep.vAgg, v, d, vn.Center.Sub(un.Center), approx, nil)
+		return farClassSum(ep.uAgg, u, ep.vAgg, v, d, vn.Center.Sub(un.Center), approx, ep.sc, nil)
 	}
 	if un.Leaf {
-		sum := 0.0
-		ops := int64(0)
-		for _, ui := range ep.u.TA.ItemsOf(u) {
-			qi, pi, ri := ep.u.Mol.Atoms[ui].Charge, ep.u.atomPos[ui], ep.uRadii[ui]
-			for _, vi := range ep.v.TA.ItemsOf(v) {
-				r2 := pi.Dist2(ep.v.atomPos[vi])
-				if qq, rr := qi*ep.v.Mol.Atoms[vi].Charge, ri*ep.vRadii[vi]; approx {
-					sum += qq * invFGBApprox(r2, rr)
-				} else {
-					sum += qq * (1 / fGB(r2, rr))
-				}
-				ops++
-			}
-		}
-		return sum, ops
+		ur, uR := ep.u.atomsOf(un, ep.uAgg)
+		vr, vR := ep.v.atomsOf(vn, ep.vAgg)
+		sum, _ := nearSum(ur, uR, vr, vR, false, approx)
+		return sum, int64(un.Count()) * int64(vn.Count())
 	}
 	sum := 0.0
 	ops := int64(1)
@@ -532,11 +602,12 @@ func (ep *epolCrossPass) run(u, v int32) (float64, int64) {
 // by −τκ/2. Returns the energy in kcal/mol and the interaction count.
 func (s *System) Epol(radii []float64) (float64, int64) {
 	agg := s.buildEpolAggregates(radii)
+	sc := newFarScratch(agg.M)
 	factor, own := s.epolFactor(), wholeTree(s.TA)
 	sum := 0.0
 	ops := int64(0)
 	for _, v := range s.aLeaves {
-		vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, factor, own, nil)
+		vs, vops := s.approxEpol(s.TA.Root(), v, agg, sc, factor, own, nil)
 		sum += vs
 		ops += vops
 	}

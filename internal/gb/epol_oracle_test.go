@@ -13,7 +13,11 @@ import (
 // This file keeps the dense NumNodes·M class layout of APPROX-Epol as an
 // oracle: the sparse aggregates must hold exactly its nonzero slots,
 // bitwise, every far-field sum and traversal op count must reproduce it,
-// and the whole-tree traversal sum must match it to rounding.
+// and the whole-tree traversal sum must match it to rounding. Its
+// per-class-pair far sweep (denseFarClassSum) and the original-index near
+// loop (refNearSum) are also the references that pin the production
+// kernels, the once-per-class-sum far kernel and the near loop over
+// tree-ordered records, bit for bit.
 
 // denseAggregates is the dense layout: slot node*M + k of every array
 // holds class k of that node, present or not.
@@ -26,8 +30,9 @@ type denseAggregates struct {
 }
 
 // buildDenseAggregates is the dense bottom-up build over the class
-// assignment of agg (M, classOf and powR are layout-independent).
-func buildDenseAggregates(s *System, agg *epolAggregates) *denseAggregates {
+// assignment of agg (M, the class map and powR are layout-independent),
+// reading atoms by original index: radii, Mol and atomPos.
+func buildDenseAggregates(s *System, radii []float64, agg *epolAggregates) *denseAggregates {
 	n := s.TA.NumNodes()
 	da := &denseAggregates{M: agg.M, powR: agg.powR,
 		hist: make([]float64, n*agg.M), dip: make([]geom.Vec3, n*agg.M)}
@@ -39,7 +44,7 @@ func buildDenseAggregates(s *System, agg *epolAggregates) *denseAggregates {
 		base := i * da.M
 		if nd.Leaf {
 			for _, ai := range s.TA.ItemsOf(int32(i)) {
-				k := agg.classOf[ai]
+				k := agg.class(radii[ai])
 				q := s.Mol.Atoms[ai].Charge
 				da.hist[base+k] += q
 				da.dip[base+k] = da.dip[base+k].Add(s.atomPos[ai].Sub(nd.Center).Scale(q))
@@ -78,7 +83,8 @@ func buildDenseAggregates(s *System, agg *epolAggregates) *denseAggregates {
 }
 
 // denseFarClassSum is the dense sweep of farClassSum: every class pair,
-// empty ones skipped by the same zero test.
+// empty ones skipped by the same zero test, with the kernel evaluated
+// per class pair.
 func denseFarClassSum(ua *denseAggregates, u int32, va *denseAggregates, v int32,
 	d float64, dvec geom.Vec3, ord int, approx bool) (float64, int64) {
 	r2 := d * d
@@ -202,6 +208,46 @@ func denseFarClassSumAtom(da *denseAggregates, u int32, qi, ri, d float64, dvec 
 	return sum, ops
 }
 
+// refNearSum is the exact leaf-pair loop over original atom indices:
+// charges from Mol, positions from atomPos, radii by atom index. With
+// same set, un and vn are one leaf: i < j pairs only, plus the self
+// terms returned separately. nearSum must match it bit for bit.
+func refNearSum(u *System, un int32, uRadii []float64, v *System, vn int32, vRadii []float64,
+	same, approx bool) (sum, self float64) {
+	uItems, vItems := u.TA.ItemsOf(un), v.TA.ItemsOf(vn)
+	for a, ui := range uItems {
+		qi, pi, ri := u.Mol.Atoms[ui].Charge, u.atomPos[ui], uRadii[ui]
+		vs := vItems
+		if same {
+			self += qi * qi / ri
+			vs = vItems[a+1:]
+		}
+		for _, vi := range vs {
+			r2 := pi.Dist2(v.atomPos[vi])
+			if qq, rr := qi*v.Mol.Atoms[vi].Charge, ri*vRadii[vi]; approx {
+				sum += qq * invFGBApprox(r2, rr)
+			} else {
+				sum += qq * (1 / fGB(r2, rr))
+			}
+		}
+	}
+	return sum, self
+}
+
+// checkNearPair asserts that nearSum over the records of leaves (un, vn)
+// reproduces refNearSum's (sum, self) bitwise.
+func checkNearPair(t *testing.T, u *System, un int32, uAgg *epolAggregates, uRadii []float64,
+	v *System, vn int32, vAgg *epolAggregates, vRadii []float64, same, approx bool) {
+	t.Helper()
+	ur, uR := u.atomsOf(&u.TA.Nodes[un], uAgg)
+	vr, vR := v.atomsOf(&v.TA.Nodes[vn], vAgg)
+	gs, gself := nearSum(ur, uR, vr, vR, same, approx)
+	ws, wself := refNearSum(u, un, uRadii, v, vn, vRadii, same, approx)
+	if !sameBits([]float64{gs, gself}, []float64{ws, wself}) {
+		t.Fatalf("leaf pair (%d, %d): records (%v, %v), original-index loop (%v, %v)", un, vn, gs, gself, ws, wself)
+	}
+}
+
 // denseApproxEpol is the node–node traversal over the dense layout with
 // the near-field term taken through pairEnergyKernel's closure.
 func denseApproxEpol(s *System, u, v int32, radii []float64, da *denseAggregates, ord int) (float64, int64) {
@@ -262,7 +308,7 @@ func vecBits(v geom.Vec3) []float64 { return []float64{v.X, v.Y, v.Z} }
 // the ordered-pair oracle's, to rounding.
 func checkSparseAgainstDense(t *testing.T, s *System, radii []float64, agg *epolAggregates) {
 	t.Helper()
-	da := buildDenseAggregates(s, agg)
+	da := buildDenseAggregates(s, radii, agg)
 	ord := agg.order
 	approx := s.Params.Math == ApproxMath
 	if len(agg.off) != s.TA.NumNodes()+1 || agg.off[0] != 0 || agg.off[len(agg.off)-1] != len(agg.q) ||
@@ -270,6 +316,12 @@ func checkSparseAgainstDense(t *testing.T, s *System, radii []float64, agg *epol
 		(ord == OrderQuadrupole) != (agg.quad != nil) || (agg.quad != nil && len(agg.quad) != len(agg.q)) {
 		t.Fatalf("malformed CSR: %d offsets for %d nodes, %d/%d/%d/%d entries",
 			len(agg.off), s.TA.NumNodes(), len(agg.cls), len(agg.q), len(agg.dip), len(agg.quad))
+	}
+	for k, ai := range s.TA.Items {
+		if math.Float64bits(agg.radii[k]) != math.Float64bits(radii[ai]) ||
+			s.atomRecs[k] != (atomRec{s.atomPos[ai], s.Mol.Atoms[ai].Charge}) {
+			t.Fatalf("item %d (atom %d): record %v radius %v, want the atom's", k, ai, s.atomRecs[k], agg.radii[k])
+		}
 	}
 	classesOf := func(n int) map[int]bool {
 		out := map[int]bool{}
@@ -291,7 +343,7 @@ func checkSparseAgainstDense(t *testing.T, s *System, radii []float64, agg *epol
 		want := map[int]bool{}
 		if nd.Leaf {
 			for _, ai := range s.TA.ItemsOf(int32(n)) {
-				want[agg.classOf[ai]] = true
+				want[agg.class(radii[ai])] = true
 			}
 		} else {
 			for _, c := range nd.Children {
@@ -348,31 +400,34 @@ func checkSparseAgainstDense(t *testing.T, s *System, radii []float64, agg *epol
 	}
 
 	factor := s.epolFactor()
+	sc := newFarScratch(agg.M)
 	var walk func(u, v int32)
 	walk = func(u, v int32) {
 		un, vn := &s.TA.Nodes[u], &s.TA.Nodes[v]
 		d := un.Center.Dist(vn.Center)
 		if u != v && !un.Leaf && epolFar(d, un.Radius, vn.Radius, factor) {
 			dvec := vn.Center.Sub(un.Center)
-			gs, gops := farClassSum(agg, u, agg, v, d, dvec, approx, nil)
+			gs, gops := farClassSum(agg, u, agg, v, d, dvec, approx, sc, nil)
 			ws, wops := denseFarClassSum(da, u, da, v, d, dvec, ord, approx)
 			if math.Float64bits(gs) != math.Float64bits(ws) || gops != wops {
 				t.Fatalf("far pair (%d, %d): (%v, %d), dense (%v, %d)", u, v, gs, gops, ws, wops)
 			}
 			return
 		}
-		if !un.Leaf {
-			for _, c := range un.Children {
-				if c != octree.NoChild {
-					walk(c, v)
-				}
+		if un.Leaf {
+			checkNearPair(t, s, u, agg, radii, s, v, agg, radii, u == v, approx)
+			return
+		}
+		for _, c := range un.Children {
+			if c != octree.NoChild {
+				walk(c, v)
 			}
 		}
 	}
 	gsum, wsum := 0.0, 0.0
 	for _, v := range s.aLeaves {
 		walk(s.TA.Root(), v)
-		gs, gops := s.approxEpol(s.TA.Root(), v, radii, agg, factor, wholeTree(s.TA), nil)
+		gs, gops := s.approxEpol(s.TA.Root(), v, agg, sc, factor, wholeTree(s.TA), nil)
 		ws, wops := denseApproxEpol(s, s.TA.Root(), v, radii, da, ord)
 		if gops != wops {
 			t.Fatalf("leaf %d traversal: %d ops, dense %d", v, gops, wops)
@@ -383,30 +438,103 @@ func checkSparseAgainstDense(t *testing.T, s *System, radii []float64, agg *epol
 	if rel := relDiff(gsum, wsum); rel > 1e-13 {
 		t.Fatalf("whole-tree sum %v, dense %v (rel %.3g)", gsum, wsum, rel)
 	}
-	var walkAtom func(ai, u int32)
-	walkAtom = func(ai, u int32) {
+	// The atom–node traversal: every far node against the dense sweep,
+	// and each atom's whole sum against the original-index reference walk.
+	kernel := pairEnergyKernel(s.Params.Math)
+	var walkAtom func(ai, u int32) (float64, int64)
+	walkAtom = func(ai, u int32) (float64, int64) {
 		un := &s.TA.Nodes[u]
-		pi := s.atomPos[ai]
+		pi, qi, ri := s.atomPos[ai], s.Mol.Atoms[ai].Charge, radii[ai]
 		d := un.Center.Dist(pi)
 		if !un.Leaf && epolFar(d, un.Radius, 0, factor) {
-			qi, ri := s.Mol.Atoms[ai].Charge, radii[ai]
 			gs, gops := farClassSumAtom(agg, u, qi, ri, d, un.Center.Sub(pi), approx, nil)
 			ws, wops := denseFarClassSumAtom(da, u, qi, ri, d, un.Center.Sub(pi), ord, approx)
 			if math.Float64bits(gs) != math.Float64bits(ws) || gops != wops {
 				t.Fatalf("atom %d far node %d: (%v, %d), dense (%v, %d)", ai, u, gs, gops, ws, wops)
 			}
-			return
+			return ws, wops
 		}
-		if !un.Leaf {
-			for _, c := range un.Children {
-				if c != octree.NoChild {
-					walkAtom(ai, c)
+		sum, ops := 0.0, int64(1)
+		if un.Leaf {
+			ops = 0
+			for _, vi := range s.TA.ItemsOf(u) {
+				if vi == ai {
+					sum += qi * qi / ri
+				} else {
+					sum += kernel(qi*s.Mol.Atoms[vi].Charge, pi.Dist2(s.atomPos[vi]), ri*radii[vi])
 				}
+				ops++
+			}
+			return sum, ops
+		}
+		for _, c := range un.Children {
+			if c != octree.NoChild {
+				cs, cops := walkAtom(ai, c)
+				sum += cs
+				ops += cops
 			}
 		}
+		return sum, ops
 	}
-	for ai := range s.NumAtoms() {
-		walkAtom(int32(ai), s.TA.Root())
+	for pos, ai := range s.TA.Items {
+		ws, wops := walkAtom(ai, s.TA.Root())
+		gs, gops := s.approxEpolAtom(int32(pos), s.TA.Root(), agg, factor, nil)
+		if math.Float64bits(gs) != math.Float64bits(ws) || gops != wops {
+			t.Fatalf("atom %d traversal: (%v, %d), reference (%v, %d)", ai, gs, gops, ws, wops)
+		}
+	}
+}
+
+// checkCrossAgainstDense pins the two-tree pass like checkSparseAgainstDense
+// pins the own pass: over aggregates of one shared radius range, every far
+// pair of u's tree against each leaf of v matches the dense sweep, every
+// exact leaf pair the original-index loop, and each leaf's traversal the
+// reference walk built from them, all bitwise.
+func checkCrossAgainstDense(t *testing.T, u *System, uRadii []float64, v *System, vRadii []float64) {
+	t.Helper()
+	rmin, rmax := math.Inf(1), 0.0
+	for _, r := range append(append([]float64(nil), uRadii...), vRadii...) {
+		rmin, rmax = math.Min(rmin, r), math.Max(rmax, r)
+	}
+	uAgg := u.buildEpolAggregatesRange(uRadii, rmin, rmax)
+	vAgg := v.buildEpolAggregatesRange(vRadii, rmin, rmax)
+	ud, vd := buildDenseAggregates(u, uRadii, uAgg), buildDenseAggregates(v, vRadii, vAgg)
+	approx := u.Params.Math == ApproxMath
+	ep := &epolCrossPass{u: u, uAgg: uAgg, v: v, vAgg: vAgg, factor: v.epolFactor(), sc: newFarScratch(uAgg.M)}
+	var walk func(a, l int32) (float64, int64)
+	walk = func(a, l int32) (float64, int64) {
+		an, ln := &u.TA.Nodes[a], &v.TA.Nodes[l]
+		d := an.Center.Dist(ln.Center)
+		if !an.Leaf && epolFar(d, an.Radius, ln.Radius, ep.factor) {
+			dvec := ln.Center.Sub(an.Center)
+			gs, gops := farClassSum(uAgg, a, vAgg, l, d, dvec, approx, ep.sc, nil)
+			ws, wops := denseFarClassSum(ud, a, vd, l, d, dvec, uAgg.order, approx)
+			if math.Float64bits(gs) != math.Float64bits(ws) || gops != wops {
+				t.Fatalf("cross far pair (%d, %d): (%v, %d), dense (%v, %d)", a, l, gs, gops, ws, wops)
+			}
+			return ws, wops
+		}
+		if an.Leaf {
+			checkNearPair(t, u, a, uAgg, uRadii, v, l, vAgg, vRadii, false, approx)
+			ws, _ := refNearSum(u, a, uRadii, v, l, vRadii, false, approx)
+			return ws, int64(an.Count()) * int64(ln.Count())
+		}
+		sum, ops := 0.0, int64(1)
+		for _, c := range an.Children {
+			if c != octree.NoChild {
+				cs, cops := walk(c, l)
+				sum += cs
+				ops += cops
+			}
+		}
+		return sum, ops
+	}
+	for _, l := range v.aLeaves {
+		ws, wops := walk(u.TA.Root(), l)
+		gs, gops := ep.run(u.TA.Root(), l)
+		if math.Float64bits(gs) != math.Float64bits(ws) || gops != wops {
+			t.Fatalf("cross leaf %d: (%v, %d), reference (%v, %d)", l, gs, gops, ws, wops)
+		}
 	}
 }
 
@@ -437,15 +565,33 @@ func TestSparseAggregatesMatchDenseRoster(t *testing.T) {
 	if testing.Short() {
 		maxAtoms = 600
 	}
-	for _, e := range molecule.ZDockRoster() {
+	roster := molecule.ZDockRoster()
+	lig := newTestSystem(t, molecule.ZDockMolecule(roster[0]), surface.DefaultConfig(), DefaultParams())
+	ligRadii, _ := lig.BornRadii()
+	for _, e := range roster {
 		if e.Atoms > maxAtoms {
 			break
 		}
 		t.Run(e.Name, func(t *testing.T) {
 			s := newTestSystem(t, molecule.ZDockMolecule(e), surface.DefaultConfig(), DefaultParams())
 			radii, _ := s.BornRadii()
+			// The ligand docks against the receptor: rotated, its ball
+			// center at 0.8 of the summed ball radii, so the cross passes
+			// meet both far pairs and exact leaf pairs.
+			rc, lc := s.TA.Nodes[0], lig.TA.Nodes[0]
+			axis := geom.V(0.3, -0.5, 0.8).Unit()
+			tr := geom.Translate(rc.Center.Add(axis.Scale(0.8 * (rc.Radius + lc.Radius)))).
+				Compose(geom.Rotate(geom.V(1, 2, 3).Unit(), 0.7)).
+				Compose(geom.Translate(lc.Center.Scale(-1)))
 			forEachMode(t, s, func(t *testing.T, s *System) {
 				checkSparseAgainstDense(t, s, radii, s.buildEpolAggregates(radii))
+				l := withMode(t, lig, s.order(), s.Params.Math)
+				moved, err := l.moved(tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkCrossAgainstDense(t, s, radii, moved, ligRadii)
+				checkCrossAgainstDense(t, moved, ligRadii, s, radii)
 			})
 		})
 	}
@@ -523,7 +669,7 @@ func TestSparseAggregatesZeroAndCancellingCharges(t *testing.T) {
 	}
 	forEachMode(t, s, func(t *testing.T, s *System) {
 		agg := s.buildEpolAggregates(radii)
-		top := uint8(agg.classOf[a])
+		top := uint8(agg.class(radii[a]))
 		for e := range agg.q {
 			if agg.cls[e] == top && (agg.q[e] != 0 || agg.dip[e] == (geom.Vec3{})) {
 				t.Fatalf("entry %d of the cancelling class: q = %v, dipole %v; want q = 0 and a dipole", e, agg.q[e], agg.dip[e])

@@ -105,7 +105,8 @@ func TestSymmetricNearFieldSpans(t *testing.T) {
 		s := *base
 		s.Params.OpeningScale = scale
 		agg := s.buildEpolAggregates(radii)
-		da := buildDenseAggregates(&s, agg)
+		da := buildDenseAggregates(&s, radii, agg)
+		sc := newFarScratch(agg.M)
 		factor := s.epolFactor()
 		for _, parts := range []int{1, 2, 3, 5} {
 			t.Run(fmt.Sprintf("scale%v/parts%d", scale, parts), func(t *testing.T) {
@@ -114,7 +115,7 @@ func TestSymmetricNearFieldSpans(t *testing.T) {
 					own := leafSpan{s.aLeaves[lo], s.aLeaves[hi-1]}
 					gsum, wsum := 0.0, 0.0
 					for _, v := range s.aLeaves[lo:hi] {
-						gs, gops := s.approxEpol(s.TA.Root(), v, radii, agg, factor, own, nil)
+						gs, gops := s.approxEpol(s.TA.Root(), v, agg, sc, factor, own, nil)
 						ws, wops := denseApproxEpol(&s, s.TA.Root(), v, radii, da, agg.order)
 						if gops != wops {
 							t.Fatalf("share %d leaf %d: %d ops, ordered-pair reference %d", k, v, gops, wops)
@@ -154,11 +155,12 @@ func TestCrossPassMatchesOwnPass(t *testing.T) {
 				agg := s.buildEpolAggregates(radii)
 				factor := s.epolFactor()
 				view := *s
-				ep := &epolCrossPass{u: &view, uAgg: agg, uRadii: radii, v: s, vAgg: agg, vRadii: radii, factor: factor}
+				sc := newFarScratch(agg.M)
+				ep := &epolCrossPass{u: &view, uAgg: agg, v: s, vAgg: agg, factor: factor, sc: sc}
 				own, cross := 0.0, 0.0
 				ownOps, crossOps := int64(0), int64(0)
 				for _, v := range s.aLeaves {
-					vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, factor, wholeTree(s.TA), nil)
+					vs, vops := s.approxEpol(s.TA.Root(), v, agg, sc, factor, wholeTree(s.TA), nil)
 					cs, cops := ep.run(view.TA.Root(), v)
 					own, ownOps = own+vs, ownOps+vops
 					cross, crossOps = cross+cs, crossOps+cops

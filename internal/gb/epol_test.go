@@ -124,7 +124,7 @@ func TestEpolAggregatesHistogram(t *testing.T) {
 	// width from powR: powR[k] = Rmin²(1+εbin)^(k+1).
 	binBase := agg.powR[1] / agg.powR[0]
 	for i, r := range radii {
-		k := agg.classOf[i]
+		k := agg.class(r)
 		lo := agg.Rmin * math.Pow(binBase, float64(k))
 		hi := lo * binBase
 		if r < lo*(1-1e-9) || (r > hi*(1+1e-9) && k < agg.M-1) {

@@ -276,3 +276,35 @@ func TestSpanTreeUnderChaos(t *testing.T) {
 		checkSpanTree(t, rec)
 	}
 }
+
+// A thread count past the atom count used to size a P·p per-core array
+// before anything checked it (2^40 threads asked for 16 TiB and killed
+// the process). validateLayout rejects P·p > atoms first, without
+// forming the overflowing product, and the exact fit stays legal.
+func TestRunRejectsMoreCoresThanAtoms(t *testing.T) {
+	s := buildSys(t, 40, DefaultParams())
+	for _, spec := range []RunSpec{
+		{ThreadsPerProcess: 1 << 40},
+		{Processes: 2, ThreadsPerProcess: 1 << 40},
+		{Processes: 2, ThreadsPerProcess: math.MaxInt},
+		{ThreadsPerProcess: 41},
+		{Processes: 2, ThreadsPerProcess: 21},
+	} {
+		if _, err := s.Run(spec); err == nil || !strings.Contains(err.Error(), "invalid layout") {
+			t.Errorf("%d×%d on 40 atoms: err = %v, want the layout error", spec.Processes, spec.ThreadsPerProcess, err)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := s.Run(RunSpec{Processes: 2, ThreadsPerProcess: 1 << 40}); err == nil {
+			t.Fatal("huge layout accepted")
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("rejecting a huge layout made %v allocations, want only the error's", allocs)
+	}
+	for _, spec := range []RunSpec{{ThreadsPerProcess: 40}, {Processes: 2, ThreadsPerProcess: 20}} {
+		if _, err := s.Run(spec); err != nil {
+			t.Errorf("%d×%d on 40 atoms: %v", spec.Processes, spec.ThreadsPerProcess, err)
+		}
+	}
+}

@@ -162,6 +162,10 @@ type System struct {
 
 	atomPos []geom.Vec3
 	qPos    []geom.Vec3
+	// atomRecs holds each atom's (position, charge) in T_A item order, so
+	// the atoms under a node are the contiguous range [Start, End): the
+	// energy kernels read them without indirection (DESIGN.md §16).
+	atomRecs []atomRec
 
 	// Pseudo-q-point aggregates per T_Q node (Fig. 2): weighted normal
 	// sums ñ = Σ w_q n_q, and the first-order normal-moment tensor
@@ -221,6 +225,30 @@ func (s *System) setAtoms(mol *molecule.Molecule) {
 	s.atomPos = mol.Positions()
 	s.TA = octree.Build(s.atomPos, s.Params.LeafAtoms)
 	s.aLeaves = s.TA.Leaves()
+	s.atomRecs = s.records()
+}
+
+// atomRec is one atom's energy-kernel record: 32 bytes, position first so
+// a leaf's records stream through the near loop.
+type atomRec struct {
+	pos geom.Vec3
+	q   float64
+}
+
+// records lays out the atoms' (position, charge) records in T_A item
+// order, from atomPos and the molecule's charges.
+func (s *System) records() []atomRec {
+	out := make([]atomRec, len(s.TA.Items))
+	for k, ai := range s.TA.Items {
+		out[k] = atomRec{s.atomPos[ai], s.Mol.Atoms[ai].Charge}
+	}
+	return out
+}
+
+// atomsOf returns the atom records under node n with their Born radii
+// (agg.radii is in the same item order).
+func (s *System) atomsOf(n *octree.Node, agg *epolAggregates) ([]atomRec, []float64) {
+	return s.atomRecs[n.Start:n.End], agg.radii[n.Start:n.End]
 }
 
 // setSurface installs the quadrature points: T_Q, its leaves and the

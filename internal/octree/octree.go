@@ -72,7 +72,7 @@ func Build(points []geom.Vec3, leafSize int) *Tree {
 	// Estimate node count to reduce reallocation: ~2n/leafSize internal
 	// plus leaves.
 	t.Nodes = make([]Node, 0, 2*len(points)/leafSize+8)
-	t.build(0, int32(len(points)), bounds, NoChild, 0)
+	t.build(0, int32(len(points)), bounds, NoChild, 0, make([]int32, len(points)))
 	return t
 }
 
@@ -81,8 +81,9 @@ func noChildren() [8]int32 {
 }
 
 // build creates the node for Items[start:end] within cell bounds and
-// returns its index.
-func (t *Tree) build(start, end int32, bounds geom.AABB, parent int32, depth uint8) int32 {
+// returns its index. tmp is the partition buffer, one per Build: a node
+// uses only tmp[start:end], which its children reuse after it is done.
+func (t *Tree) build(start, end int32, bounds geom.AABB, parent int32, depth uint8, tmp []int32) int32 {
 	idx := int32(len(t.Nodes))
 	t.Nodes = append(t.Nodes, Node{
 		Start: start, End: end, Parent: parent, Depth: depth,
@@ -107,8 +108,8 @@ func (t *Tree) build(start, end int32, bounds geom.AABB, parent int32, depth uin
 		t.Nodes[idx].Leaf = true
 		return idx
 	}
-	// Partition items into the 8 octants (counting sort, in place via a
-	// temporary buffer for simplicity and determinism).
+	// Partition items into the 8 octants (counting sort through the
+	// node's slice of the partition buffer, stable and deterministic).
 	var counts [8]int32
 	for _, it := range t.Items[start:end] {
 		counts[bounds.OctantIndex(t.points[it])]++
@@ -117,14 +118,14 @@ func (t *Tree) build(start, end int32, bounds geom.AABB, parent int32, depth uin
 	for o := 0; o < 8; o++ {
 		offsets[o+1] = offsets[o] + counts[o]
 	}
-	tmp := make([]int32, end-start)
+	part := tmp[start:end]
 	var fill [8]int32
 	for _, it := range t.Items[start:end] {
 		o := bounds.OctantIndex(t.points[it])
-		tmp[offsets[o]+fill[o]] = it
+		part[offsets[o]+fill[o]] = it
 		fill[o]++
 	}
-	copy(t.Items[start:end], tmp)
+	copy(t.Items[start:end], part)
 	// If every point landed in one octant the cell cannot separate them
 	// (coincident or near-coincident points): make a leaf.
 	for o := 0; o < 8; o++ {
@@ -138,7 +139,7 @@ func (t *Tree) build(start, end int32, bounds geom.AABB, parent int32, depth uin
 			continue
 		}
 		cs, ce := start+offsets[o], start+offsets[o+1]
-		child := t.build(cs, ce, bounds.Octant(o), idx, depth+1)
+		child := t.build(cs, ce, bounds.Octant(o), idx, depth+1, tmp)
 		t.Nodes[idx].Children[o] = child
 	}
 	return idx

@@ -3,9 +3,12 @@ package octree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gbpolar/internal/geom"
+	"gbpolar/internal/molecule"
+	"gbpolar/internal/surface"
 )
 
 func randomPoints(n int, spread float64, seed int64) []geom.Vec3 {
@@ -235,5 +238,110 @@ func TestDepthReasonable(t *testing.T) {
 	tr := Build(pts, 8)
 	if d := tr.MaxTreeDepth(); d < 3 || d > 20 {
 		t.Errorf("depth = %d", d)
+	}
+}
+
+// refBuild builds the tree with a fresh partition buffer for every
+// internal node: the reference Build's shared buffer must reproduce.
+func refBuild(points []geom.Vec3, leafSize int) *Tree {
+	t := &Tree{LeafSize: leafSize, points: points, Items: make([]int32, len(points))}
+	for i := range t.Items {
+		t.Items[i] = int32(i)
+	}
+	var build func(start, end int32, bounds geom.AABB, parent int32, depth uint8) int32
+	build = func(start, end int32, bounds geom.AABB, parent int32, depth uint8) int32 {
+		idx := int32(len(t.Nodes))
+		t.Nodes = append(t.Nodes, Node{Start: start, End: end, Parent: parent, Depth: depth, Children: noChildren()})
+		var c geom.Vec3
+		for _, it := range t.Items[start:end] {
+			c = c.Add(t.points[it])
+		}
+		c = c.Scale(1 / float64(end-start))
+		r2 := 0.0
+		for _, it := range t.Items[start:end] {
+			r2 = math.Max(r2, c.Dist2(t.points[it]))
+		}
+		t.Nodes[idx].Center, t.Nodes[idx].Radius = c, math.Sqrt(r2)
+		if int(end-start) <= t.LeafSize || depth >= maxDepth {
+			t.Nodes[idx].Leaf = true
+			return idx
+		}
+		var counts [8]int32
+		for _, it := range t.Items[start:end] {
+			counts[bounds.OctantIndex(t.points[it])]++
+		}
+		var offsets [9]int32
+		for o := 0; o < 8; o++ {
+			offsets[o+1] = offsets[o] + counts[o]
+		}
+		tmp := make([]int32, end-start)
+		var fill [8]int32
+		for _, it := range t.Items[start:end] {
+			o := bounds.OctantIndex(t.points[it])
+			tmp[offsets[o]+fill[o]] = it
+			fill[o]++
+		}
+		copy(t.Items[start:end], tmp)
+		for o := 0; o < 8; o++ {
+			if counts[o] == end-start && bounds.MaxExtent() < 1e-9 {
+				t.Nodes[idx].Leaf = true
+				return idx
+			}
+		}
+		for o := 0; o < 8; o++ {
+			if counts[o] > 0 {
+				t.Nodes[idx].Children[o] = build(start+offsets[o], start+offsets[o+1], bounds.Octant(o), idx, depth+1)
+			}
+		}
+		return idx
+	}
+	build(0, int32(len(points)), geom.BoundPoints(points).Cube(), NoChild, 0)
+	return t
+}
+
+// TestBuildMatchesPerNodeBuffers: on roster atoms (leaf 8) and their
+// surface quadrature points (leaf 32), Build's one partition buffer
+// yields exactly the Items and Nodes of a fresh buffer per node.
+func TestBuildMatchesPerNodeBuffers(t *testing.T) {
+	maxAtoms := 2200
+	if testing.Short() {
+		maxAtoms = 800
+	}
+	for _, e := range molecule.ZDockRoster() {
+		if e.Atoms > maxAtoms {
+			break
+		}
+		m := molecule.ZDockMolecule(e)
+		surf, err := surface.Build(m, surface.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			pts  []geom.Vec3
+			leaf int
+		}{{m.Positions(), 8}, {surf.Positions(), 32}} {
+			got, want := Build(c.pts, c.leaf), refBuild(c.pts, c.leaf)
+			if !slices.Equal(got.Items, want.Items) || !slices.Equal(got.Nodes, want.Nodes) {
+				t.Fatalf("%s, %d points, leaf %d: Build differs from the per-node-buffer build", e.Name, len(c.pts), c.leaf)
+			}
+		}
+	}
+}
+
+// TestBuildAllocsIndependentOfNodeCount: Build allocates the tree, its
+// item array, one partition buffer and the node array (with its few
+// append regrowths), however many internal nodes it splits.
+func TestBuildAllocsIndependentOfNodeCount(t *testing.T) {
+	for _, n := range []int{100, 1000, 10000} {
+		pts := randomPoints(n, 10, int64(n))
+		internal := 0
+		for _, nd := range Build(pts, 8).Nodes {
+			if !nd.Leaf {
+				internal++
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() { Build(pts, 8) }); allocs > 8 {
+			t.Errorf("%d points (%d internal nodes): %v allocations per Build, want ≤ 8", n, internal, allocs)
+		}
 	}
 }

@@ -212,5 +212,22 @@ func buildMolecule(spec MoleculeSpec, maxAtoms int) (*molecule.Molecule, error) 
 	return m, m.Validate()
 }
 
+// validateRequest is admission's input validation, shared by a new
+// request and a persisted one re-queued at startup: the molecule, then
+// the thread count, which may not exceed the atom count (at least one
+// atom per core, the rule gb applies to the whole layout). Zero and
+// negative thread counts mean the server default.
+func validateRequest(req *JobRequest, maxAtoms int) (*molecule.Molecule, error) {
+	mol, err := buildMolecule(req.Molecule, maxAtoms)
+	if err != nil {
+		return nil, err
+	}
+	if req.Threads > mol.NumAtoms() {
+		return nil, &molecule.InputError{Molecule: mol.Name, Atom: -1, Field: "threads",
+			Msg: fmt.Sprintf("%d threads exceed the molecule's %d atoms (at least one atom per core)", req.Threads, mol.NumAtoms())}
+	}
+	return mol, nil
+}
+
 // epolBits renders the exact bit pattern of a float64.
 func epolBits(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }

@@ -247,10 +247,11 @@ func New(cfg Config) (*Server, error) {
 		s.done[v.ID] = v
 	}
 	for _, recd := range unfinished {
-		mol, err := buildMolecule(recd.Req.Molecule, s.cfg.MaxAtoms)
+		mol, err := validateRequest(&recd.Req, s.cfg.MaxAtoms)
 		if err != nil {
 			// The persisted request no longer validates (limits may have
-			// changed): finish it as a typed input error instead of
+			// changed, or an older daemon admitted a layout it could not
+			// run): finish it as a typed input error instead of
 			// resurrecting it forever.
 			s.finishInvalid(recd.ID, err)
 			continue
@@ -497,7 +498,7 @@ func (s *Server) admit(req *JobRequest) (j *job, retryAfterSec int64, err error)
 		s.count("serve.rejected.quota", 1)
 		return nil, int64(math.Ceil(wait.Seconds())), errOverQuota
 	}
-	mol, err := buildMolecule(req.Molecule, s.cfg.MaxAtoms)
+	mol, err := validateRequest(req, s.cfg.MaxAtoms)
 	if err != nil {
 		s.count("serve.rejected.invalid", 1)
 		return nil, 0, err

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"gbpolar/internal/fault/fs"
 	"gbpolar/internal/gb"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/supervise"
@@ -26,6 +27,36 @@ func molSpec(m *molecule.Molecule) MoleculeSpec {
 			Radius: a.Radius, Charge: a.Charge}
 	}
 	return spec
+}
+
+// A request whose thread count exceeds the molecule's atoms used to be
+// acknowledged and then end the process: 2^40 threads sized a per-core
+// array of 16 TiB, and two million threads started two million
+// goroutines per rank. Admission now answers a typed 400 that names the
+// field, and the server goes on to finish a normal job.
+func TestHugeThreadsRejectedAtAdmission(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, FS: fs.NewFaultFS(nil)})
+	spec := molSpec(testMol(199, 11))
+	for _, threads := range []int{1 << 40, 2000000, 200} {
+		code, data := postJob(t, ts.URL, JobRequest{Molecule: spec, Processes: 2, Threads: threads})
+		if code != http.StatusBadRequest {
+			t.Fatalf("threads=%d: status %d: %s", threads, code, data)
+		}
+		if doc := decodeError(t, data); doc.Code != CodeInvalidInput || !strings.Contains(doc.Message, "threads") {
+			t.Fatalf("threads=%d: error %+v, want %s naming the threads field", threads, doc, CodeInvalidInput)
+		}
+	}
+	code, data := postJob(t, ts.URL, JobRequest{Molecule: spec, Processes: 2, Threads: 1})
+	if code != http.StatusAccepted {
+		t.Fatalf("normal job: status %d: %s", code, data)
+	}
+	var accepted JobView
+	if err := json.Unmarshal(data, &accepted); err != nil || accepted.ID == "" {
+		t.Fatalf("accepted view %s: %v", data, err)
+	}
+	if view := awaitTerminal(t, ts.URL, accepted.ID); view.State != StateDone {
+		t.Errorf("normal job ended %s, want %s", view.State, StateDone)
+	}
 }
 
 func testMol(n int, seed int64) *molecule.Molecule {

@@ -109,6 +109,36 @@ func TestTornResultRequeuedOnRestart(t *testing.T) {
 	}
 }
 
+// A job.json persisted with an impossible thread count (admitted by an
+// older daemon) must not be re-queued on restart, where it would take the
+// process down again: New finishes it as a typed input error.
+func TestPersistedHugeThreadsJobFinishedInvalid(t *testing.T) {
+	ffs := fs.NewFaultFS(nil)
+	req := JobRequest{Molecule: molSpec(testMol(30, 5)), Processes: 2, Threads: 1 << 40}
+	recJSON, err := json.Marshal(jobRecord{ID: "j-huge", Req: req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ffs.MkdirAll("data/j-huge"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFileAtomic(ffs, "data/j-huge/job.json", recJSON); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{DataDir: "data", FS: ffs, DefaultProcesses: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.ResumedJobs() != 0 {
+		t.Fatalf("ResumedJobs = %d, want 0 (the job cannot run)", s.ResumedJobs())
+	}
+	view, ok := s.lookup("j-huge")
+	if !ok || view.State != StateFailed || view.Error == nil ||
+		view.Error.Code != CodeInvalidInput || !strings.Contains(view.Error.Message, "threads") {
+		t.Fatalf("lookup after restart: %+v (error %+v) ok=%v, want failed %s naming threads", view, view.Error, ok, CodeInvalidInput)
+	}
+}
+
 // Trace persistence under a failing fsync: the error is surfaced (and
 // counted by the caller), never silently swallowed into a truncated
 // trace file.
