@@ -6,7 +6,7 @@ GO ?= go
 BENCH_MAX_ATOMS ?= 2000
 BENCH_REPEATS ?= 3
 
-.PHONY: build test lint lint-json lint-self check check-race chaos-smoke trace-smoke serve-smoke soak soak-short bench-json bench-gate perfbench-selftest fuzz-short
+.PHONY: build test lint lint-json lint-self check check-race chaos-smoke trace-smoke serve-smoke soak soak-short bench-json bench-gate perfbench-selftest fuzz-short tune-roster
 
 build:
 	$(GO) build ./...
@@ -104,6 +104,16 @@ bench-gate: bench-json
 # breaks the benchmark fails here rather than in a benchmark run.
 perfbench-selftest:
 	cd _perfbench && GOWORK=off $(GO) test -count=1 ./...
+
+# tune-roster is the tuner's full acceptance sweep: tune.Select at a
+# 1 kcal/mol target on all 42 ZDock roster molecules, at one and at two
+# ranks, each pick checked against the naïve energy on the degree-2
+# surface and re-run bit for bit. It logs the chosen point, Select's wall
+# time and its verification runs per molecule. It takes minutes (the
+# largest molecule, 1BGX_l_b, has 16,301 atoms, and its naïve energy
+# alone is a quadratic loop), so it is not part of CI or `make check`.
+tune-roster:
+	GBTUNE_ROSTER=full $(GO) test -count=1 -timeout 3600s -v -run '^TestSelectMeetsTargetAcrossRoster$$' ./internal/tune/
 
 # fuzz-short runs each fuzz target for 15 s from its seed corpus, one
 # `go test -fuzz` invocation per target (go test fuzzes one target at a

@@ -107,8 +107,10 @@ func main() {
 			params.Math = gb.ApproxMath
 		}
 		sel, err = tune.Select(mol, *targetErr, tune.Options{
-			Params:  params,
-			Surface: surface.Config{IcoLevel: *icoLevel, ProbeRadius: 1.4},
+			Params:            params,
+			Surface:           surface.Config{IcoLevel: *icoLevel, ProbeRadius: 1.4},
+			Processes:         P,
+			ThreadsPerProcess: p,
 		})
 		if err != nil {
 			fatal(err)

@@ -11,27 +11,20 @@ import (
 // workprec is the PR 8 work/precision curve: the accuracy grid the
 // auto-tuner searches — expansion order p × the far-field ε ladder, bin
 // width tied to ε — swept on the ablation molecule, each point reporting
-// the model's error bound, the measured error against a tight reference,
-// and the modeled serial time. The table is the evidence behind two
-// claims of DESIGN.md §10: the per-term bound contains the measured
-// error everywhere, and a higher order at loosened ε dominates lower
-// orders at equal accuracy (the multipole trade: moments are cheap,
-// near-field pairs are not).
+// the model's error bound, the measured error against the naïve energy
+// (naïve r⁶ Born radii and the naïve energy sum on the same surface), and
+// the modeled serial time. The table is the evidence behind two claims
+// of DESIGN.md §10: the per-term bound contains the measured error
+// everywhere, and a higher order does less work at the same ε (the
+// multipole trade: moments are cheap, near-field pairs are not), though
+// not with less error (EXPERIMENTS.md).
 func workprec(o Options) (*Table, error) {
 	mol := ablationMolecule()
-	params := gb.DefaultParams()
-	params.Accuracy = gb.Accuracy{
-		EpsBorn: 0.3, EpsEpol: 0.3, BinWidth: 0.3 / 8,
-		QuadOrder: 1, Order: gb.OrderQuadrupole,
-	}
-	entry, err := systemFor(mol, params)
+	entry, err := systemFor(mol, gb.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
-	ref, err := entry.sys.Run(gb.RunSpec{})
-	if err != nil {
-		return nil, err
-	}
+	naive := entry.naiveResult().Energy
 
 	// The default point anchors the speedup column.
 	defAcc := gb.DefaultAccuracy()
@@ -46,10 +39,10 @@ func workprec(o Options) (*Table, error) {
 
 	t := &Table{
 		ID:    "Work/precision grid",
-		Title: fmt.Sprintf("Order p × ε vs error and modeled time (%d atoms, reference ε = 0.3 quadrupole)", mol.NumAtoms()),
+		Title: fmt.Sprintf("Order p × ε vs error against the naïve energy and modeled time (%d atoms)", mol.NumAtoms()),
 		Notes: []string{
 			"the grid tune.Select searches: bin width = min(ε/4, 0.2), quadrature degree fixed at 1",
-			"bound %: tune.RelErrorBound — the per-term model; err %: measured against the tight reference",
+			"bound %: tune.RelErrorBound — the per-term model; err %: measured against the naïve energy",
 			"speedup: modeled serial seconds of the calibrated default (p = 1, ε = 0.9) over this point's",
 		},
 		Header: []string{"p", "eps", "Bound %", "Err %", "Total ops", "Modeled s", "Speedup"},
@@ -69,7 +62,7 @@ func workprec(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			relErr := math.Abs(res.Epol-ref.Epol) / math.Abs(ref.Epol)
+			relErr := math.Abs(res.Epol-naive) / math.Abs(naive)
 			t.AddRow(fmt.Sprintf("%d", ord),
 				fmt.Sprintf("%.3f", eps),
 				fmt.Sprintf("%.3f", 100*tune.RelErrorBound(acc)),

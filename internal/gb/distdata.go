@@ -239,11 +239,11 @@ func (s *System) RunMPIDistributedDataWithFaults(P int, cfg *FaultConfig) (*Resu
 
 func (s *System) runDistData(P int, cfg *FaultConfig) (*Result, error) {
 	if P < 1 {
-		return nil, fmt.Errorf("gb: invalid layout: processes P=%d must be positive", P)
+		return nil, fmt.Errorf("%w: processes P=%d must be positive", ErrInvalidLayout, P)
 	}
 	if P > s.NumAtoms() || P > s.NumQPoints() {
-		return nil, fmt.Errorf("gb: invalid layout: P=%d exceeds the %d atoms / %d quadrature points to distribute",
-			P, s.NumAtoms(), s.NumQPoints())
+		return nil, fmt.Errorf("%w: P=%d exceeds the %d atoms / %d quadrature points to distribute",
+			ErrInvalidLayout, P, s.NumAtoms(), s.NumQPoints())
 	}
 	sw := perf.StartTimer()
 	perCoreOps := make([]int64, P)

@@ -1,6 +1,7 @@
 package gb
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -115,6 +116,11 @@ func balancePool(ops []int64) []int64 {
 	return out
 }
 
+// ErrInvalidLayout marks a layout the system cannot run: more ranks, or
+// more cores, than it has work items. Callers that can run elsewhere
+// test it with errors.Is instead of matching the message.
+var ErrInvalidLayout = errors.New("gb: invalid layout")
+
 // validateLayout rejects a layout with more ranks, or more cores, than
 // work items up front with a descriptive error instead of producing empty
 // segments downstream, and before anything P·p-sized is allocated.
@@ -122,18 +128,18 @@ func balancePool(ops []int64) []int64 {
 func (s *System) validateLayout(P, p int) error {
 	n := s.NumAtoms()
 	if P > n {
-		return fmt.Errorf("gb: invalid layout: P=%d exceeds the %d atoms (at most one atom per rank segment)", P, n)
+		return fmt.Errorf("%w: P=%d exceeds the %d atoms (at most one atom per rank segment)", ErrInvalidLayout, P, n)
 	}
 	// P·p > n, tested without forming the product, which can overflow.
 	if p > n/P {
-		return fmt.Errorf("gb: invalid layout: P×p = %d×%d cores exceed the %d atoms (at least one atom per core)", P, p, n)
+		return fmt.Errorf("%w: P×p = %d×%d cores exceed the %d atoms (at least one atom per core)", ErrInvalidLayout, P, p, n)
 	}
 	if s.Params.Division == NodeNode {
 		if n := len(s.qLeaves); P > n {
-			return fmt.Errorf("gb: invalid layout: P=%d exceeds the %d quadrature leaves of the node division", P, n)
+			return fmt.Errorf("%w: P=%d exceeds the %d quadrature leaves of the node division", ErrInvalidLayout, P, n)
 		}
 		if n := len(s.aLeaves); P > n {
-			return fmt.Errorf("gb: invalid layout: P=%d exceeds the %d atom leaves of the node division", P, n)
+			return fmt.Errorf("%w: P=%d exceeds the %d atom leaves of the node division", ErrInvalidLayout, P, n)
 		}
 	}
 	return nil

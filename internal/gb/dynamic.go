@@ -105,8 +105,8 @@ func (s *System) RunMPIDynamic(P int) (*Result, error) {
 		return nil, fmt.Errorf("gb: dynamic load balancing needs P ≥ 2 (one coordinator), got %d", P)
 	}
 	if P-1 > s.NumAtoms() {
-		return nil, fmt.Errorf("gb: invalid layout: %d compute ranks exceed the %d atoms to distribute",
-			P-1, s.NumAtoms())
+		return nil, fmt.Errorf("%w: %d compute ranks exceed the %d atoms to distribute",
+			ErrInvalidLayout, P-1, s.NumAtoms())
 	}
 	sw := perf.StartTimer()
 	perCoreOps := make([]int64, P)

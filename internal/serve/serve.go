@@ -630,12 +630,14 @@ func (s *Server) runJob(j *job) {
 	out, sel, runErr := s.superviseJob(j, deadline, startEps)
 
 	if runErr != nil {
-		if errors.Is(runErr, supervise.ErrCanceled) {
+		if errors.Is(runErr, supervise.ErrCanceled) || errors.Is(runErr, gb.ErrRunCanceled) {
 			// Drain won: the newest checkpoint is durable, job.json is
 			// still there, result.json is not — the restarted daemon
 			// re-queues this job and resumes bitwise-identically. The
 			// interrupted attempt's trace was already force-closed and
-			// persisted by the trace sink.
+			// persisted by the trace sink. A drain during the tuner's
+			// search (gb.ErrRunCanceled) leaves no checkpoint: the restart
+			// tunes again, deterministically, and runs from the start.
 			j.setView(func(v *JobView) { v.State = StateInterrupted })
 			s.releaseMem(j)
 			s.count("serve.jobs.interrupted", 1)
@@ -693,18 +695,30 @@ func (s *Server) runJob(j *job) {
 }
 
 // superviseJob builds the system and runs the ladder. Requests with a
-// target error first go through the tuner: the job runs at the cheapest
-// admitted accuracy point, and the supervisor's relax rung steps down
-// the tuner's frontier (selection returned for the result envelope).
+// target error first go through the tuner, on the job's own layout: the
+// job runs at the cheapest admitted accuracy point, and the supervisor's
+// relax rung steps down the tuner's frontier (selection returned for the
+// result envelope).
 func (s *Server) superviseJob(j *job, deadline time.Duration, startEps float64) (*supervise.Outcome, *tune.Selection, error) {
 	var (
 		sys    *gb.System
 		sel    *tune.Selection
 		ladder []supervise.RelaxStep
 	)
+	P := s.jobProcesses(&j.req)
+	if j.runP > 0 {
+		// The memory gate shrank the layout at admission; honor it.
+		P = j.runP
+	}
+	threads := j.req.Threads
+	if threads <= 0 {
+		threads = s.cfg.DefaultThreads
+	}
 	if j.req.TargetErrorKcal > 0 {
 		var err error
-		sel, err = tune.Select(j.mol, j.req.TargetErrorKcal, tune.Options{Obs: s.rec})
+		sel, err = tune.Select(j.mol, j.req.TargetErrorKcal, tune.Options{
+			Processes: P, ThreadsPerProcess: threads, Ctx: s.runCtx, Obs: s.rec,
+		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("tuning accuracy: %w", err)
 		}
@@ -721,15 +735,6 @@ func (s *Server) superviseJob(j *job, deadline time.Duration, startEps float64) 
 		if err != nil {
 			return nil, nil, fmt.Errorf("building system: %w", err)
 		}
-	}
-	P := s.jobProcesses(&j.req)
-	if j.runP > 0 {
-		// The memory gate shrank the layout at admission; honor it.
-		P = j.runP
-	}
-	threads := j.req.Threads
-	if threads <= 0 {
-		threads = s.cfg.DefaultThreads
 	}
 	var store supervise.Store
 	if s.cfg.DataDir != "" {

@@ -37,19 +37,26 @@
 //     from the Dunavant rule sizes, a per-order flop weight), then
 //     priced to modeled serial seconds on the configured machine.
 //
-//  3. A verification pass. The molecule is first run once at a tight
-//     reference point (order 2, ε = 0.3, fine bins, the highest
-//     quadrature degree in the search); candidates are then run serially
-//     — cheapest bound-admissible first, probing cheaper points while
-//     they keep passing — and a point is admitted on its MEASURED
-//     |Epol − reference| with margin. Every run is deterministic, so
-//     Select itself is deterministic per (molecule, target, options).
+//  3. A verification pass. The molecule is first run once at the grid's
+//     tightest point, the reference: monopole, the smallest ε of the
+//     ladder, its bins, the highest quadrature degree in the search.
+//     Order 0 has the strictest opening criteria at any ε, so this is
+//     the grid's most exact work. Candidates are then run — cheapest
+//     bound-admissible first, probing cheaper points while they keep
+//     passing — and a point is admitted on its MEASURED
+//     |Epol − reference| with margin. The reference point is itself a
+//     candidate; it is admitted from the reference run at zero error
+//     and costs no verification run. Every run uses the caller's layout
+//     and is deterministic, so Select itself is deterministic per
+//     (molecule, target, options).
 //
 // The chosen point is emitted into the obs Summary as tune.* counters
 // (deterministic integers only, per the Summary contract).
 package tune
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -108,10 +115,11 @@ type Point struct {
 	// verification run; valid only when Verified.
 	MeasuredError float64
 	Verified      bool
-	// Epol is the verification run's energy (Verified points only).
+	// Epol is the verification run's energy (Verified points only). The
+	// reference point's is the reference run's.
 	Epol float64
-	// Ops is the serial interaction count: measured for verified points,
-	// the cost model's estimate otherwise.
+	// Ops is the interaction count summed over the run's cores: measured
+	// for verified points, the cost model's estimate otherwise.
 	Ops int64
 	// CostSeconds is the perf-modeled serial wall time of the point.
 	CostSeconds float64
@@ -139,11 +147,23 @@ type Options struct {
 	MaxQuadOrder int
 	// MaxVerifyRuns bounds the verification runs after the reference run
 	// (default 6). Exhausting the budget falls back to the reference
-	// point itself, which meets any target by construction.
+	// point, whose measured error is zero by definition.
 	MaxVerifyRuns int
 	// EpsScales is the ε ladder of the grid, applied to both criteria
-	// (default {0.3, 0.45, 0.675, 0.9, 1.35, 2.0}).
+	// (default {0.3, 0.45, 0.675, 0.9, 1.35, 2.0}). Every entry must be
+	// finite and positive; the smallest sets the reference point.
 	EpsScales []float64
+	// Processes and ThreadsPerProcess are the layout of every run Select
+	// makes. Zero means one, as in gb.RunSpec. A layout gb rejects for a
+	// degree's system (gb.ErrInvalidLayout) runs on one rank instead, as
+	// the supervisor's fallback rung does.
+	Processes         int
+	ThreadsPerProcess int
+	// Ctx cancels the search. Select checks it before each surface and
+	// system build and passes it to every run; a canceled search returns
+	// an error wrapping gb.ErrRunCanceled and the context's error. Nil
+	// means never canceled.
+	Ctx context.Context
 	// Obs receives the chosen point as tune.* counters. Nil is inert.
 	Obs *obs.Recorder
 }
@@ -151,7 +171,7 @@ type Options struct {
 // Selection is the result of one tuner search.
 type Selection struct {
 	// Point is the cheapest admitted point: its measured error meets the
-	// target (the reference fallback meets it trivially).
+	// target.
 	Point Point
 	// Ladder is the shed schedule below Point: strictly cheaper points
 	// at the same quadrature order (the surface cannot be rebuilt
@@ -165,7 +185,8 @@ type Selection struct {
 	// all errors are measured against.
 	ReferenceEpol float64
 	ReferenceAcc  gb.Accuracy
-	// VerifyRuns is the number of candidate verification runs spent.
+	// VerifyRuns is the number of candidate verification runs spent. The
+	// reference point's admission is not one.
 	VerifyRuns int
 	// System and Surface are ready to run at Point.Acc (the surface is
 	// built at Point's quadrature order).
@@ -240,6 +261,18 @@ func workIndexOf(acc gb.Accuracy) (float64, error) {
 	return bornShare*nq*bornVol*w + epolShare*epolVol*w, nil
 }
 
+// gridPoint is the grid's point at ε scale, quadrature degree q and
+// expansion order ord: both criteria at the scale, the bin width tied to
+// it (bin = min(ε/4, 0.2): the binning term must shrink with the
+// clustering terms or it floors the error).
+func gridPoint(scale float64, q, ord int) gb.Accuracy {
+	return gb.Accuracy{
+		EpsBorn: scale, EpsEpol: scale,
+		BinWidth:  math.Min(scale/4, 0.2),
+		QuadOrder: q, Order: ord,
+	}
+}
+
 // Select searches the accuracy space for the cheapest point whose
 // measured |Epol − reference| meets targetKcal on this molecule. It is
 // deterministic per (molecule, target, options).
@@ -268,6 +301,13 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 	if len(opt.EpsScales) == 0 {
 		opt.EpsScales = DefaultEpsScales()
 	}
+	minEps := math.Inf(1)
+	for _, scale := range opt.EpsScales {
+		if !(scale > 0) || math.IsInf(scale, 1) {
+			return nil, fmt.Errorf("tune: ε scale %v must be finite and positive", scale)
+		}
+		minEps = math.Min(minEps, scale)
+	}
 	baseParams := opt.Params
 	if baseParams == (gb.Params{}) {
 		baseParams = gb.DefaultParams()
@@ -276,25 +316,39 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 	if baseSurf == (surface.Config{}) {
 		baseSurf = surface.DefaultConfig()
 	}
-
-	// Lazily built surface + system per quadrature order. The system is
-	// built AT the reference accuracy (order 2), so every lower-order
-	// candidate at that degree is a cheap RunSpec.Accuracy override.
-	refAcc := gb.Accuracy{
-		EpsBorn: 0.3, EpsEpol: 0.3, BinWidth: 0.3 / 8,
-		QuadOrder: opt.MaxQuadOrder, Order: gb.OrderQuadrupole,
+	canceled := func() error {
+		if opt.Ctx == nil {
+			return nil
+		}
+		if err := opt.Ctx.Err(); err != nil {
+			return fmt.Errorf("tune: %w: %w", gb.ErrRunCanceled, err)
+		}
+		return nil
 	}
+
+	// The reference is the grid's tightest point: monopole, the smallest
+	// ε, the highest degree searched. Lazily built surface + system per
+	// quadrature order, each at the reference point, so every candidate
+	// at that degree is a cheap RunSpec.Accuracy override (WithAccuracy
+	// builds the quadrupole moments only for an order-2 candidate).
+	refAcc := gridPoint(minEps, opt.MaxQuadOrder, gb.OrderMonopole)
 	surfs := make(map[int]*surface.Surface)
 	systems := make(map[int]*gb.System)
 	getSystem := func(q int) (*gb.System, *surface.Surface, error) {
 		if s, ok := systems[q]; ok {
 			return s, surfs[q], nil
 		}
+		if err := canceled(); err != nil {
+			return nil, nil, err
+		}
 		cfg := baseSurf
 		cfg.RuleDegree = q
 		surf, err := surface.Build(mol, cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("tune: building degree-%d surface: %w", q, err)
+		}
+		if err := canceled(); err != nil {
+			return nil, nil, err
 		}
 		p := baseParams
 		acc := refAcc
@@ -307,21 +361,30 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 		surfs[q], systems[q] = surf, sys
 		return sys, surf, nil
 	}
+	// run makes one search run on sys at the caller's layout (acc nil
+	// runs the system's own point). gb rejects a layout before the run
+	// starts, so the one-rank retry repeats no run work.
+	run := func(sys *gb.System, acc *gb.Accuracy) (*gb.Result, error) {
+		spec := gb.RunSpec{Processes: opt.Processes, ThreadsPerProcess: opt.ThreadsPerProcess,
+			Accuracy: acc, Ctx: opt.Ctx}
+		res, err := sys.Run(spec)
+		if errors.Is(err, gb.ErrInvalidLayout) {
+			spec.Processes, spec.ThreadsPerProcess = 1, 1
+			res, err = sys.Run(spec)
+		}
+		return res, err
+	}
 
-	// Reference run: tight point, highest searched degree.
 	refSys, _, err := getSystem(opt.MaxQuadOrder)
 	if err != nil {
 		return nil, err
 	}
-	refRes, err := refSys.Run(gb.RunSpec{})
+	refRes, err := run(refSys, nil)
 	if err != nil {
 		return nil, fmt.Errorf("tune: reference run: %w", err)
 	}
 	refEpol := refRes.Epol
-	refOps := int64(0)
-	for _, o := range refRes.PerCoreOps {
-		refOps += o
-	}
+	refOps := refRes.TotalOps()
 	refIndex, err := workIndexOf(refAcc)
 	if err != nil {
 		return nil, err
@@ -343,21 +406,13 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 		return b.TotalSeconds
 	}
 
-	// Candidate grid: orders × quadrature degrees × the ε ladder, bin
-	// width tied to the ε scale (bin = min(ε/4, 0.2): the binning term
-	// must shrink with the clustering terms or it floors the error).
+	// Candidate grid: orders × quadrature degrees × the ε ladder.
 	var cands []Point
 	for q := 1; q <= opt.MaxQuadOrder; q++ {
 		for ord := gb.OrderMonopole; ord <= gb.OrderQuadrupole; ord++ {
 			for _, scale := range opt.EpsScales {
-				acc := gb.Accuracy{
-					EpsBorn: scale, EpsEpol: scale,
-					BinWidth:  math.Min(scale/4, 0.2),
-					QuadOrder: q, Order: ord, TargetError: targetKcal,
-				}
-				if acc.Validate() != nil {
-					continue
-				}
+				acc := gridPoint(scale, q, ord)
+				acc.TargetError = targetKcal
 				wi, err := workIndexOf(acc)
 				if err != nil {
 					return nil, err
@@ -387,6 +442,17 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 		}
 		return a.Acc.EpsEpol > b.Acc.EpsEpol
 	})
+	isRef := func(a gb.Accuracy) bool {
+		a.TargetError = 0
+		return a == refAcc
+	}
+	refIdx := 0
+	for i := range cands {
+		if isRef(cands[i].Acc) {
+			refIdx = i
+			break
+		}
+	}
 
 	sel := &Selection{
 		Candidates:    cands,
@@ -394,28 +460,29 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 		ReferenceAcc:  refAcc,
 	}
 
-	// verify runs candidate i serially and records the measured error.
+	// verify runs candidate i and records the measured error. The
+	// reference point is admitted from the reference run: no run, and no
+	// charge against the verification budget.
 	verify := func(i int) (bool, error) {
 		pt := &cands[i]
-		sys, _, err := getSystem(pt.Acc.QuadOrder)
-		if err != nil {
-			return false, err
+		res := refRes
+		if !isRef(pt.Acc) {
+			sys, _, err := getSystem(pt.Acc.QuadOrder)
+			if err != nil {
+				return false, err
+			}
+			acc := pt.Acc
+			res, err = run(sys, &acc)
+			if err != nil {
+				return false, fmt.Errorf("tune: verifying %+v: %w", pt.Acc, err)
+			}
+			sel.VerifyRuns++
 		}
-		acc := pt.Acc
-		res, err := sys.Run(gb.RunSpec{Accuracy: &acc})
-		if err != nil {
-			return false, fmt.Errorf("tune: verifying %+v: %w", pt.Acc, err)
-		}
-		sel.VerifyRuns++
 		pt.Verified = true
 		pt.Epol = res.Epol
 		pt.MeasuredError = math.Abs(res.Epol - refEpol)
-		ops := int64(0)
-		for _, o := range res.PerCoreOps {
-			ops += o
-		}
-		pt.Ops = ops
-		pt.CostSeconds = price(ops, pt.Acc.QuadOrder)
+		pt.Ops = res.TotalOps()
+		pt.CostSeconds = price(pt.Ops, pt.Acc.QuadOrder)
 		return pt.MeasuredError <= acceptMargin*targetKcal, nil
 	}
 
@@ -476,7 +543,7 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 				}
 			}
 		}
-	} else if len(cands) > 0 {
+	} else {
 		// No candidate's BOUND meets the target. The bounds are
 		// conservative, so measure from the tightest end of the grid
 		// before conceding to the reference fallback.
@@ -484,24 +551,15 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 			return nil, err
 		}
 	}
-
-	if chosen >= 0 {
-		sel.Point = cands[chosen]
-	} else {
-		// Fallback: the reference point itself — zero measured error
-		// against the reference by construction, so any positive target
-		// is met.
-		ref := refAcc
-		ref.TargetError = targetKcal
-		sel.Point = Point{
-			Acc: ref, PredictedRelError: RelErrorBound(ref),
-			MeasuredError: 0, Verified: true, Epol: refEpol,
-			Ops: refOps, CostSeconds: price(refOps, refAcc.QuadOrder),
-			workIndex: refIndex,
+	if chosen < 0 {
+		// Fallback: the reference point, admitted from its own run.
+		chosen = refIdx
+		if _, err := verify(chosen); err != nil {
+			return nil, err
 		}
-		sel.Point.PredictedError = sel.Point.PredictedRelError * math.Abs(refEpol)
 		opt.Obs.Count("tune.fallback_reference", 1)
 	}
+	sel.Point = cands[chosen]
 
 	// Shed ladder: strictly cheaper points at the selected quadrature
 	// order (WithAccuracy cannot rebuild the surface), nearest-cost

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"testing"
+	"time"
 
 	"gbpolar/internal/gb"
 	"gbpolar/internal/molecule"
@@ -13,7 +14,8 @@ import (
 
 // rosterSubset picks the roster molecules the property test sweeps: a
 // small/medium/large slice by default, the whole ZDock roster when
-// GBTUNE_ROSTER=full (the acceptance sweep — minutes, not seconds).
+// GBTUNE_ROSTER=full (the acceptance sweep, `make tune-roster` — minutes,
+// not seconds).
 func rosterSubset(t *testing.T) []molecule.BenchmarkEntry {
 	roster := molecule.ZDockRoster()
 	if os.Getenv("GBTUNE_ROSTER") == "full" {
@@ -25,41 +27,69 @@ func rosterSubset(t *testing.T) []molecule.BenchmarkEntry {
 	return []molecule.BenchmarkEntry{roster[0], roster[6], roster[12]}
 }
 
+// naiveEpol is the exact energy the tuner is graded against: the naïve
+// r⁶ Born radii and the naïve energy sum on the degree-q surface.
+func naiveEpol(t *testing.T, mol *molecule.Molecule, q int) float64 {
+	t.Helper()
+	cfg := surface.DefaultConfig()
+	cfg.RuleDegree = q
+	surf, err := surface.Build(mol, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := gb.NewSystem(mol, surf, gb.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	radii, _ := sys.NaiveBornRadiiR6()
+	e, _ := sys.NaiveEpol(radii)
+	return e
+}
+
 // TestSelectMeetsTargetAcrossRoster is the tuner property test: on every
-// roster molecule swept, the selected point's measured error meets the
-// target, and an INDEPENDENT re-run of the returned system confirms the
-// measurement (the selection is not allowed to grade its own homework).
+// roster molecule swept, at one and at two ranks, the selected point's
+// energy sits within the target of the NAÏVE energy at the highest
+// degree searched — not of the tuner's own reference, so the selection
+// does not grade its own homework — and a re-run of the returned system
+// at the same layout reproduces the verification run bit for bit.
 func TestSelectMeetsTargetAcrossRoster(t *testing.T) {
 	for _, e := range rosterSubset(t) {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			mol := molecule.ZDockMolecule(e)
 			const target = 1.0 // kcal/mol
-			sel, err := Select(mol, target, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sel.Point.Verified {
-				t.Error("selected point is not verified")
-			}
-			if sel.Point.MeasuredError > target {
-				t.Errorf("measured error %v exceeds target %v", sel.Point.MeasuredError, target)
-			}
-			if sel.Point.Acc.TargetError != target {
-				t.Errorf("selected Acc.TargetError = %v, want %v", sel.Point.Acc.TargetError, target)
-			}
-			if sel.System == nil || sel.Surface == nil {
-				t.Fatal("selection carries no ready system/surface")
-			}
-			// Independent check: run the returned system and measure
-			// against the reference ourselves.
-			res := mustRun(t, sel.System, gb.RunSpec{})
-			if got := math.Abs(res.Epol - sel.ReferenceEpol); got > target {
-				t.Errorf("re-run error %v exceeds target %v (reference %v, re-run %v)",
-					got, target, sel.ReferenceEpol, res.Epol)
-			}
-			if math.Float64bits(res.Epol) != math.Float64bits(sel.Point.Epol) {
-				t.Errorf("re-run Epol %v differs from the verification run's %v", res.Epol, sel.Point.Epol)
+			naive := naiveEpol(t, mol, 2)
+			for _, procs := range []int{1, 2} {
+				start := time.Now()
+				sel, err := Select(mol, target, Options{Processes: procs})
+				took := time.Since(start)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sel.Point.Verified {
+					t.Errorf("P=%d: selected point is not verified", procs)
+				}
+				if sel.Point.MeasuredError > target {
+					t.Errorf("P=%d: measured error %v exceeds target %v", procs, sel.Point.MeasuredError, target)
+				}
+				if sel.Point.Acc.TargetError != target {
+					t.Errorf("P=%d: selected Acc.TargetError = %v, want %v", procs, sel.Point.Acc.TargetError, target)
+				}
+				if sel.System == nil || sel.Surface == nil {
+					t.Fatalf("P=%d: selection carries no ready system/surface", procs)
+				}
+				res := mustRun(t, sel.System, gb.RunSpec{Processes: procs})
+				if got := math.Abs(res.Epol - naive); got > target {
+					t.Errorf("P=%d: |Epol − naïve| = %v exceeds target %v (naïve %v, tuned %v)",
+						procs, got, target, naive, res.Epol)
+				}
+				if math.Float64bits(res.Epol) != math.Float64bits(sel.Point.Epol) {
+					t.Errorf("P=%d: re-run Epol %v differs from the verification run's %v", procs, res.Epol, sel.Point.Epol)
+				}
+				a := sel.Point.Acc
+				t.Logf("P=%d: p=%d q=%d eps=%g in %d ms, %d verify runs, |Epol − naïve| = %.4f kcal",
+					procs, a.Order, a.QuadOrder, a.EpsEpol, took.Milliseconds(), sel.VerifyRuns,
+					math.Abs(res.Epol-naive))
 			}
 		})
 	}
@@ -67,7 +97,8 @@ func TestSelectMeetsTargetAcrossRoster(t *testing.T) {
 
 // TestSelectTightTargetStaysAdmissible pins the tight end: a target of
 // 0.05 kcal/mol — below every coarse candidate's bound — still returns
-// an admissible point (a tight candidate or the reference fallback).
+// a point within the target of the naïve energy (a tight candidate or
+// the reference point).
 func TestSelectTightTargetStaysAdmissible(t *testing.T) {
 	mol := molecule.ZDockMolecule(molecule.ZDockRoster()[0])
 	const target = 0.05
@@ -80,8 +111,8 @@ func TestSelectTightTargetStaysAdmissible(t *testing.T) {
 			sel.Point.Verified, sel.Point.MeasuredError, target)
 	}
 	res := mustRun(t, sel.System, gb.RunSpec{})
-	if got := math.Abs(res.Epol - sel.ReferenceEpol); got > target {
-		t.Errorf("re-run error %v exceeds tight target %v", got, target)
+	if got := math.Abs(res.Epol - naiveEpol(t, mol, 2)); got > target {
+		t.Errorf("|Epol − naïve| = %v exceeds tight target %v", got, target)
 	}
 }
 
@@ -197,6 +228,11 @@ func TestSelectRejectsBadInput(t *testing.T) {
 	if _, err := Select(mol, 1.0, Options{MaxQuadOrder: 9}); err == nil {
 		t.Error("MaxQuadOrder beyond the Dunavant range accepted")
 	}
+	for _, scale := range []float64{0, -0.3, math.NaN(), math.Inf(1)} {
+		if _, err := Select(mol, 1.0, Options{EpsScales: []float64{0.9, scale}}); err == nil {
+			t.Errorf("ε scale %v accepted", scale)
+		}
+	}
 }
 
 // TestRelErrorBoundShape pins the per-term model's monotonicity: the
@@ -299,4 +335,45 @@ func mustRun(t testing.TB, s *gb.System, spec gb.RunSpec) *gb.Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestReferencePointAdmittedFromReferenceRun pins the reference: it is
+// the grid's monopole corner at the smallest ε and the highest degree,
+// and when the search reaches it, it is admitted from the reference run
+// itself — measured error 0, the reference's Epol bits — without a
+// verification run.
+func TestReferencePointAdmittedFromReferenceRun(t *testing.T) {
+	mol := molecule.ZDockMolecule(molecule.ZDockRoster()[0])
+	sel, err := Select(mol, 0.05, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := gb.Accuracy{EpsBorn: 0.3, EpsEpol: 0.3, BinWidth: 0.075, QuadOrder: 2, Order: gb.OrderMonopole}
+	if sel.ReferenceAcc != want {
+		t.Fatalf("reference %+v, want %+v", sel.ReferenceAcc, want)
+	}
+	verified, refVerified := 0, false
+	for _, c := range sel.Candidates {
+		if !c.Verified {
+			continue
+		}
+		verified++
+		a := c.Acc
+		a.TargetError = 0
+		if a != sel.ReferenceAcc {
+			continue
+		}
+		refVerified = true
+		if c.MeasuredError != 0 || math.Float64bits(c.Epol) != math.Float64bits(sel.ReferenceEpol) {
+			t.Errorf("reference candidate measured %v, Epol %v; want 0 and the reference run's %v",
+				c.MeasuredError, c.Epol, sel.ReferenceEpol)
+		}
+	}
+	if !refVerified {
+		t.Fatal("the search never reached the reference point")
+	}
+	if sel.VerifyRuns != verified-1 {
+		t.Errorf("VerifyRuns = %d with %d verified candidates; the reference's admission is not a run",
+			sel.VerifyRuns, verified)
+	}
 }
