@@ -1,8 +1,12 @@
 package gb
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"gbpolar/internal/molecule"
+	"gbpolar/internal/surface"
 )
 
 // These tests are the dynamic counterpart of the static `determinism`
@@ -81,4 +85,66 @@ func TestDistributedBitwiseDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitwiseSame(t, "distdata", da, db)
+}
+
+// TestForceProtocolMatchesPlainRun pins the property a tuned job's served
+// answer rests on: at one layout, a point computes the same Epol, every
+// radius and the same per-core ops whether it runs on the plain protocol
+// with a RunSpec.Accuracy override (the tuner's run), on the forced
+// fault-tolerance protocol (the supervisor's run), or as a WithAccuracy
+// system on the forced protocol (the supervised tuned system). Each
+// system is built as the tuner builds it, at the monopole ε 0.3 corner
+// on a surface of the point's quadrature degree.
+func TestForceProtocolMatchesPlainRun(t *testing.T) {
+	maxAtoms := 1500
+	if testing.Short() {
+		maxAtoms = 600
+	}
+	var mols []*molecule.Molecule
+	for _, n := range []int{500, 833, 1167, 1500} {
+		if n <= maxAtoms {
+			mols = append(mols, molecule.Exactly(molecule.Globule(fmt.Sprintf("globule-%d", n), n, int64(n)), n, int64(n)))
+		}
+	}
+	roster := molecule.ZDockRoster()
+	for _, e := range []molecule.BenchmarkEntry{roster[0], roster[7]} {
+		if e.Atoms <= maxAtoms {
+			mols = append(mols, molecule.ZDockMolecule(e))
+		}
+	}
+	// One ε per order: the tuner's reference, a cheaper pick, the default.
+	eps := [3]float64{0.3, 0.675, 0.9}
+	layouts := [][2]int{{1, 1}, {2, 1}, {3, 1}, {1, 2}, {2, 2}}
+	for _, mol := range mols {
+		for q := 1; q <= 2; q++ {
+			cfg := surface.DefaultConfig()
+			cfg.RuleDegree = q
+			params := DefaultParams()
+			params.Accuracy = Accuracy{EpsBorn: 0.3, EpsEpol: 0.3, BinWidth: 0.075, QuadOrder: q}
+			sys := newTestSystem(t, mol, cfg, params)
+			for ord := OrderMonopole; ord <= OrderQuadrupole; ord++ {
+				acc := Accuracy{EpsBorn: eps[ord], EpsEpol: eps[ord], BinWidth: math.Min(eps[ord]/4, 0.2),
+					QuadOrder: q, Order: ord}
+				tuned, err := sys.WithAccuracy(acc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, l := range layouts {
+					label := fmt.Sprintf("%s q=%d order=%d %d×%d", mol.Name, q, ord, l[0], l[1])
+					spec := RunSpec{Processes: l[0], ThreadsPerProcess: l[1], Accuracy: &acc}
+					plain := mustRun(t, sys, spec)
+					spec.Faults = &FaultConfig{ForceProtocol: true}
+					forced := mustRun(t, sys, spec)
+					spec.Accuracy = nil
+					supervised := mustRun(t, tuned, spec)
+					for _, r := range []*Result{forced, supervised} {
+						bitwiseSame(t, label, plain, r)
+						if fmt.Sprint(r.PerCoreOps) != fmt.Sprint(plain.PerCoreOps) {
+							t.Errorf("%s: PerCoreOps %v, plain run %v", label, r.PerCoreOps, plain.PerCoreOps)
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -157,7 +157,7 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	}
 	path := ""
 	if s.cfg.DataDir != "" {
-		path = s.latestTraceFile(jobID)
+		path, _ = s.latestTraceFile(jobID)
 	}
 	if path == "" {
 		writeError(w, http.StatusNotFound, ErrorDoc{

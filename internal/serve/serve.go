@@ -396,16 +396,9 @@ func (s *Server) releaseMem(j *job) {
 	j.memBytes = 0
 }
 
-// learnOps folds a completed job's measured ops into the EWMA.
-func (s *Server) learnOps(atoms int, perCore []int64) {
-	if atoms <= 0 {
-		return
-	}
-	total := int64(0)
-	for _, o := range perCore {
-		total += o
-	}
-	if total <= 0 {
+// learnOps folds a completed job's measured total ops into the EWMA.
+func (s *Server) learnOps(atoms int, total int64) {
+	if atoms <= 0 || total <= 0 {
 		return
 	}
 	measured := float64(total) / float64(atoms)
@@ -680,7 +673,13 @@ func (s *Server) runJob(j *job) {
 			PredictedErrorKcal: pred,
 		}
 	}
-	s.learnOps(doc.Atoms, res.PerCoreOps)
+	// An attempt that resumed a finished run counted no ops. A tuned
+	// job's finished run is the tuner's, which measured them.
+	ops := res.TotalOps()
+	if ops == 0 && sel != nil {
+		ops = sel.Point.Ops
+	}
+	s.learnOps(doc.Atoms, ops)
 	if hv, ok := out.Recorder.Health(); ok {
 		s.unhealthy.Store(len(hv.Lost) > 0 || len(hv.Straggling) > 0)
 	}
@@ -741,6 +740,16 @@ func (s *Server) superviseJob(j *job, deadline time.Duration, startEps float64) 
 		store = &supervise.DirStore{Dir: s.ckptDir(j.id), FS: s.cfg.FS, Obs: s.rec}
 	} else {
 		store = supervise.NewMemStore()
+	}
+	// Hand the tuner's run of the point to the supervisor, whose first
+	// attempt then resumes it instead of computing the same bits again.
+	// A pre-shed job must run the shed point, and a pick that ran on one
+	// rank has no snapshot; both compute. A failed save only loses the
+	// shortcut.
+	if sel != nil && sel.Snapshot != nil && startEps <= 1 {
+		if err := store.Save(gb.PhaseEpol, sel.Snapshot); err != nil {
+			s.count("serve.tune_handoff_errors", 1)
+		}
 	}
 	if s.cfg.CheckpointDelay > 0 {
 		store = delaySink{Store: store, d: s.cfg.CheckpointDelay}

@@ -152,14 +152,14 @@ func TestTracePersistSyncError(t *testing.T) {
 	if err := s.persistAttemptTrace("j-x", 1, faultRecorder()); err == nil {
 		t.Fatal("persistAttemptTrace under fsync error should fail")
 	}
-	if s.latestTraceFile("j-x") != "" {
+	if path, _ := s.latestTraceFile("j-x"); path != "" {
 		t.Fatal("failed trace persist left a published attempt file")
 	}
 	// Attempt 2 lands after the fault window.
 	if err := s.persistAttemptTrace("j-x", 2, faultRecorder()); err != nil {
 		t.Fatalf("persistAttemptTrace after heal: %v", err)
 	}
-	if got := s.latestTraceFile("j-x"); !strings.HasSuffix(got, "attempt-2.json") {
+	if got, _ := s.latestTraceFile("j-x"); !strings.HasSuffix(got, "attempt-2.json") {
 		t.Fatalf("latestTraceFile = %q", got)
 	}
 }

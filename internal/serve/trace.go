@@ -16,7 +16,8 @@ import (
 // entry:
 //
 //	<id>/trace/attempt-<n>.json   the Chrome-trace export of attempt n
-//	                              (1-based), written atomically right
+//	                              (1-based, numbered on across daemon
+//	                              restarts), written atomically right
 //	                              after the attempt ends
 //
 // The trace ID is derived from the job ID ("j-<hex>" → "t-<hex>") so a
@@ -33,9 +34,16 @@ func jobIDForTrace(traceID string) string { return "j-" + strings.TrimPrefix(tra
 func (s *Server) traceDir(jobID string) string { return filepath.Join(s.jobDir(jobID), "trace") }
 
 // traceFor mints the request identity stamped on every span, flight
-// event, and comm record of the job's runs.
+// event, and comm record of the job's runs. A resumed job's attempts
+// are numbered on from the newest trace an earlier process persisted,
+// so no attempt overwrites another's file and the newest file is the
+// newest attempt.
 func (s *Server) traceFor(j *job) obs.TraceContext {
-	return obs.TraceContext{TraceID: traceIDFor(j.id), Job: j.id, Tenant: j.req.Tenant}
+	tc := obs.TraceContext{TraceID: traceIDFor(j.id), Job: j.id, Tenant: j.req.Tenant}
+	if j.resumed {
+		_, tc.Attempt = s.latestTraceFile(j.id)
+	}
+	return tc
 }
 
 // persistAttemptTrace durably records one attempt's Chrome trace next to
@@ -58,27 +66,23 @@ func (s *Server) persistAttemptTrace(jobID string, attempt int, rec *obs.Recorde
 }
 
 // latestTraceFile returns the newest attempt's persisted trace for a
-// job, or "" when none exists.
-func (s *Server) latestTraceFile(jobID string) string {
+// job and its attempt number, or ("", 0) when none exists.
+func (s *Server) latestTraceFile(jobID string) (path string, attempt int) {
 	entries, err := s.cfg.FS.ReadDir(s.traceDir(jobID))
 	if err != nil {
-		return ""
+		return "", 0
 	}
-	best, bestN := "", -1
 	for _, e := range entries {
 		name := e.Name()
 		if !strings.HasPrefix(name, "attempt-") || !strings.HasSuffix(name, ".json") {
 			continue
 		}
 		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "attempt-"), ".json"))
-		if err != nil {
-			continue
-		}
-		if n > bestN {
-			bestN, best = n, filepath.Join(s.traceDir(jobID), name)
+		if err == nil && n > attempt {
+			path, attempt = filepath.Join(s.traceDir(jobID), name), n
 		}
 	}
-	return best
+	return path, attempt
 }
 
 // sanitizeTenant maps a tenant name onto the metric-name alphabet so it

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"gbpolar/internal/fault"
+	"gbpolar/internal/fault/fs"
 	"gbpolar/internal/obs"
 	"gbpolar/internal/obs/critpath"
 )
@@ -248,5 +251,92 @@ func TestTenantSanitization(t *testing.T) {
 		if got := sanitizeTenant(in); got != want {
 			t.Errorf("sanitizeTenant(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// A job resumed by a restarted daemon numbers its attempts on from the
+// traces the first incarnation persisted. The first incarnation's failed
+// attempt keeps its trace, and the trace endpoint serves the attempt that
+// produced the result, not the drained one.
+func TestRestartContinuesAttemptTraces(t *testing.T) {
+	ffs := fs.NewFaultFS(nil)
+	crash, err := fault.Parse("crash:0@0,crash:1@0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := New(Config{DataDir: "data", FS: ffs, CheckpointDelay: 80 * time.Millisecond,
+		PlanFor: func(_ string, attempt int) *fault.Plan {
+			if attempt == 0 {
+				return crash
+			}
+			return nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Start()
+	j, _, err := s1.admit(&JobRequest{Molecule: molSpec(testMol(150, 27)), Processes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracePath := func(n int) string {
+		return filepath.Join("data", j.id, "trace", fmt.Sprintf("attempt-%d.json", n))
+	}
+	// The failed attempt's trace lands before the retry starts its slowed
+	// checkpoints: drain inside the retry.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if _, err := ffs.ReadFile(tracePath(1)); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the failed attempt's trace never landed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s1.Drain()
+	if view, ok := s1.lookup(j.id); !ok || view.State != StateInterrupted {
+		t.Fatalf("post-drain view %+v (ok=%v), want interrupted", view, ok)
+	}
+	failed, err := ffs.ReadFile(tracePath(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ffs.ReadFile(tracePath(2)); err != nil {
+		t.Fatalf("the drained attempt's trace: %v", err)
+	}
+
+	s2, err := New(Config{DataDir: "data", FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.Start()
+	ts2 := httptest.NewServer(s2.Handler())
+	defer func() {
+		ts2.Close()
+		s2.Drain()
+	}()
+	done := awaitTerminal(t, ts2.URL, j.id)
+	if done.State != StateDone || done.Result == nil || done.Result.Attempts != 1 {
+		t.Fatalf("resumed job view %+v, want done in one attempt", done)
+	}
+	if kept, err := ffs.ReadFile(tracePath(1)); err != nil || !bytes.Equal(kept, failed) {
+		t.Errorf("the failed attempt's trace was overwritten or lost (%v)", err)
+	}
+	newest, err := ffs.ReadFile(tracePath(3))
+	if err != nil {
+		t.Fatalf("the resumed attempt's trace: %v", err)
+	}
+	code, served := getTrace(t, ts2.URL, done.TraceID)
+	if code != http.StatusOK || !bytes.Equal(served, newest) {
+		t.Fatalf("GET trace: status %d, serves attempt-3.json: %v", code, bytes.Equal(served, newest))
+	}
+	runs, err := critpath.ParseChromeTrace(served)
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("served trace: %d runs, %v", len(runs), err)
+	}
+	if runs[0].Trace.Attempt != 3 || !hasSpan(runs[0], "approx-epol") {
+		t.Errorf("served trace is attempt %d (approx-epol span: %v), want attempt 3 with the energy phase",
+			runs[0].Trace.Attempt, hasSpan(runs[0], "approx-epol"))
 	}
 }

@@ -2,14 +2,22 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"gbpolar/internal/fault/fs"
+	"gbpolar/internal/gb"
+	"gbpolar/internal/molecule"
+	"gbpolar/internal/obs/critpath"
 	"gbpolar/internal/supervise"
+	"gbpolar/internal/surface"
+	"gbpolar/internal/tune"
 )
 
 // TestTargetErrorReturnsAccuracyEnvelope pins the PR 8 serving contract:
@@ -196,5 +204,208 @@ func TestDrainDuringTuningInterruptsAndResumes(t *testing.T) {
 	}
 	if *resumed.Result.Accuracy != *ref.Result.Accuracy {
 		t.Errorf("resumed tuned point %+v, uninterrupted %+v", *resumed.Result.Accuracy, *ref.Result.Accuracy)
+	}
+}
+
+// directRunAt runs mol at a result's accuracy envelope on P ranks, on the
+// forced fault-tolerance protocol the supervisor runs: the bits a tuned
+// job is served.
+func directRunAt(t *testing.T, mol *molecule.Molecule, acc *AccuracyDoc, P int) *gb.Result {
+	t.Helper()
+	cfg := surface.DefaultConfig()
+	cfg.RuleDegree = acc.QuadOrder
+	surf, err := surface.Build(mol, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := gb.DefaultParams()
+	params.Accuracy = gb.Accuracy{EpsBorn: acc.EpsBorn, EpsEpol: acc.EpsEpol, BinWidth: acc.BinWidth,
+		QuadOrder: acc.QuadOrder, Order: acc.Order}
+	sys, err := gb.NewSystem(mol, surf, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(gb.RunSpec{Processes: P, Faults: &gb.FaultConfig{ForceProtocol: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// submitTuned posts a tuned two-rank job for mol and returns its id.
+func submitTuned(t *testing.T, base string, mol *molecule.Molecule) string {
+	t.Helper()
+	code, data := postJob(t, base, JobRequest{Molecule: molSpec(mol), Processes: 2, TargetErrorKcal: 1.0})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d\n%s", code, data)
+	}
+	var sub JobView
+	if err := json.Unmarshal(data, &sub); err != nil {
+		t.Fatalf("submit body: %v\n%s", err, data)
+	}
+	return sub.ID
+}
+
+// attemptTrace parses a job's persisted trace of one attempt, which must
+// hold exactly one run.
+func attemptTrace(t *testing.T, ffs *fs.FaultFS, id string, attempt int) critpath.Run {
+	t.Helper()
+	data, err := ffs.ReadFile(filepath.Join("data", id, "trace", "attempt-"+strconv.Itoa(attempt)+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := critpath.ParseChromeTrace(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 1 {
+		t.Fatalf("attempt %d trace holds %d runs, want 1", attempt, len(runs))
+	}
+	return runs[0]
+}
+
+// hasSpan reports whether a run recorded a span of the given name.
+func hasSpan(run critpath.Run, name string) bool {
+	for _, sp := range run.Spans {
+		if sp.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// A tuned job is computed once: the tuner's run of the admitted point
+// reaches the supervisor as a finished checkpoint. The served bits are a
+// direct fault-tolerance-protocol run's at the envelope's point and
+// layout; the job makes one attempt on the initial rung, writes one
+// checkpoint and runs no phase, its trace parses as one spanless run,
+// and the ops/atom EWMA learns the tuner's measured ops for the point.
+func TestTunedJobRunsTheTunersRun(t *testing.T) {
+	ffs := fs.NewFaultFS(nil)
+	s, ts := newTestServer(t, Config{DataDir: "data", FS: ffs})
+	mol := testMol(500, 41)
+	id := submitTuned(t, ts.URL, mol)
+	view := awaitTerminal(t, ts.URL, id)
+	s.Drain() // the worker has persisted everything once it exits
+	res := view.Result
+	if view.State != StateDone || res == nil || res.Accuracy == nil {
+		t.Fatalf("tuned job ended %s (error %+v)", view.State, view.Error)
+	}
+	direct := directRunAt(t, mol, res.Accuracy, 2)
+	if res.EpolBits != epolBits(direct.Epol) || res.BornCRC32 != bornCRCHex(direct.Born) {
+		t.Errorf("served Epol %s / Born %s, direct run %s / %s",
+			res.EpolBits, res.BornCRC32, epolBits(direct.Epol), bornCRCHex(direct.Born))
+	}
+	if res.Attempts != 1 || res.Rung != supervise.RungInitial.String() || res.Degraded {
+		t.Errorf("attempts %d on rung %s (degraded %v), want 1 on %s",
+			res.Attempts, res.Rung, res.Degraded, supervise.RungInitial)
+	}
+	ents, err := ffs.ReadDir(filepath.Join("data", id, "ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != "phase-4-epol.gbcp" {
+		t.Errorf("checkpoint dir holds %v, want only the epol checkpoint", names)
+	}
+	// job.json, the handed-off checkpoint, the attempt's trace, result.json.
+	if w := ffs.Stats().Writes; w != 4 {
+		t.Errorf("%d file writes, want 4", w)
+	}
+	if run := attemptTrace(t, ffs, id, 1); len(run.Spans) != 0 || run.Trace.Attempt != 1 {
+		t.Errorf("attempt trace: %d spans, attempt %d; want none, 1", len(run.Spans), run.Trace.Attempt)
+	}
+
+	sel, err := tune.Select(mol, 1.0, tune.Options{Processes: 2, ThreadsPerProcess: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel.Point.Ops != direct.TotalOps() {
+		t.Errorf("tuner measured %d ops, direct run %d", sel.Point.Ops, direct.TotalOps())
+	}
+	want := 0.7*seedOpsPerAtom + 0.3*float64(sel.Point.Ops)/float64(mol.NumAtoms())
+	if got := math.Float64frombits(s.opsPerAtom.Load()); got != want {
+		t.Errorf("ops/atom EWMA %v after the tuned job, want %v", got, want)
+	}
+}
+
+// The handoff is a shortcut, not a dependency: when its checkpoint
+// cannot be saved, the failure is counted and the supervisor computes the
+// point itself, to the same bits.
+func TestTunedHandoffSaveFailureRecomputes(t *testing.T) {
+	// Write op 0 is the admission's job.json; ops 1 and 2 are the handoff
+	// save and DirStore's one retry.
+	ffs := fs.NewFaultFS(diskPlan(t, "enospc@1+2"))
+	rec := faultRecorder()
+	s, ts := newTestServer(t, Config{DataDir: "data", FS: ffs, Obs: rec})
+	mol := testMol(500, 41)
+	id := submitTuned(t, ts.URL, mol)
+	view := awaitTerminal(t, ts.URL, id)
+	s.Drain()
+	res := view.Result
+	if view.State != StateDone || res == nil || res.Accuracy == nil {
+		t.Fatalf("tuned job ended %s (error %+v)", view.State, view.Error)
+	}
+	direct := directRunAt(t, mol, res.Accuracy, 2)
+	if res.EpolBits != epolBits(direct.Epol) || res.BornCRC32 != bornCRCHex(direct.Born) {
+		t.Errorf("served Epol %s / Born %s, direct run %s / %s",
+			res.EpolBits, res.BornCRC32, epolBits(direct.Epol), bornCRCHex(direct.Born))
+	}
+	if n := rec.Counters()["serve.tune_handoff_errors"]; n != 1 {
+		t.Errorf("serve.tune_handoff_errors = %d, want 1", n)
+	}
+	if st := ffs.Stats(); st.Enospc != 2 {
+		t.Errorf("%d ENOSPC injections, want the handoff save and its retry", st.Enospc)
+	}
+	if res.Attempts != 1 || !hasSpan(attemptTrace(t, ffs, id, 1), "approx-epol") {
+		t.Errorf("%d attempts; want 1 that computed the energy phase", res.Attempts)
+	}
+}
+
+// A pre-shed tuned job runs the shed point, which the tuner never ran:
+// it gets no handoff and computes, as an unshed tuned job would not.
+func TestPreShedTunedJobRecomputes(t *testing.T) {
+	ffs := fs.NewFaultFS(nil)
+	rec := faultRecorder()
+	// Staged before Start: the first job dequeued sees the second queued
+	// (depth 1 ≥ ShedQueueDepth) and is shed; the second is not.
+	s, err := New(Config{DataDir: "data", FS: ffs, Obs: rec, QueueDepth: 4, ShedQueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	mol := testMol(500, 41)
+	ids := []string{submitTuned(t, ts.URL, mol), submitTuned(t, ts.URL, mol)}
+	s.Start()
+	defer s.Drain()
+	shed, plain := awaitTerminal(t, ts.URL, ids[0]), awaitTerminal(t, ts.URL, ids[1])
+	if shed.State != StateDone || !shed.Result.Shed || plain.State != StateDone || plain.Result.Shed {
+		t.Fatalf("want the first job shed and the second not: %+v / %+v", shed.Result, plain.Result)
+	}
+	if !hasSpan(attemptTrace(t, ffs, ids[0], 1), "approx-epol") {
+		t.Error("the pre-shed job did not compute its energy phase")
+	}
+	if len(attemptTrace(t, ffs, ids[1], 1).Spans) != 0 {
+		t.Error("the unshed tuned job recomputed the tuner's point")
+	}
+
+	sel, err := tune.Select(mol, 1.0, tune.Options{Processes: 2, ThreadsPerProcess: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := supervise.Run(sel.System, supervise.Spec{Processes: 2, ThreadsPerProcess: 1, StartEpsFactor: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := shed.Result; got.EpolBits != epolBits(out.Result.Epol) || got.BornCRC32 != bornCRCHex(out.Result.Born) {
+		t.Errorf("shed job Epol %s / Born %s, supervised shed run %s / %s",
+			got.EpolBits, got.BornCRC32, epolBits(out.Result.Epol), bornCRCHex(out.Result.Born))
+	}
+	if n := rec.Counters()["serve.tune_handoff_errors"]; n != 0 {
+		t.Errorf("serve.tune_handoff_errors = %d, want 0", n)
 	}
 }

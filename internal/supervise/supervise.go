@@ -156,16 +156,21 @@ type Spec struct {
 	Obs *obs.Recorder
 	// Trace is the request identity of the job this computation serves.
 	// Each attempt's run recorder carries it with Attempt set to the
-	// 1-based global attempt number, so every span of every rung — and
+	// attempt's 1-based trace number, so every span of every rung — and
 	// every trace file TraceSink persists — resolves back to the
-	// request. The zero value disables stamping.
+	// request. On input, Trace.Attempt counts the attempts earlier
+	// supervised computations of the same job already made (0 for the
+	// first): attempt n of this computation is numbered
+	// Trace.Attempt + n + 1, so a job resumed in a later process goes on
+	// numbering where the earlier one stopped. The zero value disables
+	// stamping.
 	Trace obs.TraceContext
 	// TraceSink, when set, receives every attempt's run recorder right
 	// after the attempt ends — successful, failed, or canceled; the gb
 	// drivers have force-closed the spans by then, so the recorder is
 	// always export-ready. The serving layer persists each one next to
-	// the job's checkpoints. attempt is 1-based, matching the recorder's
-	// TraceContext.Attempt.
+	// the job's checkpoints. attempt is the trace number, matching the
+	// recorder's TraceContext.Attempt.
 	TraceSink func(attempt int, rec *obs.Recorder)
 	// Clock reads wall time for the deadline (default time.Now;
 	// injectable for tests).
@@ -387,9 +392,10 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 		// either way (it never renders timestamps).
 		runRec := obs.NewRecorder(perf.StartTimer().Elapsed)
 		tc := spec.Trace
+		traceNo := spec.Trace.Attempt + n + 1
 		if !tc.IsZero() {
-			tc.Attempt = n + 1
-			runRec.SetLabel(fmt.Sprintf("%s attempt %d", tc.Job, n+1))
+			tc.Attempt = traceNo
+			runRec.SetLabel(fmt.Sprintf("%s attempt %d", tc.Job, traceNo))
 		}
 		res, err := curSys.Run(gb.RunSpec{
 			Processes:         curP,
@@ -402,7 +408,7 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 			Ctx:               spec.Context,
 		})
 		if spec.TraceSink != nil {
-			spec.TraceSink(n+1, runRec)
+			spec.TraceSink(traceNo, runRec)
 		}
 		ar := AttemptRecord{
 			Attempt: n, Rung: rung, Processes: curP, EpsFactor: curFactor,

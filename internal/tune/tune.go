@@ -50,6 +50,14 @@
 //     and is deterministic, so Select itself is deterministic per
 //     (molecule, target, options).
 //
+// The run that admitted the chosen point already computed the answer at
+// the caller's layout: Select keeps that run's finished-run checkpoint
+// (Selection.Snapshot), and a caller that supervises the job at the same
+// layout saves it into the job's checkpoint store, so the supervisor's
+// first attempt resumes a finished run instead of computing the point a
+// second time. The plain and the fault-tolerance protocol compute the
+// same bits at one layout, so the resumed answer is the recomputed one.
+//
 // The chosen point is emitted into the obs Summary as tune.* counters
 // (deterministic integers only, per the Summary contract).
 package tune
@@ -192,6 +200,26 @@ type Selection struct {
 	// built at Point's quadrature order).
 	System  *gb.System
 	Surface *surface.Surface
+	// Snapshot is the encoded gb.PhaseEpol checkpoint of the run that
+	// admitted Point — the reference run for the reference point — at the
+	// caller's layout. System resumes from it (gb.RunSpec.Resume) to the
+	// same Epol and radii as a recompute at that layout, under either
+	// protocol. Nil when that run fell back to one rank because gb
+	// rejected the layout: its bits are not the caller's.
+	Snapshot []byte
+}
+
+// epolSink is the checkpoint sink of one search run: it keeps the
+// finished run's encoded PhaseEpol checkpoint and drops the earlier
+// phases. gb encodes every snapshot into a fresh buffer, so the
+// bytes are kept without a copy.
+type epolSink struct{ epol []byte }
+
+func (k *epolSink) Save(phase gb.CheckpointPhase, encoded []byte) error {
+	if phase == gb.PhaseEpol {
+		k.epol = encoded
+	}
+	return nil
 }
 
 // DefaultEpsScales is the grid's ε ladder.
@@ -362,24 +390,27 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 		return sys, surf, nil
 	}
 	// run makes one search run on sys at the caller's layout (acc nil
-	// runs the system's own point). gb rejects a layout before the run
-	// starts, so the one-rank retry repeats no run work.
-	run := func(sys *gb.System, acc *gb.Accuracy) (*gb.Result, error) {
+	// runs the system's own point) and returns its finished-run
+	// checkpoint. gb rejects a layout before the run starts, so the
+	// one-rank retry repeats no run work; it keeps no checkpoint.
+	run := func(sys *gb.System, acc *gb.Accuracy) (*gb.Result, []byte, error) {
+		sink := &epolSink{}
 		spec := gb.RunSpec{Processes: opt.Processes, ThreadsPerProcess: opt.ThreadsPerProcess,
-			Accuracy: acc, Ctx: opt.Ctx}
+			Accuracy: acc, Ctx: opt.Ctx, Checkpoint: sink}
 		res, err := sys.Run(spec)
 		if errors.Is(err, gb.ErrInvalidLayout) {
-			spec.Processes, spec.ThreadsPerProcess = 1, 1
+			spec.Processes, spec.ThreadsPerProcess, spec.Checkpoint = 1, 1, nil
 			res, err = sys.Run(spec)
+			return res, nil, err
 		}
-		return res, err
+		return res, sink.epol, err
 	}
 
 	refSys, _, err := getSystem(opt.MaxQuadOrder)
 	if err != nil {
 		return nil, err
 	}
-	refRes, err := run(refSys, nil)
+	refRes, refSnap, err := run(refSys, nil)
 	if err != nil {
 		return nil, fmt.Errorf("tune: reference run: %w", err)
 	}
@@ -460,24 +491,27 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 		ReferenceAcc:  refAcc,
 	}
 
-	// verify runs candidate i and records the measured error. The
-	// reference point is admitted from the reference run: no run, and no
-	// charge against the verification budget.
+	// verify runs candidate i and records the measured error and the
+	// run's checkpoint. The reference point is admitted from the
+	// reference run: no run, and no charge against the verification
+	// budget. Only the admitted point's checkpoint outlives Select.
+	snaps := make([][]byte, len(cands))
 	verify := func(i int) (bool, error) {
 		pt := &cands[i]
-		res := refRes
+		res, snap := refRes, refSnap
 		if !isRef(pt.Acc) {
 			sys, _, err := getSystem(pt.Acc.QuadOrder)
 			if err != nil {
 				return false, err
 			}
 			acc := pt.Acc
-			res, err = run(sys, &acc)
+			res, snap, err = run(sys, &acc)
 			if err != nil {
 				return false, fmt.Errorf("tune: verifying %+v: %w", pt.Acc, err)
 			}
 			sel.VerifyRuns++
 		}
+		snaps[i] = snap
 		pt.Verified = true
 		pt.Epol = res.Epol
 		pt.MeasuredError = math.Abs(res.Epol - refEpol)
@@ -560,6 +594,7 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 		opt.Obs.Count("tune.fallback_reference", 1)
 	}
 	sel.Point = cands[chosen]
+	sel.Snapshot = snaps[chosen]
 
 	// Shed ladder: strictly cheaper points at the selected quadrature
 	// order (WithAccuracy cannot rebuild the surface), nearest-cost

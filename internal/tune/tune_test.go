@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"testing"
@@ -375,5 +376,74 @@ func TestReferencePointAdmittedFromReferenceRun(t *testing.T) {
 	if sel.VerifyRuns != verified-1 {
 		t.Errorf("VerifyRuns = %d with %d verified candidates; the reference's admission is not a run",
 			sel.VerifyRuns, verified)
+	}
+}
+
+// The admitted point's run reaches the caller as a finished checkpoint at
+// the caller's layout, whether the pick is the reference (admitted from
+// the reference run) or a verified cheaper point. The selected system
+// resumes from it to the verification run's Epol and to the bits of a
+// recompute on the forced fault-tolerance protocol, which the supervisor
+// runs. A layout gb rejects tunes on one rank and hands back no
+// checkpoint.
+func TestSnapshotIsTheAdmittedRun(t *testing.T) {
+	globule := func(n int) *molecule.Molecule {
+		return molecule.Exactly(molecule.Globule(fmt.Sprintf("globule-%d", n), n, int64(n)), n, int64(n))
+	}
+	cases := []struct {
+		name string
+		mol  *molecule.Molecule
+	}{
+		{"reference", globule(500)},
+		{"cheaper", globule(833)},
+	}
+	const procs = 2
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sel, err := Select(c.mol, 1.0, Options{Processes: procs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc := sel.Point.Acc
+			acc.TargetError = 0
+			if isRef := acc == sel.ReferenceAcc; isRef != (c.name == "reference") {
+				t.Fatalf("the pick %+v is the reference: %v", sel.Point.Acc, isRef)
+			}
+			ck, err := gb.DecodeCheckpoint(sel.Snapshot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.Phase != gb.PhaseEpol || ck.Processes != procs {
+				t.Fatalf("snapshot is a %s checkpoint at P=%d, want epol at P=%d", ck.Phase, ck.Processes, procs)
+			}
+			if err := sel.System.CanResume(ck); err != nil {
+				t.Fatal(err)
+			}
+			ft := &gb.FaultConfig{ForceProtocol: true}
+			resumed := mustRun(t, sel.System, gb.RunSpec{Processes: procs, Faults: ft, Resume: ck})
+			fresh := mustRun(t, sel.System, gb.RunSpec{Processes: procs, Faults: ft})
+			if math.Float64bits(resumed.Epol) != math.Float64bits(sel.Point.Epol) {
+				t.Errorf("resumed Epol %v, the admitting run's %v", resumed.Epol, sel.Point.Epol)
+			}
+			if math.Float64bits(fresh.Epol) != math.Float64bits(resumed.Epol) {
+				t.Errorf("recomputed Epol %v, resumed %v", fresh.Epol, resumed.Epol)
+			}
+			for i := range fresh.Born {
+				if math.Float64bits(fresh.Born[i]) != math.Float64bits(resumed.Born[i]) {
+					t.Fatalf("Born[%d]: recomputed %v, resumed %v", i, fresh.Born[i], resumed.Born[i])
+				}
+			}
+			if fresh.TotalOps() != sel.Point.Ops {
+				t.Errorf("recompute counted %d ops, the admitting run %d", fresh.TotalOps(), sel.Point.Ops)
+			}
+		})
+	}
+
+	sel, err := Select(molecule.Exactly(molecule.Globule("tiny", 12, 5), 12, 5), 1.0, Options{Processes: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel.Snapshot != nil {
+		t.Error("a search retried on one rank handed back a checkpoint")
 	}
 }
