@@ -5,12 +5,19 @@
 // deterministic, so any drift there is reported regardless of noise.
 // `make bench-gate` runs it as `benchdiff BENCH_seed.json BENCH_head.json`.
 //
+// With -runs it instead reads committed `_perfbench` run files
+// (BENCH_prN.json) and, per file, workload and metric of the
+// BENCHMARK.json in the working directory, prints each side's median and
+// quartiles and the pairs won, as one markdown table per file.
+//
 // Usage:
 //
 //	benchdiff [-max-ratio 1.6] [-max-model-ratio 1.05] [-min-wall-ms 1] old.json new.json
+//	benchdiff -runs BENCH_pr20.json BENCH_pr21.json
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -22,7 +29,27 @@ func main() {
 	maxRatioF := flag.Float64("max-ratio", 0, "host-normalized ns/op ratio gate (0 = default 1.6)")
 	maxModelF := flag.Float64("max-model-ratio", 0, "deterministic modeled-seconds ratio gate (0 = default 1.05)")
 	minWallF := flag.Int64("min-wall-ms", 0, "skip the ns/op gate for kernels faster than this (0 = default 1ms)")
+	runsF := flag.Bool("runs", false, "summarize the given _perfbench run files against ./BENCHMARK.json instead of diffing two trajectories")
 	flag.Parse()
+	if *runsF {
+		if flag.NArg() == 0 {
+			fatal(fmt.Errorf("usage: benchdiff -runs BENCH_prN.json..."))
+		}
+		var def benchmarkDef
+		if err := readJSON("BENCHMARK.json", &def); err != nil {
+			fatal(err)
+		}
+		for _, path := range flag.Args() {
+			var runs []run
+			if err := readJSON(path, &runs); err != nil {
+				fatal(err)
+			}
+			fmt.Printf("%s\n\n", path)
+			writeRunsReport(os.Stdout, def, runs)
+			fmt.Println()
+		}
+		return
+	}
 	if flag.NArg() != 2 {
 		fatal(fmt.Errorf("usage: benchdiff [flags] old.json new.json"))
 	}
@@ -80,6 +107,17 @@ func readTrajectory(path string) (*bench.Trajectory, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return t, nil
+}
+
+func readJSON(path string, v any) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(b, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -1,0 +1,79 @@
+package main
+
+import (
+	"encoding/json"
+	"strings"
+	"testing"
+)
+
+// testRun builds one run record with the given metric values.
+func testRun(side, workload string, seed, failed int64, metrics map[string]float64) run {
+	r := run{Side: side, Workload: workload, Seed: seed}
+	r.Result.Correct = true
+	r.Result.Attempted = 10
+	r.Result.Failed = failed
+	r.Result.Metrics = map[string]struct{ Value float64 }{}
+	for k, v := range metrics {
+		r.Result.Metrics[k] = struct{ Value float64 }{v}
+	}
+	return r
+}
+
+// TestRunsReportRows: medians, quartiles, the change of the medians and
+// the pairs won follow each metric's better direction; a run without its
+// pair counts in its side's quartiles but not in the wins; a metric no
+// run reports gets no row; failures are summed per side.
+func TestRunsReportRows(t *testing.T) {
+	var def benchmarkDef
+	if err := json.Unmarshal([]byte(`{"end_to_end": [
+		{"name": "atoms_per_s", "better": "higher"},
+		{"name": "latency_ms.p50", "better": "lower"},
+		{"name": "setup_s", "better": "lower"}]}`), &def); err != nil {
+		t.Fatal(err)
+	}
+	runs := []run{
+		testRun("parent", "w", 1, 0, map[string]float64{"atoms_per_s": 100, "latency_ms.p50": 10}),
+		testRun("change", "w", 1, 0, map[string]float64{"atoms_per_s": 110, "latency_ms.p50": 11}),
+		testRun("change", "w", 2, 1, map[string]float64{"atoms_per_s": 130, "latency_ms.p50": 9}),
+		testRun("parent", "w", 2, 0, map[string]float64{"atoms_per_s": 120, "latency_ms.p50": 12}),
+		testRun("parent", "w", 3, 0, map[string]float64{"atoms_per_s": 140, "latency_ms.p50": 8}),
+	}
+	runs[4].Result.Correct = false
+	var b strings.Builder
+	writeRunsReport(&b, def, runs)
+	got := b.String()
+	for _, want := range []string{
+		"| w | 0 | atoms_per_s | 120 [110, 130] | 120 [115, 125] | +0.0 % | 2/2 |",
+		"| w | 0 | latency_ms.p50 | 10 [9, 11] | 10 [9.5, 10.5] | +0.0 % | 1/2 |",
+		"| w | 0 | failed of attempted (incorrect runs) | 0 of 30 (1) | 1 of 20 (0) | | |",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("report lacks row\n%s\ngot:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, "setup_s") {
+		t.Errorf("report has a row for a metric no run reports:\n%s", got)
+	}
+}
+
+// TestRunsReportReproducesCommittedTable: read back, BENCH_pr20.json
+// gives the serve-closed rows EXPERIMENTS.md reports for it.
+func TestRunsReportReproducesCommittedTable(t *testing.T) {
+	var def benchmarkDef
+	var runs []run
+	for path, v := range map[string]any{"../../BENCHMARK.json": &def, "../../BENCH_pr20.json": &runs} {
+		if err := readJSON(path, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b strings.Builder
+	writeRunsReport(&b, def, runs)
+	for _, want := range []string{
+		"| serve-closed | 0 | atoms_per_s | 21.98k [21.15k, 22.14k] | 25.45k [24.76k, 26.13k] | +15.8 % | 10/10 |",
+		"| serve-closed | 0 | latency_ms.p50 | 27.06 [26.73, 28.42] | 26.58 [26.13, 27.2] | -1.8 % | 8/10 |",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("report lacks row\n%s\ngot:\n%s", want, b.String())
+		}
+	}
+}

@@ -106,12 +106,12 @@ func (c *Complex) Epol(tr geom.Transform) (*PoseResult, error) {
 	sum := 0.0
 	// rec–rec and lig–lig (ordered pairs within each molecule).
 	for _, v := range rec.aLeaves {
-		vs, vops := rec.approxEpol(rec.TA.Root(), v, recAgg, sc, factor, wholeTree(rec.TA), nil)
+		vs, vops := rec.approxEpol(rec.TA.Root(), v, recAgg, sc, factor, nil)
 		sum += vs
 		res.Ops += vops
 	}
 	for _, v := range lig.aLeaves {
-		vs, vops := lig.approxEpol(lig.TA.Root(), v, ligAgg, sc, factor, wholeTree(lig.TA), nil)
+		vs, vops := lig.approxEpol(lig.TA.Root(), v, ligAgg, sc, factor, nil)
 		sum += vs
 		res.Ops += vops
 	}

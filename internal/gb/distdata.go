@@ -191,7 +191,7 @@ func segEpol(partial float64, ops *int64, sc *farScratch, u *System, uAgg *epolA
 		var ls float64
 		var lops int64
 		if u == v {
-			ls, lops = v.approxEpol(v.TA.Root(), l, vAgg, sc, factor, wholeTree(v.TA), nil)
+			ls, lops = v.approxEpol(v.TA.Root(), l, vAgg, sc, factor, nil)
 		} else {
 			ls, lops = ep.run(u.TA.Root(), l)
 		}

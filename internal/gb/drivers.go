@@ -541,11 +541,10 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 				partialP = reduceRange(pool, hi-lo, newEpolPart,
 					//lint:ignore hotalloc per-phase worker body; allocated once per energy round and amortized over its whole range
 					func(worker, i0, i1 int, part *epolPart) {
-						own := leafSpan{s.aLeaves[lo], s.aLeaves[hi-1]}
 						sum := 0.0
 						ops := int64(0)
 						for _, v := range s.aLeaves[lo+i0 : lo+i1] {
-							vs, vops := s.approxEpol(s.TA.Root(), v, agg, scratch[worker], factor, own, &part.tally)
+							vs, vops := s.approxEpol(s.TA.Root(), v, agg, scratch[worker], factor, &part.tally)
 							sum += vs
 							ops += vops
 						}

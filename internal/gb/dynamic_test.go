@@ -97,7 +97,7 @@ func TestRunMPIDynamicBalancesSkew(t *testing.T) {
 	sc := newFarScratch(agg.M)
 	epolCost := make([]int64, len(sys.aLeaves))
 	for i, v := range sys.aLeaves {
-		_, epolCost[i] = sys.approxEpol(sys.TA.Root(), v, agg, sc, sys.epolFactor(), wholeTree(sys.TA), nil)
+		_, epolCost[i] = sys.approxEpol(sys.TA.Root(), v, agg, sc, sys.epolFactor(), nil)
 	}
 	for _, cost := range [][]int64{bornCost, epolCost} {
 		busy := make([]int64, computeRanks+1) // per-phase finish times

@@ -291,15 +291,13 @@ func (t *pairTally) addFar(n int64) {
 	}
 }
 
-// leafSpan is the node-index interval [lo, hi] of the target leaves one
-// energy pass sums over: a NodeNode share [aLeaves[lo], aLeaves[hi-1]],
-// or the whole tree. A mutually near leaf pair with both leaves inside it
-// is evaluated once, by its larger-index leaf, and weighted by 2
-// (DESIGN.md §13).
-type leafSpan struct{ lo, hi int32 }
-
-// wholeTree spans every leaf of t.
-func wholeTree(t *octree.Tree) leafSpan { return leafSpan{0, int32(t.NumNodes() - 1)} }
+// ownsNear reports whether target leaf v evaluates the mutually near leaf
+// block {u, v}, u ≠ v: the larger index owns it when u⊕v is odd, the
+// smaller when it is even. The rule depends on the pair alone, so the
+// block is summed once in the world whichever shares hold u and v, and a
+// contiguous share owns about half of the blocks it has in common with
+// another (DESIGN.md §13).
+func ownsNear(v, u int32) bool { return ((u^v)&1 == 1) == (v > u) }
 
 // epolReaches reports whether the energy traversal of target leaf t
 // reaches leaf l as an exact leaf: whether none of l's proper ancestors W
@@ -321,12 +319,13 @@ func (s *System) epolReaches(t, l int32, factor float64) bool {
 // approxEpol is Fig. 3's APPROX-Epol(U, V): the raw pair sum
 // Σ q_u q_v / f_GB between the atoms under U and the atoms under target
 // leaf V, approximated by class aggregates when (U, V) is far, exact at
-// leaves. An exact leaf pair that is mutually near within own is summed
-// by one side only (×2), so only the sum over all of own's targets is
-// Fig. 3's. Returns (sum, interaction evaluations); the count is always
-// the ordered pairs', skipped leaves included.
+// leaves. An exact leaf pair that is mutually near is summed by its
+// owner only (×2, ownsNear) and skipped by the other target, so only the
+// sum over every target leaf, whatever ranks hold them, is Fig. 3's.
+// Returns (sum, interaction evaluations); the count is always the
+// ordered pairs', skipped leaves included.
 func (s *System) approxEpol(u, v int32, agg *epolAggregates, sc *farScratch,
-	factor float64, own leafSpan, tally *pairTally) (float64, int64) {
+	factor float64, tally *pairTally) (float64, int64) {
 	un := &s.TA.Nodes[u]
 	vn := &s.TA.Nodes[v]
 	d := un.Center.Dist(vn.Center)
@@ -342,15 +341,15 @@ func (s *System) approxEpol(u, v int32, agg *epolAggregates, sc *farScratch,
 	}
 	if un.Leaf {
 		// Exact: f_GB is symmetric, so U == V sums i < j ×2 plus the
-		// self terms q_i²/R_i, and a mutually near U ≠ V in own is summed
-		// ×2 by the larger index and skipped by the smaller.
+		// self terms q_i²/R_i, and a mutually near U ≠ V is summed ×2 by
+		// its owner and skipped by the other target.
 		ops := int64(un.Count()) * int64(vn.Count())
 		tally.addNear(ops)
 		weight := 1.0
 		if u == v {
 			weight = 2
-		} else if own.lo <= u && u <= own.hi && s.epolReaches(u, v, factor) {
-			if u > v {
+		} else if s.epolReaches(u, v, factor) {
+			if !ownsNear(v, u) {
 				return 0, ops
 			}
 			weight = 2
@@ -364,7 +363,7 @@ func (s *System) approxEpol(u, v int32, agg *epolAggregates, sc *farScratch,
 	ops := int64(1)
 	for _, c := range un.Children {
 		if c != octree.NoChild {
-			cs, cops := s.approxEpol(c, v, agg, sc, factor, own, tally)
+			cs, cops := s.approxEpol(c, v, agg, sc, factor, tally)
 			sum += cs
 			ops += cops
 		}
@@ -603,11 +602,11 @@ func (ep *epolCrossPass) run(u, v int32) (float64, int64) {
 func (s *System) Epol(radii []float64) (float64, int64) {
 	agg := s.buildEpolAggregates(radii)
 	sc := newFarScratch(agg.M)
-	factor, own := s.epolFactor(), wholeTree(s.TA)
+	factor := s.epolFactor()
 	sum := 0.0
 	ops := int64(0)
 	for _, v := range s.aLeaves {
-		vs, vops := s.approxEpol(s.TA.Root(), v, agg, sc, factor, own, nil)
+		vs, vops := s.approxEpol(s.TA.Root(), v, agg, sc, factor, nil)
 		sum += vs
 		ops += vops
 	}

@@ -427,7 +427,7 @@ func checkSparseAgainstDense(t *testing.T, s *System, radii []float64, agg *epol
 	gsum, wsum := 0.0, 0.0
 	for _, v := range s.aLeaves {
 		walk(s.TA.Root(), v)
-		gs, gops := s.approxEpol(s.TA.Root(), v, agg, sc, factor, wholeTree(s.TA), nil)
+		gs, gops := s.approxEpol(s.TA.Root(), v, agg, sc, factor, nil)
 		ws, wops := denseApproxEpol(s, s.TA.Root(), v, radii, da, ord)
 		if gops != wops {
 			t.Fatalf("leaf %d traversal: %d ops, dense %d", v, gops, wops)

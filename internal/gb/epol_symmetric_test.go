@@ -93,38 +93,80 @@ func TestEpolReachesMatchesTraversal(t *testing.T) {
 	}
 }
 
-// TestSymmetricNearFieldSpans: over a split of the leaves into contiguous
-// spans (one per simulated share), each span's symmetric sum matches the
-// ordered-pair reference over the same targets to rounding, with the same
-// op count per leaf. So ownership never crosses a span: a share's
-// partial sum is Fig. 3's sum over its own targets.
+// TestSymmetricNearFieldSpans: the owner of a mutually near leaf block
+// depends on the pair alone (ownsNear), so over 1, 2, 3 and 5 contiguous
+// spans of the leaves (one per simulated share), at OpeningScale 0.25
+// and 1 and orders 0/1/2:
+//   - every mutually near leaf pair is evaluated ×2 by exactly one of its
+//     two targets and skipped by the other;
+//   - the spans' sums add up to the ordered-pair dense oracle's total to
+//     rounding, with the oracle's op count per leaf; one span's sum alone
+//     need not be its targets' ordered-pair sum;
+//   - the exact leaf blocks the spans evaluate add up to the one-span
+//     count: a block across two spans is evaluated once, not on both
+//     sides.
 func TestSymmetricNearFieldSpans(t *testing.T) {
 	base := buildSys(t, 900, DefaultParams())
-	radii, _ := base.BornRadii()
 	for _, scale := range []float64{0.25, 1} {
-		s := *base
-		s.Params.OpeningScale = scale
-		agg := s.buildEpolAggregates(radii)
-		da := buildDenseAggregates(&s, radii, agg)
-		sc := newFarScratch(agg.M)
-		factor := s.epolFactor()
+		var worlds []*nearWorld
+		for _, ord := range []int{OrderMonopole, OrderDipole, OrderQuadrupole} {
+			s := withMode(t, base, ord, ExactMath)
+			s.Params.OpeningScale = scale
+			radii, _ := s.BornRadii()
+			w := &nearWorld{s: s, agg: s.buildEpolAggregates(radii), factor: s.epolFactor(), oracleOps: map[int32]int64{}}
+			w.sc = newFarScratch(w.agg.M)
+			w.reach = reachSets(s, w.factor)
+			da := buildDenseAggregates(s, radii, w.agg)
+			mutual := 0
+			for _, v := range s.aLeaves {
+				ws, wops := denseApproxEpol(s, s.TA.Root(), v, radii, da, ord)
+				w.oracle += ws
+				w.oracleOps[v] = wops
+				w.blocks += w.evaluated(v)
+				for u := range w.reach[v] {
+					if u >= v || !w.reach[u][v] {
+						continue
+					}
+					mutual++
+					ur, uR := s.atomsOf(&s.TA.Nodes[u], w.agg)
+					vr, vR := s.atomsOf(&s.TA.Nodes[v], w.agg)
+					uv, _ := nearSum(ur, uR, vr, vR, false, false)
+					vu, _ := nearSum(vr, vR, ur, uR, false, false)
+					atV, atU := w.leafCall(u, v), w.leafCall(v, u)
+					if !(atV == 2*uv && atU == 0) && !(atU == 2*vu && atV == 0) {
+						t.Fatalf("p=%d scale=%v: mutually near pair (%d, %d) summed %v at target %d and %v at target %d, want 2×%v at one and 0 at the other",
+							ord, scale, u, v, atV, v, atU, u, uv)
+					}
+				}
+			}
+			if mutual == 0 {
+				t.Fatalf("p=%d scale=%v: no mutually near leaf pair", ord, scale)
+			}
+			worlds = append(worlds, w)
+		}
 		for _, parts := range []int{1, 2, 3, 5} {
 			t.Run(fmt.Sprintf("scale%v/parts%d", scale, parts), func(t *testing.T) {
-				for k := range parts {
-					lo, hi := segment(len(s.aLeaves), parts, k)
-					own := leafSpan{s.aLeaves[lo], s.aLeaves[hi-1]}
-					gsum, wsum := 0.0, 0.0
-					for _, v := range s.aLeaves[lo:hi] {
-						gs, gops := s.approxEpol(s.TA.Root(), v, agg, sc, factor, own, nil)
-						ws, wops := denseApproxEpol(&s, s.TA.Root(), v, radii, da, agg.order)
-						if gops != wops {
-							t.Fatalf("share %d leaf %d: %d ops, ordered-pair reference %d", k, v, gops, wops)
+				for _, w := range worlds {
+					s := w.s
+					sum, blocks := 0.0, 0
+					for k := range parts {
+						lo, hi := segment(len(s.aLeaves), parts, k)
+						span := 0.0
+						for _, v := range s.aLeaves[lo:hi] {
+							gs, gops := s.approxEpol(s.TA.Root(), v, w.agg, w.sc, w.factor, nil)
+							if gops != w.oracleOps[v] {
+								t.Fatalf("p=%d: leaf %d has %d ops, ordered-pair oracle %d", s.order(), v, gops, w.oracleOps[v])
+							}
+							span += gs
+							blocks += w.evaluated(v)
 						}
-						gsum += gs
-						wsum += ws
+						sum += span
 					}
-					if rel := relDiff(gsum, wsum); rel > 1e-13 {
-						t.Errorf("share %d: symmetric sum %v, ordered-pair %v (rel %.3g)", k, gsum, wsum, rel)
+					if rel := relDiff(sum, w.oracle); rel > 1e-13 {
+						t.Errorf("p=%d: spans sum to %v, ordered-pair oracle %v (rel %.3g)", s.order(), sum, w.oracle, rel)
+					}
+					if blocks != w.blocks {
+						t.Errorf("p=%d: spans evaluate %d near blocks, the whole tree %d", s.order(), blocks, w.blocks)
 					}
 				}
 			})
@@ -160,7 +202,7 @@ func TestCrossPassMatchesOwnPass(t *testing.T) {
 				own, cross := 0.0, 0.0
 				ownOps, crossOps := int64(0), int64(0)
 				for _, v := range s.aLeaves {
-					vs, vops := s.approxEpol(s.TA.Root(), v, agg, sc, factor, wholeTree(s.TA), nil)
+					vs, vops := s.approxEpol(s.TA.Root(), v, agg, sc, factor, nil)
 					cs, cops := ep.run(view.TA.Root(), v)
 					own, ownOps = own+vs, ownOps+vops
 					cross, crossOps = cross+cs, crossOps+cops
@@ -174,4 +216,37 @@ func TestCrossPassMatchesOwnPass(t *testing.T) {
 			}
 		})
 	}
+}
+
+// nearWorld is one energy pass's trees and aggregates with the
+// ordered-pair dense oracle's per-leaf results.
+type nearWorld struct {
+	s         *System
+	agg       *epolAggregates
+	sc        *farScratch
+	factor    float64
+	reach     map[int32]map[int32]bool // per target leaf, the leaves it reaches
+	oracle    float64                  // the oracle's whole-tree sum
+	oracleOps map[int32]int64          // the oracle's ops per target leaf
+	blocks    int                      // exact leaf blocks the whole tree evaluates
+}
+
+// leafCall is target leaf v's exact-leaf call on source leaf u.
+func (w *nearWorld) leafCall(u, v int32) float64 {
+	sum, _ := w.s.approxEpol(u, v, w.agg, w.sc, w.factor, nil)
+	return sum
+}
+
+// evaluated counts the exact leaf blocks target v's traversal evaluates:
+// the leaves it reaches whose leaf call is not skipped. A skipped call
+// returns exactly 0; an evaluated block of this test's charges never
+// sums to 0.
+func (w *nearWorld) evaluated(v int32) int {
+	n := 0
+	for u := range w.reach[v] {
+		if w.leafCall(u, v) != 0 {
+			n++
+		}
+	}
+	return n
 }

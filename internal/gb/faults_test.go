@@ -81,10 +81,12 @@ func TestCrashRecoverMatchesSerial(t *testing.T) {
 
 func TestCrashDegradeHonestBound(t *testing.T) {
 	// A rank dies entering the energy phase (op 7): its share's V-side
-	// terms are missing from the accepted partial sum. Under Degrade the
-	// result must carry an ErrorBound that really contains the deficit.
-	// Mutually near leaf pairs are owned within a share (DESIGN.md §13),
-	// so every layout and every dead rank must keep the bound honest.
+	// terms are missing from the accepted partial sum, and so are the
+	// mirror terms of the mutually near blocks its targets own across the
+	// share boundary, which the live neighbours skipped (ownership is
+	// global, DESIGN.md §13). Under Degrade the result must carry an
+	// ErrorBound that really contains the deficit, for every layout and
+	// every dead rank.
 	s := buildSys(t, 400, DefaultParams())
 	serial := mustRun(t, s, RunSpec{})
 	for _, P := range []int{2, 3, 4} {
@@ -113,6 +115,58 @@ func TestCrashDegradeHonestBound(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDegradedBoundWeightsPartners pins degradedBound against a
+// brute-force evaluation over ordered atom pairs at intrinsic radii: a
+// partner outside the dead atoms counts twice, because a dead target may
+// own the pair's mutually near block ×2 and its live mirror skipped it; a
+// partner inside counts once, because its mirror term is anchored at a
+// dead atom of its own.
+func TestDegradedBoundWeightsPartners(t *testing.T) {
+	s := buildSys(t, 80, DefaultParams())
+	atoms := s.Mol.Atoms
+	scale := boundSlack * 0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal
+	term := func(i, j int32) float64 {
+		a := atoms[i].Radius * atoms[j].Radius
+		r2 := s.atomPos[i].Dist2(s.atomPos[j])
+		return math.Abs(atoms[i].Charge*atoms[j].Charge) / math.Sqrt(r2+a*math.Exp(-r2/(4*a)))
+	}
+	brute := func(dead []int32) float64 {
+		in := make(map[int32]bool, len(dead))
+		for _, v := range dead {
+			in[v] = true
+		}
+		sum := 0.0
+		for _, v := range dead {
+			sum += atoms[v].Charge * atoms[v].Charge / atoms[v].Radius
+			for j := range atoms {
+				switch {
+				case int32(j) == v:
+				case in[int32(j)]:
+					sum += term(v, int32(j))
+				default:
+					sum += 2 * term(v, int32(j))
+				}
+			}
+		}
+		return scale * sum
+	}
+	var every3rd []int32
+	for v := int32(0); v < int32(len(atoms)); v += 3 {
+		every3rd = append(every3rd, v)
+	}
+	for _, dead := range [][]int32{{5}, {5, 6}, every3rd, s.shareAtomsNodeNode(0, len(s.aLeaves)/2)} {
+		if got, want := s.degradedBound(dead), brute(dead); relDiff(got, want) > 1e-12 {
+			t.Errorf("%d dead atoms: degradedBound %v, brute force %v", len(dead), got, want)
+		}
+	}
+	// The weights alone: the pair (5, 6) counts twice at each anchor when
+	// one atom dies and once when both do.
+	pair := s.degradedBound([]int32{5}) + s.degradedBound([]int32{6}) - s.degradedBound([]int32{5, 6})
+	if want := scale * 2 * term(5, 6); relDiff(pair, want) > 1e-9 {
+		t.Errorf("pair (5, 6) weight: bound difference %v, want 2 terms %v", pair, want)
 	}
 }
 

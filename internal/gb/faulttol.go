@@ -33,7 +33,7 @@ import (
 //     point-to-point messages (the backoff is modeled, not slept, and
 //     priced by internal/perf);
 //   - degradedBound: a rigorous upper bound on the |Epol| mass of the
-//     pair terms anchored at a lost rank's atoms, used by the Degrade
+//     pair terms a lost rank's targets produce, used by the Degrade
 //     policy to return a partial energy with an honest error bar instead
 //     of paying for a full phase redo.
 //
@@ -44,7 +44,10 @@ import (
 // 1/f_GB evaluated at intrinsic radii dominates the magnitude of any
 // realized pair term. Summing |q_i q_j|/f_GB(r²; ρ_iρ_j) over the missing
 // ordered pairs therefore upper-bounds the missing energy mass,
-// whatever radii the lost rank would have produced.
+// whatever radii the lost rank would have produced. Ownership of a
+// mutually near leaf block is global (DESIGN.md §13): a lost target may
+// own one ×2 that a surviving rank skipped, so a pair with one atom
+// outside the lost atoms is counted in both orders.
 
 // FaultPolicy selects how a driver responds to ranks lost mid-run.
 type FaultPolicy int
@@ -231,12 +234,19 @@ func equalInts(a, b []int) bool {
 // evaluation.
 const boundSlack = 1.25
 
-// degradedBound upper-bounds the |Epol| mass of every ordered pair term
-// anchored at the given atoms (the V-side terms a lost rank's share would
-// have produced): 0.5·τ·C·Σ_{v}[q_v²/ρ_v + Σ_{j≠v}|q_j q_v|/f_GB(r²;
-// ρ_jρ_v)], evaluated at intrinsic radii ρ (see the monotonicity argument
-// at the top of this file). O(|atoms|·N) — the price of an honest bound.
+// degradedBound upper-bounds the |Epol| mass a lost rank's share would
+// have produced, given its atoms: 0.5·τ·C·Σ_{v}[q_v²/ρ_v + Σ_{j≠v}
+// w_j·|q_j q_v|/f_GB(r²; ρ_jρ_v)] at intrinsic radii ρ (see the top of
+// this file). The share's targets produce the ordered terms anchored at
+// its atoms and the mirror terms of the near blocks they own ×2
+// (ownsNear): w_j = 2 for a partner outside the atoms, 1 inside, where
+// the mirror is anchored at j itself. O(|atoms|·N) — the price of an
+// honest bound.
 func (s *System) degradedBound(atoms []int32) float64 {
+	dead := make([]bool, s.NumAtoms())
+	for _, v := range atoms {
+		dead[v] = true
+	}
 	sum := 0.0
 	for _, v := range atoms {
 		qv := math.Abs(s.Mol.Atoms[v].Charge)
@@ -247,8 +257,12 @@ func (s *System) degradedBound(atoms []int32) float64 {
 			if int32(j) == v {
 				continue
 			}
+			w := 2.0
+			if dead[j] {
+				w = 1
+			}
 			r2 := pv.Dist2(s.atomPos[j])
-			sum += qv * math.Abs(s.Mol.Atoms[j].Charge) *
+			sum += w * qv * math.Abs(s.Mol.Atoms[j].Charge) *
 				invFGB(r2, rhoV*s.Mol.Atoms[j].Radius)
 		}
 	}
