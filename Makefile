@@ -21,8 +21,12 @@ test:
 # collective divergence over the call graph), ctxflow (cancellation
 # propagation), and hotalloc (per-iteration allocation in hot loops).
 # Nonzero exit on findings. `make lint-json` emits the same findings as
-# deterministic JSON for tooling.
+# deterministic JSON for tooling. Before the analyzers, gofmt -l runs over
+# every tracked .go file and any file it names (or any error it prints)
+# fails the target.
 lint:
+	@out=$$(git ls-files -z '*.go' | xargs -0 gofmt -l 2>&1); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 	$(GO) run ./cmd/gblint ./...
 
 lint-json:

@@ -18,12 +18,16 @@ import (
 	"sort"
 	"strings"
 
-	"gbpolar/internal/gb"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/sched"
 	"gbpolar/internal/stats"
 	"gbpolar/internal/surface"
 )
+
+// surfaceTension is the GB/SA surface-tension coefficient γ in
+// kcal/(mol·Å²) (the 5.4 cal convention of Still-style SA terms): the
+// nonpolar solvation term γ·SASA printed next to the surface statistics.
+const surfaceTension = 0.0054
 
 func main() {
 	var (
@@ -90,7 +94,7 @@ func main() {
 	fmt.Printf("total SASA      %.1f Å²\n", surf.Area)
 	fmt.Printf("exposed-atom Å² %s\n", areaStats.String())
 	fmt.Printf("nonpolar ΔG     %.2f kcal/mol (γ = %.4f)\n",
-		gb.DefaultSurfaceTension*surf.Area, gb.DefaultSurfaceTension)
+		surfaceTension*surf.Area, surfaceTension)
 
 	if *xyzOut != "" {
 		if err := withFile(*xyzOut, surf.WriteXYZ); err != nil {

@@ -174,7 +174,7 @@ func ablationBinning(o Options) (*Table, error) {
 	}
 	for _, binEps := range []float64{0.9, 0.4, 0.2, 0.1, 0.05} {
 		params := gb.DefaultParams()
-		params.EpsBin = binEps
+		params.Accuracy.BinWidth = binEps
 		entry, err := systemFor(mol, params)
 		if err != nil {
 			return nil, err

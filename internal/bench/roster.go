@@ -235,7 +235,7 @@ func fig10(o Options) (*Table, error) {
 	entries := roster(o.MaxAtoms)
 	for _, eps := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
 		params := gb.DefaultParams()
-		params.EpsEpol = eps
+		params.Accuracy.EpsEpol = eps
 		var errs []float64
 		var sumT, maxT float64
 		for _, e := range entries {

@@ -1,6 +1,9 @@
 package gb
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Expansion orders of the far-field multipole approximation. The order p
 // controls how much structure a far octree node keeps when it is
@@ -36,13 +39,11 @@ const (
 // depend on Order), by internal/tune's search, and by the serving
 // layer's job envelope.
 //
-// The zero value means "unset": Params falls back to its deprecated
-// EpsBorn/EpsEpol/EpsBin fields with the calibrated OrderDipole default,
-// bitwise identical to the pre-Accuracy behavior. A non-zero Accuracy
-// wins over the deprecated fields; its own zero fields take the
-// calibrated defaults (eps 0.9, quadrature degree 1, derived bin width)
-// EXCEPT Order, which is explicit: an explicit Accuracy with Order 0 is
-// a genuine monopole request.
+// The zero value means "unset" and resolves to DefaultAccuracy. A
+// non-zero Accuracy's own zero fields take the calibrated defaults (eps
+// 0.9, quadrature degree 1, derived bin width) EXCEPT Order, which is
+// explicit: an explicit Accuracy with Order 0 is a genuine monopole
+// request.
 type Accuracy struct {
 	// EpsBorn is the ε of the Born-radii far-field criterion (Fig. 2).
 	// 0 means the calibrated default 0.9.
@@ -73,14 +74,12 @@ type Accuracy struct {
 
 // DefaultAccuracy is the calibrated default point: ε = 0.9 for both
 // phases, derived bin width, Dunavant degree 1, dipole (p = 1) far
-// field. A system built at DefaultAccuracy computes bitwise-identical
-// results to one built with legacy DefaultParams.
+// field. DefaultParams carries it.
 func DefaultAccuracy() Accuracy {
 	return Accuracy{EpsBorn: 0.9, EpsEpol: 0.9, QuadOrder: 1, Order: OrderDipole}
 }
 
-// IsZero reports the unset state (fall back to the deprecated Params
-// fields).
+// IsZero reports the unset state (resolves to DefaultAccuracy).
 func (a Accuracy) IsZero() bool { return a == Accuracy{} }
 
 // normalized fills the unset (zero) fields with the calibrated defaults.
@@ -99,14 +98,17 @@ func (a Accuracy) normalized() Accuracy {
 }
 
 // Validate checks the spec. Zero fields are legal (they mean "default");
-// the checks apply to the normalized values.
+// the checks apply to the normalized values. Every float must be finite:
+// an infinite ε admits every separated node pair as far and an infinite
+// bin width merges every radius class, so the run would return a far-off
+// energy with no error.
 func (a Accuracy) Validate() error {
 	n := a.normalized()
-	if !(n.EpsBorn > 0) || !(n.EpsEpol > 0) {
-		return fmt.Errorf("gb: accuracy eps pair must be positive (got %v, %v)", a.EpsBorn, a.EpsEpol)
+	if !finitePositive(n.EpsBorn) || !finitePositive(n.EpsEpol) {
+		return fmt.Errorf("gb: accuracy eps pair must be finite and positive (got %v, %v)", a.EpsBorn, a.EpsEpol)
 	}
-	if !(a.BinWidth >= 0) {
-		return fmt.Errorf("gb: accuracy bin width %v must be non-negative", a.BinWidth)
+	if !finiteNonNegative(a.BinWidth) {
+		return fmt.Errorf("gb: accuracy bin width %v must be finite and non-negative", a.BinWidth)
 	}
 	if a.BinWidth > n.EpsEpol {
 		return fmt.Errorf("gb: accuracy bin width %v exceeds EpsEpol %v: bins wider than the energy criterion degrade the Fig. 3 histogram bound", a.BinWidth, n.EpsEpol)
@@ -117,11 +119,15 @@ func (a Accuracy) Validate() error {
 	if a.Order < OrderMonopole || a.Order > OrderQuadrupole {
 		return fmt.Errorf("gb: accuracy expansion order %d outside {0, 1, 2}", a.Order)
 	}
-	if !(a.TargetError >= 0) {
-		return fmt.Errorf("gb: accuracy target error %v must be non-negative", a.TargetError)
+	if !finiteNonNegative(a.TargetError) {
+		return fmt.Errorf("gb: accuracy target error %v must be finite and non-negative", a.TargetError)
 	}
 	return nil
 }
+
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Relaxed returns the point with the eps pair scaled by factor (> 1
 // loosens): the supervisor's relax rung and its deprecated
@@ -157,41 +163,28 @@ func (a Accuracy) OpeningFactor(scale float64) float64 {
 }
 
 // EffectiveAccuracy resolves the accuracy point the params describe: the
-// explicit Accuracy if set, else the deprecated EpsBorn/EpsEpol/EpsBin
-// fields at the calibrated OrderDipole default.
+// normalized Accuracy, or DefaultAccuracy when it is unset.
 func (p Params) EffectiveAccuracy() Accuracy {
 	if p.Accuracy.IsZero() {
-		return Accuracy{
-			EpsBorn:   p.EpsBorn,
-			EpsEpol:   p.EpsEpol,
-			BinWidth:  p.EpsBin,
-			QuadOrder: 1,
-			Order:     OrderDipole,
-		}
+		return DefaultAccuracy()
 	}
-	a := p.Accuracy.normalized()
-	return a
+	return p.Accuracy.normalized()
 }
 
-// order is the effective expansion order of this system's far fields.
-// System views (DESIGN.md §14) copy a normalized Params, so the Accuracy
-// field is always populated there; the IsZero fallback keeps hand-rolled
-// test fixtures on the calibrated default.
+// order is the expansion order of this system's far fields. NewSystem
+// normalizes Params.Accuracy and System views (DESIGN.md §14) copy it.
 func (s *System) order() int {
-	if s.Params.Accuracy.IsZero() {
-		return OrderDipole
-	}
 	return s.Params.Accuracy.Order
 }
 
 // bornBeta is the order-aware Born far-field threshold of this system.
 func (s *System) bornBeta() float64 {
-	return farBetaOrder(s.Params.EpsBorn, s.order())
+	return farBetaOrder(s.Params.Accuracy.EpsBorn, s.order())
 }
 
 // epolFactor is the order-aware energy far-field threshold multiplier.
 func (s *System) epolFactor() float64 {
-	return epolFarFactorOrder(s.Params.EpsEpol, s.Params.OpeningScale, s.order())
+	return epolFarFactorOrder(s.Params.Accuracy.EpsEpol, s.Params.OpeningScale, s.order())
 }
 
 // WithAccuracy returns a copy of the system running at the given
@@ -212,9 +205,6 @@ func (s *System) WithAccuracy(acc Accuracy) (*System, error) {
 	acc = acc.normalized()
 	c := *s
 	c.Params.Accuracy = acc
-	c.Params.EpsBorn = acc.EpsBorn
-	c.Params.EpsEpol = acc.EpsEpol
-	c.Params.EpsBin = acc.BinWidth
 	if acc.Order == OrderQuadrupole && c.nodeMoment2 == nil && c.TQ != nil {
 		c.nodeMoment2 = buildQuadMoments(c.TQ, c.Surf.Points, c.nodeNormal, c.nodeMoment)
 	}

@@ -1,6 +1,7 @@
 package gb
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,25 +11,33 @@ import (
 )
 
 // TestAccuracyResolution pins how Params resolve to an effective
-// accuracy point: a zero Accuracy falls back to the deprecated ε fields
-// at the calibrated dipole default; a non-zero Accuracy wins and its own
-// zero fields take the defaults — except Order, where 0 means monopole.
+// accuracy point: DefaultParams carries DefaultAccuracy, a zero Accuracy
+// resolves to it, and a non-zero Accuracy's own zero fields take the
+// defaults — except Order, where 0 means monopole.
 func TestAccuracyResolution(t *testing.T) {
-	legacy := DefaultParams()
-	legacy.EpsBorn, legacy.EpsEpol, legacy.EpsBin = 0.7, 0.5, 0.1
-	got := legacy.EffectiveAccuracy()
-	want := Accuracy{EpsBorn: 0.7, EpsEpol: 0.5, BinWidth: 0.1, QuadOrder: 1, Order: OrderDipole}
-	if got != want {
-		t.Errorf("legacy resolution: %+v, want %+v", got, want)
+	if got := DefaultParams().Accuracy; got != DefaultAccuracy() {
+		t.Errorf("DefaultParams().Accuracy = %+v, want DefaultAccuracy %+v", got, DefaultAccuracy())
+	}
+	unset := DefaultParams()
+	unset.Accuracy = Accuracy{}
+	if got := unset.EffectiveAccuracy(); got != DefaultAccuracy() {
+		t.Errorf("zero Accuracy resolution: %+v, want %+v", got, DefaultAccuracy())
 	}
 
 	p := DefaultParams()
-	p.EpsBorn = 0.1 // the deprecated field must lose
 	p.Accuracy = Accuracy{EpsEpol: 0.5}
-	got = p.EffectiveAccuracy()
-	want = Accuracy{EpsBorn: 0.9, EpsEpol: 0.5, QuadOrder: 1, Order: OrderMonopole}
+	got := p.EffectiveAccuracy()
+	want := Accuracy{EpsBorn: 0.9, EpsEpol: 0.5, QuadOrder: 1, Order: OrderMonopole}
 	if got != want {
 		t.Errorf("explicit resolution: %+v, want %+v", got, want)
+	}
+
+	// Setting one field on DefaultParams keeps the dipole default.
+	p = DefaultParams()
+	p.Accuracy.EpsEpol = 0.5
+	want = Accuracy{EpsBorn: 0.9, EpsEpol: 0.5, QuadOrder: 1, Order: OrderDipole}
+	if got := p.EffectiveAccuracy(); got != want {
+		t.Errorf("one-field resolution: %+v, want %+v", got, want)
 	}
 
 	if d := DefaultAccuracy(); d.Order != OrderDipole || d.EpsBorn != 0.9 || d.QuadOrder != 1 {
@@ -39,32 +48,35 @@ func TestAccuracyResolution(t *testing.T) {
 	}
 }
 
-// TestAccuracyDefaultBitwiseCompatible is the CLI-migration pin: a system
-// built with an explicit default Accuracy computes bitwise-identical
-// results to one built on the deprecated fields alone.
+// TestAccuracyDefaultBitwiseCompatible pins the three ways of asking for
+// the default point to one computation: DefaultParams, a zeroed Accuracy
+// and the explicit literal give bitwise-identical results.
 func TestAccuracyDefaultBitwiseCompatible(t *testing.T) {
 	m := molecule.Exactly(molecule.Globule("accdef", 300, 17), 300, 17)
 	surf, err := surface.Build(m, surface.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldSys, err := NewSystem(m, surf, DefaultParams())
+	defSys, err := NewSystem(m, surf, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := DefaultParams()
-	p.Accuracy = Accuracy{EpsBorn: 0.9, EpsEpol: 0.9, QuadOrder: 1, Order: 1}
-	newSys, err := NewSystem(m, surf, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := mustRun(t, oldSys, RunSpec{}), mustRun(t, newSys, RunSpec{})
-	if math.Float64bits(a.Epol) != math.Float64bits(b.Epol) {
-		t.Errorf("explicit default Accuracy changed Epol: %v vs %v", b.Epol, a.Epol)
-	}
-	for i := range a.Born {
-		if math.Float64bits(a.Born[i]) != math.Float64bits(b.Born[i]) {
-			t.Fatalf("explicit default Accuracy changed Born[%d]: %v vs %v", i, b.Born[i], a.Born[i])
+	a := mustRun(t, defSys, RunSpec{})
+	for _, acc := range []Accuracy{{}, {EpsBorn: 0.9, EpsEpol: 0.9, QuadOrder: 1, Order: 1}} {
+		p := DefaultParams()
+		p.Accuracy = acc
+		sys, err := NewSystem(m, surf, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := mustRun(t, sys, RunSpec{})
+		if math.Float64bits(a.Epol) != math.Float64bits(b.Epol) {
+			t.Errorf("Accuracy %+v changed Epol: %v vs %v", acc, b.Epol, a.Epol)
+		}
+		for i := range a.Born {
+			if math.Float64bits(a.Born[i]) != math.Float64bits(b.Born[i]) {
+				t.Fatalf("Accuracy %+v changed Born[%d]: %v vs %v", acc, i, b.Born[i], a.Born[i])
+			}
 		}
 	}
 }
@@ -93,18 +105,52 @@ func TestAccuracyValidate(t *testing.T) {
 			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
+	for _, c := range nonFiniteAccuracies() {
+		if err := c.acc.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", c.name, c.acc)
+		}
+	}
 }
 
-// TestParamsRejectEpsBinAboveEpsEpol pins the PR 8 small fix: the
-// deprecated EpsBin field is subject to the same bound as
-// Accuracy.BinWidth — bins wider than the energy criterion silently
-// degrade the Fig. 3 histogram bound and must be rejected, not absorbed.
+type namedAccuracy struct {
+	name string
+	acc  Accuracy
+}
+
+// nonFiniteAccuracies puts +Inf, −Inf and NaN into each float field of
+// the default point in turn. Validate, NewSystem and WithAccuracy must
+// refuse every one: an infinite ε admits every separated node pair as
+// far and an infinite bin width merges every radius class, so a run at
+// either returns a far-off energy with no error.
+func nonFiniteAccuracies() []namedAccuracy {
+	var out []namedAccuracy
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		for _, f := range []struct {
+			name string
+			set  func(*Accuracy)
+		}{
+			{"EpsBorn", func(a *Accuracy) { a.EpsBorn = v }},
+			{"EpsEpol", func(a *Accuracy) { a.EpsEpol = v }},
+			{"BinWidth", func(a *Accuracy) { a.BinWidth = v }},
+			{"TargetError", func(a *Accuracy) { a.TargetError = v }},
+		} {
+			a := DefaultAccuracy()
+			f.set(&a)
+			out = append(out, namedAccuracy{fmt.Sprintf("%s=%v", f.name, v), a})
+		}
+	}
+	return out
+}
+
+// TestParamsRejectEpsBinAboveEpsEpol pins the bin-width bound through
+// Params: bins wider than the energy criterion silently degrade the
+// Fig. 3 histogram bound and must be rejected, not absorbed.
 func TestParamsRejectEpsBinAboveEpsEpol(t *testing.T) {
 	p := DefaultParams()
-	p.EpsEpol, p.EpsBin = 0.9, 1.5
+	p.Accuracy.EpsEpol, p.Accuracy.BinWidth = 0.9, 1.5
 	err := p.Validate()
 	if err == nil {
-		t.Fatal("EpsBin > EpsEpol passed Validate")
+		t.Fatal("BinWidth > EpsEpol passed Validate")
 	}
 	if !strings.Contains(err.Error(), "EpsEpol") {
 		t.Errorf("rejection does not name the bound: %v", err)
@@ -115,7 +161,7 @@ func TestParamsRejectEpsBinAboveEpsEpol(t *testing.T) {
 		t.Fatal(serr)
 	}
 	if _, err := NewSystem(m, surf, p); err == nil {
-		t.Error("NewSystem accepted EpsBin > EpsEpol")
+		t.Error("NewSystem accepted BinWidth > EpsEpol")
 	}
 }
 
@@ -198,6 +244,11 @@ func TestWithAccuracyBuildsMissingMoments(t *testing.T) {
 
 	if _, err := base.WithAccuracy(Accuracy{EpsBorn: -1}); err == nil {
 		t.Error("WithAccuracy accepted an invalid point")
+	}
+	for _, c := range nonFiniteAccuracies() {
+		if _, err := base.WithAccuracy(c.acc); err == nil {
+			t.Errorf("WithAccuracy accepted %s", c.name)
+		}
 	}
 	same, err := base.WithAccuracy(Accuracy{})
 	if err != nil || same != base {

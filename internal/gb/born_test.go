@@ -94,7 +94,7 @@ func TestOctreeBornRadiiMatchesNaive(t *testing.T) {
 	}
 	prevOps := int64(math.MaxInt64)
 	for _, tc := range cases {
-		params.EpsBorn = tc.eps
+		params.Accuracy.EpsBorn = tc.eps
 		sys2, err := NewSystem(m, surf, params)
 		if err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestOctreeBornRadiiMatchesNaive(t *testing.T) {
 		prevOps = ops
 	}
 	// At the paper's working ε = 0.9 the octree must beat naive clearly.
-	params.EpsBorn = 0.9
+	params.Accuracy.EpsBorn = 0.9
 	sys3, err := NewSystem(m, surf, params)
 	if err != nil {
 		t.Fatal(err)
@@ -217,9 +217,16 @@ func TestNewSystemValidation(t *testing.T) {
 		t.Error("empty surface accepted")
 	}
 	bad := DefaultParams()
-	bad.EpsBorn = -1
+	bad.Accuracy.EpsBorn = -1
 	if _, err := NewSystem(m, surf, bad); err == nil {
 		t.Error("negative eps accepted")
+	}
+	for _, c := range nonFiniteAccuracies() {
+		bad := DefaultParams()
+		bad.Accuracy = c.acc
+		if _, err := NewSystem(m, surf, bad); err == nil {
+			t.Errorf("NewSystem accepted %s", c.name)
+		}
 	}
 }
 

@@ -405,9 +405,10 @@ func (s *System) validateResume(ck *Checkpoint) error {
 	// slack absorbs float noise from normalized()/Relaxed round trips —
 	// real relaxations are ≥1.5×. Zero eps: v1 snapshot, unrecorded.
 	const slack = 1 + 1e-9
-	if ck.EpsBorn > s.Params.EpsBorn*slack || ck.EpsEpol > s.Params.EpsEpol*slack {
+	acc := s.Params.Accuracy
+	if ck.EpsBorn > acc.EpsBorn*slack || ck.EpsEpol > acc.EpsEpol*slack {
 		return fmt.Errorf("gb: checkpoint was computed at looser ε (born %.3g, epol %.3g) than this system requires (born %.3g, epol %.3g): resuming would silently degrade the result",
-			ck.EpsBorn, ck.EpsEpol, s.Params.EpsBorn, s.Params.EpsEpol)
+			ck.EpsBorn, ck.EpsEpol, acc.EpsBorn, acc.EpsEpol)
 	}
 	want := 0
 	switch ck.Phase {

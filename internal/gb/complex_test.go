@@ -122,7 +122,7 @@ func TestComplexRotationalSanity(t *testing.T) {
 func TestComplexParamsMismatch(t *testing.T) {
 	rec := buildSys(t, 100, DefaultParams())
 	p2 := DefaultParams()
-	p2.EpsEpol = 0.5
+	p2.Accuracy.EpsEpol = 0.5
 	lig := buildSys(t, 100, p2)
 	if _, err := NewComplex(rec, lig); err == nil {
 		t.Error("mismatched params accepted")

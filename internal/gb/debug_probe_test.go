@@ -33,7 +33,7 @@ func TestProbeEpolError(t *testing.T) {
 	naive, _ := sys.NaiveEpol(radii)
 	for _, eps := range []float64{0.01, 0.3, 0.9} {
 		p2 := params
-		p2.EpsEpol = eps
+		p2.Accuracy.EpsEpol = eps
 		s2, _ := NewSystem(m, surf, p2)
 		e, ops := s2.Epol(radii)
 		t.Logf("eps=%v: E=%v naive=%v rel=%v ops=%d", eps, e, naive,
@@ -53,8 +53,8 @@ func TestProbeEpolErrorDecomposition(t *testing.T) {
 	for _, scale := range []float64{1, 2, 3} {
 		for _, binEps := range []float64{0.9, 0.05} {
 			p2 := params
-			p2.EpsEpol = 0.9
-			p2.EpsBin = binEps
+			p2.Accuracy.EpsEpol = 0.9
+			p2.Accuracy.BinWidth = binEps
 			p2.OpeningScale = scale
 			s2, _ := NewSystem(m, surf, p2)
 			e, ops := s2.Epol(radii)
@@ -77,8 +77,8 @@ func TestProbeEpolLarge(t *testing.T) {
 	for _, scale := range []float64{1, 2} {
 		for _, binEps := range []float64{0.9, 0.2, 0.05} {
 			p2 := params
-			p2.EpsEpol = 0.9
-			p2.EpsBin = binEps
+			p2.Accuracy.EpsEpol = 0.9
+			p2.Accuracy.BinWidth = binEps
 			p2.OpeningScale = scale
 			s2, _ := NewSystem(m, surf, p2)
 			e, ops := s2.Epol(radii)
@@ -129,11 +129,11 @@ func TestProbeFarPairAccuracy(t *testing.T) {
 	m := molecule.Globule("g", 1500, 79)
 	surf, _ := surface.Build(m, surface.DefaultConfig())
 	p := DefaultParams()
-	p.EpsBin = 0.05
+	p.Accuracy.BinWidth = 0.05
 	sys, _ := NewSystem(m, surf, p)
 	radii, _ := sys.NaiveBornRadiiR6()
 	agg := sys.buildEpolAggregates(radii)
-	factor := epolFarFactor(p.EpsEpol, p.OpeningScale)
+	factor := epolFarFactor(p.Accuracy.EpsEpol, p.OpeningScale)
 	kernel := pairEnergyKernel(ExactMath)
 	var farApprox, farExact, totDiff float64
 	nfar := 0
@@ -203,8 +203,8 @@ func TestProbeEpolTune8k(t *testing.T) {
 	for _, scale := range []float64{1, 1.5} {
 		for _, binEps := range []float64{0.3, 0.2, 0.1} {
 			p2 := params
-			p2.EpsEpol = 0.9
-			p2.EpsBin = binEps
+			p2.Accuracy.EpsEpol = 0.9
+			p2.Accuracy.BinWidth = binEps
 			p2.OpeningScale = scale
 			s2, _ := NewSystem(m, surf, p2)
 			e, ops := s2.Epol(radii)

@@ -278,8 +278,8 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 					Phase: phase, Processes: P,
 					Live: liveNow, Lost: lost,
 					ConfigTag: s.configTag(),
-					EpsBorn:   s.Params.EpsBorn,
-					EpsEpol:   s.Params.EpsEpol,
+					EpsBorn:   s.Params.Accuracy.EpsBorn,
+					EpsEpol:   s.Params.Accuracy.EpsEpol,
 					Payload:   payload(),
 					Obs:       rec.CounterSnapshot(),
 				}).Encode()

@@ -108,9 +108,9 @@ func (s *System) buildEpolAggregates(radii []float64) *epolAggregates {
 // The moments accumulate in the order of a dense NumNodes·M layout, so
 // each entry is bitwise its dense slot (DESIGN.md §11).
 func (s *System) buildEpolAggregatesRange(radii []float64, rmin, rmax float64) *epolAggregates {
-	eps := math.Min(s.Params.EpsEpol, defaultBinEps)
-	if s.Params.EpsBin > 0 {
-		eps = s.Params.EpsBin
+	eps := math.Min(s.Params.Accuracy.EpsEpol, defaultBinEps)
+	if s.Params.Accuracy.BinWidth > 0 {
+		eps = s.Params.Accuracy.BinWidth
 	}
 	agg := &epolAggregates{Rmin: rmin, order: s.order()}
 	epsBin := eps

@@ -1,7 +1,9 @@
 package gb
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +37,74 @@ func TestEpolRigidMotionInvariance(t *testing.T) {
 	// agree within the ε error band.
 	if rel := math.Abs(e1-e0) / math.Abs(e0); rel > 0.01 {
 		t.Errorf("Epol changed by %.3f%% under rigid motion (%v vs %v)", rel*100, e0, e1)
+	}
+}
+
+// Physical invariant: atom labels carry no physics, so relabelling the
+// input atoms must give the same energy and the same radius per atom.
+// The trees see the same point sets in another item order, so the
+// traversal and its work are unchanged; only summation order moves
+// (node centroids and moments sum in item order), which bounds the
+// difference at rounding, not at ε.
+func TestEpolAtomPermutationInvariance(t *testing.T) {
+	maxAtoms := 1200
+	if testing.Short() {
+		maxAtoms = 600
+	}
+	build := func(m *molecule.Molecule, order int) *System {
+		surf, err := surface.Build(m, surface.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := DefaultParams()
+		p.Accuracy.Order = order
+		sys, err := NewSystem(m, surf, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	rel := func(a, b float64) float64 { return math.Abs(a-b) / math.Abs(b) }
+	const tol = 1e-12
+	for _, e := range molecule.ZDockRoster() {
+		if e.Atoms > maxAtoms {
+			continue
+		}
+		mol := molecule.ZDockMolecule(e)
+		for _, order := range []int{OrderMonopole, OrderDipole, OrderQuadrupole} {
+			ref := build(mol, order)
+			layouts := []int{1, 2}
+			refs := make([]*Result, len(layouts))
+			for l, P := range layouts {
+				refs[l] = mustRun(t, ref, RunSpec{Processes: P})
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				// perm[k] is the original index of permuted atom k.
+				perm := rand.New(rand.NewSource(seed)).Perm(mol.NumAtoms())
+				pm := &molecule.Molecule{Name: mol.Name, Atoms: make([]molecule.Atom, len(perm))}
+				for k, i := range perm {
+					pm.Atoms[k] = mol.Atoms[i]
+				}
+				sys := build(pm, order)
+				for l, P := range layouts {
+					got, want := mustRun(t, sys, RunSpec{Processes: P}), refs[l]
+					name := fmt.Sprintf("%s order %d seed %d %d×1", e.Name, order, seed, P)
+					if got.TotalOps() != want.TotalOps() {
+						t.Errorf("%s: %d ops, unpermuted %d", name, got.TotalOps(), want.TotalOps())
+					}
+					if r := rel(got.Epol, want.Epol); r > tol {
+						t.Errorf("%s: Epol %v, unpermuted %v (rel %.3g)", name, got.Epol, want.Epol, r)
+					}
+					for k, i := range perm {
+						if r := rel(got.Born[k], want.Born[i]); r > tol {
+							t.Errorf("%s: Born radius of atom %d is %v, unpermuted %v (rel %.3g)",
+								name, i, got.Born[k], want.Born[i], r)
+							break
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

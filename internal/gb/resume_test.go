@@ -296,9 +296,9 @@ func TestResumeRejectsLooserCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck := sink.latest(t)
-	if ck.EpsEpol != relaxed.Params.EpsEpol || ck.EpsBorn != relaxed.Params.EpsBorn {
+	if ck.EpsEpol != relaxed.Params.Accuracy.EpsEpol || ck.EpsBorn != relaxed.Params.Accuracy.EpsBorn {
 		t.Fatalf("snapshot records ε (born %g, epol %g), want the relaxed system's (born %g, epol %g)",
-			ck.EpsBorn, ck.EpsEpol, relaxed.Params.EpsBorn, relaxed.Params.EpsEpol)
+			ck.EpsBorn, ck.EpsEpol, relaxed.Params.Accuracy.EpsBorn, relaxed.Params.Accuracy.EpsEpol)
 	}
 
 	_, err = s.Run(RunSpec{Processes: 2, Resume: ck})

@@ -29,9 +29,9 @@ func crashFreePlan() *fault.Plan {
 
 // TestRunMatchesSerialPhaseAPI pins the base case of the one driver
 // contract: Run(RunSpec{}), one rank and one thread, reproduces the
-// serial phase API that internal/md calls (BornRadii + Epol) bit for bit
-// in Epol, every Born radius and the operation count, over the roster at
-// orders 0/1/2 in both math modes.
+// serial phase API (BornRadii + Epol) bit for bit in Epol, every Born
+// radius and the operation count, over the roster at orders 0/1/2 in
+// both math modes.
 func TestRunMatchesSerialPhaseAPI(t *testing.T) {
 	maxAtoms := 1200
 	if testing.Short() {

@@ -59,18 +59,6 @@ func (i Integral) String() string {
 type Params struct {
 	// EpsSolvent is the solvent dielectric of Eq. 2 (default 80).
 	EpsSolvent float64
-	// EpsBorn is the ε of the Born-radii far-field criterion (Fig. 2);
-	// larger is faster and less accurate. The paper's default is 0.9.
-	//
-	// Deprecated: set Accuracy.EpsBorn. Kept as a thin wrapper with a
-	// bitwise-identical default; ignored when Accuracy is non-zero.
-	EpsBorn float64
-	// EpsEpol is the ε of the energy far-field criterion and the
-	// Born-radius class width of Fig. 3. The paper's default is 0.9.
-	//
-	// Deprecated: set Accuracy.EpsEpol. Kept as a thin wrapper with a
-	// bitwise-identical default; ignored when Accuracy is non-zero.
-	EpsEpol float64
 	// LeafAtoms / LeafQPoints are the octree leaf capacities.
 	LeafAtoms   int
 	LeafQPoints int
@@ -80,38 +68,27 @@ type Params struct {
 	Division Division
 	// Integral selects the r⁶ (default) or r⁴ Born-radius form.
 	Integral Integral
-	// EpsBin overrides the Born-radius class width of the Fig. 3
-	// histograms (0: use EpsEpol). Exposed for the binning-resolution
-	// ablation (DESIGN.md §6.5). Must not exceed EpsEpol.
-	//
-	// Deprecated: set Accuracy.BinWidth. Kept as a thin wrapper with a
-	// bitwise-identical default; ignored when Accuracy is non-zero.
-	EpsBin float64
 	// OpeningScale overrides the far-criterion threshold multiplier of
 	// the energy phase (0: the calibrated default). Exposed for the
 	// opening-criterion ablation.
 	OpeningScale float64
-	// Accuracy is the unified work/precision spec (eps pair, bin width,
-	// quadrature order, expansion order). The zero value falls back to
-	// the deprecated EpsBorn/EpsEpol/EpsBin fields above at the
-	// calibrated OrderDipole default; a non-zero Accuracy wins over
-	// them. NewSystem normalizes: after construction the Accuracy field
-	// is always populated and the deprecated fields mirror it, so both
-	// read sides stay consistent.
+	// Accuracy is the work/precision spec (eps pair, bin width,
+	// quadrature order, expansion order). The zero value resolves to
+	// DefaultAccuracy. NewSystem normalizes: after construction the
+	// Accuracy field is always populated.
 	Accuracy Accuracy
 }
 
 // DefaultParams returns the paper's benchmark configuration: ε = 0.9 for
-// both phases, node–node division, exact math.
+// both phases (DefaultAccuracy), node–node division, exact math.
 func DefaultParams() Params {
 	return Params{
 		EpsSolvent:  DefaultSolventDielectric,
-		EpsBorn:     0.9,
-		EpsEpol:     0.9,
 		LeafAtoms:   8,
 		LeafQPoints: 32,
 		Math:        ExactMath,
 		Division:    NodeNode,
+		Accuracy:    DefaultAccuracy(),
 	}
 }
 
@@ -120,17 +97,7 @@ func (p Params) Validate() error {
 	if p.EpsSolvent <= 1 {
 		return fmt.Errorf("gb: solvent dielectric %v must exceed 1", p.EpsSolvent)
 	}
-	if p.Accuracy.IsZero() {
-		if p.EpsBorn <= 0 || p.EpsEpol <= 0 {
-			return fmt.Errorf("gb: approximation parameters must be positive (got %v, %v)", p.EpsBorn, p.EpsEpol)
-		}
-		if !(p.EpsBin >= 0) {
-			return fmt.Errorf("gb: bin width %v must be non-negative", p.EpsBin)
-		}
-		if p.EpsBin > p.EpsEpol {
-			return fmt.Errorf("gb: bin width %v exceeds EpsEpol %v: bins wider than the energy criterion degrade the Fig. 3 histogram bound", p.EpsBin, p.EpsEpol)
-		}
-	} else if err := p.Accuracy.Validate(); err != nil {
+	if err := p.Accuracy.Validate(); err != nil {
 		return err
 	}
 	if p.LeafAtoms < 1 || p.LeafQPoints < 1 {
@@ -203,14 +170,9 @@ func NewSystem(mol *molecule.Molecule, surf *surface.Surface, params Params) (*S
 		return nil, fmt.Errorf("gb: surface of %q has no quadrature points", mol.Name)
 	}
 	// Normalize the accuracy spec: after construction Params.Accuracy is
-	// always populated and the deprecated eps fields mirror it, so the
-	// traversals (which read the mirrors) and the tuner/serving layers
-	// (which read the spec) agree by construction.
-	acc := params.EffectiveAccuracy()
-	params.Accuracy = acc
-	params.EpsBorn = acc.EpsBorn
-	params.EpsEpol = acc.EpsEpol
-	params.EpsBin = acc.BinWidth
+	// always populated, so the traversals and the tuner/serving layers
+	// read the same point.
+	params.Accuracy = params.EffectiveAccuracy()
 	s := &System{Params: params}
 	s.setAtoms(mol)
 	s.setSurface(surf)

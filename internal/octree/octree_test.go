@@ -345,3 +345,13 @@ func TestBuildAllocsIndependentOfNodeCount(t *testing.T) {
 		}
 	}
 }
+
+func TestTreePointAccessor(t *testing.T) {
+	pts := randomPoints(10, 3, 33)
+	tr := Build(pts, 4)
+	for i, p := range pts {
+		if tr.Point(int32(i)) != p {
+			t.Fatalf("Point(%d) = %v, want %v", i, tr.Point(int32(i)), p)
+		}
+	}
+}

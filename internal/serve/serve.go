@@ -219,6 +219,11 @@ type Server struct {
 // terminal views, and re-queues unfinished ones (each will resume from
 // its newest checkpoint). Start launches the workers.
 func New(cfg Config) (*Server, error) {
+	// A non-finite factor would fail every pre-shed job at
+	// gb.WithAccuracy; refuse it before any job is admitted.
+	if math.IsNaN(cfg.ShedEpsFactor) || math.IsInf(cfg.ShedEpsFactor, 0) {
+		return nil, fmt.Errorf("serve: shed eps factor %v must be finite", cfg.ShedEpsFactor)
+	}
 	cfg.fillDefaults()
 	s := &Server{
 		cfg:  cfg,

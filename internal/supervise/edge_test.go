@@ -94,7 +94,7 @@ func TestExpiredDeadlineBeforeFirstRetry(t *testing.T) {
 
 // TestRetryBudgetExhaustedAtEveryRung pins the budget accounting: with a
 // plan that kills every attempt, each rung consumes exactly its budget
-// (Retries for the retry rung, one per ladder notch, one for degrade)
+// (Retries for the retry rung, one per ε ladder notch, one for degrade)
 // before the terminal fallback completes.
 func TestRetryBudgetExhaustedAtEveryRung(t *testing.T) {
 	const P = 3
@@ -103,15 +103,23 @@ func TestRetryBudgetExhaustedAtEveryRung(t *testing.T) {
 		Processes: P,
 		Plan:      alwaysCrash(P),
 		Retries:   3,
-		EpsLadder: []float64{1.5, 2.25, 4.0},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Rung{RungInitial, RungRetry, RungRetry, RungRetry,
-		RungRelax, RungRelax, RungRelax, RungDegrade, RungFallback}
+		RungRelax, RungRelax, RungDegrade, RungFallback}
 	if got := rungs(out); !reflect.DeepEqual(got, want) {
 		t.Errorf("ladder walk %v, want %v", got, want)
+	}
+	var factors []float64
+	for _, a := range out.Attempts {
+		if a.Rung == RungRelax {
+			factors = append(factors, a.EpsFactor)
+		}
+	}
+	if !reflect.DeepEqual(factors, epsLadder[:]) {
+		t.Errorf("relax notches ran at ε factors %v, want %v", factors, epsLadder)
 	}
 	for i, a := range out.Attempts[:len(out.Attempts)-1] {
 		if a.Err == "" {

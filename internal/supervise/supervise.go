@@ -131,16 +131,10 @@ type Spec struct {
 	BackoffBase time.Duration
 	// Seed seeds the jitter generator — same seed, same ladder walk.
 	Seed int64
-	// EpsLadder are the relax-rung tolerance factors, tried in order
-	// (default {1.5, 2.25}). Ignored when AccuracyLadder is set.
-	//
-	// Deprecated: prefer AccuracyLadder, which sheds along the tuner's
-	// admissible frontier instead of scaling ε blindly.
-	EpsLadder []float64
-	// AccuracyLadder replaces the scalar relax rung with the tuner's
-	// admissible frontier: each step is a full accuracy point plus its
-	// predicted relative error (see RelaxStep). Steps are tried in
-	// order; steps that do not loosen the energy criterion beyond the
+	// AccuracyLadder replaces the scalar relax rung (epsLadder) with the
+	// tuner's admissible frontier: each step is a full accuracy point
+	// plus its predicted relative error (see RelaxStep). Steps are tried
+	// in order; steps that do not loosen the energy criterion beyond the
 	// current point are skipped (escalation only ever relaxes further).
 	// A step that changes the expansion order changes the checkpoint
 	// payload shape — the supervisor detects the mismatch and resumes
@@ -256,6 +250,11 @@ type Outcome struct {
 	Recorder *obs.Recorder
 }
 
+// epsLadder are the scalar relax rung's ε factors, tried in order when
+// no AccuracyLadder is given. Notches at or below a pre-shed
+// StartEpsFactor are skipped.
+var epsLadder = [...]float64{1.5, 2.25}
+
 // epsPenalty prices a relaxed far-field tolerance into the error bound:
 // the octree truncation error of both phases is first-order in ε, so
 // relaxing by factor adds at most about |Epol|·ε_epol·(factor−1),
@@ -301,10 +300,6 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 	if backoffBase <= 0 {
 		backoffBase = 2 * time.Millisecond
 	}
-	ladder := spec.EpsLadder
-	if len(ladder) == 0 {
-		ladder = []float64{1.5, 2.25}
-	}
 	store := spec.Store
 	if store == nil {
 		store = NewMemStore()
@@ -326,7 +321,7 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 	curFactor := 1.0
 	curRelErr := 0.0
 	var curAcc gb.Accuracy
-	baseEps := s.Params.EpsEpol
+	baseEps := s.Params.Accuracy.EpsEpol
 	if spec.StartEpsFactor > 1 {
 		curFactor = spec.StartEpsFactor
 		ws, err := s.WithAccuracy(s.Params.Accuracy.Relaxed(curFactor))
@@ -442,7 +437,7 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 		out.Result = res
 		out.Rung = rung
 		out.EpsFactor = curFactor
-		out.Accuracy = curSys.Params.EffectiveAccuracy()
+		out.Accuracy = curSys.Params.Accuracy
 		out.RelError = curRelErr
 		out.Degraded = res.Degraded || curFactor > 1 || curRelErr > 0 || rung == RungFallback
 		out.Result.Degraded = out.Degraded
@@ -522,7 +517,7 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 	// pre-shed StartEpsFactor are already in effect and are skipped.
 	if len(spec.AccuracyLadder) > 0 {
 		for _, step := range spec.AccuracyLadder {
-			cur := curSys.Params.EffectiveAccuracy()
+			cur := curSys.Params.Accuracy
 			if step.Accuracy.OpeningFactor(1) >= cur.OpeningFactor(1) {
 				continue // not looser than where we already are
 			}
@@ -540,14 +535,14 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 			curAcc = step.Accuracy
 			curRelErr = step.RelError
 			if baseEps > 0 {
-				curFactor = curSys.Params.EpsEpol / baseEps
+				curFactor = curSys.Params.Accuracy.EpsEpol / baseEps
 			}
 			if ok, err := attempt(RungRelax, spec.Policy, true); err != nil || ok {
 				return out, err
 			}
 		}
 	} else {
-		for _, f := range ladder {
+		for _, f := range epsLadder {
 			if f <= curFactor {
 				continue
 			}
