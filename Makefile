@@ -6,13 +6,20 @@ GO ?= go
 BENCH_MAX_ATOMS ?= 2000
 BENCH_REPEATS ?= 3
 
-.PHONY: build test lint lint-json lint-self check check-race chaos-smoke trace-smoke serve-smoke soak soak-short bench-json bench-gate perfbench-selftest fuzz-short tune-roster
+.PHONY: build test cross lint lint-json lint-self check check-race chaos-smoke trace-smoke serve-smoke soak soak-short bench-json bench-gate perfbench-selftest fuzz-short tune-roster
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# cross builds and vets the module for arm64, the portable path: there
+# the gb traversals run the Go kernel loops that amd64 hosts with AVX2
+# replace (internal/gb/kernels.go), so they cannot rot unseen. On amd64,
+# `go vet ./...` already checks the assembly against its Go declarations.
+cross:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
 
 # lint runs the project static-analysis suite (internal/analysis), eight
 # analyzers: per-function SPMD collective symmetry, simmpi/fault error
@@ -119,7 +126,8 @@ perfbench-selftest:
 tune-roster:
 	GBTUNE_ROSTER=full $(GO) test -count=1 -timeout 3600s -v -run '^TestSelectMeetsTargetAcrossRoster$$' ./internal/tune/
 
-# fuzz-short runs each fuzz target for 15 s from its seed corpus, one
+# fuzz-short runs each of the nine fuzz targets for 15 s from its seed
+# corpus, one
 # `go test -fuzz` invocation per target (go test fuzzes one target at a
 # time): the checkpoint decoder (the four phase snapshots of a small run,
 # with and without Obs), the XYZRQ and PQR readers (a 20-atom globule,
@@ -133,9 +141,13 @@ tune-roster:
 # process, and a failed decode returns no value. Any input the decoders
 # accept must reach a fixed point after one encode-decode round, the
 # sampler must equal its brute-force reference bit for bit, and an
-# admitted job request must be finite with no more threads than atoms. Minimizing a
-# new input is capped at 1 s (the default is 60 s) so the budget goes to
-# fuzzing.
+# admitted job request must be finite with no more threads than atoms.
+# The ninth, FuzzNearKernels, drives the three AVX2 kernels of the gb
+# traversals (Born near field, energy pair term, far kernel table) with
+# arbitrary positions, radii, charges, weights and block shapes,
+# infinities and NaNs included, and requires the Go loops' bits; it
+# skips on hosts without AVX2+FMA. Minimizing a new input is capped at
+# 1 s (the default is 60 s) so the budget goes to fuzzing.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/gb/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadXYZRQ$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/molecule/
@@ -145,6 +157,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/obs/critpath/
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildSurface$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/surface/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzNearKernels$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/gb/
 
 # check-race is the quick race pass: short mode skips the figure
 # sweeps, PB grid solves, and calibration probes (the numerics they
@@ -157,6 +170,6 @@ check-race:
 # The race detector multiplies the bench suite's runtime ~14x (past go
 # test's 600s default package timeout on modest hardware), so the race
 # pass carries an explicit generous timeout.
-check: chaos-smoke lint lint-self trace-smoke serve-smoke soak-short perfbench-selftest fuzz-short
+check: chaos-smoke lint lint-self trace-smoke serve-smoke soak-short perfbench-selftest fuzz-short cross
 	$(GO) vet ./...
 	$(GO) test -race -timeout 3600s ./...

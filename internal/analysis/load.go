@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -216,8 +217,11 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 	return tpkg, st.err
 }
 
-// goSources lists the non-test .go files of dir in sorted order, skipping
-// files opting out of the build with a `//go:build ignore` constraint.
+// goSources lists, in sorted order, the non-test .go files of dir that
+// `go build` compiles for the host: go/build's matcher applies the
+// GOOS/GOARCH file-name suffixes and the //go:build constraints, so a
+// file and its build-tag twin (kernels_amd64.go, kernels_other.go) are
+// never type-checked together, and `//go:build ignore` files stay out.
 func goSources(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -226,36 +230,19 @@ func goSources(dir string) ([]string, error) {
 	var names []string
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		src, err := os.ReadFile(filepath.Join(dir, name))
+		ok, err := build.Default.MatchFile(dir, name)
 		if err != nil {
 			return nil, err
 		}
-		if buildIgnored(string(src)) {
-			continue
+		if ok {
+			names = append(names, name)
 		}
-		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// buildIgnored reports whether a file's header carries a `//go:build
-// ignore` (or legacy `// +build ignore`) constraint.
-func buildIgnored(src string) bool {
-	for _, line := range strings.Split(src, "\n") {
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "package ") {
-			return false
-		}
-		if line == "//go:build ignore" || strings.HasPrefix(line, "// +build ignore") {
-			return true
-		}
-	}
-	return false
 }
 
 // findModule walks upward from dir to the enclosing go.mod and returns

@@ -3,6 +3,7 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -68,5 +69,28 @@ func TestLoadDirsSkipsNestedTestdata(t *testing.T) {
 	}
 	if findings := Analyze(l.Fset, pkgs, All); len(findings) != 0 {
 		t.Fatalf("nested testdata leaked findings: %v", findings)
+	}
+}
+
+// TestLoadSelectsBuildFiles: the loader type-checks the files `go build`
+// compiles for the host, so a GOARCH-suffixed file and its //go:build
+// twin (testdata/src/buildtags) load as one package with one declaration,
+// and a //go:build ignore file stays out.
+func TestLoadSelectsBuildFiles(t *testing.T) {
+	l := NewLoader()
+	pkgs, err := l.LoadDirs(map[string]string{"corpus/buildtags": "testdata/src/buildtags"})
+	if err != nil {
+		t.Fatalf("loading the build-tag pair: %v", err)
+	}
+	var names []string
+	for _, f := range pkgs[0].Files {
+		names = append(names, filepath.Base(l.Fset.File(f.Pos()).Name()))
+	}
+	kern := "kern_other.go"
+	if runtime.GOARCH == "amd64" {
+		kern = "kern_amd64.go"
+	}
+	if len(names) != 2 || names[0] != kern || names[1] != "lanes.go" {
+		t.Fatalf("loaded %v, want [%s lanes.go] on %s", names, kern, runtime.GOARCH)
 	}
 }

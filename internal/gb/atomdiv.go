@@ -29,7 +29,9 @@ func (s *System) approxIntegralsAtomRange(a, q int32, lo, hi int32, acc *bornAcc
 	}
 	// Partially owned: cannot approximate here.
 	if an.Leaf {
-		return s.exactIntegrals(s.TA.Items[max(an.Start, lo):min(an.End, hi)], q, acc)
+		ops := s.exactIntegrals(max(an.Start, lo), min(an.End, hi), q, acc)
+		s.flushIntegrals(q, acc)
+		return ops
 	}
 	ops := int64(1)
 	for _, c := range an.Children {

@@ -119,6 +119,9 @@ type bornAccum struct {
 	// rank-local: encodeAcc/decodeAcc in the distributed driver exchange
 	// only the numeric payload, so each rank reports its own work split.
 	near, far int64
+	// scratch is the worker's near-field gather list for the vector
+	// kernel (kernels.go); like the tallies it is never encoded.
+	scratch *bornScratch
 }
 
 func (s *System) newBornAccum() *bornAccum {
@@ -165,7 +168,9 @@ func (s *System) ApproxIntegrals(a, q int32, acc *bornAccum) int64 {
 	beta := s.bornBeta()
 	qn := &s.TQ.Nodes[q]
 	qNormal := s.nodeNormal[q]
-	return s.approxIntegrals(a, q, qn, qNormal, beta, s.order(), acc)
+	ops := s.approxIntegrals(a, q, qn, qNormal, beta, s.order(), acc)
+	s.flushIntegrals(q, acc)
+	return ops
 }
 
 // approxAllIntegrals runs APPROX-INTEGRALS from the root of T_A for every
@@ -277,7 +282,7 @@ func (s *System) approxIntegrals(a, q int32, qn *octree.Node, qNormal geom.Vec3,
 		return 1
 	}
 	if an.Leaf {
-		return s.exactIntegrals(s.TA.ItemsOf(a), q, acc)
+		return s.exactIntegrals(an.Start, an.End, q, acc)
 	}
 	ops := int64(1)
 	for _, c := range an.Children {
@@ -288,29 +293,32 @@ func (s *System) approxIntegrals(a, q int32, qn *octree.Node, qNormal geom.Vec3,
 	return ops
 }
 
-// exactIntegrals adds the exact surface integrals of the atoms items
-// (original indices) against every q-point under T_Q node q into acc:
-// the near field of APPROX-INTEGRALS. Returns the pair count.
-func (s *System) exactIntegrals(items []int32, q int32, acc *bornAccum) int64 {
+// exactIntegrals adds the exact surface integrals of the atoms at T_A
+// item positions [lo, hi) against every q-point under T_Q node q into
+// acc: the near field of APPROX-INTEGRALS. With the vector kernels the
+// atoms are gathered instead, and flushIntegrals sums them once a chunk
+// is full or the traversal of q is done. Returns the pair count.
+func (s *System) exactIntegrals(lo, hi int32, q int32, acc *bornAccum) int64 {
+	qn := &s.TQ.Nodes[q]
+	ops := int64(hi-lo) * int64(qn.Count())
+	acc.near += ops
+	if vecKernels {
+		if acc.scratch == nil {
+			acc.scratch = new(bornScratch)
+		}
+		if len(acc.scratch.pos)+int(hi-lo) > chunkAtoms {
+			s.flushIntegrals(q, acc)
+		}
+		for p := lo; p < hi; p++ {
+			acc.scratch.pos = append(acc.scratch.pos, p)
+		}
+		return ops
+	}
 	r4Form := s.Params.Integral == IntegralR4
 	qItems := s.TQ.ItemsOf(q)
-	for _, ai := range items {
-		pa := s.atomPos[ai]
-		sum := 0.0
-		for _, qi := range qItems {
-			qp := &s.Surf.Points[qi]
-			dv := qp.Pos.Sub(pa)
-			r2 := dv.Norm2()
-			rp := r2 * r2
-			if !r4Form {
-				rp *= r2
-			}
-			sum += qp.Weight * dv.Dot(qp.Normal) / rp
-		}
-		acc.atomS[ai] += sum
+	for _, ai := range s.TA.Items[lo:hi] {
+		acc.atomS[ai] += bornAtomSum(s.atomPos[ai], s.Surf.Points, qItems, r4Form)
 	}
-	ops := int64(len(items)) * int64(len(qItems))
-	acc.near += ops
 	return ops
 }
 

@@ -102,16 +102,16 @@ func (c *Complex) Epol(tr geom.Transform) (*PoseResult, error) {
 	factor := rec.epolFactor()
 	// The shared radius range gives both aggregate sets one class count,
 	// so one far-kernel scratch serves all three interactions.
-	sc := newFarScratch(recAgg.M)
+	sc := newEpolScratch(recAgg.M)
 	sum := 0.0
 	// rec–rec and lig–lig (ordered pairs within each molecule).
 	for _, v := range rec.aLeaves {
-		vs, vops := rec.approxEpol(rec.TA.Root(), v, recAgg, sc, factor, nil)
+		vs, vops := rec.epolTarget(v, recAgg, sc, factor, nil)
 		sum += vs
 		res.Ops += vops
 	}
 	for _, v := range lig.aLeaves {
-		vs, vops := lig.approxEpol(lig.TA.Root(), v, ligAgg, sc, factor, nil)
+		vs, vops := lig.epolTarget(v, ligAgg, sc, factor, nil)
 		sum += vs
 		res.Ops += vops
 	}

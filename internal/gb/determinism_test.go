@@ -23,15 +23,15 @@ import (
 func bitwiseSame(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if math.Float64bits(a.Epol) != math.Float64bits(b.Epol) {
-		t.Errorf("%s: Epol not bitwise reproducible: %x vs %x (%v vs %v)",
-			label, math.Float64bits(a.Epol), math.Float64bits(b.Epol), a.Epol, b.Epol)
+		t.Errorf("%s: Epol not bitwise reproducible: %x vs %x (%v vs %v; %s)",
+			label, math.Float64bits(a.Epol), math.Float64bits(b.Epol), a.Epol, b.Epol, kernelPath())
 	}
 	if len(a.Born) != len(b.Born) {
-		t.Fatalf("%s: Born lengths differ: %d vs %d", label, len(a.Born), len(b.Born))
+		t.Fatalf("%s: Born lengths differ: %d vs %d (%s)", label, len(a.Born), len(b.Born), kernelPath())
 	}
 	for i := range a.Born {
 		if math.Float64bits(a.Born[i]) != math.Float64bits(b.Born[i]) {
-			t.Fatalf("%s: Born[%d] not bitwise reproducible: %v vs %v", label, i, a.Born[i], b.Born[i])
+			t.Fatalf("%s: Born[%d] not bitwise reproducible: %v vs %v (%s)", label, i, a.Born[i], b.Born[i], kernelPath())
 		}
 	}
 }
@@ -140,7 +140,7 @@ func TestForceProtocolMatchesPlainRun(t *testing.T) {
 					for _, r := range []*Result{forced, supervised} {
 						bitwiseSame(t, label, plain, r)
 						if fmt.Sprint(r.PerCoreOps) != fmt.Sprint(plain.PerCoreOps) {
-							t.Errorf("%s: PerCoreOps %v, plain run %v", label, r.PerCoreOps, plain.PerCoreOps)
+							t.Errorf("%s: PerCoreOps %v, plain run %v (%s)", label, r.PerCoreOps, plain.PerCoreOps, kernelPath())
 						}
 					}
 				}

@@ -168,7 +168,7 @@ func (s *System) distSegEnergy(P, vSeg int, radiiFull []float64, rmin, rmax floa
 		return a, a.buildEpolAggregatesRange(radii, rmin, rmax)
 	}
 	v, vAgg := withRadii(vSeg)
-	sc := newFarScratch(vAgg.M)
+	sc := newEpolScratch(vAgg.M)
 	partial := segEpol(0, ops, sc, v, vAgg, v, vAgg)
 	for u := 0; u < P; u++ {
 		if u != vSeg {
@@ -183,7 +183,7 @@ func (s *System) distSegEnergy(P, vSeg int, radiiFull []float64, rmin, rmax floa
 // sum over the ordered pairs (atom of u, atom of v) of two atom segments
 // whose aggregates share one radius range: the own-pass recursion
 // approxEpol when u is v, the two-tree epolCrossPass otherwise.
-func segEpol(partial float64, ops *int64, sc *farScratch, u *System, uAgg *epolAggregates,
+func segEpol(partial float64, ops *int64, sc *epolScratch, u *System, uAgg *epolAggregates,
 	v *System, vAgg *epolAggregates) float64 {
 	factor := v.epolFactor()
 	ep := &epolCrossPass{u: u, uAgg: uAgg, v: v, vAgg: vAgg, factor: factor, sc: sc}
@@ -191,7 +191,7 @@ func segEpol(partial float64, ops *int64, sc *farScratch, u *System, uAgg *epolA
 		var ls float64
 		var lops int64
 		if u == v {
-			ls, lops = v.approxEpol(v.TA.Root(), l, vAgg, sc, factor, nil)
+			ls, lops = v.epolTarget(l, vAgg, sc, factor, nil)
 		} else {
 			ls, lops = ep.run(u.TA.Root(), l)
 		}
@@ -417,7 +417,7 @@ func (s *System) runDistData(P int, cfg *FaultConfig) (*Result, error) {
 		if !ft {
 			ownAEnc := encodeA(aseg, radii)
 			ownAgg := aseg.buildEpolAggregatesRange(radii, rmin, rmax)
-			sc := newFarScratch(ownAgg.M)
+			sc := newEpolScratch(ownAgg.M)
 			// Own × own (ordered pairs within the segment).
 			partial := segEpol(0, &perCoreOps[rank], sc, aseg, ownAgg, aseg, ownAgg)
 			// Own × every remote segment: each rank computes the ordered

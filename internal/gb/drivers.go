@@ -311,6 +311,17 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 		// every rank for crash-free plans, so crash-free summaries stay
 		// byte-identical).
 		var acc *bornAccum
+		// Each worker's vector-kernel buffers, lent to this rank's run
+		// (kernels.go): the Born gather list and the energy near field.
+		kernels := make([]*kernelScratch, p)
+		for w := range kernels {
+			kernels[w] = getKernelScratch()
+		}
+		defer func() {
+			for _, k := range kernels {
+				kernelScratchPool.Put(k)
+			}
+		}()
 		runIntegrals := func() error {
 			healIters := 0
 			for iter := 0; ; iter++ {
@@ -335,6 +346,7 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 					acc = reduceRange(pool, hi-lo, s.newBornAccum,
 						//lint:ignore hotalloc per-phase worker body; allocated once per Born iteration and amortized over its whole range
 						func(worker, i0, i1 int, acc *bornAccum) {
+							acc.scratch = &kernels[worker].born
 							ops := int64(0)
 							for _, q := range s.qLeaves[lo+i0 : lo+i1] {
 								ops += s.ApproxIntegrals(s.TA.Root(), q, acc)
@@ -347,6 +359,7 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 					acc = reduceRange(pool, len(s.qLeaves), s.newBornAccum,
 						//lint:ignore hotalloc per-phase worker body; allocated once per Born iteration and amortized over its whole range
 						func(worker, i0, i1 int, acc *bornAccum) {
+							acc.scratch = &kernels[worker].born
 							ops := int64(0)
 							for _, q := range s.qLeaves[i0:i1] {
 								ops += s.approxIntegralsAtomRange(s.TA.Root(), q, int32(alo), int32(ahi), acc)
@@ -513,11 +526,13 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 			agg = s.buildEpolAggregates(radii)
 		}
 		factor := s.epolFactor()
-		// One far-kernel scratch per worker, reused by every far pair of
-		// the energy phase (DESIGN.md §16).
-		scratch := make([]*farScratch, p)
+		// One energy scratch per worker: the far kernel table, reused by
+		// every far pair of the phase, and the worker's lent near-field
+		// state (DESIGN.md §16).
+		scratch := make([]*epolScratch, p)
 		for w := range scratch {
-			scratch[w] = newFarScratch(agg.M)
+			scratch[w] = newEpolScratch(agg.M)
+			scratch[w].near = &kernels[w].near
 		}
 		energy := 0.0
 		degraded := false
@@ -544,7 +559,7 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 						sum := 0.0
 						ops := int64(0)
 						for _, v := range s.aLeaves[lo+i0 : lo+i1] {
-							vs, vops := s.approxEpol(s.TA.Root(), v, agg, scratch[worker], factor, &part.tally)
+							vs, vops := s.epolTarget(v, agg, scratch[worker], factor, &part.tally)
 							sum += vs
 							ops += vops
 						}

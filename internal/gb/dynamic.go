@@ -171,7 +171,7 @@ func (s *System) RunMPIDynamic(P int) (*Result, error) {
 
 		// ---- Phase 6: energy, dynamic chunks of atom leaves ------------
 		agg := s.buildEpolAggregates(radii)
-		sc := newFarScratch(agg.M)
+		sc := newEpolScratch(agg.M)
 		factor := s.epolFactor()
 		partial := 0.0
 		if rank == 0 {
@@ -182,7 +182,7 @@ func (s *System) RunMPIDynamic(P int) (*Result, error) {
 			err := drainChunks(c, func(lo, hi int) {
 				ops := int64(0)
 				for _, v := range s.aLeaves[lo:hi] {
-					vs, vops := s.approxEpol(s.TA.Root(), v, agg, sc, factor, nil)
+					vs, vops := s.epolTarget(v, agg, sc, factor, nil)
 					partial += vs
 					ops += vops
 				}

@@ -94,7 +94,7 @@ func TestRunMPIDynamicBalancesSkew(t *testing.T) {
 		replay[w] += sys.PushIntegralsToAtoms(acc, lo, hi, radii)
 	}
 	agg := sys.buildEpolAggregates(radii)
-	sc := newFarScratch(agg.M)
+	sc := newEpolScratch(agg.M)
 	epolCost := make([]int64, len(sys.aLeaves))
 	for i, v := range sys.aLeaves {
 		_, epolCost[i] = sys.approxEpol(sys.TA.Root(), v, agg, sc, sys.epolFactor(), nil)

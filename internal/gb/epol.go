@@ -324,7 +324,7 @@ func (s *System) epolReaches(t, l int32, factor float64) bool {
 // sum over every target leaf, whatever ranks hold them, is Fig. 3's.
 // Returns (sum, interaction evaluations); the count is always the
 // ordered pairs', skipped leaves included.
-func (s *System) approxEpol(u, v int32, agg *epolAggregates, sc *farScratch,
+func (s *System) approxEpol(u, v int32, agg *epolAggregates, sc *epolScratch,
 	factor float64, tally *pairTally) (float64, int64) {
 	un := &s.TA.Nodes[u]
 	vn := &s.TA.Nodes[v]
@@ -345,6 +345,12 @@ func (s *System) approxEpol(u, v int32, agg *epolAggregates, sc *farScratch,
 		// its owner and skipped by the other target.
 		ops := int64(un.Count()) * int64(vn.Count())
 		tally.addNear(ops)
+		if sc.near.replay {
+			// The block was evaluated ahead, in this DFS order (epolTarget).
+			val := sc.near.vals[sc.near.next]
+			sc.near.next++
+			return val, ops
+		}
 		weight := 1.0
 		if u == v {
 			weight = 2
@@ -402,13 +408,16 @@ func nearSum(ur []atomRec, uR []float64, vr []atomRec, vR []float64, same, appro
 	return sum, self
 }
 
-// farScratch is one worker's far-kernel scratch, sized once per energy
-// round by the class count M and overwritten by every far pair: g holds
-// the kernel at each class sum (2M entries), v the target node's class
-// moments along d̂ (at most M entries).
-type farScratch struct {
-	g []farKernel
-	v []farTarget
+// epolScratch is one worker's energy-traversal scratch. Its far part is
+// sized once per energy round by the class count M and overwritten by
+// every far pair: g holds the kernel at each class sum (2M entries), v
+// the target node's class moments along d̂ (at most M entries). Its near
+// part holds the current target leaf's exact blocks (kernels.go) and
+// grows on demand.
+type epolScratch struct {
+	g    []farKernel
+	v    []farTarget
+	near *nearScratch
 }
 
 // farKernel is g(d) = 1/f_GB(d; t) and the derivatives the expansion
@@ -430,8 +439,8 @@ type farTarget struct {
 	skip          bool
 }
 
-func newFarScratch(M int) *farScratch {
-	return &farScratch{g: make([]farKernel, 2*M), v: make([]farTarget, M)}
+func newEpolScratch(M int) *epolScratch {
+	return &epolScratch{g: make([]farKernel, 2*M), v: make([]farTarget, M), near: new(nearScratch)}
 }
 
 // farClassSum evaluates the far-field interaction of node U of aggregate
@@ -453,7 +462,7 @@ func newFarScratch(M int) *farScratch {
 // once per class sum into sc (DESIGN.md §16). Returns (raw sum,
 // evaluations).
 func farClassSum(ua *epolAggregates, u int32, va *epolAggregates, v int32,
-	d float64, dvec geom.Vec3, approx bool, sc *farScratch, tally *pairTally) (float64, int64) {
+	d float64, dvec geom.Vec3, approx bool, sc *epolScratch, tally *pairTally) (float64, int64) {
 	r2 := d * d
 	dhat := dvec.Scale(1 / d)
 	ord := ua.order
@@ -471,10 +480,7 @@ func farClassSum(ua *epolAggregates, u int32, va *epolAggregates, v int32,
 			g[k].e, g[k].invF = e, fastInvSqrt(r2+t*e)
 		}
 	} else {
-		for k, t := range pw {
-			e := math.Exp(-r2 / (4 * t))
-			g[k].e, g[k].invF = e, 1/math.Sqrt(r2+t*e)
-		}
+		farTable(pw, r2, g)
 	}
 	if ord >= OrderDipole {
 		for k := range g {
@@ -567,7 +573,7 @@ type epolCrossPass struct {
 	v      *System
 	vAgg   *epolAggregates
 	factor float64
-	sc     *farScratch
+	sc     *epolScratch
 }
 
 func (ep *epolCrossPass) run(u, v int32) (float64, int64) {
@@ -601,12 +607,12 @@ func (ep *epolCrossPass) run(u, v int32) (float64, int64) {
 // by −τκ/2. Returns the energy in kcal/mol and the interaction count.
 func (s *System) Epol(radii []float64) (float64, int64) {
 	agg := s.buildEpolAggregates(radii)
-	sc := newFarScratch(agg.M)
+	sc := newEpolScratch(agg.M)
 	factor := s.epolFactor()
 	sum := 0.0
 	ops := int64(0)
 	for _, v := range s.aLeaves {
-		vs, vops := s.approxEpol(s.TA.Root(), v, agg, sc, factor, nil)
+		vs, vops := s.epolTarget(v, agg, sc, factor, nil)
 		sum += vs
 		ops += vops
 	}

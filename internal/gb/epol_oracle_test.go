@@ -400,7 +400,7 @@ func checkSparseAgainstDense(t *testing.T, s *System, radii []float64, agg *epol
 	}
 
 	factor := s.epolFactor()
-	sc := newFarScratch(agg.M)
+	sc := newEpolScratch(agg.M)
 	var walk func(u, v int32)
 	walk = func(u, v int32) {
 		un, vn := &s.TA.Nodes[u], &s.TA.Nodes[v]
@@ -500,7 +500,7 @@ func checkCrossAgainstDense(t *testing.T, u *System, uRadii []float64, v *System
 	vAgg := v.buildEpolAggregatesRange(vRadii, rmin, rmax)
 	ud, vd := buildDenseAggregates(u, uRadii, uAgg), buildDenseAggregates(v, vRadii, vAgg)
 	approx := u.Params.Math == ApproxMath
-	ep := &epolCrossPass{u: u, uAgg: uAgg, v: v, vAgg: vAgg, factor: v.epolFactor(), sc: newFarScratch(uAgg.M)}
+	ep := &epolCrossPass{u: u, uAgg: uAgg, v: v, vAgg: vAgg, factor: v.epolFactor(), sc: newEpolScratch(uAgg.M)}
 	var walk func(a, l int32) (float64, int64)
 	walk = func(a, l int32) (float64, int64) {
 		an, ln := &u.TA.Nodes[a], &v.TA.Nodes[l]

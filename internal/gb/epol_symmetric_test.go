@@ -114,7 +114,7 @@ func TestSymmetricNearFieldSpans(t *testing.T) {
 			s.Params.OpeningScale = scale
 			radii, _ := s.BornRadii()
 			w := &nearWorld{s: s, agg: s.buildEpolAggregates(radii), factor: s.epolFactor(), oracleOps: map[int32]int64{}}
-			w.sc = newFarScratch(w.agg.M)
+			w.sc = newEpolScratch(w.agg.M)
 			w.reach = reachSets(s, w.factor)
 			da := buildDenseAggregates(s, radii, w.agg)
 			mutual := 0
@@ -197,7 +197,7 @@ func TestCrossPassMatchesOwnPass(t *testing.T) {
 				agg := s.buildEpolAggregates(radii)
 				factor := s.epolFactor()
 				view := *s
-				sc := newFarScratch(agg.M)
+				sc := newEpolScratch(agg.M)
 				ep := &epolCrossPass{u: &view, uAgg: agg, v: s, vAgg: agg, factor: factor, sc: sc}
 				own, cross := 0.0, 0.0
 				ownOps, crossOps := int64(0), int64(0)
@@ -223,7 +223,7 @@ func TestCrossPassMatchesOwnPass(t *testing.T) {
 type nearWorld struct {
 	s         *System
 	agg       *epolAggregates
-	sc        *farScratch
+	sc        *epolScratch
 	factor    float64
 	reach     map[int32]map[int32]bool // per target leaf, the leaves it reaches
 	oracle    float64                  // the oracle's whole-tree sum

@@ -36,7 +36,7 @@ func TestEpolRigidMotionInvariance(t *testing.T) {
 	// cells), so the *approximation* differs slightly; the energies must
 	// agree within the ε error band.
 	if rel := math.Abs(e1-e0) / math.Abs(e0); rel > 0.01 {
-		t.Errorf("Epol changed by %.3f%% under rigid motion (%v vs %v)", rel*100, e0, e1)
+		t.Errorf("Epol changed by %.3f%% under rigid motion (%v vs %v; %s)", rel*100, e0, e1, kernelPath())
 	}
 }
 
@@ -90,15 +90,15 @@ func TestEpolAtomPermutationInvariance(t *testing.T) {
 					got, want := mustRun(t, sys, RunSpec{Processes: P}), refs[l]
 					name := fmt.Sprintf("%s order %d seed %d %d×1", e.Name, order, seed, P)
 					if got.TotalOps() != want.TotalOps() {
-						t.Errorf("%s: %d ops, unpermuted %d", name, got.TotalOps(), want.TotalOps())
+						t.Errorf("%s: %d ops, unpermuted %d (%s)", name, got.TotalOps(), want.TotalOps(), kernelPath())
 					}
 					if r := rel(got.Epol, want.Epol); r > tol {
-						t.Errorf("%s: Epol %v, unpermuted %v (rel %.3g)", name, got.Epol, want.Epol, r)
+						t.Errorf("%s: Epol %v, unpermuted %v (rel %.3g; %s)", name, got.Epol, want.Epol, r, kernelPath())
 					}
 					for k, i := range perm {
 						if r := rel(got.Born[k], want.Born[i]); r > tol {
-							t.Errorf("%s: Born radius of atom %d is %v, unpermuted %v (rel %.3g)",
-								name, i, got.Born[k], want.Born[i], r)
+							t.Errorf("%s: Born radius of atom %d is %v, unpermuted %v (rel %.3g; %s)",
+								name, i, got.Born[k], want.Born[i], r, kernelPath())
 							break
 						}
 					}
@@ -134,11 +134,11 @@ func TestNaiveRigidMotionViaTransformedSurface(t *testing.T) {
 	radii2, _ := sys2.NaiveBornRadiiR6()
 	e1, _ := sys2.NaiveEpol(radii2)
 	if rel := math.Abs(e1-e0) / math.Abs(e0); rel > 1e-10 {
-		t.Errorf("naive energy changed by %v under rigid motion", rel)
+		t.Errorf("naive energy changed by %v under rigid motion (%s)", rel, kernelPath())
 	}
 	for i := range radii {
 		if math.Abs(radii[i]-radii2[i]) > 1e-9 {
-			t.Fatalf("Born radius %d changed: %v vs %v", i, radii[i], radii2[i])
+			t.Fatalf("Born radius %d changed: %v vs %v (%s)", i, radii[i], radii2[i], kernelPath())
 		}
 	}
 }

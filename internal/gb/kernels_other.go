@@ -1,0 +1,20 @@
+//go:build !amd64
+
+package gb
+
+import "gbpolar/internal/surface"
+
+// Hosts other than amd64 run the Go loops: detectCPU reports no vector
+// features, so vecKernels stays false and the kernels below are never
+// called.
+
+func detectCPU() cpuFeatures { return cpuFeatures{} }
+
+func expAVX(x, out *[4]float64) (ok uint8) { return 0 }
+
+func bornNearAVX(atoms *float64, groups int, pts *surface.QPoint, items *int32, nq int, r6 bool, out *float64, flags *uint8) {
+}
+
+func pairTermsAVX(u *float64, groups int, v *float64, nv int, out *float64, flags *uint8) {}
+
+func farTableAVX(pw *float64, n int, r2 float64, out *farKernel) (bad bool) { return true }

@@ -35,17 +35,6 @@ func (b AABB) ExtendPoint(p Vec3) AABB {
 	return AABB{Min: b.Min.Min(p), Max: b.Max.Max(p)}
 }
 
-// Union returns the smallest box containing both b and c.
-func (b AABB) Union(c AABB) AABB {
-	if b.IsEmpty() {
-		return c
-	}
-	if c.IsEmpty() {
-		return b
-	}
-	return AABB{Min: b.Min.Min(c.Min), Max: b.Max.Max(c.Max)}
-}
-
 // Center returns the center of the box.
 func (b AABB) Center() Vec3 { return b.Min.Add(b.Max).Scale(0.5) }
 
@@ -63,30 +52,11 @@ func (b AABB) MaxExtent() float64 {
 	return math.Max(s.X, math.Max(s.Y, s.Z))
 }
 
-// HalfDiagonal returns the distance from the box center to a corner: the
-// radius of the smallest ball centered at Center() that encloses the box.
-func (b AABB) HalfDiagonal() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	return b.Size().Norm() / 2
-}
-
 // Contains reports whether p lies inside or on the boundary of b.
 func (b AABB) Contains(p Vec3) bool {
 	return p.X >= b.Min.X && p.X <= b.Max.X &&
 		p.Y >= b.Min.Y && p.Y <= b.Max.Y &&
 		p.Z >= b.Min.Z && p.Z <= b.Max.Z
-}
-
-// Intersects reports whether b and c overlap (sharing a boundary counts).
-func (b AABB) Intersects(c AABB) bool {
-	if b.IsEmpty() || c.IsEmpty() {
-		return false
-	}
-	return b.Min.X <= c.Max.X && c.Min.X <= b.Max.X &&
-		b.Min.Y <= c.Max.Y && c.Min.Y <= b.Max.Y &&
-		b.Min.Z <= c.Max.Z && c.Min.Z <= b.Max.Z
 }
 
 // Cube returns the smallest cube sharing b's center that contains b. Octree

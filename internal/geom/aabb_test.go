@@ -1,19 +1,14 @@
 package geom
 
 import (
-	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestEmptyAABB(t *testing.T) {
 	b := EmptyAABB()
 	if !b.IsEmpty() {
 		t.Fatal("EmptyAABB not empty")
-	}
-	if b.HalfDiagonal() != 0 {
-		t.Errorf("HalfDiagonal of empty = %v", b.HalfDiagonal())
 	}
 	if b.Size() != (Vec3{}) {
 		t.Errorf("Size of empty = %v", b.Size())
@@ -37,31 +32,6 @@ func TestBoundPoints(t *testing.T) {
 		if !b.Contains(p) {
 			t.Errorf("box does not contain %v", p)
 		}
-	}
-}
-
-func TestAABBUnionIntersects(t *testing.T) {
-	a := AABB{V(0, 0, 0), V(1, 1, 1)}
-	b := AABB{V(2, 2, 2), V(3, 3, 3)}
-	if a.Intersects(b) {
-		t.Error("disjoint boxes intersect")
-	}
-	u := a.Union(b)
-	if u.Min != V(0, 0, 0) || u.Max != V(3, 3, 3) {
-		t.Errorf("Union = %v", u)
-	}
-	c := AABB{V(0.5, 0.5, 0.5), V(2.5, 2.5, 2.5)}
-	if !a.Intersects(c) || !b.Intersects(c) {
-		t.Error("overlapping boxes do not intersect")
-	}
-	if got := a.Union(EmptyAABB()); got != a {
-		t.Errorf("Union with empty = %v", got)
-	}
-	if got := EmptyAABB().Union(a); got != a {
-		t.Errorf("empty Union a = %v", got)
-	}
-	if a.Intersects(EmptyAABB()) {
-		t.Error("box intersects empty")
 	}
 }
 
@@ -130,27 +100,5 @@ func TestEnclosingBallContainsAll(t *testing.T) {
 				t.Fatalf("point %v outside ball c=%v r=%v", p, c, r)
 			}
 		}
-	}
-}
-
-// Property: Union is commutative and contains both operands' corners.
-func TestUnionProperties(t *testing.T) {
-	f := func(a1, a2, b1, b2 [3]float64) bool {
-		toV := func(a [3]float64) Vec3 { return V(clamp(a[0]), clamp(a[1]), clamp(a[2])) }
-		a := BoundPoints([]Vec3{toV(a1), toV(a2)})
-		b := BoundPoints([]Vec3{toV(b1), toV(b2)})
-		u1, u2 := a.Union(b), b.Union(a)
-		return u1 == u2 && u1.Contains(a.Min) && u1.Contains(a.Max) &&
-			u1.Contains(b.Min) && u1.Contains(b.Max)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHalfDiagonal(t *testing.T) {
-	b := AABB{V(0, 0, 0), V(2, 2, 2)}
-	if !almostEq(b.HalfDiagonal(), math.Sqrt(3), eps) {
-		t.Errorf("HalfDiagonal = %v", b.HalfDiagonal())
 	}
 }

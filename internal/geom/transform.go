@@ -43,43 +43,6 @@ func (m Mat3) Transpose() Mat3 {
 	}
 }
 
-// Det returns the determinant of m.
-func (m Mat3) Det() float64 {
-	return m[0]*(m[4]*m[8]-m[5]*m[7]) -
-		m[1]*(m[3]*m[8]-m[5]*m[6]) +
-		m[2]*(m[3]*m[7]-m[4]*m[6])
-}
-
-// RotationX returns the rotation matrix about the X axis by angle radians.
-func RotationX(angle float64) Mat3 {
-	c, s := math.Cos(angle), math.Sin(angle)
-	return Mat3{
-		1, 0, 0,
-		0, c, -s,
-		0, s, c,
-	}
-}
-
-// RotationY returns the rotation matrix about the Y axis by angle radians.
-func RotationY(angle float64) Mat3 {
-	c, s := math.Cos(angle), math.Sin(angle)
-	return Mat3{
-		c, 0, s,
-		0, 1, 0,
-		-s, 0, c,
-	}
-}
-
-// RotationZ returns the rotation matrix about the Z axis by angle radians.
-func RotationZ(angle float64) Mat3 {
-	c, s := math.Cos(angle), math.Sin(angle)
-	return Mat3{
-		c, -s, 0,
-		s, c, 0,
-		0, 0, 1,
-	}
-}
-
 // RotationAxis returns the rotation by angle radians about the given axis
 // (Rodrigues' formula). The axis need not be normalized; a zero axis yields
 // the identity.
@@ -132,10 +95,4 @@ func (tr Transform) Compose(other Transform) Transform {
 		R: tr.R.Mul(other.R),
 		T: tr.R.MulVec(other.T).Add(tr.T),
 	}
-}
-
-// Inverse returns the inverse rigid transform (assumes R is a rotation).
-func (tr Transform) Inverse() Transform {
-	rt := tr.R.Transpose()
-	return Transform{R: rt, T: rt.MulVec(tr.T).Neg()}
 }

@@ -15,25 +15,45 @@ func TestMat3Identity(t *testing.T) {
 	if id.Mul(id) != id {
 		t.Error("I·I != I")
 	}
-	if id.Det() != 1 {
-		t.Errorf("det(I) = %v", id.Det())
+	if det3(id) != 1 {
+		t.Errorf("det(I) = %v", det3(id))
 	}
+}
+
+// det3 is the determinant of m, by cofactors along the first row.
+func det3(m Mat3) float64 {
+	return m[0]*(m[4]*m[8]-m[5]*m[7]) -
+		m[1]*(m[3]*m[8]-m[5]*m[6]) +
+		m[2]*(m[3]*m[7]-m[4]*m[6])
+}
+
+// axisRotation is the closed-form rotation by angle a about coordinate
+// axis i (0: x, 1: y, 2: z).
+func axisRotation(i int, a float64) Mat3 {
+	c, s := math.Cos(a), math.Sin(a)
+	switch i {
+	case 0:
+		return Mat3{1, 0, 0, 0, c, -s, 0, s, c}
+	case 1:
+		return Mat3{c, 0, s, 0, 1, 0, -s, 0, c}
+	}
+	return Mat3{c, -s, 0, s, c, 0, 0, 0, 1}
 }
 
 func TestRotationBasics(t *testing.T) {
 	// Rz(90°) maps x to y.
-	r := RotationZ(math.Pi / 2)
+	r := RotationAxis(V(0, 0, 1), math.Pi/2)
 	got := r.MulVec(V(1, 0, 0))
 	if !vecAlmostEq(got, V(0, 1, 0), 1e-12) {
 		t.Errorf("Rz(90)·x = %v", got)
 	}
 	// Rx(90°) maps y to z.
-	got = RotationX(math.Pi / 2).MulVec(V(0, 1, 0))
+	got = RotationAxis(V(1, 0, 0), math.Pi/2).MulVec(V(0, 1, 0))
 	if !vecAlmostEq(got, V(0, 0, 1), 1e-12) {
 		t.Errorf("Rx(90)·y = %v", got)
 	}
 	// Ry(90°) maps z to x.
-	got = RotationY(math.Pi / 2).MulVec(V(0, 0, 1))
+	got = RotationAxis(V(0, 1, 0), math.Pi/2).MulVec(V(0, 0, 1))
 	if !vecAlmostEq(got, V(1, 0, 0), 1e-12) {
 		t.Errorf("Ry(90)·z = %v", got)
 	}
@@ -42,15 +62,12 @@ func TestRotationBasics(t *testing.T) {
 func TestRotationAxisMatchesAxisRotations(t *testing.T) {
 	angles := []float64{0, 0.3, -1.1, math.Pi, 2.5}
 	for _, a := range angles {
-		pairs := []struct{ ax Mat3 }{
-			{RotationX(a)}, {RotationY(a)}, {RotationZ(a)},
-		}
 		axes := []Vec3{V(1, 0, 0), V(0, 1, 0), V(0, 0, 1)}
-		for i, p := range pairs {
-			r := RotationAxis(axes[i], a)
+		for i, axis := range axes {
+			r, want := RotationAxis(axis, a), axisRotation(i, a)
 			for j := 0; j < 9; j++ {
-				if !almostEq(r[j], p.ax[j], 1e-12) {
-					t.Fatalf("axis %v angle %v entry %d: %v vs %v", axes[i], a, j, r[j], p.ax[j])
+				if !almostEq(r[j], want[j], 1e-12) {
+					t.Fatalf("axis %v angle %v entry %d: %v vs %v", axis, a, j, r[j], want[j])
 				}
 			}
 		}
@@ -76,8 +93,8 @@ func TestRotationIsOrthogonal(t *testing.T) {
 				t.Fatalf("R·Rᵀ entry %d = %v", j, p[j])
 			}
 		}
-		if !almostEq(r.Det(), 1, 1e-10) {
-			t.Fatalf("det = %v", r.Det())
+		if !almostEq(det3(r), 1, 1e-10) {
+			t.Fatalf("det = %v", det3(r))
 		}
 	}
 }
@@ -89,7 +106,9 @@ func TestTransformRoundTrip(t *testing.T) {
 			R: RotationAxis(V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()), rng.Float64()*6),
 			T: V(rng.NormFloat64()*5, rng.NormFloat64()*5, rng.NormFloat64()*5),
 		}
-		inv := tr.Inverse()
+		// The inverse of a rigid transform: Rᵀ, then −RᵀT.
+		rt := tr.R.Transpose()
+		inv := Transform{R: rt, T: rt.MulVec(tr.T).Scale(-1)}
 		p := V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
 		back := inv.Apply(tr.Apply(p))
 		if !vecAlmostEq(back, p, 1e-10) {

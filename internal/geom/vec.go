@@ -26,9 +26,6 @@ func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
 // Scale returns s*v.
 func (v Vec3) Scale(s float64) Vec3 { return Vec3{s * v.X, s * v.Y, s * v.Z} }
 
-// Neg returns -v.
-func (v Vec3) Neg() Vec3 { return Vec3{-v.X, -v.Y, -v.Z} }
-
 // Dot returns the dot product v·w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
@@ -61,15 +58,6 @@ func (v Vec3) Unit() Vec3 {
 		return v
 	}
 	return v.Scale(1 / n)
-}
-
-// Lerp returns the linear interpolation (1-t)*v + t*w.
-func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
-	return Vec3{
-		v.X + t*(w.X-v.X),
-		v.Y + t*(w.Y-v.Y),
-		v.Z + t*(w.Z-v.Z),
-	}
 }
 
 // Min returns the component-wise minimum of v and w.

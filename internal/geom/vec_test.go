@@ -28,9 +28,6 @@ func TestVecBasicOps(t *testing.T) {
 	if got := a.Scale(2); got != V(2, 4, 6) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := a.Neg(); got != V(-1, -2, -3) {
-		t.Errorf("Neg = %v", got)
-	}
 	if got := a.Dot(b); got != -4+10+1.5 {
 		t.Errorf("Dot = %v", got)
 	}
@@ -69,19 +66,6 @@ func TestVecUnit(t *testing.T) {
 	}
 	if z := (Vec3{}).Unit(); z != (Vec3{}) {
 		t.Errorf("Unit(0) = %v, want zero", z)
-	}
-}
-
-func TestVecLerp(t *testing.T) {
-	a, b := V(0, 0, 0), V(10, -10, 2)
-	if got := a.Lerp(b, 0); got != a {
-		t.Errorf("Lerp(0) = %v", got)
-	}
-	if got := a.Lerp(b, 1); got != b {
-		t.Errorf("Lerp(1) = %v", got)
-	}
-	if got := a.Lerp(b, 0.5); got != V(5, -5, 1) {
-		t.Errorf("Lerp(.5) = %v", got)
 	}
 }
 
