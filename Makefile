@@ -6,7 +6,7 @@ GO ?= go
 BENCH_MAX_ATOMS ?= 2000
 BENCH_REPEATS ?= 3
 
-.PHONY: build test cross lint lint-json lint-self check check-race chaos-smoke trace-smoke serve-smoke soak soak-short bench-json bench-gate perfbench-selftest fuzz-short tune-roster
+.PHONY: build test cross portable-test lint lint-json lint-self check check-race chaos-smoke trace-smoke serve-smoke soak soak-short bench-json bench-gate perfbench-selftest fuzz-short tune-roster
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,14 @@ test:
 # `go vet ./...` already checks the assembly against its Go declarations.
 cross:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
+
+# portable-test runs the gb, tune and supervise suites on the Go kernel
+# loops of that portable path, on this host: with FMA switched off
+# math.Exp takes its non-FMA path, the start-up probe rejects the exp
+# replica, and the traversals run the Go loops (TestPortableRunUsesGoLoops
+# fails if they do not). It takes about 20 s.
+portable-test:
+	GODEBUG=cpu.fma=off $(GO) test -short -count=1 ./internal/gb/ ./internal/tune/ ./internal/supervise/
 
 # lint runs the project static-analysis suite (internal/analysis), eight
 # analyzers: per-function SPMD collective symmetry, simmpi/fault error
@@ -170,6 +178,6 @@ check-race:
 # The race detector multiplies the bench suite's runtime ~14x (past go
 # test's 600s default package timeout on modest hardware), so the race
 # pass carries an explicit generous timeout.
-check: chaos-smoke lint lint-self trace-smoke serve-smoke soak-short perfbench-selftest fuzz-short cross
+check: chaos-smoke lint lint-self trace-smoke serve-smoke soak-short perfbench-selftest fuzz-short cross portable-test
 	$(GO) vet ./...
 	$(GO) test -race -timeout 3600s ./...

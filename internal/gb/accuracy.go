@@ -154,12 +154,11 @@ func (a Accuracy) OpeningBeta() float64 {
 }
 
 // OpeningFactor returns the order-aware energy far-field threshold
-// multiplier at the given opening scale (use 1 for the Params default;
-// see epolFarFactorOrder). The criterion admits a class pair as far when
-// d > (r_u + r_v)·factor, so a smaller factor prunes more.
-func (a Accuracy) OpeningFactor(scale float64) float64 {
+// multiplier (see epolFarFactorOrder). The criterion admits a class pair
+// as far when d > (r_u + r_v)·factor, so a smaller factor prunes more.
+func (a Accuracy) OpeningFactor() float64 {
 	n := a.normalized()
-	return epolFarFactorOrder(n.EpsEpol, scale, n.Order)
+	return epolFarFactorOrder(n.EpsEpol, n.Order)
 }
 
 // EffectiveAccuracy resolves the accuracy point the params describe: the
@@ -184,7 +183,7 @@ func (s *System) bornBeta() float64 {
 
 // epolFactor is the order-aware energy far-field threshold multiplier.
 func (s *System) epolFactor() float64 {
-	return epolFarFactorOrder(s.Params.Accuracy.EpsEpol, s.Params.OpeningScale, s.order())
+	return epolFarFactorOrder(s.Params.Accuracy.EpsEpol, s.order())
 }
 
 // WithAccuracy returns a copy of the system running at the given

@@ -293,31 +293,23 @@ func (s *System) approxIntegrals(a, q int32, qn *octree.Node, qNormal geom.Vec3,
 	return ops
 }
 
-// exactIntegrals adds the exact surface integrals of the atoms at T_A
-// item positions [lo, hi) against every q-point under T_Q node q into
-// acc: the near field of APPROX-INTEGRALS. With the vector kernels the
-// atoms are gathered instead, and flushIntegrals sums them once a chunk
-// is full or the traversal of q is done. Returns the pair count.
+// exactIntegrals gathers the atoms at T_A item positions [lo, hi) for
+// their exact surface integrals against every q-point under T_Q node q:
+// the near field of APPROX-INTEGRALS. flushIntegrals sums them into acc
+// once a chunk is full or the traversal of q is done. Returns the pair
+// count.
 func (s *System) exactIntegrals(lo, hi int32, q int32, acc *bornAccum) int64 {
 	qn := &s.TQ.Nodes[q]
 	ops := int64(hi-lo) * int64(qn.Count())
 	acc.near += ops
-	if vecKernels {
-		if acc.scratch == nil {
-			acc.scratch = new(bornScratch)
-		}
-		if len(acc.scratch.pos)+int(hi-lo) > chunkAtoms {
-			s.flushIntegrals(q, acc)
-		}
-		for p := lo; p < hi; p++ {
-			acc.scratch.pos = append(acc.scratch.pos, p)
-		}
-		return ops
+	if acc.scratch == nil {
+		acc.scratch = new(bornScratch)
 	}
-	r4Form := s.Params.Integral == IntegralR4
-	qItems := s.TQ.ItemsOf(q)
-	for _, ai := range s.TA.Items[lo:hi] {
-		acc.atomS[ai] += bornAtomSum(s.atomPos[ai], s.Surf.Points, qItems, r4Form)
+	if len(acc.scratch.pos)+int(hi-lo) > chunkAtoms {
+		s.flushIntegrals(q, acc)
+	}
+	for p := lo; p < hi; p++ {
+		acc.scratch.pos = append(acc.scratch.pos, p)
 	}
 	return ops
 }

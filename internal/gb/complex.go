@@ -101,27 +101,21 @@ func (c *Complex) Epol(tr geom.Transform) (*PoseResult, error) {
 
 	factor := rec.epolFactor()
 	// The shared radius range gives both aggregate sets one class count,
-	// so one far-kernel scratch serves all three interactions.
+	// so one scratch serves all three passes.
 	sc := newEpolScratch(recAgg.M)
 	sum := 0.0
-	// rec–rec and lig–lig (ordered pairs within each molecule).
-	for _, v := range rec.aLeaves {
-		vs, vops := rec.epolTarget(v, recAgg, sc, factor, nil)
-		sum += vs
-		res.Ops += vops
+	run := func(p epolPass, weight float64) {
+		for _, v := range p.v.aLeaves {
+			vs, vops := p.leaf(v)
+			sum += weight * vs
+			res.Ops += vops
+		}
 	}
-	for _, v := range lig.aLeaves {
-		vs, vops := lig.epolTarget(v, ligAgg, sc, factor, nil)
-		sum += vs
-		res.Ops += vops
-	}
+	// rec–rec and lig–lig (ordered pairs within each molecule), then the
 	// rec–lig cross terms, counted twice (ordered-pair convention).
-	ep := &epolCrossPass{u: rec, uAgg: recAgg, v: lig, vAgg: ligAgg, factor: factor, sc: sc}
-	for _, v := range lig.aLeaves {
-		vs, vops := ep.run(rec.TA.Root(), v)
-		sum += 2 * vs
-		res.Ops += vops
-	}
+	run(epolPass{u: rec, uAgg: recAgg, v: rec, vAgg: recAgg, factor: factor, sc: sc}, 1)
+	run(epolPass{u: lig, uAgg: ligAgg, v: lig, vAgg: ligAgg, factor: factor, sc: sc}, 1)
+	run(epolPass{u: rec, uAgg: recAgg, v: lig, vAgg: ligAgg, factor: factor, sc: sc}, 2)
 	res.Epol = -0.5 * Tau(rec.Params.EpsSolvent) * CoulombKcal * sum
 	return res, nil
 }

@@ -9,6 +9,21 @@ import (
 	"gbpolar/internal/surface"
 )
 
+// epolAtScale is System.Epol with Fig. 3's far threshold multiplied by
+// scale (scaledFactor), for the opening-criterion probes.
+func epolAtScale(s *System, radii []float64, scale float64) (float64, int64) {
+	agg := s.buildEpolAggregates(radii)
+	p := epolPass{u: s, uAgg: agg, v: s, vAgg: agg, sc: newEpolScratch(agg.M),
+		factor: scaledFactor(s.Params.Accuracy.EpsEpol, scale, s.order())}
+	sum, ops := 0.0, int64(0)
+	for _, v := range s.aLeaves {
+		vs, vops := p.leaf(v)
+		sum += vs
+		ops += vops
+	}
+	return -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * sum, ops
+}
+
 // TestProbeEpolError is a diagnostic scaffold (kept as a regression probe):
 // it reports where the octree Epol error comes from.
 func TestProbeEpolError(t *testing.T) {
@@ -55,9 +70,8 @@ func TestProbeEpolErrorDecomposition(t *testing.T) {
 			p2 := params
 			p2.Accuracy.EpsEpol = 0.9
 			p2.Accuracy.BinWidth = binEps
-			p2.OpeningScale = scale
 			s2, _ := NewSystem(m, surf, p2)
-			e, ops := s2.Epol(radii)
+			e, ops := epolAtScale(s2, radii, scale)
 			t.Logf("scale=%v binEps=%v: rel=%+.4f%% ops=%d",
 				scale, binEps, 100*(e-naive)/math.Abs(naive), ops)
 		}
@@ -79,9 +93,8 @@ func TestProbeEpolLarge(t *testing.T) {
 			p2 := params
 			p2.Accuracy.EpsEpol = 0.9
 			p2.Accuracy.BinWidth = binEps
-			p2.OpeningScale = scale
 			s2, _ := NewSystem(m, surf, p2)
-			e, ops := s2.Epol(radii)
+			e, ops := epolAtScale(s2, radii, scale)
 			t.Logf("scale=%v binEps=%v: rel=%+.4f%% ops=%d", scale, binEps, 100*(e-naive)/math.Abs(naive), ops)
 		}
 	}
@@ -93,7 +106,7 @@ func TestEpolPairCoverage(t *testing.T) {
 	m := molecule.Globule("g", 1500, 79)
 	surf, _ := surface.Build(m, surface.DefaultConfig())
 	sys, _ := NewSystem(m, surf, DefaultParams())
-	factor := epolFarFactor(0.9, 0) // default scale
+	factor := epolFarFactor(0.9)
 	var count func(u, v int32) int64
 	count = func(u, v int32) int64 {
 		un := &sys.TA.Nodes[u]
@@ -133,7 +146,7 @@ func TestProbeFarPairAccuracy(t *testing.T) {
 	sys, _ := NewSystem(m, surf, p)
 	radii, _ := sys.NaiveBornRadiiR6()
 	agg := sys.buildEpolAggregates(radii)
-	factor := epolFarFactor(p.Accuracy.EpsEpol, p.OpeningScale)
+	factor := epolFarFactor(p.Accuracy.EpsEpol)
 	kernel := pairEnergyKernel(ExactMath)
 	var farApprox, farExact, totDiff float64
 	nfar := 0
@@ -205,9 +218,8 @@ func TestProbeEpolTune8k(t *testing.T) {
 			p2 := params
 			p2.Accuracy.EpsEpol = 0.9
 			p2.Accuracy.BinWidth = binEps
-			p2.OpeningScale = scale
 			s2, _ := NewSystem(m, surf, p2)
-			e, ops := s2.Epol(radii)
+			e, ops := epolAtScale(s2, radii, scale)
 			t.Logf("scale=%v binEps=%v: rel=%+.4f%% ops=%d (%.1fx)", scale, binEps,
 				100*(e-naive)/math.Abs(naive), ops, float64(ordered)/float64(ops))
 		}

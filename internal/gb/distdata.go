@@ -181,20 +181,13 @@ func (s *System) distSegEnergy(P, vSeg int, radiiFull []float64, rmin, rmax floa
 
 // segEpol adds to partial, one target leaf of v at a time, the raw pair
 // sum over the ordered pairs (atom of u, atom of v) of two atom segments
-// whose aggregates share one radius range: the own-pass recursion
-// approxEpol when u is v, the two-tree epolCrossPass otherwise.
+// whose aggregates share one radius range: an own pass when u is v, a
+// cross pass otherwise (epolPass).
 func segEpol(partial float64, ops *int64, sc *epolScratch, u *System, uAgg *epolAggregates,
 	v *System, vAgg *epolAggregates) float64 {
-	factor := v.epolFactor()
-	ep := &epolCrossPass{u: u, uAgg: uAgg, v: v, vAgg: vAgg, factor: factor, sc: sc}
+	p := epolPass{u: u, uAgg: uAgg, v: v, vAgg: vAgg, factor: v.epolFactor(), sc: sc}
 	for _, l := range v.aLeaves {
-		var ls float64
-		var lops int64
-		if u == v {
-			ls, lops = v.epolTarget(l, vAgg, sc, factor, nil)
-		} else {
-			ls, lops = ep.run(u.TA.Root(), l)
-		}
+		ls, lops := p.leaf(l)
 		partial += ls
 		*ops += lops
 	}
@@ -300,7 +293,7 @@ func (s *System) runDistData(P int, cfg *FaultConfig) (*Result, error) {
 			// Fault-tolerant ring round: retry dropped sends with backoff;
 			// a dead destination just misses a segment it can rebuild; a
 			// dead, exhausted, or too-slow source's segment is rebuilt here.
-			if err := sendRetry(c, dst, ownQEnc, cfg); err != nil {
+			if err := sendRetry(c, dst, ownQEnc); err != nil {
 				var lostErr *simmpi.RankLostError
 				if !errors.As(err, &lostErr) && !errors.Is(err, simmpi.ErrDropped) {
 					return err

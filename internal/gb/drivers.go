@@ -527,8 +527,8 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 		}
 		factor := s.epolFactor()
 		// One energy scratch per worker: the far kernel table, reused by
-		// every far pair of the phase, and the worker's lent near-field
-		// state (DESIGN.md §16).
+		// every far pair of the phase, and the worker's lent tape and
+		// near-field state (DESIGN.md §16).
 		scratch := make([]*epolScratch, p)
 		for w := range scratch {
 			scratch[w] = newEpolScratch(agg.M)
@@ -556,10 +556,11 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 				partialP = reduceRange(pool, hi-lo, newEpolPart,
 					//lint:ignore hotalloc per-phase worker body; allocated once per energy round and amortized over its whole range
 					func(worker, i0, i1 int, part *epolPart) {
+						pass := epolPass{u: s, uAgg: agg, v: s, vAgg: agg, factor: factor, sc: scratch[worker], tally: &part.tally}
 						sum := 0.0
 						ops := int64(0)
 						for _, v := range s.aLeaves[lo+i0 : lo+i1] {
-							vs, vops := s.epolTarget(v, agg, scratch[worker], factor, &part.tally)
+							vs, vops := pass.leaf(v)
 							sum += vs
 							ops += vops
 						}

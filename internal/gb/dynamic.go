@@ -171,8 +171,7 @@ func (s *System) RunMPIDynamic(P int) (*Result, error) {
 
 		// ---- Phase 6: energy, dynamic chunks of atom leaves ------------
 		agg := s.buildEpolAggregates(radii)
-		sc := newEpolScratch(agg.M)
-		factor := s.epolFactor()
+		pass := epolPass{u: s, uAgg: agg, v: s, vAgg: agg, factor: s.epolFactor(), sc: newEpolScratch(agg.M)}
 		partial := 0.0
 		if rank == 0 {
 			if err := coordinate(c, len(s.aLeaves)); err != nil {
@@ -182,7 +181,7 @@ func (s *System) RunMPIDynamic(P int) (*Result, error) {
 			err := drainChunks(c, func(lo, hi int) {
 				ops := int64(0)
 				for _, v := range s.aLeaves[lo:hi] {
-					vs, vops := s.epolTarget(v, agg, sc, factor, nil)
+					vs, vops := pass.leaf(v)
 					partial += vs
 					ops += vops
 				}

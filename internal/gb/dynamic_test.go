@@ -94,10 +94,10 @@ func TestRunMPIDynamicBalancesSkew(t *testing.T) {
 		replay[w] += sys.PushIntegralsToAtoms(acc, lo, hi, radii)
 	}
 	agg := sys.buildEpolAggregates(radii)
-	sc := newEpolScratch(agg.M)
+	pass := epolPass{u: sys, uAgg: agg, v: sys, vAgg: agg, factor: sys.epolFactor(), sc: newEpolScratch(agg.M)}
 	epolCost := make([]int64, len(sys.aLeaves))
 	for i, v := range sys.aLeaves {
-		_, epolCost[i] = sys.approxEpol(sys.TA.Root(), v, agg, sc, sys.epolFactor(), nil)
+		_, epolCost[i] = pass.leaf(v)
 	}
 	for _, cost := range [][]int64{bornCost, epolCost} {
 		busy := make([]int64, computeRanks+1) // per-phase finish times

@@ -227,12 +227,6 @@ func (s *System) buildEpolAggregatesRange(radii []float64, rmin, rmax float64) *
 	return agg
 }
 
-// epolOpeningScale multiplies Fig. 3's far threshold (1 + 2/ε). With the
-// first-order dipole correction in farClassSum the printed criterion
-// already lands the realized error in the paper's Fig. 10 band (≤1.5% at
-// ε = 0.9), so the default is 1; the knob remains for the ablation bench.
-const epolOpeningScale = 1.0
-
 // defaultBinEps caps the Born-radius class width: the histogram binning
 // error is the accuracy floor of the far field, and bins wider than
 // ln(1.2) measurably bias f_GB (EXPERIMENTS.md calibration: at ε = 0.9
@@ -240,13 +234,12 @@ const epolOpeningScale = 1.0
 // 0.2, for ~20% more work).
 const defaultBinEps = 0.2
 
-// epolFarFactor returns the threshold multiplier (1 + 2/ε)·scale of the
-// energy far criterion.
-func epolFarFactor(eps, scale float64) float64 {
-	if scale <= 0 {
-		scale = epolOpeningScale
-	}
-	return (1 + 2/eps) * scale
+// epolFarFactor returns Fig. 3's threshold multiplier 1 + 2/ε of the
+// energy far criterion. With the first-order dipole correction in
+// farClassSum the printed criterion already lands the realized error in
+// the paper's Fig. 10 band (≤1.5% at ε = 0.9).
+func epolFarFactor(eps float64) float64 {
+	return 1 + 2/eps
 }
 
 // epolFarFactorOrder generalizes epolFarFactor to the expansion order p:
@@ -256,8 +249,8 @@ func epolFarFactor(eps, scale float64) float64 {
 // tighter (larger) for the monopole field, looser for the quadrupole
 // field at the same target error. The p=1 branch returns the legacy
 // factor literally so the default stays bitwise identical.
-func epolFarFactorOrder(eps, scale float64, order int) float64 {
-	f := epolFarFactor(eps, scale)
+func epolFarFactorOrder(eps float64, order int) float64 {
+	f := epolFarFactor(eps)
 	if order == OrderDipole {
 		return f
 	}
@@ -301,10 +294,9 @@ func ownsNear(v, u int32) bool { return ((u^v)&1 == 1) == (v > u) }
 
 // epolReaches reports whether the energy traversal of target leaf t
 // reaches leaf l as an exact leaf: whether none of l's proper ancestors W
-// passes approxEpol's far test against t, with the same operands. The
+// passes the pass's far test against t, with the same operands. The
 // whole chain is walked: a child's ball need not nest in its parent's,
-// and below factor 1 (a small OpeningScale) even an ancestor containing t
-// can test far.
+// and below factor 1 even an ancestor containing t can test far.
 func (s *System) epolReaches(t, l int32, factor float64) bool {
 	tn := &s.TA.Nodes[t]
 	for w := s.TA.Nodes[l].Parent; w != octree.NoChild; w = s.TA.Nodes[w].Parent {
@@ -316,65 +308,105 @@ func (s *System) epolReaches(t, l int32, factor float64) bool {
 	return true
 }
 
-// approxEpol is Fig. 3's APPROX-Epol(U, V): the raw pair sum
-// Σ q_u q_v / f_GB between the atoms under U and the atoms under target
-// leaf V, approximated by class aggregates when (U, V) is far, exact at
-// leaves. An exact leaf pair that is mutually near is summed by its
-// owner only (×2, ownsNear) and skipped by the other target, so only the
-// sum over every target leaf, whatever ranks hold them, is Fig. 3's.
-// Returns (sum, interaction evaluations); the count is always the
-// ordered pairs', skipped leaves included.
-func (s *System) approxEpol(u, v int32, agg *epolAggregates, sc *epolScratch,
-	factor float64, tally *pairTally) (float64, int64) {
-	un := &s.TA.Nodes[u]
-	vn := &s.TA.Nodes[v]
-	d := un.Center.Dist(vn.Center)
-	approx := s.Params.Math == ApproxMath
-	// The class approximation only applies when U is internal: leaf–leaf
-	// pairs are evaluated exactly below at comparable cost (≤ leaf² pairs
-	// vs nnz² class pairs), and skipping the binning there matters
-	// because two small leaves can be geometrically "far" (tiny radii)
-	// while still close on the f_GB scale √(R_iR_j), where binned radii
-	// misprice the kernel.
-	if u != v && !un.Leaf && epolFar(d, un.Radius, vn.Radius, factor) {
-		return farClassSum(agg, u, agg, v, d, vn.Center.Sub(un.Center), approx, sc, tally)
-	}
-	if un.Leaf {
-		// Exact: f_GB is symmetric, so U == V sums i < j ×2 plus the
-		// self terms q_i²/R_i, and a mutually near U ≠ V is summed ×2 by
-		// its owner and skipped by the other target.
-		ops := int64(un.Count()) * int64(vn.Count())
-		tally.addNear(ops)
-		if sc.near.replay {
-			// The block was evaluated ahead, in this DFS order (epolTarget).
-			val := sc.near.vals[sc.near.next]
-			sc.near.next++
-			return val, ops
-		}
-		weight := 1.0
-		if u == v {
-			weight = 2
-		} else if s.epolReaches(u, v, factor) {
-			if !ownsNear(v, u) {
-				return 0, ops
-			}
-			weight = 2
-		}
-		ur, uR := s.atomsOf(un, agg)
-		vr, vR := s.atomsOf(vn, agg)
-		sum, self := nearSum(ur, uR, vr, vR, u == v, approx)
-		return self + weight*sum, ops
+// epolPass is Fig. 3's APPROX-Epol(root, V), the one energy traversal of
+// every caller: target leaves V of system v against the whole atom tree of
+// source system u, over aggregate sets of one radius range.
+//   - An own pass, u and v one *System, sums the ordered pairs within the
+//     molecule. The diagonal block is i < j ×2 plus the self terms
+//     q_i²/R_i, and a mutually near block is summed ×2 by its owner
+//     (ownsNear) and skipped by the other target, so only the sum over
+//     every target leaf, whatever ranks hold them, is Fig. 3's.
+//   - A cross pass, two systems or a second view of one, sums the ordered
+//     pairs (atom of u, atom of v) with every block at weight 1.
+//
+// For one target leaf the pass walks the source tree once, recording the
+// far pairs and exact blocks in DFS order; it then evaluates the blocks in
+// chunks, then the far pairs, and sums their values in DFS order
+// (DESIGN.md §16).
+type epolPass struct {
+	u, v       *System
+	uAgg, vAgg *epolAggregates
+	factor     float64
+	sc         *epolScratch
+	tally      *pairTally
+}
+
+// leaf returns target leaf v's raw pair sum against the whole source tree
+// and its interaction evaluations.
+func (p *epolPass) leaf(v int32) (float64, int64) {
+	return p.node(p.u.TA.Root(), v)
+}
+
+// node is APPROX-Epol(U, V): the raw pair sum Σ q_u q_v / f_GB between
+// the atoms under source node u and the atoms under target leaf v, and
+// its interaction evaluations; the count is always the ordered pairs',
+// skipped blocks included.
+func (p *epolPass) node(u, v int32) (float64, int64) {
+	ns := p.sc.near
+	ns.vals, ns.far = ns.vals[:0], ns.far[:0]
+	vn := &p.v.TA.Nodes[v]
+	ops := p.walk(u, v, vn)
+	p.flushNear(v)
+	approx := p.v.Params.Math == ApproxMath
+	for _, f := range ns.far {
+		dvec := vn.Center.Sub(p.u.TA.Nodes[f.u].Center)
+		val, fops := farClassSum(p.uAgg, f.u, p.vAgg, v, f.d, dvec, approx, p.sc, p.tally)
+		ns.vals[f.slot] = val
+		ops += fops
 	}
 	sum := 0.0
-	ops := int64(1)
-	for _, c := range un.Children {
-		if c != octree.NoChild {
-			cs, cops := s.approxEpol(c, v, agg, sc, factor, tally)
-			sum += cs
-			ops += cops
-		}
+	for _, x := range ns.vals {
+		sum += x
 	}
 	return sum, ops
+}
+
+// walk records source node u's far pairs and exact blocks against target
+// leaf v in DFS order. It returns the evaluations of the nodes it opens and
+// the blocks it reaches; a far pair's are counted when it is evaluated.
+func (p *epolPass) walk(u, v int32, vn *octree.Node) int64 {
+	un := &p.u.TA.Nodes[u]
+	ns := p.sc.near
+	// The class approximation only applies when U is internal: leaf–leaf
+	// pairs are evaluated exactly at comparable cost (≤ leaf² pairs vs
+	// nnz² class pairs), and skipping the binning there matters because
+	// two small leaves can be geometrically "far" (tiny radii) while still
+	// close on the f_GB scale √(R_iR_j), where binned radii misprice the
+	// kernel.
+	if !un.Leaf {
+		if d := un.Center.Dist(vn.Center); epolFar(d, un.Radius, vn.Radius, p.factor) {
+			ns.far = append(ns.far, farPair{slot: len(ns.vals), u: u, d: d})
+			ns.vals = append(ns.vals, 0)
+			return 0
+		}
+		ops := int64(1)
+		for _, c := range un.Children {
+			if c != octree.NoChild {
+				ops += p.walk(c, v, vn)
+			}
+		}
+		return ops
+	}
+	ops := int64(un.Count()) * int64(vn.Count())
+	p.tally.addNear(ops)
+	switch {
+	case p.u != p.v:
+		p.pendNear(u, v, 1)
+	case u == v:
+		// f_GB is symmetric: the diagonal block sums i < j ×2 plus the
+		// self terms.
+		r, rR := p.v.atomsOf(vn, p.vAgg)
+		sum, self := nearSum(r, rR, r, rR, true, p.v.Params.Math == ApproxMath)
+		ns.vals = append(ns.vals, self+2*sum)
+	case !p.u.epolReaches(u, v, p.factor):
+		p.pendNear(u, v, 1)
+	case ownsNear(v, u):
+		p.pendNear(u, v, 2)
+	}
+	// A block the other target owns adds 0 and is not recorded: the leaf's
+	// sum starts at +0 and never becomes −0, so leaving out a zero changes
+	// no bit.
+	return ops
 }
 
 // nearSum is the exact near field between two leaves: Σ q_u q_v / f_GB
@@ -412,8 +444,8 @@ func nearSum(ur []atomRec, uR []float64, vr []atomRec, vR []float64, same, appro
 // sized once per energy round by the class count M and overwritten by
 // every far pair: g holds the kernel at each class sum (2M entries), v
 // the target node's class moments along d̂ (at most M entries). Its near
-// part holds the current target leaf's exact blocks (kernels.go) and
-// grows on demand.
+// part holds the current target leaf's tape of far pairs and exact blocks
+// (kernels.go) and grows on demand.
 type epolScratch struct {
 	g    []farKernel
 	v    []farTarget
@@ -564,55 +596,16 @@ func farClassSum(ua *epolAggregates, u int32, va *epolAggregates, v int32,
 	return sum, ops
 }
 
-// epolCrossPass is APPROX-Epol between two different atom trees: node u
-// descends system u's tree against leaf v of system v's tree. The two
-// aggregate sets share one radius range, so one scratch serves both.
-type epolCrossPass struct {
-	u      *System
-	uAgg   *epolAggregates
-	v      *System
-	vAgg   *epolAggregates
-	factor float64
-	sc     *epolScratch
-}
-
-func (ep *epolCrossPass) run(u, v int32) (float64, int64) {
-	un := &ep.u.TA.Nodes[u]
-	vn := &ep.v.TA.Nodes[v]
-	d := un.Center.Dist(vn.Center)
-	approx := ep.u.Params.Math == ApproxMath
-	if !un.Leaf && epolFar(d, un.Radius, vn.Radius, ep.factor) {
-		return farClassSum(ep.uAgg, u, ep.vAgg, v, d, vn.Center.Sub(un.Center), approx, ep.sc, nil)
-	}
-	if un.Leaf {
-		ur, uR := ep.u.atomsOf(un, ep.uAgg)
-		vr, vR := ep.v.atomsOf(vn, ep.vAgg)
-		sum, _ := nearSum(ur, uR, vr, vR, false, approx)
-		return sum, int64(un.Count()) * int64(vn.Count())
-	}
-	sum := 0.0
-	ops := int64(1)
-	for _, ch := range un.Children {
-		if ch != octree.NoChild {
-			cs, cops := ep.run(ch, v)
-			sum += cs
-			ops += cops
-		}
-	}
-	return sum, ops
-}
-
 // Epol runs the full serial octree energy pass: every atoms-octree leaf V
 // interacts with the whole tree (Fig. 4 Step 6), the raw sums are scaled
 // by −τκ/2. Returns the energy in kcal/mol and the interaction count.
 func (s *System) Epol(radii []float64) (float64, int64) {
 	agg := s.buildEpolAggregates(radii)
-	sc := newEpolScratch(agg.M)
-	factor := s.epolFactor()
+	p := epolPass{u: s, uAgg: agg, v: s, vAgg: agg, factor: s.epolFactor(), sc: newEpolScratch(agg.M)}
 	sum := 0.0
 	ops := int64(0)
 	for _, v := range s.aLeaves {
-		vs, vops := s.epolTarget(v, agg, sc, factor, nil)
+		vs, vops := p.leaf(v)
 		sum += vs
 		ops += vops
 	}

@@ -248,15 +248,16 @@ func checkNearPair(t *testing.T, u *System, un int32, uAgg *epolAggregates, uRad
 	}
 }
 
-// denseApproxEpol is the node–node traversal over the dense layout with
-// the near-field term taken through pairEnergyKernel's closure.
-func denseApproxEpol(s *System, u, v int32, radii []float64, da *denseAggregates, ord int) (float64, int64) {
+// denseApproxEpol is the node–node traversal at opening factor factor over
+// the dense layout with the near-field term taken through
+// pairEnergyKernel's closure.
+func denseApproxEpol(s *System, u, v int32, radii []float64, da *denseAggregates, ord int, factor float64) (float64, int64) {
 	kernel := pairEnergyKernel(s.Params.Math)
 	var walk func(u int32) (float64, int64)
 	walk = func(u int32) (float64, int64) {
 		un, vn := &s.TA.Nodes[u], &s.TA.Nodes[v]
 		d := un.Center.Dist(vn.Center)
-		if u != v && !un.Leaf && epolFar(d, un.Radius, vn.Radius, s.epolFactor()) {
+		if u != v && !un.Leaf && epolFar(d, un.Radius, vn.Radius, factor) {
 			return denseFarClassSum(da, u, da, v, d, vn.Center.Sub(un.Center), ord, s.Params.Math == ApproxMath)
 		}
 		if un.Leaf {
@@ -401,6 +402,7 @@ func checkSparseAgainstDense(t *testing.T, s *System, radii []float64, agg *epol
 
 	factor := s.epolFactor()
 	sc := newEpolScratch(agg.M)
+	pass := epolPass{u: s, uAgg: agg, v: s, vAgg: agg, factor: factor, sc: sc}
 	var walk func(u, v int32)
 	walk = func(u, v int32) {
 		un, vn := &s.TA.Nodes[u], &s.TA.Nodes[v]
@@ -427,8 +429,8 @@ func checkSparseAgainstDense(t *testing.T, s *System, radii []float64, agg *epol
 	gsum, wsum := 0.0, 0.0
 	for _, v := range s.aLeaves {
 		walk(s.TA.Root(), v)
-		gs, gops := s.approxEpol(s.TA.Root(), v, agg, sc, factor, nil)
-		ws, wops := denseApproxEpol(s, s.TA.Root(), v, radii, da, ord)
+		gs, gops := pass.leaf(v)
+		ws, wops := denseApproxEpol(s, s.TA.Root(), v, radii, da, ord, factor)
 		if gops != wops {
 			t.Fatalf("leaf %d traversal: %d ops, dense %d", v, gops, wops)
 		}
@@ -485,11 +487,12 @@ func checkSparseAgainstDense(t *testing.T, s *System, radii []float64, agg *epol
 	}
 }
 
-// checkCrossAgainstDense pins the two-tree pass like checkSparseAgainstDense
+// checkCrossAgainstDense pins the cross pass like checkSparseAgainstDense
 // pins the own pass: over aggregates of one shared radius range, every far
 // pair of u's tree against each leaf of v matches the dense sweep, every
 // exact leaf pair the original-index loop, and each leaf's traversal the
-// reference walk built from them, all bitwise.
+// reference walk built from them, which sums the leaf's far-pair and block
+// values in DFS order as the pass does, all bitwise.
 func checkCrossAgainstDense(t *testing.T, u *System, uRadii []float64, v *System, vRadii []float64) {
 	t.Helper()
 	rmin, rmax := math.Inf(1), 0.0
@@ -500,38 +503,46 @@ func checkCrossAgainstDense(t *testing.T, u *System, uRadii []float64, v *System
 	vAgg := v.buildEpolAggregatesRange(vRadii, rmin, rmax)
 	ud, vd := buildDenseAggregates(u, uRadii, uAgg), buildDenseAggregates(v, vRadii, vAgg)
 	approx := u.Params.Math == ApproxMath
-	ep := &epolCrossPass{u: u, uAgg: uAgg, v: v, vAgg: vAgg, factor: v.epolFactor(), sc: newEpolScratch(uAgg.M)}
-	var walk func(a, l int32) (float64, int64)
-	walk = func(a, l int32) (float64, int64) {
+	pass := epolPass{u: u, uAgg: uAgg, v: v, vAgg: vAgg, factor: v.epolFactor(), sc: newEpolScratch(uAgg.M)}
+	// walk appends the values of source node a's far pairs and exact
+	// blocks against leaf l to vals in DFS order and returns their ops.
+	var vals []float64
+	var walk func(a, l int32) int64
+	walk = func(a, l int32) int64 {
 		an, ln := &u.TA.Nodes[a], &v.TA.Nodes[l]
 		d := an.Center.Dist(ln.Center)
-		if !an.Leaf && epolFar(d, an.Radius, ln.Radius, ep.factor) {
+		if !an.Leaf && epolFar(d, an.Radius, ln.Radius, pass.factor) {
 			dvec := ln.Center.Sub(an.Center)
-			gs, gops := farClassSum(uAgg, a, vAgg, l, d, dvec, approx, ep.sc, nil)
+			gs, gops := farClassSum(uAgg, a, vAgg, l, d, dvec, approx, pass.sc, nil)
 			ws, wops := denseFarClassSum(ud, a, vd, l, d, dvec, uAgg.order, approx)
 			if math.Float64bits(gs) != math.Float64bits(ws) || gops != wops {
 				t.Fatalf("cross far pair (%d, %d): (%v, %d), dense (%v, %d)", a, l, gs, gops, ws, wops)
 			}
-			return ws, wops
+			vals = append(vals, ws)
+			return wops
 		}
 		if an.Leaf {
 			checkNearPair(t, u, a, uAgg, uRadii, v, l, vAgg, vRadii, false, approx)
 			ws, _ := refNearSum(u, a, uRadii, v, l, vRadii, false, approx)
-			return ws, int64(an.Count()) * int64(ln.Count())
+			vals = append(vals, ws)
+			return int64(an.Count()) * int64(ln.Count())
 		}
-		sum, ops := 0.0, int64(1)
+		ops := int64(1)
 		for _, c := range an.Children {
 			if c != octree.NoChild {
-				cs, cops := walk(c, l)
-				sum += cs
-				ops += cops
+				ops += walk(c, l)
 			}
 		}
-		return sum, ops
+		return ops
 	}
 	for _, l := range v.aLeaves {
-		ws, wops := walk(u.TA.Root(), l)
-		gs, gops := ep.run(u.TA.Root(), l)
+		vals = vals[:0]
+		wops := walk(u.TA.Root(), l)
+		ws := 0.0
+		for _, x := range vals {
+			ws += x
+		}
+		gs, gops := pass.leaf(l)
 		if math.Float64bits(gs) != math.Float64bits(ws) || gops != wops {
 			t.Fatalf("cross leaf %d: (%v, %d), reference (%v, %d)", l, gs, gops, ws, wops)
 		}
@@ -575,14 +586,8 @@ func TestSparseAggregatesMatchDenseRoster(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			s := newTestSystem(t, molecule.ZDockMolecule(e), surface.DefaultConfig(), DefaultParams())
 			radii, _ := s.BornRadii()
-			// The ligand docks against the receptor: rotated, its ball
-			// center at 0.8 of the summed ball radii, so the cross passes
-			// meet both far pairs and exact leaf pairs.
-			rc, lc := s.TA.Nodes[0], lig.TA.Nodes[0]
-			axis := geom.V(0.3, -0.5, 0.8).Unit()
-			tr := geom.Translate(rc.Center.Add(axis.Scale(0.8 * (rc.Radius + lc.Radius)))).
-				Compose(geom.Rotate(geom.V(1, 2, 3).Unit(), 0.7)).
-				Compose(geom.Translate(lc.Center.Scale(-1)))
+			// The ligand docks against the receptor at contact.
+			tr := contactPose(s, lig)
 			forEachMode(t, s, func(t *testing.T, s *System) {
 				checkSparseAgainstDense(t, s, radii, s.buildEpolAggregates(radii))
 				l := withMode(t, lig, s.order(), s.Params.Math)

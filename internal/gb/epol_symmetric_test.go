@@ -2,6 +2,7 @@ package gb
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"gbpolar/internal/molecule"
@@ -10,7 +11,7 @@ import (
 )
 
 // reachSets walks the energy traversal of every target leaf exactly as
-// approxEpol descends (far internal nodes stop it, leaves are exact) and
+// the pass descends (far internal nodes stop it, leaves are exact) and
 // records, per target, the leaves it reaches.
 func reachSets(s *System, factor float64) map[int32]map[int32]bool {
 	out := make(map[int32]map[int32]bool, len(s.aLeaves))
@@ -39,11 +40,21 @@ func reachSets(s *System, factor float64) map[int32]map[int32]bool {
 	return out
 }
 
+// scaledFactor is the order-p opening factor of ε with Fig. 3's threshold
+// 1 + 2/ε multiplied by scale: it reaches factors below 1 (scale 0.25 at
+// ε = 0.9) and close to 1 (ε = 8 at p = 2).
+func scaledFactor(eps, scale float64, ord int) float64 {
+	f := epolFarFactor(eps) * scale
+	if ord == OrderDipole {
+		return f
+	}
+	return math.Pow(f, 2/float64(ord+1))
+}
+
 // TestEpolReachesMatchesTraversal: the mirror predicate agrees with the
 // traversal's own reach sets on every ordered leaf pair, including
-// opening factors below 1 (OpeningScale 0.25 at ε = 0.9) and close to 1
-// (ε = 8 at p = 2), where walking only part of the ancestor chain would
-// not be safe.
+// opening factors below 1 and close to 1 (scaledFactor), where walking
+// only part of the ancestor chain would not be safe.
 func TestEpolReachesMatchesTraversal(t *testing.T) {
 	maxAtoms := 1200
 	if testing.Short() {
@@ -65,8 +76,7 @@ func TestEpolReachesMatchesTraversal(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						s.Params.OpeningScale = scale
-						factor := s.epolFactor()
+						factor := scaledFactor(eps, scale, ord)
 						reach := reachSets(s, factor)
 						for _, tl := range s.aLeaves {
 							for _, l := range s.aLeaves {
@@ -95,8 +105,8 @@ func TestEpolReachesMatchesTraversal(t *testing.T) {
 
 // TestSymmetricNearFieldSpans: the owner of a mutually near leaf block
 // depends on the pair alone (ownsNear), so over 1, 2, 3 and 5 contiguous
-// spans of the leaves (one per simulated share), at OpeningScale 0.25
-// and 1 and orders 0/1/2:
+// spans of the leaves (one per simulated share), at opening scales 0.25
+// and 1 (scaledFactor) and orders 0/1/2:
 //   - every mutually near leaf pair is evaluated ×2 by exactly one of its
 //     two targets and skipped by the other;
 //   - the spans' sums add up to the ordered-pair dense oracle's total to
@@ -111,15 +121,15 @@ func TestSymmetricNearFieldSpans(t *testing.T) {
 		var worlds []*nearWorld
 		for _, ord := range []int{OrderMonopole, OrderDipole, OrderQuadrupole} {
 			s := withMode(t, base, ord, ExactMath)
-			s.Params.OpeningScale = scale
 			radii, _ := s.BornRadii()
-			w := &nearWorld{s: s, agg: s.buildEpolAggregates(radii), factor: s.epolFactor(), oracleOps: map[int32]int64{}}
-			w.sc = newEpolScratch(w.agg.M)
-			w.reach = reachSets(s, w.factor)
-			da := buildDenseAggregates(s, radii, w.agg)
+			agg := s.buildEpolAggregates(radii)
+			w := &nearWorld{s: s, oracleOps: map[int32]int64{}}
+			w.p = epolPass{u: s, uAgg: agg, v: s, vAgg: agg, factor: scaledFactor(s.Params.Accuracy.EpsEpol, scale, ord), sc: newEpolScratch(agg.M)}
+			w.reach = reachSets(s, w.p.factor)
+			da := buildDenseAggregates(s, radii, agg)
 			mutual := 0
 			for _, v := range s.aLeaves {
-				ws, wops := denseApproxEpol(s, s.TA.Root(), v, radii, da, ord)
+				ws, wops := denseApproxEpol(s, s.TA.Root(), v, radii, da, ord, w.p.factor)
 				w.oracle += ws
 				w.oracleOps[v] = wops
 				w.blocks += w.evaluated(v)
@@ -128,8 +138,8 @@ func TestSymmetricNearFieldSpans(t *testing.T) {
 						continue
 					}
 					mutual++
-					ur, uR := s.atomsOf(&s.TA.Nodes[u], w.agg)
-					vr, vR := s.atomsOf(&s.TA.Nodes[v], w.agg)
+					ur, uR := s.atomsOf(&s.TA.Nodes[u], agg)
+					vr, vR := s.atomsOf(&s.TA.Nodes[v], agg)
 					uv, _ := nearSum(ur, uR, vr, vR, false, false)
 					vu, _ := nearSum(vr, vR, ur, uR, false, false)
 					atV, atU := w.leafCall(u, v), w.leafCall(v, u)
@@ -153,7 +163,7 @@ func TestSymmetricNearFieldSpans(t *testing.T) {
 						lo, hi := segment(len(s.aLeaves), parts, k)
 						span := 0.0
 						for _, v := range s.aLeaves[lo:hi] {
-							gs, gops := s.approxEpol(s.TA.Root(), v, w.agg, w.sc, w.factor, nil)
+							gs, gops := w.p.leaf(v)
 							if gops != w.oracleOps[v] {
 								t.Fatalf("p=%d: leaf %d has %d ops, ordered-pair oracle %d", s.order(), v, gops, w.oracleOps[v])
 							}
@@ -174,12 +184,12 @@ func TestSymmetricNearFieldSpans(t *testing.T) {
 	}
 }
 
-// TestCrossPassMatchesOwnPass pins the two energy kernels to each other:
-// the two-tree pass run from a second view of a system (a distinct
-// pointer over the same trees) onto the system itself walks the same
-// node pairs as the own pass, so its sum matches to rounding with equal
-// ops. Only Exact math: the cross pass sends the i = j term through
-// invFGBApprox rather than q²/R, which differs by design in Approx math.
+// TestCrossPassMatchesOwnPass pins the pass's two modes to each other:
+// the cross pass run from a second view of a system (a distinct pointer
+// over the same trees) onto the system itself walks the same node pairs
+// as the own pass, so its sum matches to rounding with equal ops. Only
+// Exact math: the cross pass sends the i = j term through invFGBApprox
+// rather than q²/R, which differs by design in Approx math.
 func TestCrossPassMatchesOwnPass(t *testing.T) {
 	maxAtoms := 1200
 	if testing.Short() {
@@ -195,15 +205,16 @@ func TestCrossPassMatchesOwnPass(t *testing.T) {
 				s := withMode(t, base, ord, ExactMath)
 				radii, _ := s.BornRadii()
 				agg := s.buildEpolAggregates(radii)
-				factor := s.epolFactor()
 				view := *s
 				sc := newEpolScratch(agg.M)
-				ep := &epolCrossPass{u: &view, uAgg: agg, v: s, vAgg: agg, factor: factor, sc: sc}
+				ownPass := epolPass{u: s, uAgg: agg, v: s, vAgg: agg, factor: s.epolFactor(), sc: sc}
+				crossPass := ownPass
+				crossPass.u = &view
 				own, cross := 0.0, 0.0
 				ownOps, crossOps := int64(0), int64(0)
 				for _, v := range s.aLeaves {
-					vs, vops := s.approxEpol(s.TA.Root(), v, agg, sc, factor, nil)
-					cs, cops := ep.run(view.TA.Root(), v)
+					vs, vops := ownPass.leaf(v)
+					cs, cops := crossPass.leaf(v)
 					own, ownOps = own+vs, ownOps+vops
 					cross, crossOps = cross+cs, crossOps+cops
 				}
@@ -218,22 +229,20 @@ func TestCrossPassMatchesOwnPass(t *testing.T) {
 	}
 }
 
-// nearWorld is one energy pass's trees and aggregates with the
-// ordered-pair dense oracle's per-leaf results.
+// nearWorld is one own energy pass with the ordered-pair dense oracle's
+// per-leaf results.
 type nearWorld struct {
 	s         *System
-	agg       *epolAggregates
-	sc        *epolScratch
-	factor    float64
+	p         epolPass
 	reach     map[int32]map[int32]bool // per target leaf, the leaves it reaches
 	oracle    float64                  // the oracle's whole-tree sum
 	oracleOps map[int32]int64          // the oracle's ops per target leaf
 	blocks    int                      // exact leaf blocks the whole tree evaluates
 }
 
-// leafCall is target leaf v's exact-leaf call on source leaf u.
+// leafCall is target leaf v's exact block on source leaf u.
 func (w *nearWorld) leafCall(u, v int32) float64 {
-	sum, _ := w.s.approxEpol(u, v, w.agg, w.sc, w.factor, nil)
+	sum, _ := w.p.node(u, v)
 	return sum
 }
 

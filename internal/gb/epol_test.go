@@ -147,8 +147,8 @@ func TestEpolAggregatesUniformRadii(t *testing.T) {
 }
 
 func TestEpolFarCriterion(t *testing.T) {
-	// Fig. 3: far iff d > (ru+rv)(1+2/ε); default scale is 1.
-	f09 := epolFarFactor(0.9, 0)
+	// Fig. 3: far iff d > (ru+rv)(1+2/ε).
+	f09 := epolFarFactor(0.9)
 	if math.Abs(f09-(1+2/0.9)) > 1e-12 {
 		t.Errorf("factor(0.9) = %v, want %v", f09, 1+2/0.9)
 	}
@@ -159,11 +159,11 @@ func TestEpolFarCriterion(t *testing.T) {
 		t.Error("6.5 > 6.44 not far")
 	}
 	// Smaller ε → stricter.
-	if epolFar(6.5, 1, 1, epolFarFactor(0.1, 0)) {
+	if epolFar(6.5, 1, 1, epolFarFactor(0.1)) {
 		t.Error("ε=0.1 should need d > 42")
 	}
-	// Explicit scale override multiplies the threshold.
-	if epolFar(6.5, 1, 1, epolFarFactor(0.9, 2)) {
+	// A scaled factor multiplies the threshold.
+	if epolFar(6.5, 1, 1, scaledFactor(0.9, 2, OrderDipole)) {
 		t.Error("scale=2 should need d > 12.9")
 	}
 }

@@ -82,11 +82,6 @@ type FaultConfig struct {
 	Plan *fault.Plan
 	// Policy selects Recover (default) or Degrade.
 	Policy FaultPolicy
-	// MaxRetries bounds re-sends of a dropped message (default 3).
-	MaxRetries int
-	// BaseBackoff is the first retry's modeled backoff, doubled per
-	// attempt (default 50µs).
-	BaseBackoff time.Duration
 	// ForceProtocol runs the fault-tolerance protocol (the agreement
 	// rounds and ft collectives) even with an empty Plan. A run resumed
 	// from a checkpoint executes the ft protocol, so an uninterrupted
@@ -107,34 +102,27 @@ func (cfg *FaultConfig) plan() *fault.Plan {
 	return cfg.Plan
 }
 
-func (cfg *FaultConfig) maxRetries() int {
-	if cfg == nil || cfg.MaxRetries <= 0 {
-		return 3
-	}
-	return cfg.MaxRetries
-}
-
-func (cfg *FaultConfig) baseBackoff() time.Duration {
-	if cfg == nil || cfg.BaseBackoff <= 0 {
-		return 50 * time.Microsecond
-	}
-	return cfg.BaseBackoff
-}
+// sendRetries bounds the re-sends of a dropped message, and
+// sendBackoff is the first retry's modeled backoff, doubled per attempt.
+const (
+	sendRetries = 3
+	sendBackoff = 50 * time.Microsecond
+)
 
 // sendRetry sends with bounded retry and exponential backoff on injected
 // drops. The backoff is recorded in the traffic stats (modeled recovery
 // cost), not slept. Non-drop errors (dead peer, abort) return
 // immediately — retrying those cannot succeed.
-func sendRetry(c *simmpi.Comm, to int, data []float64, cfg *FaultConfig) error {
-	backoff := cfg.baseBackoff()
+func sendRetry(c *simmpi.Comm, to int, data []float64) error {
+	backoff := sendBackoff
 	for attempt := 0; ; attempt++ {
 		err := c.Send(to, data)
 		if !errors.Is(err, simmpi.ErrDropped) {
 			return err
 		}
-		if attempt >= cfg.maxRetries() {
+		if attempt >= sendRetries {
 			return fmt.Errorf("gb: send to rank %d still dropped after %d retries: %w",
-				to, cfg.maxRetries(), err)
+				to, sendRetries, err)
 		}
 		c.RecordRetry(backoff)
 		backoff *= 2

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"gbpolar/internal/geom"
-	"gbpolar/internal/octree"
 	"gbpolar/internal/surface"
 )
 
@@ -15,10 +14,9 @@ import (
 //   - the Born near field: each lane is one atom summing its quadrature
 //     leaf's points in order, so every atom still gets exactly one sum
 //     per quadrature leaf (flushIntegrals);
-//   - the energy near field: a target leaf's exact blocks are evaluated
-//     first, their pair terms in chunks with lanes across blocks, before
-//     the unchanged recursion adds up the block values in DFS order
-//     (epolTarget);
+//   - the energy near field: the pass records a target leaf's exact
+//     blocks and evaluates their pair terms in chunks, with lanes across
+//     blocks (epolPass.flushNear);
 //   - the far kernel table of farClassSum: lanes over the class sums.
 //
 // Each lane does the Go expression's IEEE operations in the Go order, and
@@ -88,8 +86,8 @@ var kernelScratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
 func getKernelScratch() *kernelScratch {
 	k := kernelScratchPool.Get().(*kernelScratch)
 	k.born.pos = k.born.pos[:0]
-	k.near.vals, k.near.pending = k.near.vals[:0], k.near.pending[:0]
-	k.near.nLanes, k.near.replay = 0, false
+	k.near.vals, k.near.far, k.near.pending = k.near.vals[:0], k.near.far[:0], k.near.pending[:0]
+	k.near.nLanes = 0
 	return k
 }
 
@@ -125,15 +123,23 @@ func bornAtomSum(pa geom.Vec3, pts []surface.QPoint, qItems []int32, r4Form bool
 
 // flushIntegrals adds the exact integrals of the gathered atoms against
 // quadrature leaf q into acc and empties the gather list. Each gathered
-// atom gets one sum, as the Go loop gives it.
+// atom gets one sum: from the lanes with the vector kernels, from the Go
+// loop bornAtomSum without them.
 func (s *System) flushIntegrals(q int32, acc *bornAccum) {
 	sc := acc.scratch
 	if sc == nil || len(sc.pos) == 0 {
 		return
 	}
-	sums := s.bornLanes(sc, s.Surf.Points, s.TQ.ItemsOf(q), s.Params.Integral == IntegralR4)
-	for i, p := range sc.pos {
-		acc.atomS[s.TA.Items[p]] += sums[i]
+	pts, qItems, r4Form := s.Surf.Points, s.TQ.ItemsOf(q), s.Params.Integral == IntegralR4
+	if vecKernels {
+		sums := s.bornLanes(sc, pts, qItems, r4Form)
+		for i, p := range sc.pos {
+			acc.atomS[s.TA.Items[p]] += sums[i]
+		}
+	} else {
+		for _, p := range sc.pos {
+			acc.atomS[s.TA.Items[p]] += bornAtomSum(s.atomRecs[p].pos, pts, qItems, r4Form)
+		}
 	}
 	sc.pos = sc.pos[:0]
 }
@@ -170,14 +176,13 @@ func (s *System) bornLanes(sc *bornScratch, pts []surface.QPoint, qItems []int32
 
 // ---- Energy near field --------------------------------------------------
 
-// nearScratch is one worker's near-field state for the current target
-// leaf: the value of each exact leaf block in DFS order, with the cursor
-// the recursion reads them by, the cross blocks whose atoms fill the
-// kernel's next chunk, and the kernel's buffers.
+// nearScratch is one worker's state for the current target leaf of the
+// energy pass: its tape, the value of every far pair and exact block in
+// DFS order, with the far pairs still to evaluate, the blocks whose atoms
+// fill the kernel's next chunk, and the kernel's buffers.
 type nearScratch struct {
-	vals    []float64 // approxEpol's leaf-branch value per block: self + weight·sum
-	next    int
-	replay  bool // approxEpol reads its leaf values from vals
+	vals    []float64 // per far pair and evaluated block, in DFS order
+	far     []farPair
 	pending []pendingBlock
 	nLanes  int       // source atoms of the pending blocks
 	lanes   []float64 // per group of four atoms: x[4], y[4], z[4], q[4], R[4]
@@ -186,8 +191,16 @@ type nearScratch struct {
 	flags   []uint8
 }
 
-// pendingBlock is a cross block waiting for its chunk: leaf u's value goes
-// to vals[idx], with approxEpol's weight.
+// farPair is a far source node u at center distance d whose class sum
+// goes to vals[slot].
+type farPair struct {
+	slot int
+	u    int32
+	d    float64
+}
+
+// pendingBlock is an exact block waiting for its chunk: source leaf u's
+// value, ×weight, goes to vals[idx].
 type pendingBlock struct {
 	idx    int
 	u      int32
@@ -199,64 +212,13 @@ type pendingBlock struct {
 // so the Go loop runs.
 const minVecPairs = 8
 
-// epolTarget is APPROX-Epol(root, v): the raw pair sum of target leaf v
-// against the whole tree (see approxEpol). With the vector kernels it
-// first evaluates v's exact blocks, in chunks, and the recursion then
-// reads their values in its DFS order.
-func (s *System) epolTarget(v int32, agg *epolAggregates, sc *epolScratch,
-	factor float64, tally *pairTally) (float64, int64) {
-	if !vecKernels || s.Params.Math != ExactMath {
-		return s.approxEpol(s.TA.Root(), v, agg, sc, factor, tally)
-	}
-	ns := sc.near
-	ns.vals = ns.vals[:0]
-	s.collectNear(s.TA.Root(), v, agg, factor, ns)
-	s.flushNear(v, agg, ns)
-	ns.next, ns.replay = 0, true
-	sum, ops := s.approxEpol(s.TA.Root(), v, agg, sc, factor, tally)
-	ns.replay = false
-	return sum, ops
-}
-
-// collectNear walks approxEpol(u, v)'s far tests and leaf weights and
-// appends the value of every exact leaf block it reaches to ns.vals, in
-// DFS order: skipped blocks are 0, the diagonal block runs nearSum, and
-// cross blocks join the kernel's pending chunk.
-func (s *System) collectNear(u, v int32, agg *epolAggregates, factor float64, ns *nearScratch) {
-	un := &s.TA.Nodes[u]
-	vn := &s.TA.Nodes[v]
-	d := un.Center.Dist(vn.Center)
-	if u != v && !un.Leaf && epolFar(d, un.Radius, vn.Radius, factor) {
-		return
-	}
-	if un.Leaf {
-		switch {
-		case u == v:
-			vr, vR := s.atomsOf(vn, agg)
-			sum, self := nearSum(vr, vR, vr, vR, true, false)
-			ns.vals = append(ns.vals, self+2*sum)
-		case !s.epolReaches(u, v, factor):
-			s.pendNear(u, v, 1, agg, ns)
-		case ownsNear(v, u):
-			s.pendNear(u, v, 2, agg, ns)
-		default:
-			ns.vals = append(ns.vals, 0)
-		}
-		return
-	}
-	for _, c := range un.Children {
-		if c != octree.NoChild {
-			s.collectNear(c, v, agg, factor, ns)
-		}
-	}
-}
-
-// pendNear adds cross block u to the pending chunk, evaluating the chunk
-// first if u's atoms would overflow it.
-func (s *System) pendNear(u, v int32, weight float64, agg *epolAggregates, ns *nearScratch) {
-	c := s.TA.Nodes[u].Count()
+// pendNear adds source leaf u's block to the pending chunk, evaluating the
+// chunk first if u's atoms would overflow it.
+func (p *epolPass) pendNear(u, v int32, weight float64) {
+	ns := p.sc.near
+	c := p.u.TA.Nodes[u].Count()
 	if ns.nLanes > 0 && ns.nLanes+c > chunkAtoms {
-		s.flushNear(v, agg, ns)
+		p.flushNear(v)
 	}
 	ns.pending = append(ns.pending, pendingBlock{idx: len(ns.vals), u: u, weight: weight})
 	ns.vals = append(ns.vals, 0)
@@ -273,32 +235,34 @@ const chunkAtoms = 128
 // chunkGroups is the lane groups of a full chunk.
 const chunkGroups = chunkAtoms / 4
 
-// flushNear evaluates the pending cross blocks against target leaf v and
-// stores their values: their atoms fill lane groups in block order, the
-// kernel computes the pair terms, and each block's rows are summed in
-// nearSum's a-major order. A chunk too small to fill the lanes runs
-// nearSum.
-func (s *System) flushNear(v int32, agg *epolAggregates, ns *nearScratch) {
+// flushNear evaluates the pending blocks against target leaf v and stores
+// their values. It alone chooses the kernel path: without the vector
+// kernels, in Approx math, or for a chunk too small to fill the lanes,
+// each block runs nearSum; otherwise the blocks' atoms fill lane groups in
+// block order, the kernel computes the pair terms, and each block's rows
+// are summed in nearSum's a-major order.
+func (p *epolPass) flushNear(v int32) {
+	ns := p.sc.near
 	n := ns.nLanes
 	if n == 0 {
 		return
 	}
-	vr, vR := s.atomsOf(&s.TA.Nodes[v], agg)
+	vr, vR := p.v.atomsOf(&p.v.TA.Nodes[v], p.vAgg)
 	nv := len(vr)
-	if n*nv < minVecPairs {
+	if approx := p.v.Params.Math == ApproxMath; !vecKernels || approx || n*nv < minVecPairs {
 		for _, b := range ns.pending {
-			ur, uR := s.atomsOf(&s.TA.Nodes[b.u], agg)
-			sum, self := nearSum(ur, uR, vr, vR, false, false)
-			ns.vals[b.idx] = self + b.weight*sum
+			ur, uR := p.u.atomsOf(&p.u.TA.Nodes[b.u], p.uAgg)
+			sum, _ := nearSum(ur, uR, vr, vR, false, approx)
+			ns.vals[b.idx] = b.weight * sum
 		}
 	} else {
 		groups := (n + 3) / 4
-		ns.reserve(groups, nv, s.Params.LeafAtoms)
+		ns.reserve(groups, nv, p.v.Params.LeafAtoms)
 		lane := 0
 		for _, b := range ns.pending {
-			un := &s.TA.Nodes[b.u]
-			for p := un.Start; p < un.End; p++ {
-				setLane(ns.lanes, lane, &s.atomRecs[p], agg.radii[p])
+			un := &p.u.TA.Nodes[b.u]
+			for a := un.Start; a < un.End; a++ {
+				setLane(ns.lanes, lane, &p.u.atomRecs[a], p.uAgg.radii[a])
 				lane++
 			}
 		}
@@ -310,12 +274,12 @@ func (s *System) flushNear(v int32, agg *epolAggregates, ns *nearScratch) {
 		off := 0
 		for _, b := range ns.pending {
 			// u's rows of terms, a-major as nearSum sums them.
-			c := s.TA.Nodes[b.u].Count()
-			sum, self := 0.0, 0.0
+			c := p.u.TA.Nodes[b.u].Count()
+			sum := 0.0
 			for _, t := range ns.terms[off*nv : (off+c)*nv] {
 				sum += t
 			}
-			ns.vals[b.idx] = self + b.weight*sum
+			ns.vals[b.idx] = b.weight * sum
 			off += c
 		}
 	}

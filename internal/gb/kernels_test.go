@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"gbpolar/internal/geom"
@@ -92,9 +95,10 @@ func kernelFingerprint(res *Result) string {
 
 // TestKernelsMatchGoLoops is the oracle of the vector kernels: every run
 // on them equals the Go loops bit for bit, over roster molecules ×
-// expansion orders × layouts, plus the tuner's reference point (monopole,
-// ε = 0.3: an energy phase that is nearly all exact pairs) on a serve-size
-// globule at two ranks.
+// expansion orders × layouts, the distributed-data driver at three ranks
+// and Complex.Epol with the first roster molecule docked at contact, plus
+// the tuner's reference point (monopole, ε = 0.3: an energy phase that is
+// nearly all exact pairs) on a serve-size globule at two ranks.
 func TestKernelsMatchGoLoops(t *testing.T) {
 	requireVec(t)
 	maxAtoms := 1200
@@ -102,17 +106,22 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 		maxAtoms = 600
 	}
 	layouts := []RunSpec{{}, {Processes: 2}, {ThreadsPerProcess: 2}}
-	compare := func(label string, s *System, spec RunSpec) {
+	same := func(label string, run func() string) {
 		t.Helper()
-		run := func(on bool) string {
-			withKernels(t, on)
-			return kernelFingerprint(mustRun(t, s, spec))
-		}
-		if vec, gol := run(true), run(false); vec != gol {
-			t.Errorf("%s %+v: vector kernels %s, Go loops %s (%s)", label, spec, vec, gol, kernelPath())
+		withKernels(t, true)
+		vec := run()
+		withKernels(t, false)
+		if gol := run(); vec != gol {
+			t.Errorf("%s: vector kernels %s, Go loops %s (%s)", label, vec, gol, kernelPath())
 		}
 	}
-	for _, e := range molecule.ZDockRoster() {
+	compare := func(label string, s *System, spec RunSpec) {
+		t.Helper()
+		same(fmt.Sprintf("%s %+v", label, spec), func() string { return kernelFingerprint(mustRun(t, s, spec)) })
+	}
+	roster := molecule.ZDockRoster()
+	lig := newTestSystem(t, molecule.ZDockMolecule(roster[0]), surface.DefaultConfig(), DefaultParams())
+	for _, e := range roster {
 		if e.Atoms > maxAtoms {
 			continue
 		}
@@ -124,9 +133,33 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			label := fmt.Sprintf("%s order %d", e.Name, ord)
 			for _, spec := range layouts {
-				compare(fmt.Sprintf("%s order %d", e.Name, ord), s, spec)
+				compare(label, s, spec)
 			}
+			same(label+" distributed data P=3", func() string {
+				res, err := s.RunMPIDistributedData(3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return kernelFingerprint(res)
+			})
+			l, err := lig.WithAccuracy(acc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cx, err := NewComplex(s, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pose := contactPose(s, l)
+			same(label+" complex at contact", func() string {
+				pr, err := cx.Epol(pose)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return kernelFingerprint(&Result{Epol: pr.Epol, Born: append(pr.RecBorn, pr.LigBorn...), PerCoreOps: []int64{pr.Ops}})
+			})
 		}
 	}
 	n := 500
@@ -136,6 +169,30 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 	cfg := surface.DefaultConfig()
 	cfg.RuleDegree = 2
 	compare("tuner reference", newTestSystem(t, m, cfg, p), RunSpec{Processes: 2})
+}
+
+// contactPose docks lig against rec: rotated, with its ball center at 0.8
+// of the summed ball radii from rec's, so the cross passes meet both far
+// pairs and exact leaf blocks.
+func contactPose(rec, lig *System) geom.Transform {
+	rc, lc := rec.TA.Nodes[0], lig.TA.Nodes[0]
+	axis := geom.V(0.3, -0.5, 0.8).Unit()
+	return geom.Translate(rc.Center.Add(axis.Scale(0.8 * (rc.Radius + lc.Radius)))).
+		Compose(geom.Rotate(geom.V(1, 2, 3).Unit(), 0.7)).
+		Compose(geom.Translate(lc.Center.Scale(-1)))
+}
+
+// TestPortableRunUsesGoLoops guards `make portable-test`: with FMA switched
+// off through GODEBUG, math.Exp takes its non-FMA path, the start-up probe
+// must reject the exp replica, and the suites run the Go loops that hosts
+// without AVX2 run, not the vector path.
+func TestPortableRunUsesGoLoops(t *testing.T) {
+	if !slices.Contains(strings.Split(os.Getenv("GODEBUG"), ","), "cpu.fma=off") {
+		t.Skip("GODEBUG does not switch FMA off")
+	}
+	if vecHost {
+		t.Fatalf("GODEBUG=%s, but the vector kernels are on (%s)", os.Getenv("GODEBUG"), kernelPath())
+	}
 }
 
 // FuzzNearKernels drives the three kernels with arbitrary positions,

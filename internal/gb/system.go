@@ -68,10 +68,6 @@ type Params struct {
 	Division Division
 	// Integral selects the r⁶ (default) or r⁴ Born-radius form.
 	Integral Integral
-	// OpeningScale overrides the far-criterion threshold multiplier of
-	// the energy phase (0: the calibrated default). Exposed for the
-	// opening-criterion ablation.
-	OpeningScale float64
 	// Accuracy is the work/precision spec (eps pair, bin width,
 	// quadrature order, expansion order). The zero value resolves to
 	// DefaultAccuracy. NewSystem normalizes: after construction the

@@ -518,7 +518,7 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 	if len(spec.AccuracyLadder) > 0 {
 		for _, step := range spec.AccuracyLadder {
 			cur := curSys.Params.Accuracy
-			if step.Accuracy.OpeningFactor(1) >= cur.OpeningFactor(1) {
+			if step.Accuracy.OpeningFactor() >= cur.OpeningFactor() {
 				continue // not looser than where we already are
 			}
 			if expired() {

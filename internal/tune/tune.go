@@ -275,7 +275,7 @@ func workIndexOf(acc gb.Accuracy) (float64, error) {
 	def := gb.DefaultAccuracy()
 	_, _, _, q := knobs(acc)
 	bornVol := math.Pow((def.OpeningBeta()-1)/(acc.OpeningBeta()-1), 3)
-	epolVol := math.Pow(acc.OpeningFactor(1)/def.OpeningFactor(1), 3)
+	epolVol := math.Pow(acc.OpeningFactor()/def.OpeningFactor(), 3)
 	w := orderWork[acc.Order]
 	nqHi, err := rulePoints(q)
 	if err != nil {
