@@ -10,6 +10,7 @@ import (
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/nblist"
 	"gbpolar/internal/octree"
+	"gbpolar/internal/stats"
 	"gbpolar/internal/surface"
 )
 
@@ -31,12 +32,12 @@ func ablationDivision(o Options) (*Table, error) {
 		},
 		Header: []string{"P", "node-node time", "node-node err %", "atom-node time", "atom-node err %"},
 	}
-	ref, err := systemFor(mol, gb.DefaultParams())
+	ref, err := systemFor(mol, paperParams())
 	if err != nil {
 		return nil, err
 	}
 	naive := ref.naiveResult()
-	atomParams := gb.DefaultParams()
+	atomParams := paperParams()
 	atomParams.Division = gb.AtomNode
 	atomEntry, err := systemFor(mol, atomParams)
 	if err != nil {
@@ -74,11 +75,11 @@ func ablationDivision(o Options) (*Table, error) {
 // errors shifted).
 func ablationMath(o Options) (*Table, error) {
 	mol := ablationMolecule()
-	exactEntry, err := systemFor(mol, gb.DefaultParams())
+	exactEntry, err := systemFor(mol, paperParams())
 	if err != nil {
 		return nil, err
 	}
-	approxParams := gb.DefaultParams()
+	approxParams := paperParams()
 	approxParams.Math = gb.ApproxMath
 	approxEntry, err := systemFor(mol, approxParams)
 	if err != nil {
@@ -122,7 +123,25 @@ func ablationMath(o Options) (*Table, error) {
 	return t, nil
 }
 
-// ablationLeaf sweeps the octree leaf capacities (DESIGN.md §6.1).
+// leafPoints are the leaf capacities ablation-leaf sweeps, atoms ×
+// q-points.
+var leafPoints = [][2]int{{8, 32}, {8, 64}, {16, 32}, {16, 64}, {24, 32}, {24, 64},
+	{32, 32}, {32, 64}, {48, 32}, {48, 64}, {64, 32}, {64, 64}}
+
+// leafRepeats is how many interleaved timed runs each capacity point gets
+// per layout in ablation-leaf.
+const leafRepeats = 7
+
+// leafGlobules are serve's four globule sizes, which ablation-leaf grades
+// next to the roster.
+var leafGlobules = []int{500, 833, 1167, 1500}
+
+// ablationLeaf sweeps the octree leaf capacities (DESIGN.md §6.1). On the
+// ablation globule it reports each point's modeled work and its measured
+// wall time at 1×1 and 2×1, the median of repeats that visit every point
+// in turn so that host drift spreads over all of them. Over the roster and
+// serve's four globules it reports the max and median of |Epol − naïve| /
+// |naïve|, the naïve energy taken on the same surface.
 func ablationLeaf(o Options) (*Table, error) {
 	mol := ablationMolecule()
 	surf, err := surface.Build(mol, surface.DefaultConfig())
@@ -130,38 +149,96 @@ func ablationLeaf(o Options) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		ID:     "Ablation: leaf capacity",
-		Title:  "Octree leaf sizes vs interaction work (serial run)",
-		Header: []string{"Leaf atoms", "Leaf q-points", "Total ops", "Modeled time", "Tree nodes (T_A)"},
+		ID:    "Ablation: leaf capacity",
+		Title: "Octree leaf sizes vs modeled work, measured wall time and measured error",
+		Notes: []string{
+			"ops, modeled time, T_A nodes and wall times: the 4,000-atom ablation globule; wall: median of interleaved repeats",
+			"err: |Epol − naïve| / |naïve| over the roster and serve's four globules, naïve on the same surface",
+		},
+		Header: []string{"Leaf atoms", "Leaf q-points", "Total ops", "Modeled time", "Tree nodes (T_A)",
+			"Wall 1×1", "Wall 2×1", "Max err", "Median err"},
 	}
-	for _, leaf := range []int{2, 4, 8, 16, 32, 64} {
-		params := gb.DefaultParams()
-		params.LeafAtoms = leaf
-		params.LeafQPoints = leaf * 4
-		sys, err := gb.NewSystem(mol, surf, params)
-		if err != nil {
+	layouts := []gb.RunSpec{{}, {Processes: 2}}
+	systems := make([]*gb.System, len(leafPoints))
+	serial := make([]*gb.Result, len(leafPoints))
+	walls := make([][2][]float64, len(leafPoints))
+	for i, pt := range leafPoints {
+		if systems[i], err = gb.NewSystem(mol, surf, leafParams(pt)); err != nil {
 			return nil, err
 		}
-		res, err := sys.Run(gb.RunSpec{})
-		if err != nil {
-			return nil, err
+	}
+	for r := 0; r < leafRepeats; r++ {
+		for i, sys := range systems {
+			for l, spec := range layouts {
+				res, err := sys.Run(spec)
+				if err != nil {
+					return nil, err
+				}
+				walls[i][l] = append(walls[i][l], res.Wall.Seconds())
+				if l == 0 {
+					serial[i] = res
+				}
+			}
 		}
+	}
+	errs, err := leafErrors(o)
+	if err != nil {
+		return nil, err
+	}
+	for i, sys := range systems {
+		res := serial[i]
 		b, err := priceOct(o, sys, res)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%d", leaf), fmt.Sprintf("%d", leaf*4),
+		t.AddRow(fmt.Sprintf("%d", leafPoints[i][0]), fmt.Sprintf("%d", leafPoints[i][1]),
 			fmt.Sprintf("%d", res.TotalOps()), fmtSeconds(b.TotalSeconds),
-			fmt.Sprintf("%d", sys.TA.NumNodes()))
+			fmt.Sprintf("%d", sys.TA.NumNodes()),
+			fmtSeconds(stats.Percentile(walls[i][0], 50)), fmtSeconds(stats.Percentile(walls[i][1], 50)),
+			fmt.Sprintf("%.2e", stats.Percentile(errs[i], 100)), fmt.Sprintf("%.2e", stats.Percentile(errs[i], 50)))
 	}
 	return t, nil
+}
+
+// leafErrors returns, per point of leafPoints, the relative energy error
+// of a serial run on every roster molecule and every serve globule, each
+// against the cached naïve reference on the molecule's surface.
+func leafErrors(o Options) ([][]float64, error) {
+	var mols []*molecule.Molecule
+	for _, e := range roster(o.MaxAtoms) {
+		mols = append(mols, molecule.ZDockMolecule(e))
+	}
+	for _, n := range leafGlobules {
+		name := fmt.Sprintf("globule-%d", n)
+		mols = append(mols, molecule.Exactly(molecule.Globule(name, n, int64(n)), n, int64(n)))
+	}
+	errs := make([][]float64, len(leafPoints))
+	for _, mol := range mols {
+		ref, err := systemFor(mol, paperParams())
+		if err != nil {
+			return nil, err
+		}
+		naive := ref.naiveResult().Energy
+		for i, pt := range leafPoints {
+			sys, err := gb.NewSystem(mol, ref.sys.Surf, leafParams(pt))
+			if err != nil {
+				return nil, err
+			}
+			res, err := sys.Run(gb.RunSpec{})
+			if err != nil {
+				return nil, err
+			}
+			errs[i] = append(errs[i], math.Abs(res.Epol-naive)/math.Abs(naive))
+		}
+	}
+	return errs, nil
 }
 
 // ablationBinning sweeps the Born-radius class width of APPROX-Epol
 // (DESIGN.md §6.5) at the working ε = 0.9.
 func ablationBinning(o Options) (*Table, error) {
 	mol := ablationMolecule()
-	ref, err := systemFor(mol, gb.DefaultParams())
+	ref, err := systemFor(mol, paperParams())
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +250,7 @@ func ablationBinning(o Options) (*Table, error) {
 		Header: []string{"Bin eps", "Epol err %", "Total ops"},
 	}
 	for _, binEps := range []float64{0.9, 0.4, 0.2, 0.1, 0.05} {
-		params := gb.DefaultParams()
+		params := paperParams()
 		params.Accuracy.BinWidth = binEps
 		entry, err := systemFor(mol, params)
 		if err != nil {
@@ -194,7 +271,7 @@ func ablationBinning(o Options) (*Table, error) {
 // a node with the static division a pure-MPI layout gets (§IV-A).
 func ablationStealing(o Options) (*Table, error) {
 	mol := ablationMolecule()
-	entry, err := systemFor(mol, gb.DefaultParams())
+	entry, err := systemFor(mol, paperParams())
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +325,7 @@ func ablationDynamic(o Options) (*Table, error) {
 	sparse := molecule.Helix("sparse", 1000, 6).ApplyTransform(
 		geom.Translate(geom.V(70, 0, 0)))
 	mol := molecule.Merge("skewed", dense, sparse)
-	entry, err := systemFor(mol, gb.DefaultParams())
+	entry, err := systemFor(mol, paperParams())
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +387,7 @@ func ablationDynamic(o Options) (*Table, error) {
 // systematic radius inflation of the Coulomb-field approximation.
 func ablationIntegral(o Options) (*Table, error) {
 	mol := ablationMolecule()
-	ref, err := systemFor(mol, gb.DefaultParams())
+	ref, err := systemFor(mol, paperParams())
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +399,7 @@ func ablationIntegral(o Options) (*Table, error) {
 		Header: []string{"Integral", "Epol (kcal/mol)", "vs r6-naive %", "mean Born radius"},
 	}
 	for _, integral := range []gb.Integral{gb.IntegralR6, gb.IntegralR4} {
-		params := gb.DefaultParams()
+		params := paperParams()
 		params.Integral = integral
 		entry, err := systemFor(mol, params)
 		if err != nil {
@@ -377,7 +454,7 @@ func ablationNblist(o Options) (*Table, error) {
 // per-rank memory versus the bundle traffic and modeled time it costs.
 func ablationDistData(o Options) (*Table, error) {
 	mol := ablationMolecule()
-	entry, err := systemFor(mol, gb.DefaultParams())
+	entry, err := systemFor(mol, paperParams())
 	if err != nil {
 		return nil, err
 	}

@@ -104,6 +104,22 @@ func table2(o Options) (*Table, error) {
 
 // --- shared workload helpers ------------------------------------------
 
+// paperParams returns the library defaults at the paper-era leaf
+// capacities, 8 atoms and 32 q-points, which every experiment but the
+// leaf-capacity sweep builds its systems with (DESIGN.md §6.1): fig5 and
+// fig6 divide the scaled BTV over up to 432 ranks and node division needs
+// a leaf per rank, and the performance model prices every op alike, so
+// its figures hold only at the leaf sizes it was calibrated on.
+func paperParams() gb.Params { return leafParams([2]int{8, 32}) }
+
+// leafParams returns the library defaults at leaf capacities pt, atoms ×
+// q-points.
+func leafParams(pt [2]int) gb.Params {
+	p := gb.DefaultParams()
+	p.LeafAtoms, p.LeafQPoints = pt[0], pt[1]
+	return p
+}
+
 // sysCacheEntry caches a prepared system and its naive reference (the
 // expensive quadratic evaluation is shared by fig8a, fig9, fig10, fig11).
 type sysCacheEntry struct {

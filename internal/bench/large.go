@@ -29,7 +29,7 @@ func fig11(o Options) (*Table, error) {
 		scaledAtoms = fullAtoms
 	}
 	mol := molecule.ScaledCMV(scaledAtoms)
-	entry, err := systemFor(mol, gb.DefaultParams())
+	entry, err := systemFor(mol, paperParams())
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,7 @@ func runOctPrograms(e molecule.BenchmarkEntry, params gb.Params) (*octRosterRun,
 // across the ZDock roster on one 12-core node (approximate math on, as in
 // the paper's Fig. 7 run).
 func fig7(o Options) (*Table, error) {
-	params := gb.DefaultParams()
+	params := paperParams()
 	params.Math = gb.ApproxMath
 	t := &Table{
 		ID:    "Fig. 7",
@@ -92,7 +92,7 @@ var rosterPrograms = []string{
 }
 
 func rosterRowFor(o Options, e molecule.BenchmarkEntry) (*rosterRow, error) {
-	params := gb.DefaultParams()
+	params := paperParams()
 	run, err := runOctPrograms(e, params)
 	if err != nil {
 		return nil, err
@@ -234,7 +234,7 @@ func fig10(o Options) (*Table, error) {
 	}
 	entries := roster(o.MaxAtoms)
 	for _, eps := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
-		params := gb.DefaultParams()
+		params := paperParams()
 		params.Accuracy.EpsEpol = eps
 		var errs []float64
 		var sumT, maxT float64
@@ -250,7 +250,7 @@ func fig10(o Options) (*Table, error) {
 			}
 			// The naive reference is ε-independent: share the cache from
 			// the default-params system.
-			refEntry, err := systemFor(mol, gb.DefaultParams())
+			refEntry, err := systemFor(mol, paperParams())
 			if err != nil {
 				return nil, err
 			}

@@ -96,7 +96,7 @@ func btvSystem(o Options) (*gb.System, int, error) {
 		scaledAtoms = 2000
 	}
 	mol := molecule.ScaledBTV(scaledAtoms)
-	entry, err := systemFor(mol, gb.DefaultParams())
+	entry, err := systemFor(mol, paperParams())
 	if err != nil {
 		return nil, 0, err
 	}

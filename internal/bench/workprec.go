@@ -20,7 +20,7 @@ import (
 // not with less error (EXPERIMENTS.md).
 func workprec(o Options) (*Table, error) {
 	mol := ablationMolecule()
-	entry, err := systemFor(mol, gb.DefaultParams())
+	entry, err := systemFor(mol, paperParams())
 	if err != nil {
 		return nil, err
 	}

@@ -412,9 +412,10 @@ func (p *epolPass) walk(u, v int32, vn *octree.Node) int64 {
 // nearSum is the exact near field between two leaves: Σ q_u q_v / f_GB
 // over the atom records ur × vr with Born radii uR, vR (contiguous, in
 // T_A item order). With same set, ur and vr are one leaf: only the pairs
-// i < j are summed and self returns Σ q_i²/R_i. The math mode is decided
-// per row, outside the inner loop, and the exact term is written out so
-// fGB inlines into it.
+// i < j are summed and self returns Σ q_i²/R_i. Each source atom's row is
+// summed from +0 in target order, and the rows are added in source order:
+// the order of the vector kernel's lanes (flushNear). The math mode is
+// decided per row, outside the inner loop.
 func nearSum(ur []atomRec, uR []float64, vr []atomRec, vR []float64, same, approx bool) (sum, self float64) {
 	uR = uR[:len(ur)]
 	for a := range ur {
@@ -424,20 +425,32 @@ func nearSum(ur []atomRec, uR []float64, vr []atomRec, vR []float64, same, appro
 			self += qi * qi / ri
 			vs, vsR = vr[a+1:], vR[a+1:]
 		}
-		vsR = vsR[:len(vs)]
-		if approx {
-			for b := range vs {
-				r2 := pi.Dist2(vs[b].pos)
-				sum += qi * vs[b].q * invFGBApprox(r2, ri*vsR[b])
-			}
+		if !approx {
+			sum += nearRow(pi, qi, ri, vs, vsR)
 			continue
 		}
+		vsR = vsR[:len(vs)]
+		row := 0.0
 		for b := range vs {
 			r2 := pi.Dist2(vs[b].pos)
-			sum += qi * vs[b].q * (1 / fGB(r2, ri*vsR[b]))
+			row += qi * vs[b].q * invFGBApprox(r2, ri*vsR[b])
 		}
+		sum += row
 	}
 	return sum, self
+}
+
+// nearRow is one source atom's row of the exact near field: Σ q_i q_v /
+// f_GB against the target records vs with radii vsR, summed from +0 in
+// target order. The term is written out so fGB inlines into it.
+func nearRow(pi geom.Vec3, qi, ri float64, vs []atomRec, vsR []float64) float64 {
+	vsR = vsR[:len(vs)]
+	row := 0.0
+	for b := range vs {
+		r2 := pi.Dist2(vs[b].pos)
+		row += qi * vs[b].q * (1 / fGB(r2, ri*vsR[b]))
+	}
+	return row
 }
 
 // epolScratch is one worker's energy-traversal scratch. Its far part is

@@ -209,7 +209,8 @@ func denseFarClassSumAtom(da *denseAggregates, u int32, qi, ri, d float64, dvec 
 }
 
 // refNearSum is the exact leaf-pair loop over original atom indices:
-// charges from Mol, positions from atomPos, radii by atom index. With
+// charges from Mol, positions from atomPos, radii by atom index, each
+// source atom's row summed from +0 and the rows added in order. With
 // same set, un and vn are one leaf: i < j pairs only, plus the self
 // terms returned separately. nearSum must match it bit for bit.
 func refNearSum(u *System, un int32, uRadii []float64, v *System, vn int32, vRadii []float64,
@@ -222,14 +223,16 @@ func refNearSum(u *System, un int32, uRadii []float64, v *System, vn int32, vRad
 			self += qi * qi / ri
 			vs = vItems[a+1:]
 		}
+		row := 0.0
 		for _, vi := range vs {
 			r2 := pi.Dist2(v.atomPos[vi])
 			if qq, rr := qi*v.Mol.Atoms[vi].Charge, ri*vRadii[vi]; approx {
-				sum += qq * invFGBApprox(r2, rr)
+				row += qq * invFGBApprox(r2, rr)
 			} else {
-				sum += qq * (1 / fGB(r2, rr))
+				row += qq * (1 / fGB(r2, rr))
 			}
 		}
+		sum += row
 	}
 	return sum, self
 }

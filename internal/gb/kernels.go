@@ -2,6 +2,7 @@ package gb
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"gbpolar/internal/geom"
@@ -15,8 +16,8 @@ import (
 //     leaf's points in order, so every atom still gets exactly one sum
 //     per quadrature leaf (flushIntegrals);
 //   - the energy near field: the pass records a target leaf's exact
-//     blocks and evaluates their pair terms in chunks, with lanes across
-//     blocks (epolPass.flushNear);
+//     blocks, and each lane sums one source atom's row against the target
+//     leaf, with lanes across blocks (epolPass.flushNear);
 //   - the far kernel table of farClassSum: lanes over the class sums.
 //
 // Each lane does the Go expression's IEEE operations in the Go order, and
@@ -86,8 +87,7 @@ var kernelScratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
 func getKernelScratch() *kernelScratch {
 	k := kernelScratchPool.Get().(*kernelScratch)
 	k.born.pos = k.born.pos[:0]
-	k.near.vals, k.near.far, k.near.pending = k.near.vals[:0], k.near.far[:0], k.near.pending[:0]
-	k.near.nLanes = 0
+	k.near.vals, k.near.far, k.near.pending, k.near.pos = k.near.vals[:0], k.near.far[:0], k.near.pending[:0], k.near.pos[:0]
 	return k
 }
 
@@ -95,11 +95,10 @@ func getKernelScratch() *kernelScratch {
 
 // bornScratch is one worker's gather list for the Born near field: the
 // T_A item positions of the atoms the traversal of one quadrature leaf
-// reached as exact, and the kernel's lane buffers. It is reused across
+// reached as exact, and the kernel's sums and flags. It is reused across
 // leaves and never encoded.
 type bornScratch struct {
 	pos   []int32
-	lanes []float64 // per group of four atoms: x[4], y[4], z[4]
 	sums  []float64
 	flags []uint8
 }
@@ -145,33 +144,48 @@ func (s *System) flushIntegrals(q int32, acc *bornAccum) {
 }
 
 // bornLanes returns the exact integrals of the gathered atoms against the
-// quadrature points pts[qItems], in gather order, four atoms per lane
-// group.
+// quadrature points pts[qItems], in gather order. The kernel loads each
+// lane group's atoms from atomRecs by their positions.
 func (s *System) bornLanes(sc *bornScratch, pts []surface.QPoint, qItems []int32, r4Form bool) []float64 {
 	n := len(sc.pos)
-	groups := (n + 3) / 4
-	sc.lanes = growFloats(sc.lanes, 12*groups, 12*chunkGroups)
+	pos, groups := padLanes(sc.pos)
+	sc.pos = pos[:n]
 	sc.sums = growFloats(sc.sums, 4*groups, 4*chunkGroups)
 	sc.flags = growBytes(sc.flags, groups, chunkGroups)
-	for i := 0; i < 4*groups; i++ {
-		// Padding lanes repeat the last atom; their sums are dropped.
-		pa := s.atomRecs[sc.pos[min(i, n-1)]].pos
-		g := sc.lanes[12*(i/4):]
-		g[i%4], g[4+i%4], g[8+i%4] = pa.X, pa.Y, pa.Z
-	}
 	var p0 *surface.QPoint
 	var i0 *int32
 	if len(qItems) > 0 {
 		p0, i0 = &pts[0], &qItems[0]
 	}
-	bornNearAVX(&sc.lanes[0], groups, p0, i0, len(qItems), !r4Form, &sc.sums[0], &sc.flags[0])
-	for i, p := range sc.pos {
-		if sc.flags[i/4]&(1<<(i%4)) != 0 {
-			// A NaN sum: the Go loop gives its exact bits.
-			sc.sums[i] = bornAtomSum(s.atomRecs[p].pos, pts, qItems, r4Form)
+	bornNearAVX(&s.atomRecs[0], &pos[0], groups, p0, i0, len(qItems), !r4Form, &sc.sums[0], &sc.flags[0])
+	forFlagged(sc.flags, n, func(i int) {
+		// A NaN sum: the Go loop gives its exact bits.
+		sc.sums[i] = bornAtomSum(s.atomRecs[pos[i]].pos, pts, qItems, r4Form)
+	})
+	return sc.sums[:n]
+}
+
+// padLanes pads a gather list of T_A item positions to whole lane groups
+// by repeating its last position, and returns it with its group count.
+// The padding lanes' results are never read.
+func padLanes(pos []int32) ([]int32, int) {
+	groups := (len(pos) + 3) / 4
+	for len(pos) < 4*groups {
+		pos = append(pos, pos[len(pos)-1])
+	}
+	return pos, groups
+}
+
+// forFlagged calls fix with every lane below n that the kernel flagged,
+// in order.
+func forFlagged(flags []uint8, n int, fix func(lane int)) {
+	for g, f := range flags {
+		for ; f != 0; f &= f - 1 {
+			if i := 4*g + bits.TrailingZeros8(f); i < n {
+				fix(i)
+			}
 		}
 	}
-	return sc.sums[:n]
 }
 
 // ---- Energy near field --------------------------------------------------
@@ -179,15 +193,14 @@ func (s *System) bornLanes(sc *bornScratch, pts []surface.QPoint, qItems []int32
 // nearScratch is one worker's state for the current target leaf of the
 // energy pass: its tape, the value of every far pair and exact block in
 // DFS order, with the far pairs still to evaluate, the blocks whose atoms
-// fill the kernel's next chunk, and the kernel's buffers.
+// fill the kernel's next chunk, and the kernel's gather list, row sums
+// and flags.
 type nearScratch struct {
 	vals    []float64 // per far pair and evaluated block, in DFS order
 	far     []farPair
 	pending []pendingBlock
-	nLanes  int       // source atoms of the pending blocks
-	lanes   []float64 // per group of four atoms: x[4], y[4], z[4], q[4], R[4]
-	vb      []float64 // per target atom: x, y, z, q, R
-	terms   []float64
+	pos     []int32   // the pending blocks' T_A item positions, in order
+	rows    []float64 // per source atom: its row sum against the target leaf
 	flags   []uint8
 }
 
@@ -216,20 +229,22 @@ const minVecPairs = 8
 // chunk first if u's atoms would overflow it.
 func (p *epolPass) pendNear(u, v int32, weight float64) {
 	ns := p.sc.near
-	c := p.u.TA.Nodes[u].Count()
-	if ns.nLanes > 0 && ns.nLanes+c > chunkAtoms {
+	un := &p.u.TA.Nodes[u]
+	if len(ns.pos) > 0 && len(ns.pos)+un.Count() > chunkAtoms {
 		p.flushNear(v)
 	}
 	ns.pending = append(ns.pending, pendingBlock{idx: len(ns.vals), u: u, weight: weight})
 	ns.vals = append(ns.vals, 0)
-	ns.nLanes += c
+	for a := un.Start; a < un.End; a++ {
+		ns.pos = append(ns.pos, a)
+	}
 }
 
 // chunkAtoms is how many atoms a kernel call gathers at most, unless one
 // leaf alone holds more: the energy kernel's chunk of source atoms and the
 // Born gather list that exactIntegrals flushes. It is enough to amortize
-// the call, and few enough that the lane and term buffers stay a few
-// kilobytes whatever the molecule.
+// the call, and few enough that the kernels' buffers stay a few kilobytes
+// whatever the molecule.
 const chunkAtoms = 128
 
 // chunkGroups is the lane groups of a full chunk.
@@ -238,107 +253,54 @@ const chunkGroups = chunkAtoms / 4
 // flushNear evaluates the pending blocks against target leaf v and stores
 // their values. It alone chooses the kernel path: without the vector
 // kernels, in Approx math, or for a chunk too small to fill the lanes,
-// each block runs nearSum; otherwise the blocks' atoms fill lane groups in
-// block order, the kernel computes the pair terms, and each block's rows
-// are summed in nearSum's a-major order.
+// each block runs nearSum; otherwise the kernel returns one row sum per
+// source atom of the chunk. Either way a block's value is its rows added
+// in order, as nearSum adds them, times the block's weight.
 func (p *epolPass) flushNear(v int32) {
 	ns := p.sc.near
-	n := ns.nLanes
+	n := len(ns.pos)
 	if n == 0 {
 		return
 	}
 	vr, vR := p.v.atomsOf(&p.v.TA.Nodes[v], p.vAgg)
-	nv := len(vr)
-	if approx := p.v.Params.Math == ApproxMath; !vecKernels || approx || n*nv < minVecPairs {
+	if approx := p.v.Params.Math == ApproxMath; !vecKernels || approx || n*len(vr) < minVecPairs {
 		for _, b := range ns.pending {
 			ur, uR := p.u.atomsOf(&p.u.TA.Nodes[b.u], p.uAgg)
 			sum, _ := nearSum(ur, uR, vr, vR, false, approx)
 			ns.vals[b.idx] = b.weight * sum
 		}
 	} else {
-		groups := (n + 3) / 4
-		ns.reserve(groups, nv, p.v.Params.LeafAtoms)
-		lane := 0
+		rows := ns.nearRows(p.u.atomRecs, p.uAgg.radii, vr, vR)
 		for _, b := range ns.pending {
-			un := &p.u.TA.Nodes[b.u]
-			for a := un.Start; a < un.End; a++ {
-				setLane(ns.lanes, lane, &p.u.atomRecs[a], p.uAgg.radii[a])
-				lane++
-			}
-		}
-		// Padding lanes repeat the last atom; their terms are never read.
-		for ; lane < 4*groups; lane++ {
-			setLaneFrom(ns.lanes, lane, n-1)
-		}
-		ns.runTerms(vr, vR, n, groups)
-		off := 0
-		for _, b := range ns.pending {
-			// u's rows of terms, a-major as nearSum sums them.
 			c := p.u.TA.Nodes[b.u].Count()
 			sum := 0.0
-			for _, t := range ns.terms[off*nv : (off+c)*nv] {
-				sum += t
+			for _, r := range rows[:c] {
+				sum += r
 			}
 			ns.vals[b.idx] = b.weight * sum
-			off += c
+			rows = rows[c:]
 		}
 	}
-	ns.pending = ns.pending[:0]
-	ns.nLanes = 0
+	ns.pending, ns.pos = ns.pending[:0], ns.pos[:0]
 }
 
-// reserve sizes the energy kernel's buffers for groups lane groups
-// against nv target atoms, and on first use for a full chunk against a
-// full leaf of leafAtoms.
-func (ns *nearScratch) reserve(groups, nv, leafAtoms int) {
-	nvMax := max(nv, leafAtoms)
-	ns.lanes = growFloats(ns.lanes, 20*groups, 20*chunkGroups)
-	ns.vb = growFloats(ns.vb, 5*nv, 5*nvMax)
-	ns.terms = growFloats(ns.terms, 4*groups*nv, 4*chunkGroups*nvMax)
-	ns.flags = growBytes(ns.flags, groups*nv, chunkGroups*nvMax)
-}
-
-// setLane writes atom (r, radius) into lane i of the energy lane groups.
-func setLane(lanes []float64, i int, r *atomRec, radius float64) {
-	g, l := lanes[20*(i/4):], i%4
-	g[l], g[4+l], g[8+l], g[12+l], g[16+l] = r.pos.X, r.pos.Y, r.pos.Z, r.q, radius
-}
-
-// setLaneFrom copies lane j of the energy lane groups into lane i.
-func setLaneFrom(lanes []float64, i, j int) {
-	g, l := lanes[20*(i/4):], i%4
-	h, m := lanes[20*(j/4):], j%4
-	for f := 0; f < 20; f += 4 {
-		g[f+l] = h[f+m]
-	}
-}
-
-// runTerms evaluates the pair terms of the n atoms in ns.lanes against
-// the target atoms vr into ns.terms (row a: source atom a, one term per
-// target atom), and recomputes every lane the kernel flags with nearSum's
-// expression.
-func (ns *nearScratch) runTerms(vr []atomRec, vR []float64, n, groups int) {
-	nv := len(vr)
-	for b := range vr {
-		t := ns.vb[5*b:]
-		t[0], t[1], t[2], t[3], t[4] = vr[b].pos.X, vr[b].pos.Y, vr[b].pos.Z, vr[b].q, vR[b]
-	}
-	pairTermsAVX(&ns.lanes[0], groups, &ns.vb[0], nv, &ns.terms[0], &ns.flags[0])
-	for k, f := range ns.flags {
-		if f == 0 {
-			continue
-		}
-		g, b := k/nv, k%nv
-		lg := ns.lanes[20*g:]
-		for l := 0; l < 4 && 4*g+l < n; l++ {
-			if f&(1<<l) != 0 {
-				pi := geom.V(lg[l], lg[4+l], lg[8+l])
-				qi, ri := lg[12+l], lg[16+l]
-				r2 := pi.Dist2(vr[b].pos)
-				ns.terms[(4*g+l)*nv+b] = qi * vr[b].q * (1 / fGB(r2, ri*vR[b]))
-			}
-		}
-	}
+// nearRows returns the row sums of the source atoms at T_A item positions
+// ns.pos, records recs and Born radii radii (both in item order), against
+// the target atoms vr with radii vR: one per position, in order, each
+// nearRow's value. The kernel gathers its lanes itself; a row with a lane
+// it flags is recomputed whole by nearRow.
+func (ns *nearScratch) nearRows(recs []atomRec, radii []float64, vr []atomRec, vR []float64) []float64 {
+	n := len(ns.pos)
+	pos, groups := padLanes(ns.pos)
+	ns.pos = pos[:n]
+	ns.rows = growFloats(ns.rows, 4*groups, 4*chunkGroups)
+	ns.flags = growBytes(ns.flags, groups, chunkGroups)
+	nearRowsAVX(&recs[0], &radii[0], &pos[0], groups, &vr[0], &vR[0], len(vr), &ns.rows[0], &ns.flags[0])
+	forFlagged(ns.flags, n, func(i int) {
+		a := pos[i]
+		ns.rows[i] = nearRow(recs[a].pos, recs[a].q, radii[a], vr, vR)
+	})
+	return ns.rows[:n]
 }
 
 // ---- Far kernel table ---------------------------------------------------

@@ -10,13 +10,17 @@ import (
 // callers, fallbacks and contract.
 
 // bornNearAVX reads surface.QPoint records as 64 bytes with Pos at 0,
-// Normal at 24 and Weight at 48; these declarations stop compiling if
-// that layout moves.
+// Normal at 24 and Weight at 48, and both near kernels gather atomRec
+// records as 32 bytes with pos at 0 and q at 24; these declarations stop
+// compiling if either layout moves.
 var (
 	_ [unsafe.Sizeof(surface.QPoint{}) - 64]struct{}          = [0]struct{}{}
 	_ [unsafe.Offsetof(surface.QPoint{}.Pos)]struct{}         = [0]struct{}{}
 	_ [unsafe.Offsetof(surface.QPoint{}.Normal) - 24]struct{} = [0]struct{}{}
 	_ [unsafe.Offsetof(surface.QPoint{}.Weight) - 48]struct{} = [0]struct{}{}
+	_ [unsafe.Sizeof(atomRec{}) - 32]struct{}                 = [0]struct{}{}
+	_ [unsafe.Offsetof(atomRec{}.pos)]struct{}                = [0]struct{}{}
+	_ [unsafe.Offsetof(atomRec{}.q) - 24]struct{}             = [0]struct{}{}
 )
 
 //go:noescape
@@ -28,10 +32,10 @@ func xgetbv() (eax uint32)
 func expAVX(x, out *[4]float64) (ok uint8)
 
 //go:noescape
-func bornNearAVX(atoms *float64, groups int, pts *surface.QPoint, items *int32, nq int, r6 bool, out *float64, flags *uint8)
+func bornNearAVX(recs *atomRec, pos *int32, groups int, pts *surface.QPoint, items *int32, nq int, r6 bool, out *float64, flags *uint8)
 
 //go:noescape
-func pairTermsAVX(u *float64, groups int, v *float64, nv int, out *float64, flags *uint8)
+func nearRowsAVX(recs *atomRec, radii *float64, pos *int32, groups int, v *atomRec, vR *float64, nv int, rows *float64, flags *uint8)
 
 //go:noescape
 func farTableAVX(pw *float64, n int, r2 float64, out *farKernel) (bad bool)

@@ -121,32 +121,46 @@ TEXT ·expAVX(SB), NOSPLIT, $0-17
 	VZEROUPPER
 	RET
 
-// func bornNearAVX(atoms *float64, groups int, pts *surface.QPoint, items *int32, nq int, r6 bool, out *float64, flags *uint8)
+// GATHER3 loads the positions of the atoms at the four T_A item
+// positions in X0 from the atomRec array at R into Y10 (x), Y11 (y) and
+// Y12 (z), and leaves the positions ×4 in X1. An atomRec is 32 bytes with
+// pos at 0 (kernels_amd64.go checks it), so X1·8 is a record's offset.
+// Clobbers Y15, the gather mask.
+#define GATHER3(R) \
+	VPSLLD     $2, X0, X1; \
+	VPCMPEQQ   Y15, Y15, Y15; \
+	VGATHERDPD Y15, 0(R)(X1*8), Y10; \
+	VPCMPEQQ   Y15, Y15, Y15; \
+	VGATHERDPD Y15, 8(R)(X1*8), Y11; \
+	VPCMPEQQ   Y15, Y15, Y15; \
+	VGATHERDPD Y15, 16(R)(X1*8), Y12
+
+// func bornNearAVX(recs *atomRec, pos *int32, groups int, pts *surface.QPoint, items *int32, nq int, r6 bool, out *float64, flags *uint8)
 //
-// atoms holds groups of four atom positions as x[4], y[4], z[4]. Each
-// lane sums the quadrature points pts[items[0..nq)] in order:
+// Lane group g holds the atoms at T_A item positions pos[4g..4g+4) of
+// recs. Each lane sums the quadrature points pts[items[0..nq)] in order:
 // sum += w·((q−a)·n) / |q−a|^p, p = 6 (r6) or 4. A QPoint is 64 bytes:
 // Pos at 0, Normal at 24, Weight at 48 (kernels_amd64.go checks it).
 // flags[g] receives the lanes of group g whose sum is NaN.
 #define QP_POS 0
 #define QP_NORMAL 24
 #define QP_WEIGHT 48
-TEXT ·bornNearAVX(SB), NOSPLIT, $0-64
-	MOVQ     atoms+0(FP), SI
-	MOVQ     groups+8(FP), CX
-	MOVQ     pts+16(FP), DX
-	MOVQ     items+24(FP), R12
-	MOVQ     nq+32(FP), R8
-	MOVBLZX  r6+40(FP), R9
-	MOVQ     out+48(FP), DI
-	MOVQ     flags+56(FP), BX
+TEXT ·bornNearAVX(SB), NOSPLIT, $0-72
+	MOVQ     recs+0(FP), R13
+	MOVQ     pos+8(FP), SI
+	MOVQ     groups+16(FP), CX
+	MOVQ     pts+24(FP), DX
+	MOVQ     items+32(FP), R12
+	MOVQ     nq+40(FP), R8
+	MOVBLZX  r6+48(FP), R9
+	MOVQ     out+56(FP), DI
+	MOVQ     flags+64(FP), BX
 	TESTQ    CX, CX
 	JEQ      bdone
 
 bgroup:
-	VMOVUPD  0(SI), Y10
-	VMOVUPD  32(SI), Y11
-	VMOVUPD  64(SI), Y12
+	VMOVDQU  (SI), X0
+	GATHER3(R13)
 	VXORPD   Y13, Y13, Y13
 	MOVQ     R12, R10
 	MOVQ     R8, R11
@@ -199,7 +213,7 @@ bstore:
 	VCMPPD   $3, Y13, Y13, Y0
 	VMOVMSKPD Y0, AX
 	MOVB     AX, (BX)
-	ADDQ     $96, SI
+	ADDQ     $16, SI
 	ADDQ     $32, DI
 	INCQ     BX
 	DECQ     CX
@@ -209,40 +223,44 @@ bdone:
 	VZEROUPPER
 	RET
 
-// func pairTermsAVX(u *float64, groups int, v *float64, nv int, out *float64, flags *uint8)
+// func nearRowsAVX(recs *atomRec, radii *float64, pos *int32, groups int, v *atomRec, vR *float64, nv int, rows *float64, flags *uint8)
 //
-// u holds groups of four atoms as x[4], y[4], z[4], q[4], R[4]; v holds
-// nv atoms as (x, y, z, q, R). out[a·nv+b] receives the term
-// q_a·q_b·(1/√(r² + R_aR_b·exp(−r²/(4R_aR_b)))) of u atom a against v
-// atom b, so each u atom's terms are one contiguous row, and
-// flags[g·nv+b] the lanes of group g against b that the Go loop must
-// recompute.
-TEXT ·pairTermsAVX(SB), NOSPLIT, $0-48
-	MOVQ     u+0(FP), SI
-	MOVQ     groups+8(FP), CX
-	MOVQ     v+16(FP), R8
-	MOVQ     nv+24(FP), R9
-	MOVQ     out+32(FP), DI
-	MOVQ     flags+40(FP), BX
+// Lane group g holds the source atoms at T_A item positions
+// pos[4g..4g+4) of recs, with Born radii radii[pos]. Each lane adds its
+// atom's pair terms q_a·q_b·(1/√(r² + R_aR_b·exp(−r²/(4R_aR_b)))) against
+// the target atoms v[0..nv), radii vR, in target order, to a row sum that
+// starts at +0, and rows[4g+l] receives lane l's row. flags[g] receives
+// the lanes with a term out of exp's range or NaN, or a NaN row: the Go
+// loop recomputes those rows.
+TEXT ·nearRowsAVX(SB), NOSPLIT, $0-72
+	MOVQ     recs+0(FP), AX
+	MOVQ     radii+8(FP), BX
+	MOVQ     pos+16(FP), SI
+	MOVQ     groups+24(FP), CX
+	MOVQ     v+32(FP), R8
+	MOVQ     vR+40(FP), R9
+	MOVQ     nv+48(FP), R10
+	MOVQ     rows+56(FP), DI
+	MOVQ     flags+64(FP), R11
 	TESTQ    CX, CX
-	JEQ      pdone
-	TESTQ    R9, R9
-	JEQ      pdone
-	MOVQ     R9, R12
-	SHLQ     $3, R12          // one u atom's row of terms, in bytes
-	LEAQ     (R12)(R12*2), R13
+	JEQ      ndone
 
-pgroup:
-	VMOVUPD  0(SI), Y10
-	VMOVUPD  32(SI), Y11
-	VMOVUPD  64(SI), Y12
-	VMOVUPD  96(SI), Y13
-	VMOVUPD  128(SI), Y14
+ngroup:
+	VMOVDQU  (SI), X0
+	GATHER3(AX)
+	VPCMPEQQ   Y15, Y15, Y15
+	VGATHERDPD Y15, 24(AX)(X1*8), Y13
+	VPCMPEQQ   Y15, Y15, Y15
+	VGATHERDPD Y15, 0(BX)(X0*8), Y14
+	VXORPD   Y8, Y8, Y8       // row sums, one per lane
+	VPCMPEQQ Y9, Y9, Y9       // lanes still exact
 	MOVQ     R8, DX
-	MOVQ     DI, R11
-	MOVQ     R9, R10
+	MOVQ     R9, R12
+	MOVQ     R10, R13
+	TESTQ    R13, R13
+	JEQ      nstore
 
-pv:
+nloop:
 	// r2 = |p_u − p_v|²
 	VBROADCASTSD 0(DX), Y0
 	VSUBPD   Y0, Y10, Y0
@@ -256,13 +274,13 @@ pv:
 	VMULPD   Y1, Y1, Y1
 	VADDPD   Y1, Y0, Y0
 	// rr = R_u·R_v; x = −r2 / (4·rr)
-	VBROADCASTSD 32(DX), Y2
+	VBROADCASTSD (R12), Y2
 	VMULPD   Y2, Y14, Y2
 	VMULPD   KFOUR, Y2, Y3
 	VXORPD   KSIGN, Y0, Y4
 	VDIVPD   Y3, Y4, Y4
 	EXP
-	// term = (q_u·q_v) · (1/√(r2 + rr·e))
+	// row += (q_u·q_v) · (1/√(r2 + rr·e))
 	VMULPD   Y4, Y2, Y2
 	VADDPD   Y2, Y0, Y2
 	VSQRTPD  Y2, Y2
@@ -271,30 +289,30 @@ pv:
 	VBROADCASTSD 24(DX), Y3
 	VMULPD   Y3, Y13, Y3
 	VMULPD   Y2, Y3, Y2
-	// lane l goes to row 4g+l, column b
-	VMOVSD   X2, (R11)
-	VMOVHPD  X2, (R11)(R12*1)
-	VEXTRACTF128 $1, Y2, X3
-	VMOVSD   X3, (R11)(R12*2)
-	VMOVHPD  X3, (R11)(R13*1)
-	// flag lanes out of exp's range or with a NaN term
+	VADDPD   Y2, Y8, Y8
+	// drop lanes out of exp's range or with a NaN term
 	VCMPPD   $7, Y2, Y2, Y3
 	VANDPD   Y3, Y5, Y5
-	VMOVMSKPD Y5, AX
-	XORL     $15, AX
-	MOVB     AX, (BX)
-	INCQ     BX
-	ADDQ     $40, DX
-	ADDQ     $8, R11
-	DECQ     R10
-	JNZ      pv
+	VANDPD   Y5, Y9, Y9
+	ADDQ     $32, DX
+	ADDQ     $8, R12
+	DECQ     R13
+	JNZ      nloop
 
-	LEAQ     (DI)(R12*4), DI
-	ADDQ     $160, SI
+nstore:
+	VMOVUPD  Y8, (DI)
+	VCMPPD   $7, Y8, Y8, Y3
+	VANDPD   Y3, Y9, Y9
+	VMOVMSKPD Y9, R13
+	XORL     $15, R13
+	MOVB     R13, (R11)
+	ADDQ     $16, SI
+	ADDQ     $32, DI
+	INCQ     R11
 	DECQ     CX
-	JNZ      pgroup
+	JNZ      ngroup
 
-pdone:
+ndone:
 	VZEROUPPER
 	RET
 

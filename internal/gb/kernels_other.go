@@ -12,9 +12,10 @@ func detectCPU() cpuFeatures { return cpuFeatures{} }
 
 func expAVX(x, out *[4]float64) (ok uint8) { return 0 }
 
-func bornNearAVX(atoms *float64, groups int, pts *surface.QPoint, items *int32, nq int, r6 bool, out *float64, flags *uint8) {
+func bornNearAVX(recs *atomRec, pos *int32, groups int, pts *surface.QPoint, items *int32, nq int, r6 bool, out *float64, flags *uint8) {
 }
 
-func pairTermsAVX(u *float64, groups int, v *float64, nv int, out *float64, flags *uint8) {}
+func nearRowsAVX(recs *atomRec, radii *float64, pos *int32, groups int, v *atomRec, vR *float64, nv int, rows *float64, flags *uint8) {
+}
 
 func farTableAVX(pw *float64, n int, r2 float64, out *farKernel) (bad bool) { return true }

@@ -94,11 +94,12 @@ func kernelFingerprint(res *Result) string {
 }
 
 // TestKernelsMatchGoLoops is the oracle of the vector kernels: every run
-// on them equals the Go loops bit for bit, over roster molecules ×
-// expansion orders × layouts, the distributed-data driver at three ranks
-// and Complex.Epol with the first roster molecule docked at contact, plus
-// the tuner's reference point (monopole, ε = 0.3: an energy phase that is
-// nearly all exact pairs) on a serve-size globule at two ranks.
+// on them equals the Go loops bit for bit, over roster molecules × the
+// default and the paper's leaf capacities × expansion orders × layouts,
+// the distributed-data driver at three ranks and Complex.Epol with the
+// first roster molecule docked at contact, plus the tuner's reference
+// point (monopole, ε = 0.3: an energy phase that is nearly all exact
+// pairs) on a serve-size globule at two ranks.
 func TestKernelsMatchGoLoops(t *testing.T) {
 	requireVec(t)
 	maxAtoms := 1200
@@ -120,46 +121,50 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 		same(fmt.Sprintf("%s %+v", label, spec), func() string { return kernelFingerprint(mustRun(t, s, spec)) })
 	}
 	roster := molecule.ZDockRoster()
-	lig := newTestSystem(t, molecule.ZDockMolecule(roster[0]), surface.DefaultConfig(), DefaultParams())
-	for _, e := range roster {
-		if e.Atoms > maxAtoms {
-			continue
-		}
-		base := newTestSystem(t, molecule.ZDockMolecule(e), surface.DefaultConfig(), DefaultParams())
-		for _, ord := range []int{OrderMonopole, OrderDipole, OrderQuadrupole} {
-			acc := DefaultAccuracy()
-			acc.Order = ord
-			s, err := base.WithAccuracy(acc)
-			if err != nil {
-				t.Fatal(err)
+	paper := DefaultParams()
+	paper.LeafAtoms, paper.LeafQPoints = 8, 32
+	for _, params := range []Params{DefaultParams(), paper} {
+		lig := newTestSystem(t, molecule.ZDockMolecule(roster[0]), surface.DefaultConfig(), params)
+		for _, e := range roster {
+			if e.Atoms > maxAtoms {
+				continue
 			}
-			label := fmt.Sprintf("%s order %d", e.Name, ord)
-			for _, spec := range layouts {
-				compare(label, s, spec)
-			}
-			same(label+" distributed data P=3", func() string {
-				res, err := s.RunMPIDistributedData(3)
+			base := newTestSystem(t, molecule.ZDockMolecule(e), surface.DefaultConfig(), params)
+			for _, ord := range []int{OrderMonopole, OrderDipole, OrderQuadrupole} {
+				acc := DefaultAccuracy()
+				acc.Order = ord
+				s, err := base.WithAccuracy(acc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return kernelFingerprint(res)
-			})
-			l, err := lig.WithAccuracy(acc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cx, err := NewComplex(s, l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pose := contactPose(s, l)
-			same(label+" complex at contact", func() string {
-				pr, err := cx.Epol(pose)
+				label := fmt.Sprintf("%s %d/%d order %d", e.Name, params.LeafAtoms, params.LeafQPoints, ord)
+				for _, spec := range layouts {
+					compare(label, s, spec)
+				}
+				same(label+" distributed data P=3", func() string {
+					res, err := s.RunMPIDistributedData(3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return kernelFingerprint(res)
+				})
+				l, err := lig.WithAccuracy(acc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return kernelFingerprint(&Result{Epol: pr.Epol, Born: append(pr.RecBorn, pr.LigBorn...), PerCoreOps: []int64{pr.Ops}})
-			})
+				cx, err := NewComplex(s, l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pose := contactPose(s, l)
+				same(label+" complex at contact", func() string {
+					pr, err := cx.Epol(pose)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return kernelFingerprint(&Result{Epol: pr.Epol, Born: append(pr.RecBorn, pr.LigBorn...), PerCoreOps: []int64{pr.Ops}})
+				})
+			}
 		}
 	}
 	n := 500
@@ -197,13 +202,18 @@ func TestPortableRunUsesGoLoops(t *testing.T) {
 
 // FuzzNearKernels drives the three kernels with arbitrary positions,
 // radii, charges and weights — coincident points, exponents past −708,
-// infinities and NaNs included — and requires the Go loops' bits.
+// infinities and NaNs included — and requires the Go loops' bits. The
+// near kernels gather their lanes from a record array through position
+// lists that repeat, descend or already fill whole lane groups, and the
+// energy rows, cut into blocks of up to 64 atoms, must sum to nearSum's
+// bits block by block.
 func FuzzNearKernels(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(3), uint8(7), 1.5, 0.0)
 	f.Add(int64(2), uint8(1), uint8(1), uint8(1), 0.0, 0.0)
 	f.Add(int64(3), uint8(9), uint8(2), uint8(33), 1e-3, 400.0)
 	f.Add(int64(4), uint8(4), uint8(4), uint8(4), math.Inf(1), math.NaN())
 	f.Add(int64(5), uint8(6), uint8(5), uint8(2), -2.0, 1e300)
+	f.Add(int64(6), uint8(200), uint8(63), uint8(32), 2.0, 30.0)
 	f.Fuzz(func(t *testing.T, seed int64, nu, nv, nq uint8, radius, spread float64) {
 		requireVec(t)
 		r := rand.New(rand.NewSource(seed))
@@ -241,9 +251,26 @@ func FuzzNearKernels(f *testing.F) {
 			}
 			return recs, radii
 		}
-		nU, nV, nQ := int(nu%40)+1, int(nv%9)+1, int(nq%40)
-		ur, uR := atoms(nU)
+		nRecs, nPos, nV, nQ := int(nu%64)+1, int(nu)+1, int(nv%64)+1, int(nq%40)
+		recs, radii := atoms(nRecs)
 		vr, vR := atoms(nV)
+		// The gather list: random, repeated, descending, or rounded up
+		// to whole lane groups so that padLanes adds nothing.
+		pos := make([]int32, nPos)
+		mode := r.Intn(4)
+		if mode == 3 {
+			pos = make([]int32, 4*((nPos+3)/4))
+		}
+		for i := range pos {
+			switch mode {
+			case 1:
+				pos[i] = int32(seed&0xff) % int32(nRecs)
+			case 2:
+				pos[i] = int32(nRecs - 1 - i%nRecs)
+			default:
+				pos[i] = int32(r.Intn(nRecs))
+			}
+		}
 		// The quadrature points, visited through a shuffled item list as a
 		// tree leaf visits them.
 		pts := make([]surface.QPoint, nQ)
@@ -260,36 +287,51 @@ func FuzzNearKernels(f *testing.F) {
 			}
 		}
 
-		// Born: the atoms of ur as one gather list against the points.
-		s := &System{atomRecs: ur}
+		// Born: the gather list against the points.
+		s := &System{atomRecs: recs}
 		for _, r4 := range []bool{false, true} {
-			sc := &bornScratch{}
-			for p := range ur {
-				sc.pos = append(sc.pos, int32(p))
-			}
+			sc := &bornScratch{pos: slices.Clone(pos)}
 			got := s.bornLanes(sc, pts, items, r4)
-			for p := range ur {
-				same(fmt.Sprintf("born r4=%v atom %d", r4, p), got[p], bornAtomSum(ur[p].pos, pts, items, r4))
+			for i, p := range pos {
+				same(fmt.Sprintf("born r4=%v lane %d (atom %d)", r4, i, p), got[i], bornAtomSum(recs[p].pos, pts, items, r4))
 			}
 		}
 
-		// Energy: ur split into blocks against vr, summed a-major.
-		ns := &nearScratch{}
-		terms := nearTermsOf(ns, ur, uR, vr, vR)
-		for a := range ur {
-			for b := range vr {
-				want := ur[a].q * vr[b].q * (1 / fGB(ur[a].pos.Dist2(vr[b].pos), uR[a]*vR[b]))
-				same(fmt.Sprintf("pair (%d,%d)", a, b), terms[b][a], want)
+		// Energy: the gather list's rows against vr, each nearSum's bits
+		// for its atom alone; then the rows cut into blocks of up to 64
+		// atoms, each summed as nearSum sums a block of those records.
+		// Where two NaN rows meet in a block sum, the payload that wins
+		// depends on the operand order the compiler picks for a Go +=,
+		// which the fuzzing build's instrumentation changes, so block sums
+		// need only agree on being NaN.
+		ns := &nearScratch{pos: slices.Clone(pos)}
+		rows := ns.nearRows(recs, radii, vr, vR)
+		for i, p := range pos {
+			want, _ := nearSum(recs[p:p+1], radii[p:p+1], vr, vR, false, false)
+			same(fmt.Sprintf("energy row %d (atom %d)", i, p), rows[i], want)
+		}
+		for lo := 0; lo < len(pos); {
+			hi := min(len(pos), lo+1+r.Intn(64))
+			ur, uR := make([]atomRec, 0, hi-lo), make([]float64, 0, hi-lo)
+			got := 0.0
+			for i, p := range pos[lo:hi] {
+				ur, uR = append(ur, recs[p]), append(uR, radii[p])
+				got += rows[lo+i]
 			}
+			want, _ := nearSum(ur, uR, vr, vR, false, false)
+			if !math.IsNaN(got) || !math.IsNaN(want) {
+				same(fmt.Sprintf("energy block [%d,%d)", lo, hi), got, want)
+			}
+			lo = hi
 		}
 
 		// Far table: the radii as class sums at one distance.
 		r2 := val(50) * val(50)
-		got, want := make([]farKernel, nU), make([]farKernel, nU)
+		got, want := make([]farKernel, nRecs), make([]farKernel, nRecs)
 		withKernels(t, true)
-		farTable(uR, r2, got)
+		farTable(radii, r2, got)
 		vecKernels = false
-		farTable(uR, r2, want)
+		farTable(radii, r2, want)
 		for k := range got {
 			same(fmt.Sprintf("far e[%d]", k), got[k].e, want[k].e)
 			same(fmt.Sprintf("far invF[%d]", k), got[k].invF, want[k].invF)
@@ -297,38 +339,18 @@ func FuzzNearKernels(f *testing.F) {
 	})
 }
 
-// nearTermsOf runs the energy kernel for source atoms ur against target
-// atoms vr and returns its terms by [target][source].
-func nearTermsOf(ns *nearScratch, ur []atomRec, uR []float64, vr []atomRec, vR []float64) [][]float64 {
-	n := len(ur)
-	groups := (n + 3) / 4
-	ns.reserve(groups, len(vr), 0)
-	for i := range ur {
-		setLane(ns.lanes, i, &ur[i], uR[i])
-	}
-	for i := n; i < 4*groups; i++ {
-		setLaneFrom(ns.lanes, i, n-1)
-	}
-	ns.runTerms(vr, vR, n, groups)
-	out := make([][]float64, len(vr))
-	for b := range vr {
-		for a := range ur {
-			out[b] = append(out[b], ns.terms[a*len(vr)+b])
-		}
-	}
-	return out
-}
-
 // BenchmarkNearKernels reports ns per pair of each kernel on the vector
-// and the Go path: the Born loop over a 32-point quadrature leaf, the
-// energy pair term and the far kernel table entry.
+// and the Go path at leaves of 8 and 32 atoms: the Born loop of a leaf's
+// atoms over a 32-point quadrature leaf, the energy near field of four
+// source leaves against one target leaf through flushNear's row sums, and
+// the far kernel table entry.
 func BenchmarkNearKernels(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
-	const nAtoms, nQ, nV = 64, 32, 4
-	ur, uR := make([]atomRec, nAtoms), make([]float64, nAtoms)
-	for i := range ur {
-		ur[i] = atomRec{geom.V(r.Float64()*20, r.Float64()*20, r.Float64()*20), r.Float64() - 0.5}
-		uR[i] = 1.5 + 2*r.Float64()
+	const nAtoms, nQ = 128, 32
+	recs, radii := make([]atomRec, nAtoms), make([]float64, nAtoms)
+	for i := range recs {
+		recs[i] = atomRec{geom.V(r.Float64()*20, r.Float64()*20, r.Float64()*20), r.Float64() - 0.5}
+		radii[i] = 1.5 + 2*r.Float64()
 	}
 	pts, items := make([]surface.QPoint, nQ), make([]int32, nQ)
 	for i := range pts {
@@ -336,8 +358,7 @@ func BenchmarkNearKernels(b *testing.B) {
 			Normal: geom.V(r.Float64(), r.Float64(), r.Float64()).Unit(), Weight: r.Float64()}
 		items[i] = int32(i)
 	}
-	vr, vR := ur[:nV], uR[:nV]
-	s := &System{atomRecs: ur}
+	s := &System{atomRecs: recs}
 	for _, path := range []struct {
 		name string
 		on   bool
@@ -345,45 +366,52 @@ func BenchmarkNearKernels(b *testing.B) {
 		if path.on && !vecHost {
 			continue
 		}
-		b.Run("born/"+path.name, func(b *testing.B) {
-			sc := &bornScratch{}
-			for i := 0; i < b.N; i++ {
-				if path.on {
-					sc.pos = sc.pos[:0]
-					for p := range ur {
-						sc.pos = append(sc.pos, int32(p))
+		for _, leaf := range []int{8, 32} {
+			src := 4 * leaf
+			vr, vR := recs[nAtoms-leaf:], radii[nAtoms-leaf:]
+			b.Run(fmt.Sprintf("born/leaf%d/%s", leaf, path.name), func(b *testing.B) {
+				sc := &bornScratch{}
+				for i := 0; i < b.N; i++ {
+					if path.on {
+						sc.pos = sc.pos[:0]
+						for p := 0; p < leaf; p++ {
+							sc.pos = append(sc.pos, int32(p))
+						}
+						s.bornLanes(sc, pts, items, false)
+						continue
 					}
-					s.bornLanes(sc, pts, items, false)
-					continue
-				}
-				for p := range ur {
-					sinkF += bornAtomSum(ur[p].pos, pts, items, false)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nAtoms*nQ), "ns/pair")
-		})
-		b.Run("energy/"+path.name, func(b *testing.B) {
-			ns := &nearScratch{}
-			for i := 0; i < b.N; i++ {
-				if path.on {
-					groups := nAtoms / 4
-					ns.reserve(groups, nV, 0)
-					for i := range ur {
-						setLane(ns.lanes, i, &ur[i], uR[i])
+					for p := 0; p < leaf; p++ {
+						sinkF += bornAtomSum(recs[p].pos, pts, items, false)
 					}
-					ns.runTerms(vr, vR, nAtoms, groups)
-					continue
 				}
-				sum, _ := nearSum(ur, uR, vr, vR, false, false)
-				sinkF += sum
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nAtoms*nV), "ns/pair")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*leaf*nQ), "ns/pair")
+			})
+			b.Run(fmt.Sprintf("energy/leaf%d/%s", leaf, path.name), func(b *testing.B) {
+				ns := &nearScratch{}
+				for i := 0; i < b.N; i++ {
+					if !path.on {
+						for u := 0; u < src; u += leaf {
+							sum, _ := nearSum(recs[u:u+leaf], radii[u:u+leaf], vr, vR, false, false)
+							sinkF += sum
+						}
+						continue
+					}
+					ns.pos = ns.pos[:0]
+					for p := 0; p < src; p++ {
+						ns.pos = append(ns.pos, int32(p))
+					}
+					for _, row := range ns.nearRows(recs, radii, vr, vR) {
+						sinkF += row
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*src*leaf), "ns/pair")
+			})
+		}
 		b.Run("far-table/"+path.name, func(b *testing.B) {
 			withKernels(b, path.on)
 			g := make([]farKernel, nAtoms)
 			for i := 0; i < b.N; i++ {
-				farTable(uR, 400, g)
+				farTable(radii, 400, g)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nAtoms), "ns/entry")
 		})

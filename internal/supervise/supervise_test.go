@@ -467,6 +467,59 @@ func TestBadValueCheckpointIsDroppedAndRecomputed(t *testing.T) {
 	}
 }
 
+// A snapshot written at other leaf capacities is another configuration:
+// a job resumed by a daemon whose defaults moved from 8/32 must drop it and
+// recompute, whichever phase it holds, and end on a clean default run's
+// energy.
+func TestCapacityChangeCheckpointIsDroppedAndRecomputed(t *testing.T) {
+	const P = 2
+	m := molecule.Globule("supervised", 300, 7)
+	surf, err := surface.Build(m, surface.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper := gb.DefaultParams()
+	paper.LeafAtoms, paper.LeafQPoints = 8, 32
+	old, err := gb.NewSystem(m, surf, paper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := gb.NewSystem(m, surf, gb.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := Run(s, Spec{Processes: P})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, phase := range []gb.CheckpointPhase{gb.PhaseIntegrals, gb.PhaseRadii, gb.PhaseAggregates, gb.PhaseEpol} {
+		store := NewMemStore()
+		if _, err := old.Run(gb.RunSpec{Processes: P, Faults: &gb.FaultConfig{ForceProtocol: true},
+			Checkpoint: rewindSink{store, phase}}); err != nil {
+			t.Fatal(err)
+		}
+		if ck, err := store.Latest(); err != nil || ck == nil || ck.Phase != phase {
+			t.Fatalf("%s: store latest = %+v, %v", phase, ck, err)
+		}
+		rec := obs.NewRecorder(nil)
+		out, err := Run(s, Spec{Processes: P, Store: store, Obs: rec})
+		if err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		first := out.Attempts[0]
+		if !first.DroppedCheckpoint || first.ResumedFrom != gb.PhaseNone {
+			t.Errorf("%s: first attempt dropped=%v resumed from %s, want a drop and a recompute",
+				phase, first.DroppedCheckpoint, first.ResumedFrom)
+		}
+		if got := rec.Counters()["supervise.checkpoint_dropped"]; got != 1 {
+			t.Errorf("%s: supervise.checkpoint_dropped = %d, want 1", phase, got)
+		}
+		if out.Result.Epol != clean.Result.Epol {
+			t.Errorf("%s: recomputed Epol %v, clean default run %v", phase, out.Result.Epol, clean.Result.Epol)
+		}
+	}
+}
+
 // mustRun runs spec on s and fails the test on error.
 func mustRun(t testing.TB, s *gb.System, spec gb.RunSpec) *gb.Result {
 	t.Helper()
