@@ -8,7 +8,9 @@
 // With -runs it instead reads committed `_perfbench` run files
 // (BENCH_prN.json) and, per file, workload and metric of the
 // BENCHMARK.json in the working directory, prints each side's median and
-// quartiles and the pairs won, as one markdown table per file.
+// quartiles and the pairs won, as one markdown table per file. Given two
+// or more files, it then prints each workload's trajectory: the change
+// side's median of every end-to-end metric, one column per file.
 //
 // Usage:
 //
@@ -39,6 +41,7 @@ func main() {
 		if err := readJSON("BENCHMARK.json", &def); err != nil {
 			fatal(err)
 		}
+		var files [][]run
 		for _, path := range flag.Args() {
 			var runs []run
 			if err := readJSON(path, &runs); err != nil {
@@ -47,6 +50,10 @@ func main() {
 			fmt.Printf("%s\n\n", path)
 			writeRunsReport(os.Stdout, def, runs)
 			fmt.Println()
+			files = append(files, runs)
+		}
+		if len(files) >= 2 {
+			writeTrajectory(os.Stdout, def, flag.Args(), files)
 		}
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strings"
 
 	"gbpolar/internal/stats"
 )
@@ -102,15 +103,56 @@ func writeRunsReport(w io.Writer, def benchmarkDef, runs []run) {
 	}
 }
 
-// quartiles formats the median and [first, third quartile] of xs to four
-// significant digits, in thousands from 10⁴ up.
-func quartiles(xs []float64) string {
-	num := func(x float64) string {
-		if math.Abs(x) >= 1e4 {
-			return fmt.Sprintf("%.2fk", x/1e3)
+// writeTrajectory prints one markdown table per workload, in order of
+// first appearance: a row per end-to-end metric and a column per file,
+// in the order given, holding the median of the change side's untraced
+// runs in that file ("—" where it has none).
+func writeTrajectory(w io.Writer, def benchmarkDef, names []string, files [][]run) {
+	var workloads []string
+	for _, runs := range files {
+		for _, r := range runs {
+			if !slices.Contains(workloads, r.Workload) {
+				workloads = append(workloads, r.Workload)
+			}
 		}
-		return fmt.Sprintf("%.4g", x)
 	}
+	for _, wl := range workloads {
+		fmt.Fprintf(w, "%s: change-side medians, untraced runs\n\n| metric |", wl)
+		for _, name := range names {
+			fmt.Fprintf(w, " %s |", name)
+		}
+		fmt.Fprintf(w, "\n|---|%s\n", strings.Repeat("---|", len(names)))
+		for _, m := range def.EndToEnd {
+			fmt.Fprintf(w, "| %s |", m.Name)
+			for _, runs := range files {
+				var vals []float64
+				for _, r := range runs {
+					if v, ok := r.Result.Metrics[m.Name]; ok && r.Workload == wl && r.Side == "change" && r.Trace == 0 {
+						vals = append(vals, v.Value)
+					}
+				}
+				cell := "—"
+				if len(vals) > 0 {
+					cell = num(stats.Percentile(vals, 50))
+				}
+				fmt.Fprintf(w, " %s |", cell)
+			}
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintln(w)
+	}
+}
+
+// quartiles formats the median and [first, third quartile] of xs.
+func quartiles(xs []float64) string {
 	return fmt.Sprintf("%s [%s, %s]", num(stats.Percentile(xs, 50)),
 		num(stats.Percentile(xs, 25)), num(stats.Percentile(xs, 75)))
+}
+
+// num formats x to four significant digits, in thousands from 10⁴ up.
+func num(x float64) string {
+	if math.Abs(x) >= 1e4 {
+		return fmt.Sprintf("%.2fk", x/1e3)
+	}
+	return fmt.Sprintf("%.4g", x)
 }

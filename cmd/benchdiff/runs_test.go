@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -74,6 +75,41 @@ func TestRunsReportReproducesCommittedTable(t *testing.T) {
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("report lacks row\n%s\ngot:\n%s", want, b.String())
+		}
+	}
+}
+
+// TestTrajectoryAcrossCommittedPoints: given the six committed points in
+// order, the trajectory's warm-mpi2 row for latency_ms.p50 holds each
+// file's change-side median of its untraced runs.
+func TestTrajectoryAcrossCommittedPoints(t *testing.T) {
+	var def benchmarkDef
+	if err := readJSON("../../BENCHMARK.json", &def); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	var files [][]run
+	for n := 20; n <= 25; n++ {
+		name := fmt.Sprintf("BENCH_pr%d.json", n)
+		var runs []run
+		if err := readJSON("../../"+name, &runs); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+		files = append(files, runs)
+	}
+	var b strings.Builder
+	writeTrajectory(&b, def, names, files)
+	got := b.String()
+	// The table follows the workload's title line and ends at a blank line.
+	_, table, _ := strings.Cut(got, "warm-mpi2: change-side medians, untraced runs\n\n")
+	table, _, _ = strings.Cut(table, "\n\n")
+	for _, want := range []string{
+		"| metric | BENCH_pr20.json | BENCH_pr21.json | BENCH_pr22.json | BENCH_pr23.json | BENCH_pr24.json | BENCH_pr25.json |",
+		"| latency_ms.p50 | 81.92 | 79.3 | 78.9 | 55.71 | 50.39 | 19.2 |",
+	} {
+		if !strings.Contains(table, want) {
+			t.Errorf("warm-mpi2 trajectory lacks row\n%s\ngot:\n%s", want, got)
 		}
 	}
 }

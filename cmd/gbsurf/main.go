@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"gbpolar/internal/molecule"
-	"gbpolar/internal/sched"
 	"gbpolar/internal/stats"
 	"gbpolar/internal/surface"
 )
@@ -41,7 +40,7 @@ func main() {
 		xyzOut  = flag.String("xyz", "", "write the point cloud as XYZ")
 		plyOut  = flag.String("ply", "", "write the point cloud as PLY (with normals and weights)")
 		sasaOut = flag.String("sasa", "", "write the per-atom SASA table")
-		threads = flag.Int("threads", 4, "surface-build workers")
+		threads = flag.Int("threads", 4, "surface-build workers (at most one per atom)")
 	)
 	flag.Parse()
 
@@ -68,11 +67,10 @@ func main() {
 		fatal(err)
 	}
 
-	pool := sched.New(*threads)
-	defer pool.Close()
-	surf, err := surface.BuildParallel(mol, surface.Config{
+	// A molecule smaller than -threads gets a worker per atom.
+	surf, err := surface.BuildWorkers(mol, surface.Config{
 		IcoLevel: *level, RuleDegree: *degree, ProbeRadius: *probe,
-	}, pool)
+	}, min(*threads, mol.NumAtoms()))
 	if err != nil {
 		fatal(err)
 	}

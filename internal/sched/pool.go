@@ -21,6 +21,7 @@ type Pool struct {
 	idle   int
 	closed bool
 	rec    *obs.Recorder
+	exited sync.WaitGroup // one count per worker goroutine still running
 }
 
 // Observe attaches an observability recorder: Close flushes the pool's
@@ -66,6 +67,7 @@ func New(workers int) *Pool {
 	for i := range p.workers {
 		p.workers[i] = &Worker{pool: p, id: i, rng: uint64(i)*0x9e3779b97f4a7c15 + 1}
 	}
+	p.exited.Add(workers)
 	for _, w := range p.workers {
 		go w.loop()
 	}
@@ -96,8 +98,8 @@ func (p *Pool) WorkerLoads() []int64 {
 	return out
 }
 
-// Close shuts the pool down. Outstanding tasks are abandoned; Close is
-// meant to be called after all Run calls have returned.
+// Close shuts the pool down and returns once every worker goroutine has
+// exited. It is meant to be called after all Run calls have returned.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	alreadyClosed := p.closed
@@ -105,6 +107,7 @@ func (p *Pool) Close() {
 	rec := p.rec
 	p.mu.Unlock()
 	p.cond.Broadcast()
+	p.exited.Wait()
 	if !alreadyClosed && rec != nil {
 		rec.GaugeAdd("sched.steals", p.steals.Load())
 		rec.GaugeAdd("sched.tasks", p.spawned.Load())
@@ -118,6 +121,7 @@ func (p *Pool) Close() {
 // loop is the worker main loop: run local work, steal, or park.
 func (w *Worker) loop() {
 	p := w.pool
+	defer p.exited.Done()
 	for {
 		t := w.dq.popBottom()
 		if t == nil {

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -132,5 +135,53 @@ func TestRestartServesFinishedJobViews(t *testing.T) {
 	if after.Result.EpolBits != first.Result.EpolBits {
 		t.Errorf("restart changed the stored result: %s vs %s",
 			after.Result.EpolBits, first.Result.EpolBits)
+	}
+}
+
+// Admission writes job.json compactly, on one line; older daemons wrote
+// it indented. An indented record left in a data dir is re-queued on
+// restart and finishes to the bits of a direct run.
+func TestIndentedJobRecordResumes(t *testing.T) {
+	dataDir := t.TempDir()
+	mol := testMol(60, 9)
+	rec, err := json.MarshalIndent(jobRecord{ID: "j-indented", Req: JobRequest{Molecule: molSpec(mol), Processes: 2}}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dataDir, "j-indented"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dataDir, "j-indented", "job.json"), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{DataDir: dataDir})
+	if s.ResumedJobs() != 1 {
+		t.Fatalf("ResumedJobs = %d, want the indented job re-queued", s.ResumedJobs())
+	}
+	view := awaitTerminal(t, ts.URL, "j-indented")
+	if view.State != StateDone || view.Result == nil {
+		t.Fatalf("resumed job view %+v", view)
+	}
+	if want := epolBits(refRun(t, mol, 2).Result.Epol); view.Result.EpolBits != want {
+		t.Errorf("resumed Epol bits %s, direct run %s", view.Result.EpolBits, want)
+	}
+
+	code, data := postJob(t, ts.URL, JobRequest{Molecule: molSpec(mol), Processes: 2})
+	if code != http.StatusAccepted {
+		t.Fatalf("POST status %d: %s", code, data)
+	}
+	var accepted JobView
+	if err := json.Unmarshal(data, &accepted); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(filepath.Join(dataDir, accepted.ID, "job.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.ContainsRune(written, '\n') {
+		t.Errorf("job.json is not compact:\n%s", written)
+	}
+	if done := awaitTerminal(t, ts.URL, accepted.ID); done.Result == nil || done.Result.EpolBits != view.Result.EpolBits {
+		t.Errorf("fresh job view %+v, want Epol bits %s", done, view.Result.EpolBits)
 	}
 }

@@ -59,7 +59,9 @@ func (s *Server) persistJob(id string, req *JobRequest) error {
 	if err := s.cfg.FS.MkdirAll(dir); err != nil {
 		return fmt.Errorf("serve: creating job dir: %w", err)
 	}
-	data, err := json.MarshalIndent(jobRecord{ID: id, Req: *req}, "", "  ")
+	// Compact, because the 202 waits on this write; older daemons wrote
+	// it indented, and scanJobs reads either.
+	data, err := json.Marshal(jobRecord{ID: id, Req: *req})
 	if err != nil {
 		return fmt.Errorf("serve: encoding job: %w", err)
 	}

@@ -698,11 +698,11 @@ func (s *Server) runJob(j *job) {
 	s.rec.ObserveGauge("serve.job.wall_us", runDur.Microseconds())
 }
 
-// superviseJob builds the system and runs the ladder. Requests with a
-// target error first go through the tuner, on the job's own layout: the
-// job runs at the cheapest admitted accuracy point, and the supervisor's
-// relax rung steps down the tuner's frontier (selection returned for the
-// result envelope).
+// superviseJob builds the system and runs the ladder, both on the job's
+// own layout after any shrink by the memory gate. Requests with a target
+// error first go through the tuner: the job runs at the cheapest
+// admitted accuracy point, and the supervisor's relax rung steps down
+// the tuner's frontier (selection returned for the result envelope).
 func (s *Server) superviseJob(j *job, deadline time.Duration, startEps float64) (*supervise.Outcome, *tune.Selection, error) {
 	var (
 		sys    *gb.System
@@ -731,7 +731,10 @@ func (s *Server) superviseJob(j *job, deadline time.Duration, startEps float64) 
 			ladder = append(ladder, supervise.RelaxStep{Accuracy: p.Acc, RelError: p.PredictedRelError})
 		}
 	} else {
-		surf, err := surface.Build(j.mol, surface.DefaultConfig())
+		// The surface is sampled on the job's own cores, at most one
+		// per atom (threads never exceed the atoms; P may).
+		n := j.mol.NumAtoms()
+		surf, err := surface.BuildWorkers(j.mol, surface.DefaultConfig(), min(min(P, n)*threads, n))
 		if err != nil {
 			return nil, nil, fmt.Errorf("building surface: %w", err)
 		}

@@ -4,9 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-
-	"gbpolar/internal/molecule"
-	"gbpolar/internal/sched"
 )
 
 // WriteXYZ writes the quadrature points as an XYZ point cloud (element
@@ -45,33 +42,4 @@ func (s *Surface) WritePLY(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// BuildParallel is Build with the per-atom tessellation fanned out over a
-// work-stealing pool — surface construction is the pipeline's second
-// largest serial cost after the energy kernels. Results are identical to
-// Build (each atom's points are produced independently and concatenated
-// in atom order).
-func BuildParallel(m *molecule.Molecule, cfg Config, pool *sched.Pool) (*Surface, error) {
-	if pool == nil || pool.NumWorkers() == 1 {
-		return Build(m, cfg)
-	}
-	sp, err := newSampler(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	perAtom := make([][]QPoint, m.NumAtoms())
-	grain := m.NumAtoms()/(8*pool.NumWorkers()) + 1
-	pool.ParallelRange(m.NumAtoms(), grain, func(w *sched.Worker, lo, hi int) {
-		var sc scratch
-		for i := lo; i < hi; i++ {
-			perAtom[i] = sp.appendAtom(nil, i, &sc)
-		}
-	})
-	s := &Surface{}
-	for _, pts := range perAtom {
-		s.tally(pts)
-		s.Points = append(s.Points, pts...)
-	}
-	return s, nil
 }

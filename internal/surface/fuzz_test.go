@@ -14,15 +14,17 @@ import (
 const fuzzAtomBytes = 25
 
 // decodeFuzzMolecule reads a config selector byte and then up to 48 atoms.
-// Coordinates are finite and within ±5e299, so spans reach 1e300; a radius
-// byte b maps to (b+1)/64 Å, in (0, 4].
-func decodeFuzzMolecule(data []byte) (*molecule.Molecule, Config) {
+// The selector byte c picks referenceConfigs[c % 4] and a second rule
+// degree, c / 4 % 8 + 1. Coordinates are finite and within ±5e299, so
+// spans reach 1e300; a radius byte b maps to (b+1)/64 Å, in (0, 4].
+func decodeFuzzMolecule(data []byte) (m *molecule.Molecule, cfg Config, degree2 int) {
 	if len(data) == 0 {
-		return &molecule.Molecule{Name: "fuzz"}, DefaultConfig()
+		return &molecule.Molecule{Name: "fuzz"}, DefaultConfig(), 2
 	}
-	cfg := referenceConfigs[int(data[0])%len(referenceConfigs)]
+	cfg = referenceConfigs[int(data[0])%len(referenceConfigs)]
+	degree2 = int(data[0])/len(referenceConfigs)%8 + 1
 	data = data[1:]
-	m := &molecule.Molecule{Name: "fuzz"}
+	m = &molecule.Molecule{Name: "fuzz"}
 	coord := func(b []byte) float64 {
 		v := math.Float64frombits(binary.LittleEndian.Uint64(b))
 		if math.IsNaN(v) {
@@ -37,7 +39,7 @@ func decodeFuzzMolecule(data []byte) (*molecule.Molecule, Config) {
 		})
 		data = data[fuzzAtomBytes:]
 	}
-	return m, cfg
+	return m, cfg, degree2
 }
 
 // encodeFuzzMolecule is decodeFuzzMolecule's inverse for seed inputs
@@ -54,8 +56,9 @@ func encodeFuzzMolecule(m *molecule.Molecule, config byte) []byte {
 }
 
 // FuzzBuildSurface: no molecule of up to 48 atoms panics the sampler or
-// exhausts memory, however far apart its atoms are, and Build equals the
-// reference sampler bit for bit.
+// exhausts memory, however far apart its atoms are. Build, and a
+// two-worker cull emitted at the config's degree and at a second one,
+// equal the reference sampler bit for bit.
 func FuzzBuildSurface(f *testing.F) {
 	const far = 9999.999
 	pair := &molecule.Molecule{Atoms: []molecule.Atom{
@@ -65,20 +68,35 @@ func FuzzBuildSurface(f *testing.F) {
 	roster := molecule.ZDockMolecule(molecule.ZDockRoster()[0])
 	roster.Atoms = roster.Atoms[:48]
 	for i, m := range []*molecule.Molecule{pair, molecule.Globule("globule", 20, 7), roster} {
-		f.Add(encodeFuzzMolecule(m, byte(i)))
+		// Config i; second degree 2, 4 and 6.
+		f.Add(encodeFuzzMolecule(m, byte(i+len(referenceConfigs)*(2*i+1))))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, cfg := decodeFuzzMolecule(data)
+		m, cfg, degree2 := decodeFuzzMolecule(data)
+		wants, err := referenceBuilds(m, cfg, []int{cfg.RuleDegree, degree2})
+		if err != nil {
+			t.Fatal(err)
+		}
 		got, err := Build(m, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := referenceBuild(m, cfg)
+		if d := surfaceDiff(got, wants[0]); d != "" {
+			t.Fatalf("%+v: Build: %s", cfg, d)
+		}
+		workers := min(2, max(1, m.NumAtoms()))
+		c, err := Cull(m, cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := surfaceDiff(got, want); d != "" {
-			t.Fatalf("%+v: %s", cfg, d)
+		for d, deg := range []int{cfg.RuleDegree, degree2} {
+			got, err := c.Emit(deg, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := surfaceDiff(got, wants[d]); diff != "" {
+				t.Fatalf("%+v: Emit(%d) on %d workers: %s", cfg, deg, workers, diff)
+			}
 		}
 	})
 }

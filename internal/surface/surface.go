@@ -14,11 +14,14 @@ package surface
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/nblist"
 	"gbpolar/internal/quadrature"
+	"gbpolar/internal/sched"
 )
 
 // QPoint is one quadrature point on the molecular surface: position,
@@ -55,7 +58,9 @@ type Config struct {
 	// approximating the solvent-excluded surface by its contact patches —
 	// crevices a water molecule cannot reach are not molecular surface,
 	// but the integration surface stays the physical one the r⁶ Born
-	// integral (Eq. 4) is defined on. 0 reduces to plain vdW culling.
+	// integral (Eq. 4) is defined on. 0 reduces to plain vdW culling. It
+	// must be finite and non-negative: a NaN or infinite probe, or one
+	// that makes the inflated radii negative, culls nothing.
 	ProbeRadius float64
 }
 
@@ -78,51 +83,54 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Build samples the molecular surface of m under cfg.
+// Build samples the molecular surface of m under cfg on one worker.
 func Build(m *molecule.Molecule, cfg Config) (*Surface, error) {
-	sp, err := newSampler(m, cfg)
+	return BuildWorkers(m, cfg, 1)
+}
+
+// BuildWorkers samples the molecular surface of m under cfg: a burial
+// pass (Cull), then an emission pass at cfg.RuleDegree (Culled.Emit),
+// each over contiguous atom ranges on the given number of workers, from
+// 1 to max(1, atoms). The surface is the same, bit for bit, at every
+// worker count.
+func BuildWorkers(m *molecule.Molecule, cfg Config, workers int) (*Surface, error) {
+	cfg = cfg.withDefaults()
+	if _, err := quadrature.Dunavant(cfg.RuleDegree); err != nil {
+		return nil, err
+	}
+	c, err := Cull(m, cfg, workers)
 	if err != nil {
 		return nil, err
 	}
-	var sc scratch
-	s := &Surface{}
-	for i := range m.Atoms {
-		n := len(s.Points)
-		s.Points = sp.appendAtom(s.Points, i, &sc)
-		s.tally(s.Points[n:])
-	}
-	return s, nil
+	return c.Emit(cfg.RuleDegree, workers)
 }
 
-// tally adds one atom's points, appended in order, to the totals.
-func (s *Surface) tally(pts []QPoint) {
-	if len(pts) > 0 {
-		s.ExposedAtoms++
-	}
-	for _, q := range pts {
-		s.Area += q.Weight
-	}
+// Culled is a molecule's burial pass: each atom's icosphere triangles
+// that accessibility culling keeps, in mesh order. Its size grows with
+// the surviving triangles, not with atoms × mesh triangles. The rule
+// degree plays no part in it, so one Culled serves every degree.
+type Culled struct {
+	m    *molecule.Molecule
+	mesh quadrature.SphereMesh
+	corr float64
+	// start and tris are a CSR list: atom i keeps the mesh triangles
+	// tris[start[i]:start[i+1]].
+	start []int
+	tris  []uint32
 }
 
-// sampler is one build's read-only state, shared by every atom.
-type sampler struct {
-	m     *molecule.Molecule
-	probe float64
-	maxR  float64 // largest accessibility radius
-	grid  *nblist.CellGrid
-	mesh  quadrature.SphereMesh
-	cens  []geom.Vec3 // unit triangle centres, one per mesh triangle
-	rule  quadrature.TriangleRule
-	corr  float64
-}
-
-func newSampler(m *molecule.Molecule, cfg Config) (*sampler, error) {
+// Cull runs the burial pass of m under cfg on the given number of
+// workers; cfg.RuleDegree is not read.
+func Cull(m *molecule.Molecule, cfg Config, workers int) (*Culled, error) {
 	cfg = cfg.withDefaults()
 	if cfg.IcoLevel < 0 || cfg.IcoLevel > 6 {
 		return nil, fmt.Errorf("surface: icosphere level %d out of range [0,6]", cfg.IcoLevel)
 	}
-	rule, err := quadrature.Dunavant(cfg.RuleDegree)
-	if err != nil {
+	if !(cfg.ProbeRadius >= 0) || math.IsInf(cfg.ProbeRadius, 1) {
+		return nil, fmt.Errorf("surface: probe radius %v must be finite and non-negative", cfg.ProbeRadius)
+	}
+	n := m.NumAtoms()
+	if err := checkWorkers(workers, n); err != nil {
 		return nil, err
 	}
 	mesh := quadrature.Icosphere(cfg.IcoLevel)
@@ -131,18 +139,142 @@ func newSampler(m *molecule.Molecule, cfg Config) (*sampler, error) {
 		cens[t] = mesh.Vertices[tr.A].Add(mesh.Vertices[tr.B]).Add(mesh.Vertices[tr.C]).Unit()
 	}
 	maxR := m.MaxRadius() + cfg.ProbeRadius
+	b := &burial{m: m, probe: cfg.ProbeRadius, maxR: maxR, grid: nblist.NewCellGrid(m.Positions(), 2*maxR), cens: cens}
 	// Spherical-area correction: the inscribed triangulation underestimates
 	// the sphere area by a constant factor at a given level; scaling the
 	// planar weights by 4π/meshArea makes a full sphere integrate exactly.
-	corr := 4 * 3.141592653589793 / mesh.Area()
-	return &sampler{m: m, probe: cfg.ProbeRadius, maxR: maxR, grid: nblist.NewCellGrid(m.Positions(), 2*maxR),
-		mesh: mesh, cens: cens, rule: rule, corr: corr}, nil
+	c := &Culled{m: m, mesh: mesh, corr: 4 * 3.141592653589793 / mesh.Area(), start: make([]int, n+1)}
+	chunks := numChunks(workers, n)
+	parts := make([][]uint32, chunks)
+	nbs := make([][]burier, workers)
+	fanOut(workers, chunks, func(w, k int) {
+		lo, hi := chunkRange(k, chunks, n)
+		var tris []uint32
+		for i := lo; i < hi; i++ {
+			before := len(tris)
+			tris, nbs[w] = b.cullAtom(tris, nbs[w], i)
+			c.start[i+1] = len(tris) - before
+		}
+		parts[k] = tris
+	})
+	for i := range n {
+		c.start[i+1] += c.start[i]
+	}
+	if chunks == 1 {
+		c.tris = parts[0]
+	} else {
+		c.tris = slices.Concat(parts...)
+	}
+	return c, nil
 }
 
-// scratch is one goroutine's per-atom working memory.
-type scratch struct {
-	nb   []burier
-	qbuf []quadrature.QuadPoint
+// Emit places the Dunavant rule of the given degree on every surviving
+// triangle, on the given number of workers: each atom's points go to
+// their prefix-sum offset in one exact-size Points slice, and Area is
+// then summed over the points in atom order.
+func (c *Culled) Emit(degree, workers int) (*Surface, error) {
+	rule, err := quadrature.Dunavant(degree)
+	if err != nil {
+		return nil, err
+	}
+	n := c.m.NumAtoms()
+	if err := checkWorkers(workers, n); err != nil {
+		return nil, err
+	}
+	s := &Surface{}
+	if len(c.tris) > 0 {
+		s.Points = make([]QPoint, len(c.tris)*rule.NumPoints())
+	}
+	chunks := numChunks(workers, n)
+	qbufs := make([][]quadrature.QuadPoint, workers)
+	fanOut(workers, chunks, func(w, k int) {
+		lo, hi := chunkRange(k, chunks, n)
+		qbufs[w] = c.emitAtoms(s.Points, qbufs[w], rule, lo, hi)
+	})
+	for i := range n {
+		if c.start[i+1] > c.start[i] {
+			s.ExposedAtoms++
+		}
+	}
+	for _, q := range s.Points {
+		s.Area += q.Weight
+	}
+	return s, nil
+}
+
+// emitAtoms writes the points of atoms [lo, hi) into pts, at their
+// offsets, and returns the rule buffer for reuse. Each point is the
+// rule's point on the vdW-scaled triangle, projected radially onto the
+// vdW sphere so normals are exact, with the corrected planar weight.
+func (c *Culled) emitAtoms(pts []QPoint, qbuf []quadrature.QuadPoint, rule quadrature.TriangleRule, lo, hi int) []quadrature.QuadPoint {
+	vs := c.mesh.Vertices
+	np := rule.NumPoints()
+	for i := lo; i < hi; i++ {
+		a := c.m.Atoms[i]
+		rVdW := a.Radius // integration radius
+		for k := c.start[i]; k < c.start[i+1]; k++ {
+			tr := c.mesh.Triangles[c.tris[k]]
+			qbuf = rule.ForTriangle(qbuf[:0],
+				a.Pos.Add(vs[tr.A].Scale(rVdW)), a.Pos.Add(vs[tr.B].Scale(rVdW)), a.Pos.Add(vs[tr.C].Scale(rVdW)))
+			for j, qp := range qbuf {
+				dir := qp.P.Sub(a.Pos).Unit()
+				pts[k*np+j] = QPoint{Pos: a.Pos.Add(dir.Scale(rVdW)), Normal: dir, Weight: qp.W * c.corr, Atom: int32(i)}
+			}
+		}
+	}
+	return qbuf
+}
+
+// checkWorkers refuses a worker count below one or above the atoms to
+// share out; one worker is always allowed.
+func checkWorkers(workers, atoms int) error {
+	if workers < 1 || workers > max(1, atoms) {
+		return fmt.Errorf("surface: %d workers for %d atoms, want 1 to max(1, atoms)", workers, atoms)
+	}
+	return nil
+}
+
+// numChunks is the number of contiguous atom ranges a pass over n atoms
+// is cut into: one for one worker, else eight per worker, so that
+// stealing evens out ranges of unequal cost.
+func numChunks(workers, n int) int {
+	if workers == 1 {
+		return min(n, 1)
+	}
+	return min(n, 8*workers)
+}
+
+// chunkRange is the atom range [lo, hi) of chunk k of chunks over n atoms.
+func chunkRange(k, chunks, n int) (lo, hi int) {
+	return k * n / chunks, (k + 1) * n / chunks
+}
+
+// fanOut runs fn once per chunk in [0, chunks), passing the index of the
+// worker that runs it: inline for one worker, else on a sched pool of
+// that many workers, whose goroutines have exited when fanOut returns.
+func fanOut(workers, chunks int, fn func(worker, chunk int)) {
+	if workers == 1 {
+		for k := range chunks {
+			fn(0, k)
+		}
+		return
+	}
+	pool := sched.New(workers)
+	defer pool.Close()
+	pool.ParallelRange(chunks, 1, func(w *sched.Worker, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			fn(w.ID(), k)
+		}
+	})
+}
+
+// burial is one cull's read-only state, shared by every atom.
+type burial struct {
+	m     *molecule.Molecule
+	probe float64
+	maxR  float64 // largest accessibility radius
+	grid  *nblist.CellGrid
+	cens  []geom.Vec3 // unit triangle centres, one per mesh triangle
 }
 
 // burier is a neighbour that may bury part of an atom's sphere: its
@@ -152,48 +284,38 @@ type burier struct {
 	r2  float64
 }
 
-// appendAtom appends atom i's quadrature points to dst: the rule's points
-// on every icosphere triangle whose centre, placed on the probe-inflated
-// sphere, lies outside every inflated neighbour. The points themselves lie
-// on the vdW sphere.
-func (sp *sampler) appendAtom(dst []QPoint, i int, sc *scratch) []QPoint {
-	a := sp.m.Atoms[i]
-	rAcc := a.Radius + sp.probe // accessibility (culling) radius
-	rVdW := a.Radius            // integration radius
-	sc.nb = sc.nb[:0]
-	sp.grid.ForEachWithin(a.Pos, rAcc+sp.maxR, func(j int) bool {
+// cullAtom appends to tris the index of every mesh triangle of atom i
+// whose centre, placed on the probe-inflated sphere, lies outside every
+// inflated neighbour. nb is working memory for the neighbours, returned
+// for reuse.
+func (b *burial) cullAtom(tris []uint32, nb []burier, i int) ([]uint32, []burier) {
+	a := b.m.Atoms[i]
+	rAcc := a.Radius + b.probe // accessibility (culling) radius
+	nb = nb[:0]
+	b.grid.ForEachWithin(a.Pos, rAcc+b.maxR, func(j int) bool {
 		const tol = 1e-9
-		b := sp.m.Atoms[j]
-		if rj := b.Radius + sp.probe; j != i && b.Pos.Dist(a.Pos) < rAcc+rj {
-			sc.nb = append(sc.nb, burier{pos: b.Pos, r2: (rj - tol) * (rj - tol)})
+		o := b.m.Atoms[j]
+		if rj := o.Radius + b.probe; j != i && o.Pos.Dist(a.Pos) < rAcc+rj {
+			nb = append(nb, burier{pos: o.Pos, r2: (rj - tol) * (rj - tol)})
 		}
 		return true
 	})
-	vs := sp.mesh.Vertices
-	for t, tr := range sp.mesh.Triangles {
-		if sc.covers(a.Pos.Add(sp.cens[t].Scale(rAcc))) {
-			continue
-		}
-		sc.qbuf = sp.rule.ForTriangle(sc.qbuf[:0],
-			a.Pos.Add(vs[tr.A].Scale(rVdW)), a.Pos.Add(vs[tr.B].Scale(rVdW)), a.Pos.Add(vs[tr.C].Scale(rVdW)))
-		for _, qp := range sc.qbuf {
-			// Project the quadrature point radially onto the vdW sphere
-			// so normals are exact; keep the (corrected) planar weight.
-			dir := qp.P.Sub(a.Pos).Unit()
-			dst = append(dst, QPoint{Pos: a.Pos.Add(dir.Scale(rVdW)), Normal: dir, Weight: qp.W * sp.corr, Atom: int32(i)})
+	for t, cen := range b.cens {
+		if !covers(nb, a.Pos.Add(cen.Scale(rAcc))) {
+			tris = append(tris, uint32(t))
 		}
 	}
-	return dst
+	return tris, nb
 }
 
 // covers reports whether p lies strictly inside a gathered neighbour.
 // Burial is an any-test, so the neighbours' order cannot change the
 // answer; a neighbour that buries p moves to the front, because adjacent
 // triangles of an atom tend to be buried by the same neighbour.
-func (sc *scratch) covers(p geom.Vec3) bool {
-	for k, b := range sc.nb {
-		if p.Dist2(b.pos) < b.r2 {
-			sc.nb[0], sc.nb[k] = b, sc.nb[0]
+func covers(nb []burier, p geom.Vec3) bool {
+	for k, o := range nb {
+		if p.Dist2(o.pos) < o.r2 {
+			nb[0], nb[k] = o, nb[0]
 			return true
 		}
 	}

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/quadrature"
-	"gbpolar/internal/sched"
 )
 
 func singleAtom(r float64) *molecule.Molecule {
@@ -285,13 +285,28 @@ func TestSurfacePositions(t *testing.T) {
 // order. The expressions are the sampler's, operand for operand.
 func referenceBuild(m *molecule.Molecule, cfg Config) (*Surface, error) {
 	cfg = cfg.withDefaults()
-	rule, err := quadrature.Dunavant(cfg.RuleDegree)
+	ss, err := referenceBuilds(m, cfg, []int{cfg.RuleDegree})
 	if err != nil {
 		return nil, err
 	}
+	return ss[0], nil
+}
+
+// referenceBuilds is referenceBuild at each of the given rule degrees,
+// with one brute-force neighbour search per atom for all of them.
+func referenceBuilds(m *molecule.Molecule, cfg Config, degrees []int) ([]*Surface, error) {
+	cfg = cfg.withDefaults()
+	rules := make([]quadrature.TriangleRule, len(degrees))
+	ss := make([]*Surface, len(degrees))
+	for d, deg := range degrees {
+		var err error
+		if rules[d], err = quadrature.Dunavant(deg); err != nil {
+			return nil, err
+		}
+		ss[d] = &Surface{}
+	}
 	mesh := quadrature.Icosphere(cfg.IcoLevel)
 	corr := 4 * 3.141592653589793 / mesh.Area()
-	s := &Surface{}
 	for i, a := range m.Atoms {
 		rAcc := a.Radius + cfg.ProbeRadius
 		var neighbors []int
@@ -319,18 +334,23 @@ func referenceBuild(m *molecule.Molecule, cfg Config) (*Surface, error) {
 			}
 			exposed = true
 			vertex := func(k int) geom.Vec3 { return a.Pos.Add(mesh.Vertices[k].Scale(a.Radius)) }
-			for _, qp := range rule.ForTriangle(nil, vertex(tr.A), vertex(tr.B), vertex(tr.C)) {
-				dir := qp.P.Sub(a.Pos).Unit()
-				w := qp.W * corr
-				s.Points = append(s.Points, QPoint{Pos: a.Pos.Add(dir.Scale(a.Radius)), Normal: dir, Weight: w, Atom: int32(i)})
-				s.Area += w
+			for d, rule := range rules {
+				s := ss[d]
+				for _, qp := range rule.ForTriangle(nil, vertex(tr.A), vertex(tr.B), vertex(tr.C)) {
+					dir := qp.P.Sub(a.Pos).Unit()
+					w := qp.W * corr
+					s.Points = append(s.Points, QPoint{Pos: a.Pos.Add(dir.Scale(a.Radius)), Normal: dir, Weight: w, Atom: int32(i)})
+					s.Area += w
+				}
 			}
 		}
 		if exposed {
-			s.ExposedAtoms++
+			for _, s := range ss {
+				s.ExposedAtoms++
+			}
 		}
 	}
-	return s, nil
+	return ss, nil
 }
 
 // surfaceDiff describes the first difference between two surfaces,
@@ -366,53 +386,75 @@ var referenceConfigs = []Config{
 	{IcoLevel: 0, RuleDegree: 3, ProbeRadius: 1.4},
 }
 
-// Build, and BuildParallel at 2 and 4 workers, equal the reference
+// Build, and BuildWorkers at 1 to 4 workers, equal the reference
 // sampler bit for bit on the roster's small molecules under every
-// reference config, and on the 1,500-atom globule that pins BuildParallel
-// to Build.
+// reference config, and on a 1,500-atom globule. One cull per molecule
+// and culling config, emitted on 1 to 4 workers at every Dunavant degree
+// (the default cull) or at two (the others), equals the reference at
+// each degree.
 func TestBuildMatchesReference(t *testing.T) {
 	maxAtoms := 1200
 	if testing.Short() {
 		maxAtoms = 600
 	}
-	type input struct {
-		m   *molecule.Molecule
-		cfg Config
-	}
-	var inputs []input
+	var mols []*molecule.Molecule
 	for _, e := range molecule.ZDockRoster() {
 		if e.Atoms > maxAtoms {
 			break
 		}
-		m := molecule.ZDockMolecule(e)
+		mols = append(mols, molecule.ZDockMolecule(e))
+	}
+	mols = append(mols, molecule.Globule("p", 1500, 61))
+	for _, m := range mols {
 		for _, cfg := range referenceConfigs {
-			inputs = append(inputs, input{m, cfg})
-		}
-	}
-	inputs = append(inputs, input{molecule.Globule("p", 1500, 61), DefaultConfig()})
-	pools := []*sched.Pool{nil, sched.New(2), sched.New(4)} // nil falls back to Build
-	for _, pool := range pools[1:] {
-		defer pool.Close()
-	}
-	for _, in := range inputs {
-		want, err := referenceBuild(in.m, in.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Build(in.m, in.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := surfaceDiff(got, want); d != "" {
-			t.Fatalf("%s %+v: Build: %s", in.m.Name, in.cfg, d)
-		}
-		for _, pool := range pools {
-			got, err := BuildParallel(in.m, in.cfg, pool)
+			want, err := referenceBuild(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Build(m, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if d := surfaceDiff(got, want); d != "" {
-				t.Fatalf("%s %+v: BuildParallel(%v): %s", in.m.Name, in.cfg, pool, d)
+				t.Fatalf("%s %+v: Build: %s", m.Name, cfg, d)
+			}
+			for w := 1; w <= 4; w++ {
+				got, err := BuildWorkers(m, cfg, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := surfaceDiff(got, want); d != "" {
+					t.Fatalf("%s %+v: BuildWorkers(%d): %s", m.Name, cfg, w, d)
+				}
+			}
+		}
+		// The culling configs of referenceConfigs: the rule degree plays
+		// no part in a cull.
+		for i, cull := range []struct {
+			cfg     Config
+			degrees []int
+		}{
+			{DefaultConfig(), []int{1, 2, 3, 4, 5, 6, 7, 8}},
+			{referenceConfigs[2], []int{2, 5}},
+			{referenceConfigs[3], []int{4, 8}},
+		} {
+			cfg, degrees := cull.cfg, cull.degrees
+			wants, err := referenceBuilds(m, cfg, degrees)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := Cull(m, cfg, 1+i%4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for d, deg := range degrees {
+				got, err := c.Emit(deg, 1+(i+deg)%4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := surfaceDiff(got, wants[d]); diff != "" {
+					t.Fatalf("%s %+v: Emit(%d) from one cull: %s", m.Name, cfg, deg, diff)
+				}
 			}
 		}
 	}
@@ -444,14 +486,102 @@ func TestBuildFarApartAtoms(t *testing.T) {
 	}
 }
 
-func TestBuildParallelValidation(t *testing.T) {
-	pool := sched.New(2)
-	defer pool.Close()
-	if _, err := BuildParallel(singleAtom(1), Config{IcoLevel: 9}, pool); err == nil {
-		t.Error("absurd level accepted")
+// The sampler's entries refuse a bad icosphere level, a bad rule degree,
+// and a worker count below one or above the atoms; one worker is always
+// allowed, even for a molecule without atoms.
+func TestBuildWorkersValidation(t *testing.T) {
+	pair := &molecule.Molecule{Name: "pair", Atoms: []molecule.Atom{
+		{Pos: geom.V(0, 0, 0), Radius: 1.5},
+		{Pos: geom.V(2, 0, 0), Radius: 1.5},
+	}}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		workers int
+	}{
+		{"absurd level", Config{IcoLevel: 9}, 2},
+		{"negative level", Config{IcoLevel: -1}, 1},
+		{"bad rule degree", Config{RuleDegree: 42}, 2},
+		{"no workers", DefaultConfig(), 0},
+		{"negative workers", DefaultConfig(), -2},
+		{"more workers than atoms", DefaultConfig(), 3},
+	} {
+		if _, err := BuildWorkers(pair, tc.cfg, tc.workers); err == nil {
+			t.Errorf("BuildWorkers: %s accepted", tc.name)
+		}
 	}
-	if _, err := BuildParallel(singleAtom(1), Config{RuleDegree: 42}, pool); err == nil {
-		t.Error("bad rule degree accepted")
+	for _, w := range []int{0, 3} {
+		if _, err := Cull(pair, DefaultConfig(), w); err == nil {
+			t.Errorf("Cull: %d workers for 2 atoms accepted", w)
+		}
+	}
+	c, err := Cull(pair, DefaultConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ degree, workers int }{{0, 1}, {9, 1}, {1, 0}, {1, 3}} {
+		if _, err := c.Emit(tc.degree, tc.workers); err == nil {
+			t.Errorf("Emit(%d, %d) accepted", tc.degree, tc.workers)
+		}
+	}
+	empty := &molecule.Molecule{Name: "empty"}
+	if s, err := BuildWorkers(empty, DefaultConfig(), 1); err != nil || s.NumPoints() != 0 {
+		t.Errorf("empty molecule on one worker: %v, %v", s, err)
+	}
+	if _, err := BuildWorkers(empty, DefaultConfig(), 2); err == nil {
+		t.Error("empty molecule on two workers accepted")
+	}
+}
+
+// A NaN or infinite probe radius, or one that makes the inflated radii
+// negative, culled nothing: on a 300-atom globule every atom came out
+// exposed, with 80 points each and 8,033.7 Å² of SASA, where the default
+// probe exposes 141 atoms and 468.8 Å². Every non-finite or negative
+// probe is refused; zero stays the plain vdW cull.
+func TestRejectsProbeThatCullsNothing(t *testing.T) {
+	m := molecule.Exactly(molecule.Globule("globule", 300, 1), 300, 1)
+	for _, probe := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3, -1e-12} {
+		if s, err := Build(m, Config{ProbeRadius: probe}); err == nil {
+			t.Errorf("probe %v accepted: %d of %d atoms exposed, %.1f Å²", probe, s.ExposedAtoms, m.NumAtoms(), s.Area)
+		}
+		if _, err := Cull(m, Config{ProbeRadius: probe}, 2); err == nil {
+			t.Errorf("Cull: probe %v accepted", probe)
+		}
+	}
+	for _, probe := range []float64{0, 1.4} {
+		if _, err := Build(m, Config{ProbeRadius: probe}); err != nil {
+			t.Errorf("probe %v refused: %v", probe, err)
+		}
+	}
+}
+
+// A multi-worker build returns after its pool's goroutines have exited.
+func TestBuildWorkersLeavesNoGoroutine(t *testing.T) {
+	m := molecule.Globule("g", 400, 3)
+	before := runtime.NumGoroutine()
+	for w := 2; w <= 4; w++ {
+		if _, err := BuildWorkers(m, DefaultConfig(), w); err != nil {
+			t.Fatal(err)
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("%d goroutines after a %d-worker build, %d before", after, w, before)
+		}
+	}
+}
+
+// The finest icosphere level is accepted: a free atom keeps all 81,920
+// triangles and still integrates to 4πr².
+func TestFinestLevel(t *testing.T) {
+	const r = 1.7
+	s, err := BuildWorkers(singleAtom(r), Config{IcoLevel: 6}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumPoints() != 81920 {
+		t.Errorf("%d points, want 81920", s.NumPoints())
+	}
+	if want := 4 * math.Pi * r * r; math.Abs(s.Area-want)/want > 1e-12 {
+		t.Errorf("area = %v, want %v", s.Area, want)
 	}
 }
 

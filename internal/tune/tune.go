@@ -358,8 +358,14 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 	// ε, the highest degree searched. Lazily built surface + system per
 	// quadrature order, each at the reference point, so every candidate
 	// at that degree is a cheap RunSpec.Accuracy override (WithAccuracy
-	// builds the quadrupole moments only for an order-2 candidate).
+	// builds the quadrupole moments only for an order-2 candidate). The
+	// degrees differ only in the rule placed on the surviving triangles,
+	// so one burial pass serves them all; both passes run on the
+	// search's cores, at most one per atom.
 	refAcc := gridPoint(minEps, opt.MaxQuadOrder, gb.OrderMonopole)
+	n := mol.NumAtoms()
+	workers := min(min(max(opt.Processes, 1), n)*min(max(opt.ThreadsPerProcess, 1), n), n) // no overflow: each factor ≤ n
+	var culled *surface.Culled
 	surfs := make(map[int]*surface.Surface)
 	systems := make(map[int]*gb.System)
 	getSystem := func(q int) (*gb.System, *surface.Surface, error) {
@@ -369,9 +375,13 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 		if err := canceled(); err != nil {
 			return nil, nil, err
 		}
-		cfg := baseSurf
-		cfg.RuleDegree = q
-		surf, err := surface.Build(mol, cfg)
+		if culled == nil {
+			var err error
+			if culled, err = surface.Cull(mol, baseSurf, workers); err != nil {
+				return nil, nil, fmt.Errorf("tune: culling the surface: %w", err)
+			}
+		}
+		surf, err := culled.Emit(q, workers)
 		if err != nil {
 			return nil, nil, fmt.Errorf("tune: building degree-%d surface: %w", q, err)
 		}

@@ -447,3 +447,48 @@ func TestSnapshotIsTheAdmittedRun(t *testing.T) {
 		t.Error("a search retried on one rank handed back a checkpoint")
 	}
 }
+
+// Select culls its molecule once, on its cores, and emits every degree's
+// surface from that cull. Each is surface.Build's at that degree, bit for
+// bit: the reference corner's degree 2, emitted first, under a target no
+// cheaper point meets, and a degree-1 pick, emitted second, under a
+// loose one.
+func TestSelectSurfacesMatchBuild(t *testing.T) {
+	mol := molecule.Exactly(molecule.Globule("globule-500", 500, 500), 500, 500)
+	for _, tc := range []struct {
+		target float64
+		degree int
+	}{{1e-9, 2}, {1e3, 1}} {
+		sel, err := Select(mol, tc.target, Options{Processes: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := sel.Point.Acc.QuadOrder; q != tc.degree {
+			t.Fatalf("target %v: picked degree %d, want %d", tc.target, q, tc.degree)
+		}
+		cfg := surface.DefaultConfig()
+		cfg.RuleDegree = tc.degree
+		want, err := surface.Build(mol, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sel.Surface
+		if sel.System.Surf != got {
+			t.Fatalf("degree %d: the system runs on another surface", tc.degree)
+		}
+		if len(got.Points) != len(want.Points) || math.Float64bits(got.Area) != math.Float64bits(want.Area) ||
+			got.ExposedAtoms != want.ExposedAtoms {
+			t.Fatalf("degree %d: %d points, area %v, %d exposed; Build: %d, %v, %d", tc.degree,
+				len(got.Points), got.Area, got.ExposedAtoms, len(want.Points), want.Area, want.ExposedAtoms)
+		}
+		bits := func(q surface.QPoint) [8]uint64 {
+			f := math.Float64bits
+			return [8]uint64{f(q.Pos.X), f(q.Pos.Y), f(q.Pos.Z), f(q.Normal.X), f(q.Normal.Y), f(q.Normal.Z), f(q.Weight), uint64(q.Atom)}
+		}
+		for i, q := range got.Points {
+			if bits(q) != bits(want.Points[i]) {
+				t.Fatalf("degree %d: point %d = %+v, Build's %+v", tc.degree, i, q, want.Points[i])
+			}
+		}
+	}
+}
