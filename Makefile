@@ -54,11 +54,12 @@ lint-json:
 lint-self:
 	$(GO) test -count=1 -run 'TestGolden|TestMalformedIgnore|TestCallGraph|TestLoad' ./internal/analysis/
 
-# chaos-smoke replays seeded chaos schedules against the runtime and the
-# self-healing drivers under a short deadline: any deadlock fails fast.
+# chaos-smoke replays seeded chaos schedules against the runtime and
+# runDistributed, the self-healing driver, under a short deadline: any
+# deadlock fails fast.
 chaos-smoke:
 	$(GO) test -timeout 120s -count=1 \
-		-run 'TestChaosPlanNoDeadlock|TestChaosRecoverNeverDeadlocksOrLies|TestDistDataChaosNeverDeadlocks' \
+		-run 'TestChaosPlanNoDeadlock|TestChaosRecoverNeverDeadlocksOrLies' \
 		./internal/simmpi/ ./internal/gb/
 
 # trace-smoke runs a small fault-free layout sweep with -trace-out and

@@ -243,7 +243,13 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 			}
 		}
 	}()
-	go func() { d.done <- cmd.Wait() }()
+	// Wait closes the stderr pipe, dropping any line the scanner has not
+	// read yet (the daemon's last, the exit event), so it runs only after
+	// the scanner reached EOF.
+	go func() {
+		<-d.scanDone
+		d.done <- cmd.Wait()
+	}()
 	select {
 	case addr := <-addrCh:
 		d.base = "http://" + addr

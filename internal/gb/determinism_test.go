@@ -49,21 +49,27 @@ func TestCilkBitwiseDeterministic(t *testing.T) {
 }
 
 // TestDistributedBitwiseDeterministic runs the message-passing drivers
-// (pure MPI, hybrid MPI×Cilk, and the distributed-data variant) twice at
-// a fixed layout and demands bitwise-identical results.
+// (pure MPI under both work divisions, hybrid MPI×Cilk, and the
+// distributed-data variant) twice at a fixed layout and demands
+// bitwise-identical results.
 func TestDistributedBitwiseDeterministic(t *testing.T) {
 	s := buildSys(t, 500, DefaultParams())
+	atomParams := DefaultParams()
+	atomParams.Division = AtomNode
+	atom := buildSys(t, 500, atomParams)
 
 	for _, P := range []int{2, 5} {
-		a, err := s.Run(RunSpec{Processes: P})
-		if err != nil {
-			t.Fatal(err)
+		for _, sys := range []*System{s, atom} {
+			a, err := sys.Run(RunSpec{Processes: P})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := sys.Run(RunSpec{Processes: P})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bitwiseSame(t, fmt.Sprintf("mpi %s P=%d", sys.Params.Division, P), a, b)
 		}
-		b, err := s.Run(RunSpec{Processes: P})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitwiseSame(t, "mpi", a, b)
 	}
 
 	ha, err := s.Run(RunSpec{Processes: 2, ThreadsPerProcess: 3})

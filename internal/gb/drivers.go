@@ -134,13 +134,12 @@ func (s *System) validateLayout(P, p int) error {
 	if p > n/P {
 		return fmt.Errorf("%w: P×p = %d×%d cores exceed the %d atoms (at least one atom per core)", ErrInvalidLayout, P, p, n)
 	}
-	if s.Params.Division == NodeNode {
-		if n := len(s.qLeaves); P > n {
-			return fmt.Errorf("%w: P=%d exceeds the %d quadrature leaves of the node division", ErrInvalidLayout, P, n)
-		}
-		if n := len(s.aLeaves); P > n {
-			return fmt.Errorf("%w: P=%d exceeds the %d atom leaves of the node division", ErrInvalidLayout, P, n)
-		}
+	if n := len(s.qLeaves); s.Params.Division == NodeNode && P > n {
+		return fmt.Errorf("%w: P=%d exceeds the %d quadrature leaves of the node division", ErrInvalidLayout, P, n)
+	}
+	// Every division shares atom leaves in the energy phase.
+	if n := len(s.aLeaves); P > n {
+		return fmt.Errorf("%w: P=%d exceeds the %d atom leaves of the energy phase", ErrInvalidLayout, P, n)
 	}
 	return nil
 }
@@ -549,42 +548,24 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 				}
 			}
 			sp := rec.StartSpan(rank, phaseName(spanEpol, iter))
-			var partialP *epolPart
-			switch s.Params.Division {
-			case NodeNode:
-				lo, hi := share(len(s.aLeaves))
-				partialP = reduceRange(pool, hi-lo, newEpolPart,
-					//lint:ignore hotalloc per-phase worker body; allocated once per energy round and amortized over its whole range
-					func(worker, i0, i1 int, part *epolPart) {
-						pass := epolPass{u: s, uAgg: agg, v: s, vAgg: agg, factor: factor, sc: scratch[worker], tally: &part.tally}
-						sum := 0.0
-						ops := int64(0)
-						for _, v := range s.aLeaves[lo+i0 : lo+i1] {
-							vs, vops := pass.leaf(v)
-							sum += vs
-							ops += vops
-						}
-						part.sum += sum
-						perCoreOps[coreBase+worker] += ops
-					},
-					(*epolPart).merge)
-			case AtomNode:
-				alo, ahi := share(s.NumAtoms())
-				partialP = reduceRange(pool, ahi-alo, newEpolPart,
-					//lint:ignore hotalloc per-phase worker body; allocated once per energy round and amortized over its whole range
-					func(worker, i0, i1 int, part *epolPart) {
-						sum := 0.0
-						ops := int64(0)
-						for pos := alo + i0; pos < alo+i1; pos++ {
-							vs, vops := s.approxEpolAtom(int32(pos), s.TA.Root(), agg, factor, &part.tally)
-							sum += vs
-							ops += vops
-						}
-						part.sum += sum
-						perCoreOps[coreBase+worker] += ops
-					},
-					(*epolPart).merge)
-			}
+			// Both divisions share atom leaves here: Division splits only
+			// the Born-integral phase.
+			lo, hi := share(len(s.aLeaves))
+			partialP := reduceRange(pool, hi-lo, newEpolPart,
+				//lint:ignore hotalloc per-phase worker body; allocated once per energy round and amortized over its whole range
+				func(worker, i0, i1 int, part *epolPart) {
+					pass := epolPass{u: s, uAgg: agg, v: s, vAgg: agg, factor: factor, sc: scratch[worker], tally: &part.tally}
+					sum := 0.0
+					ops := int64(0)
+					for _, v := range s.aLeaves[lo+i0 : lo+i1] {
+						vs, vops := pass.leaf(v)
+						sum += vs
+						ops += vops
+					}
+					part.sum += sum
+					perCoreOps[coreBase+worker] += ops
+				},
+				(*epolPart).merge)
 			partial := partialP.sum
 			// Ordered interactions, as in PerCoreOps (see pairTally).
 			rec.Count("pairs.epol.near", partialP.tally.near)
@@ -630,15 +611,9 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 				if j < len(lost) && lost[j] == d {
 					continue // lost before this phase: share already re-assigned
 				}
-				if s.Params.Division == NodeNode {
-					lo, hi := liveShare(len(s.aLeaves), prevLive, stragglers, d)
-					//lint:ignore hotalloc cold degrade path; the dead share's atom count is unknown until the walk completes
-					deadAtoms = append(deadAtoms, s.shareAtomsNodeNode(lo, hi)...)
-				} else {
-					lo, hi := liveShare(s.NumAtoms(), prevLive, stragglers, d)
-					//lint:ignore hotalloc cold degrade path; the dead share's atom count is unknown until the walk completes
-					deadAtoms = append(deadAtoms, s.shareAtomsAtomNode(lo, hi)...)
-				}
+				lo, hi := liveShare(len(s.aLeaves), prevLive, stragglers, d)
+				//lint:ignore hotalloc cold degrade path; the dead share's atom count is unknown until the walk completes
+				deadAtoms = append(deadAtoms, s.shareAtomsNodeNode(lo, hi)...)
 			}
 			energy = -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * sum[0]
 			bound = s.degradedBound(deadAtoms)

@@ -1,6 +1,8 @@
 package gb
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -149,11 +151,12 @@ func TestAtomDivisionEnergyVariesWithP(t *testing.T) {
 	s := buildSys(t, 600, params)
 	// The serial run is the one-rank layout, so it honours the division
 	// too: Run(RunSpec{}) is bitwise the P = 1 atom-division run.
-	bitwiseSame(t, "serial vs P=1", mustRun(t, s, RunSpec{Processes: 1}), mustRun(t, s, RunSpec{}))
+	one := mustRun(t, s, RunSpec{})
+	bitwiseSame(t, "serial vs P=1", mustRun(t, s, RunSpec{Processes: 1}), one)
 	// §IV: with atom-based division the error changes with the process
-	// count (division boundaries split tree nodes); with node-based
-	// division it does not. Every P must stay close to the node-division
-	// energy.
+	// count (division boundaries split tree nodes in the Born-integral
+	// phase); with node-based division it does not. Every P must stay
+	// close to the node-division energy.
 	ref := mustRun(t, buildSys(t, 600, DefaultParams()), RunSpec{})
 	energies := map[float64]bool{}
 	for _, P := range []int{1, 2, 5} {
@@ -162,9 +165,43 @@ func TestAtomDivisionEnergyVariesWithP(t *testing.T) {
 			t.Errorf("P=%d: atom division energy off by %v", P, rel)
 		}
 		energies[r.Epol] = true
+		if P == 1 {
+			continue
+		}
+		// The energies alone could differ by summation order; the radii
+		// show the split nodes themselves.
+		moved := 0
+		for i := range r.Born {
+			if math.Float64bits(r.Born[i]) != math.Float64bits(one.Born[i]) {
+				moved++
+			}
+		}
+		if moved == 0 {
+			t.Errorf("P=%d: every Born radius equals P=1's — expected split nodes to move some", P)
+		}
 	}
 	if len(energies) < 2 {
 		t.Error("atom-based division produced identical energies for all P — expected P-dependence")
+	}
+}
+
+// TestAtomDivisionOneRankMatchesNodeDivision: at one rank no atom range
+// splits a node, and both divisions run the same energy phase, so the
+// atom division computes the node division's Epol, every Born radius and
+// per-core op count bit for bit, with one thread or two.
+func TestAtomDivisionOneRankMatchesNodeDivision(t *testing.T) {
+	params := DefaultParams()
+	params.Division = AtomNode
+	atom := buildSys(t, 600, params)
+	node := buildSys(t, 600, DefaultParams())
+	for _, p := range []int{1, 2} {
+		label := fmt.Sprintf("1×%d", p)
+		a := mustRun(t, atom, RunSpec{ThreadsPerProcess: p})
+		n := mustRun(t, node, RunSpec{ThreadsPerProcess: p})
+		bitwiseSame(t, label, n, a)
+		if fmt.Sprint(a.PerCoreOps) != fmt.Sprint(n.PerCoreOps) {
+			t.Errorf("%s: atom division PerCoreOps %v, node division %v", label, a.PerCoreOps, n.PerCoreOps)
+		}
 	}
 }
 
@@ -251,6 +288,18 @@ func TestRunDistributedValidation(t *testing.T) {
 	bitwiseSame(t, "p=0", mustRun(t, s, RunSpec{Processes: 2, ThreadsPerProcess: 1}), mustRun(t, s, RunSpec{Processes: 2}))
 	if _, err := s.Run(RunSpec{Processes: s.NumAtoms() + 1}); err == nil {
 		t.Error("more ranks than atoms accepted")
+	}
+	// The atom division splits atoms in the Born-integral phase but atom
+	// leaves in the energy phase, so it too needs a leaf per rank.
+	params := DefaultParams()
+	params.Division = AtomNode
+	atom := buildSys(t, 200, params)
+	P := len(atom.aLeaves) + 1
+	if P > atom.NumAtoms() {
+		t.Fatalf("%d atom leaves leave no rank count between the leaves and the %d atoms", P-1, atom.NumAtoms())
+	}
+	if _, err := atom.Run(RunSpec{Processes: P}); !errors.Is(err, ErrInvalidLayout) {
+		t.Errorf("atom division at P=%d over %d atom leaves: err %v, want ErrInvalidLayout", P, P-1, err)
 	}
 }
 

@@ -99,7 +99,11 @@ func drainChunks(c *simmpi.Comm, fn func(lo, hi int)) error {
 // One rank is sacrificed to coordination (P must be ≥ 2); the payoff is
 // that per-rank work tracks the realized leaf costs instead of the
 // static segment sizes — the cross-rank analogue of the within-rank work
-// stealing, and the paper's proposed future extension.
+// stealing, and the paper's proposed future extension. Its results are
+// not bitwise deterministic per layout: which compute rank a chunk grant
+// reaches decides which rank's accumulator (Born) and running sum
+// (energy) the chunk joins before the reductions, so reruns at one P
+// agree only to rounding.
 func (s *System) RunMPIDynamic(P int) (*Result, error) {
 	if P < 2 {
 		return nil, fmt.Errorf("gb: dynamic load balancing needs P ≥ 2 (one coordinator), got %d", P)

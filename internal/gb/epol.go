@@ -268,8 +268,8 @@ func epolFar(d, ru, rv, factor float64) bool {
 // pairs.epol.{near,far}. Like the op count, near counts ordered
 // interactions, not kernel calls: a mutually near leaf pair evaluated
 // once still counts on both sides (DESIGN.md §13). A nil tally disables
-// counting, so callers that only want the sum (Complex, the distributed
-// data variants) pass nil.
+// counting, so callers that only want the sum (System.Epol, Complex, the
+// distributed-data driver, RunMPIDynamic) pass nil.
 type pairTally struct{ near, far int64 }
 
 func (t *pairTally) addNear(n int64) {

@@ -156,58 +156,6 @@ func denseFarClassSum(ua *denseAggregates, u int32, va *denseAggregates, v int32
 	return sum, ops
 }
 
-// denseFarClassSumAtom is the dense sweep of farClassSumAtom.
-func denseFarClassSumAtom(da *denseAggregates, u int32, qi, ri, d float64, dvec geom.Vec3,
-	ord int, approx bool) (float64, int64) {
-	r2 := d * d
-	dhat := dvec.Scale(1 / d)
-	sum := 0.0
-	ops := int64(0)
-	base := int(u) * da.M
-	for j := 0; j < da.M; j++ {
-		qu := da.hist[base+j]
-		var du float64
-		if ord >= OrderDipole {
-			du = dhat.Dot(da.dip[base+j])
-		}
-		if qu == 0 && du == 0 &&
-			(ord != OrderQuadrupole || da.quad[base+j] == (geom.Mat3{})) {
-			continue
-		}
-		t := ri * math.Sqrt(da.powR[2*j])
-		var e, invF float64
-		if approx {
-			e = fastExp(-r2 / (4 * t))
-			invF = fastInvSqrt(r2 + t*e)
-		} else {
-			e = math.Exp(-r2 / (4 * t))
-			invF = 1 / math.Sqrt(r2+t*e)
-		}
-		if ord == OrderMonopole {
-			sum += qi * qu * invF
-			ops++
-			continue
-		}
-		gp := -d * (1 - e/4) * invF * invF * invF
-		sum += qi*qu*invF + qi*gp*du
-		if ord == OrderQuadrupole {
-			up := 2 * d * (1 - e/4)
-			upp := 2*(1-e/4) + (r2/(4*t))*e
-			invF3 := invF * invF * invF
-			gpp := 0.75*up*up*invF3*invF*invF - 0.5*upp*invF3
-			ku := &da.quad[base+j]
-			a2 := dhat.Dot(ku.MulVec(dhat))
-			b2 := ku[0] + ku[4] + ku[8]
-			sum += qi * (0.5*gpp*a2 + (0.5*gp/d)*(b2-a2))
-		}
-		ops++
-	}
-	if ops == 0 {
-		ops = 1
-	}
-	return sum, ops
-}
-
 // refNearSum is the exact leaf-pair loop over original atom indices:
 // charges from Mol, positions from atomPos, radii by atom index, each
 // source atom's row summed from +0 and the rows added in order. With
@@ -305,9 +253,9 @@ func vecBits(v geom.Vec3) []float64 { return []float64{v.X, v.Y, v.Z} }
 
 // checkSparseAgainstDense asserts the CSR invariants and the equivalence
 // with the dense oracle: stored entries equal their dense slots bitwise,
-// unstored slots are zero in the dense layout, every far pair of both
-// traversals reproduces the dense sweep's (sum, ops) bitwise, and so does
-// every node–node leaf traversal's op count. The node–node traversal
+// unstored slots are zero in the dense layout, every far pair of the
+// traversal reproduces the dense sweep's (sum, ops) bitwise, and so does
+// every leaf traversal's op count. The node–node traversal
 // sums each mutually near leaf pair once, so only its whole-tree sum is
 // the ordered-pair oracle's, to rounding.
 func checkSparseAgainstDense(t *testing.T, s *System, radii []float64, agg *epolAggregates) {
@@ -442,51 +390,6 @@ func checkSparseAgainstDense(t *testing.T, s *System, radii []float64, agg *epol
 	}
 	if rel := relDiff(gsum, wsum); rel > 1e-13 {
 		t.Fatalf("whole-tree sum %v, dense %v (rel %.3g)", gsum, wsum, rel)
-	}
-	// The atom–node traversal: every far node against the dense sweep,
-	// and each atom's whole sum against the original-index reference walk.
-	kernel := pairEnergyKernel(s.Params.Math)
-	var walkAtom func(ai, u int32) (float64, int64)
-	walkAtom = func(ai, u int32) (float64, int64) {
-		un := &s.TA.Nodes[u]
-		pi, qi, ri := s.atomPos[ai], s.Mol.Atoms[ai].Charge, radii[ai]
-		d := un.Center.Dist(pi)
-		if !un.Leaf && epolFar(d, un.Radius, 0, factor) {
-			gs, gops := farClassSumAtom(agg, u, qi, ri, d, un.Center.Sub(pi), approx, nil)
-			ws, wops := denseFarClassSumAtom(da, u, qi, ri, d, un.Center.Sub(pi), ord, approx)
-			if math.Float64bits(gs) != math.Float64bits(ws) || gops != wops {
-				t.Fatalf("atom %d far node %d: (%v, %d), dense (%v, %d)", ai, u, gs, gops, ws, wops)
-			}
-			return ws, wops
-		}
-		sum, ops := 0.0, int64(1)
-		if un.Leaf {
-			ops = 0
-			for _, vi := range s.TA.ItemsOf(u) {
-				if vi == ai {
-					sum += qi * qi / ri
-				} else {
-					sum += kernel(qi*s.Mol.Atoms[vi].Charge, pi.Dist2(s.atomPos[vi]), ri*radii[vi])
-				}
-				ops++
-			}
-			return sum, ops
-		}
-		for _, c := range un.Children {
-			if c != octree.NoChild {
-				cs, cops := walkAtom(ai, c)
-				sum += cs
-				ops += cops
-			}
-		}
-		return sum, ops
-	}
-	for pos, ai := range s.TA.Items {
-		ws, wops := walkAtom(ai, s.TA.Root())
-		gs, gops := s.approxEpolAtom(int32(pos), s.TA.Root(), agg, factor, nil)
-		if math.Float64bits(gs) != math.Float64bits(ws) || gops != wops {
-			t.Fatalf("atom %d traversal: (%v, %d), reference (%v, %d)", ai, gs, gops, ws, wops)
-		}
 	}
 }
 

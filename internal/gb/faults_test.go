@@ -85,35 +85,49 @@ func TestCrashDegradeHonestBound(t *testing.T) {
 	// mirror terms of the mutually near blocks its targets own across the
 	// share boundary, which the live neighbours skipped (ownership is
 	// global, DESIGN.md §13). Under Degrade the result must carry an
-	// ErrorBound that really contains the deficit, for every layout and
-	// every dead rank.
-	s := buildSys(t, 400, DefaultParams())
-	serial := mustRun(t, s, RunSpec{})
-	for _, P := range []int{2, 3, 4} {
-		for rank := range P {
-			t.Run(fmt.Sprintf("P%d/crash%d", P, rank), func(t *testing.T) {
-				plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: rank, AtOp: 7}}}
-				r, err := s.Run(RunSpec{Processes: P, Faults: &FaultConfig{Plan: plan, Policy: Degrade}})
-				if err != nil {
-					t.Fatal(err)
+	// ErrorBound that really contains the deficit, for every layout, every
+	// dead rank and both work divisions. The node division's radii are
+	// P-invariant, so its reference is the serial run; the atom
+	// division's move with P, so its reference is a clean run at the same
+	// P.
+	atomParams := DefaultParams()
+	atomParams.Division = AtomNode
+	for _, s := range []*System{buildSys(t, 400, DefaultParams()), buildSys(t, 400, atomParams)} {
+		serial := mustRun(t, s, RunSpec{})
+		for _, P := range []int{2, 3, 4} {
+			ref := serial
+			if s.Params.Division == AtomNode {
+				ref = mustRun(t, s, RunSpec{Processes: P})
+			}
+			for rank := range P {
+				name := fmt.Sprintf("P%d/crash%d", P, rank)
+				if s.Params.Division == AtomNode {
+					name = "atom-node/" + name
 				}
-				if !r.Degraded {
-					t.Fatal("result not marked Degraded")
-				}
-				if r.ErrorBound <= 0 {
-					t.Fatalf("ErrorBound = %v, want positive", r.ErrorBound)
-				}
-				miss := math.Abs(r.Epol - serial.Epol)
-				if miss > r.ErrorBound {
-					t.Errorf("|Epol−serial| = %v exceeds ErrorBound %v", miss, r.ErrorBound)
-				}
-				if miss == 0 {
-					t.Error("degraded energy equals serial — the crash injected nothing")
-				}
-				if len(r.LostRanks) != 1 || r.LostRanks[0] != rank {
-					t.Errorf("LostRanks = %v, want [%d]", r.LostRanks, rank)
-				}
-			})
+				t.Run(name, func(t *testing.T) {
+					plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: rank, AtOp: 7}}}
+					r, err := s.Run(RunSpec{Processes: P, Faults: &FaultConfig{Plan: plan, Policy: Degrade}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !r.Degraded {
+						t.Fatal("result not marked Degraded")
+					}
+					if r.ErrorBound <= 0 {
+						t.Fatalf("ErrorBound = %v, want positive", r.ErrorBound)
+					}
+					miss := math.Abs(r.Epol - ref.Epol)
+					if miss > r.ErrorBound {
+						t.Errorf("|Epol−ref| = %v exceeds ErrorBound %v", miss, r.ErrorBound)
+					}
+					if miss == 0 {
+						t.Error("degraded energy equals the clean run's — the crash injected nothing")
+					}
+					if len(r.LostRanks) != 1 || r.LostRanks[0] != rank {
+						t.Errorf("LostRanks = %v, want [%d]", r.LostRanks, rank)
+					}
+				})
+			}
 		}
 	}
 }
@@ -258,142 +272,6 @@ func TestLayoutValidation(t *testing.T) {
 	}
 	if _, err := s.RunMPIDynamic(1); err == nil {
 		t.Error("RunMPIDynamic(1) accepted")
-	}
-}
-
-// ---- distributed-data driver under faults ------------------------------
-
-// Op map of runDistData's fault-tolerant path (P = 3): op0 initial
-// agree; born ring round 1: op1 send, op2 recv; round 2: op3 send, op4
-// recv; radii heal: op5 Tick, op6 Allgatherv, op7 agree; energy heal:
-// op8 Tick, op9 Allreduce, op10 agree. (A retried send shifts the
-// subsequent indices on that rank.)
-
-func TestDistDataEmptyPlanBitwiseIdentical(t *testing.T) {
-	s := buildSys(t, 300, DefaultParams())
-	base, err := s.RunMPIDistributedData(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft, err := s.RunMPIDistributedDataWithFaults(3, &FaultConfig{Plan: &fault.Plan{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ft.Epol != base.Epol {
-		t.Errorf("empty plan changed Epol: %v vs %v", ft.Epol, base.Epol)
-	}
-	for i := range base.Born {
-		if ft.Born[i] != base.Born[i] {
-			t.Fatalf("empty plan changed Born[%d]", i)
-		}
-	}
-}
-
-func TestDistDataDropRetryRecovers(t *testing.T) {
-	// Rank 0's first ring send (op 1, to rank 1) is dropped twice; the
-	// bounded-retry loop must re-send and the run completes at full
-	// accuracy, with the recovery cost visible in the traffic stats.
-	s := buildSys(t, 300, DefaultParams())
-	serial := mustRun(t, s, RunSpec{})
-	plan := &fault.Plan{Events: []fault.Event{
-		{Kind: fault.Drop, Rank: 0, To: 1, AtOp: 1, Count: 2},
-	}}
-	r, err := s.RunMPIDistributedDataWithFaults(3, &FaultConfig{Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Traffic.Drops != 2 || r.Traffic.Retries != 2 {
-		t.Errorf("drops=%d retries=%d, want 2 and 2", r.Traffic.Drops, r.Traffic.Retries)
-	}
-	if r.Traffic.BackoffNanos == 0 {
-		t.Error("no backoff recorded for the retries")
-	}
-	if rel := relDiff(r.Epol, serial.Epol); rel > 0.02 {
-		t.Errorf("Epol %v vs serial %v (rel %v)", r.Epol, serial.Epol, rel)
-	}
-	if r.Degraded {
-		t.Error("drop recovery must not degrade the result")
-	}
-}
-
-func TestDistDataCrashAdoption(t *testing.T) {
-	// Rank 1 dies immediately. Its quadrature bundle must be rebuilt
-	// locally by the ring peers, and its atom segment's radii recomputed by
-	// an adopting survivor — the Born vector comes back complete and the
-	// energy within the driver's approximation band of serial.
-	s := buildSys(t, 300, DefaultParams())
-	serial := mustRun(t, s, RunSpec{})
-	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: 1, AtOp: 0}}}
-	r, err := s.RunMPIDistributedDataWithFaults(3, &FaultConfig{Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.LostRanks) != 1 || r.LostRanks[0] != 1 {
-		t.Errorf("LostRanks = %v, want [1]", r.LostRanks)
-	}
-	if !r.Recovered || r.Degraded {
-		t.Errorf("flags: Recovered=%v Degraded=%v", r.Recovered, r.Degraded)
-	}
-	for i, b := range r.Born {
-		if b <= 0 {
-			t.Fatalf("Born[%d] = %v — adoption left a hole in the radii vector", i, b)
-		}
-		if relDiff(b, serial.Born[i]) > 0.02 {
-			t.Fatalf("Born[%d] = %v vs serial %v", i, b, serial.Born[i])
-		}
-	}
-	if rel := relDiff(r.Epol, serial.Epol); rel > 0.02 {
-		t.Errorf("Epol %v vs serial %v (rel %v)", r.Epol, serial.Epol, rel)
-	}
-}
-
-func TestDistDataDegradeHonestBound(t *testing.T) {
-	// Rank 2 dies entering the energy phase. The reference for the bound
-	// check is the SAME fault-tolerant code path with a numerically inert
-	// plan (one delayed send), so approximation differences between the
-	// protocols cannot masquerade as bound violations.
-	s := buildSys(t, 300, DefaultParams())
-	inert := &fault.Plan{Events: []fault.Event{
-		{Kind: fault.Delay, Rank: 0, To: 1, AtOp: 1, Count: 1, Dur: time.Millisecond},
-	}}
-	ref, err := s.RunMPIDistributedDataWithFaults(3, &FaultConfig{Plan: inert})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: 2, AtOp: 8}}}
-	r, err := s.RunMPIDistributedDataWithFaults(3, &FaultConfig{Plan: plan, Policy: Degrade})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Degraded || r.ErrorBound <= 0 {
-		t.Fatalf("Degraded=%v ErrorBound=%v", r.Degraded, r.ErrorBound)
-	}
-	miss := math.Abs(r.Epol - ref.Epol)
-	if miss > r.ErrorBound {
-		t.Errorf("|Epol−ref| = %v exceeds ErrorBound %v", miss, r.ErrorBound)
-	}
-	if miss == 0 {
-		t.Error("degraded energy equals reference — the crash injected nothing")
-	}
-}
-
-func TestDistDataChaosNeverDeadlocks(t *testing.T) {
-	s := buildSys(t, 200, DefaultParams())
-	serial := mustRun(t, s, RunSpec{})
-	for seed := int64(1); seed <= 4; seed++ {
-		plan := fault.Chaos(seed, 4, 6)
-		r, err := s.RunMPIDistributedDataWithFaults(4, &FaultConfig{Plan: plan, Policy: Recover})
-		if err != nil {
-			t.Errorf("seed %d: %v", seed, err)
-			continue
-		}
-		if r.Degraded {
-			t.Errorf("seed %d: Recover policy degraded", seed)
-		}
-		if rel := relDiff(r.Epol, serial.Epol); rel > 0.02 {
-			t.Errorf("seed %d: Epol %v vs serial %v (rel %v, lost %v)",
-				seed, r.Epol, serial.Epol, rel, r.LostRanks)
-		}
 	}
 }
 

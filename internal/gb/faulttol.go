@@ -1,19 +1,17 @@
 package gb
 
 import (
-	"errors"
-	"fmt"
 	"math"
-	"time"
 
 	"gbpolar/internal/fault"
 	"gbpolar/internal/simmpi"
 )
 
-// This file holds the fault-tolerance policy layer the distributed
-// drivers share. The runtime half lives in internal/simmpi (deadlock-free
-// collectives over the live set, health view, error returns); this half
-// turns those primitives into *self-healing*:
+// This file holds the fault-tolerance policy layer of runDistributed,
+// the driver behind every layout. The runtime half lives in
+// internal/simmpi (deadlock-free collectives over the live set, health
+// view, error returns); this half turns those primitives into
+// *self-healing*:
 //
 //   - agreeLost: survivors agree on one identical lost-rank set through a
 //     Max-allreduce of crash-observation bitmasks, so every recovery
@@ -29,9 +27,6 @@ import (
 //     over the shrunk live set. Discard-and-redo makes double-counting
 //     impossible: a result is only accepted when no rank died between the
 //     partition decision and the post-phase agreement;
-//   - sendRetry: bounded retry with exponential backoff for dropped
-//     point-to-point messages (the backoff is modeled, not slept, and
-//     priced by internal/perf);
 //   - degradedBound: a rigorous upper bound on the |Epol| mass of the
 //     pair terms a lost rank's targets produce, used by the Degrade
 //     policy to return a partial energy with an honest error bar instead
@@ -100,33 +95,6 @@ func (cfg *FaultConfig) plan() *fault.Plan {
 		return nil
 	}
 	return cfg.Plan
-}
-
-// sendRetries bounds the re-sends of a dropped message, and
-// sendBackoff is the first retry's modeled backoff, doubled per attempt.
-const (
-	sendRetries = 3
-	sendBackoff = 50 * time.Microsecond
-)
-
-// sendRetry sends with bounded retry and exponential backoff on injected
-// drops. The backoff is recorded in the traffic stats (modeled recovery
-// cost), not slept. Non-drop errors (dead peer, abort) return
-// immediately — retrying those cannot succeed.
-func sendRetry(c *simmpi.Comm, to int, data []float64) error {
-	backoff := sendBackoff
-	for attempt := 0; ; attempt++ {
-		err := c.Send(to, data)
-		if !errors.Is(err, simmpi.ErrDropped) {
-			return err
-		}
-		if attempt >= sendRetries {
-			return fmt.Errorf("gb: send to rank %d still dropped after %d retries: %w",
-				to, sendRetries, err)
-		}
-		c.RecordRetry(backoff)
-		backoff *= 2
-	}
 }
 
 // agreeLost produces one lost-rank set identical on every live rank: a
@@ -258,17 +226,12 @@ func (s *System) degradedBound(atoms []int32) float64 {
 }
 
 // shareAtomsNodeNode lists the atoms inside the atom-leaf range
-// [lo, hi) of s.aLeaves — the V-side atoms of a NodeNode energy share.
+// [lo, hi) of s.aLeaves — the V-side atoms of an energy share, which is
+// an atom-leaf range under either division.
 func (s *System) shareAtomsNodeNode(lo, hi int) []int32 {
 	out := make([]int32, 0, (hi-lo)*s.Params.LeafAtoms)
 	for _, v := range s.aLeaves[lo:hi] {
 		out = append(out, s.TA.ItemsOf(v)...)
 	}
 	return out
-}
-
-// shareAtomsAtomNode lists the atoms of the octree-position range
-// [lo, hi) — the V-side atoms of an AtomNode energy share.
-func (s *System) shareAtomsAtomNode(lo, hi int) []int32 {
-	return s.TA.Items[lo:hi]
 }

@@ -10,17 +10,19 @@ import (
 )
 
 // Division selects the paper's work-distribution scheme (§IV, "Different
-// Work Distribution Approaches").
+// Work Distribution Approaches") for the Born-integral phase. The energy
+// phase divides atom leaves among processes under either division.
 type Division int
 
 const (
-	// NodeNode divides octree leaf nodes among processes in both phases —
-	// the paper's default: best time AND an approximation error that is
-	// independent of the process count.
+	// NodeNode divides quadrature leaf nodes among processes in the
+	// Born-integral phase — the paper's default: best time AND an
+	// approximation error that is independent of the process count.
 	NodeNode Division = iota
-	// AtomNode divides atoms among processes: slightly slower, and the
-	// error varies with the process count because division boundaries
-	// split tree nodes.
+	// AtomNode divides atoms among processes in the Born-integral phase:
+	// slightly slower, and the error varies with the process count
+	// because division boundaries split tree nodes. At one rank no node
+	// is split, and it computes NodeNode's result bit for bit.
 	AtomNode
 )
 

@@ -62,7 +62,7 @@ func (d *deque) stealTop() Task {
 	return t
 }
 
-// size returns the current task count (racy snapshot).
+// size returns the current task count.
 func (d *deque) size() int {
 	d.mu.Lock()
 	n := len(d.tasks)

@@ -137,8 +137,15 @@ func (w *Worker) loop() {
 			p.mu.Unlock()
 			return
 		}
-		// Re-check under the lock via a last steal attempt to avoid a
-		// missed wakeup between the failed steal and parking.
+		// Re-check every deque under the lock before parking. A task
+		// pushed after the failed steal above is either seen here, or
+		// its pusher takes the lock after this worker parks, sees
+		// idle > 0 and signals; without the re-check a push into that
+		// gap wakes no one and Run waits forever.
+		if p.queued() {
+			p.mu.Unlock()
+			continue
+		}
 		p.idle++
 		p.parks.Add(1)
 		p.cond.Wait()
@@ -149,6 +156,16 @@ func (w *Worker) loop() {
 			return
 		}
 	}
+}
+
+// queued reports whether any worker's deque holds a task.
+func (p *Pool) queued() bool {
+	for _, v := range p.workers {
+		if v.dq.size() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // nextRand advances the worker's xorshift generator.

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRunExecutes(t *testing.T) {
@@ -258,5 +259,27 @@ func TestWorkerAccessors(t *testing.T) {
 	})
 	if p.TasksSpawned() == 0 {
 		t.Error("TasksSpawned did not count")
+	}
+}
+
+// TestFreshPoolRunNeverHangs runs one task on many freshly started pools,
+// whose workers are still on their way to parking when Run pushes the
+// task: a worker that found no work and parks without re-checking misses
+// that push, and Run waits forever. Under the race detector, which widens
+// the gap, the unchecked park hung within a few thousand pools.
+func TestFreshPoolRunNeverHangs(t *testing.T) {
+	for i := 0; i < 20000; i++ {
+		p := New(1 + i%2)
+		done := make(chan struct{})
+		go func() {
+			p.ParallelRange(4, 1, func(w *Worker, lo, hi int) {})
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("pool %d (%d workers): Run never returned", i, p.NumWorkers())
+		}
+		p.Close()
 	}
 }

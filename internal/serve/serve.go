@@ -693,9 +693,11 @@ func (s *Server) runJob(j *job) {
 		s.count("serve.jobs.degraded", 1)
 	}
 	runDur := s.cfg.Clock().Sub(start)
-	s.observeSLO(j, queueWait, runDur)
+	// The SLO histograms come last: a reader that sees a job's SLO sample
+	// also sees its critical-path gauges.
 	s.publishCritPath(out.Recorder)
 	s.rec.ObserveGauge("serve.job.wall_us", runDur.Microseconds())
+	s.observeSLO(j, queueWait, runDur)
 }
 
 // superviseJob builds the system and runs the ladder, both on the job's

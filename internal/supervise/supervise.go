@@ -125,9 +125,8 @@ type Spec struct {
 	Retries int
 	// BackoffBase is the first retry's modeled backoff, doubled per retry
 	// with seeded jitter in [1,2) (default 2ms). The backoff is modeled
-	// (accumulated in Outcome.BackoffModeled), not slept: like gb's
-	// sendRetry backoff it prices the protocol without making the test
-	// suite wait for it.
+	// (accumulated in Outcome.BackoffModeled), not slept: it prices the
+	// protocol without making the test suite wait for it.
 	BackoffBase time.Duration
 	// Seed seeds the jitter generator — same seed, same ladder walk.
 	Seed int64
