@@ -54,13 +54,16 @@ lint-json:
 lint-self:
 	$(GO) test -count=1 -run 'TestGolden|TestMalformedIgnore|TestCallGraph|TestLoad' ./internal/analysis/
 
-# chaos-smoke replays seeded chaos schedules against the runtime and
-# runDistributed, the self-healing driver, under a short deadline: any
-# deadlock fails fast.
+# chaos-smoke replays seeded chaos schedules under a short deadline, so
+# any deadlock fails fast: crash and straggler plans (fault.Chaos)
+# against the runtime and runDistributed, the self-healing driver; plans
+# with corruptions too (fault.ChaosWithCorruption) against
+# runDistributed, which must never return silently damaged numbers; and
+# both generators through serve's supervisor under load.
 chaos-smoke:
 	$(GO) test -timeout 120s -count=1 \
-		-run 'TestChaosPlanNoDeadlock|TestChaosRecoverNeverDeadlocksOrLies' \
-		./internal/simmpi/ ./internal/gb/
+		-run 'TestChaosPlanNoDeadlock|TestChaosRecoverNeverDeadlocksOrLies|TestChaosCorruptionNeverSilent|TestChaosUnderLoad' \
+		./internal/simmpi/ ./internal/gb/ ./internal/serve/
 
 # trace-smoke runs a small fault-free layout sweep with -trace-out and
 # -metrics-out and asserts the Chrome trace parses with every rank

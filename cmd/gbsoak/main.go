@@ -2,7 +2,7 @@
 // runs the gbd daemon core in-process, generation after generation, on a
 // seeded fault-injecting filesystem — ENOSPC, short and torn writes,
 // fsync errors and fsync lies, corrupt reads, slow I/O — combined with
-// network fault plans (rank crash/drop/delay/straggle), mid-run kills,
+// network fault plans (rank crash/straggle), mid-run kills,
 // graceful drains, and power loss after drain. It then asserts the
 // daemon's durability story end to end:
 //

@@ -34,7 +34,7 @@ import (
 // Two job classes share each incarnation. "Bitwise" jobs see only disk
 // faults and crashes — their non-degraded results must match the clean
 // oracle bit for bit. "Chaos" jobs additionally get network fault plans
-// (rank crash/drop/delay/straggle) on their first attempt — their
+// (rank crash/straggle) on their first attempt — their
 // results must be within the priced error bound. The memory gate is
 // exercised by a deliberately oversized probe (413) and by the shared
 // budget; a shrunk job is visible in its result and exempted from the

@@ -250,8 +250,8 @@ func isDoneRecv(info *types.Info, u *ast.UnaryExpr) bool {
 // rank arrives or a message lands: the collectives plus the bare Recv.
 // RecvTimeout and TryRecv are the non-blocking escape hatches.
 var simmpiBlocking = map[string]bool{
-	"Recv": true, "Barrier": true, "Sync": true, "Bcast": true,
-	"Reduce": true, "Allreduce": true, "Gather": true, "Allgatherv": true,
+	"Recv": true, "Barrier": true, "Sync": true,
+	"Allreduce": true, "Allgatherv": true,
 }
 
 // blockingCall classifies a call as a known blocking primitive.

@@ -9,10 +9,7 @@ import (
 // same sequence.
 var collectiveNames = map[string]bool{
 	"Barrier":    true,
-	"Bcast":      true,
-	"Reduce":     true,
 	"Allreduce":  true,
-	"Gather":     true,
 	"Allgatherv": true,
 }
 

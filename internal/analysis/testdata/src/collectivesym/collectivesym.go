@@ -46,7 +46,7 @@ func switchDiverge(c *simmpi.Comm, v []float64) {
 	case 0:
 		_ = c.Barrier()
 	default:
-		_, _ = c.Gather(v, 0)
+		_, _ = c.Allgatherv(v)
 	}
 }
 

@@ -21,7 +21,7 @@ func dropped(c *simmpi.Comm) {
 // Positives: blanking every error position discards it just as surely.
 func blanked(c *simmpi.Comm) {
 	_, _ = c.Allreduce(nil, simmpi.Sum) // want "error result of simmpi.Allreduce is assigned to the blank identifier"
-	v, _ := c.Gather(nil, 0)            // want "error result of simmpi.Gather is assigned to the blank identifier"
+	v, _ := c.Allgatherv(nil)           // want "error result of simmpi.Allgatherv is assigned to the blank identifier"
 	_ = v
 	_, _ = fault.Parse("chaos:5") // want "error result of fault.Parse is assigned to the blank identifier"
 }

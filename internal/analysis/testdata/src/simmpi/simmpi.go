@@ -25,17 +25,8 @@ func (c *Comm) Size() int { return c.size }
 // Barrier blocks until every rank arrives.
 func (c *Comm) Barrier() error { return nil }
 
-// Bcast broadcasts buf from root.
-func (c *Comm) Bcast(buf []float64, root int) error { return nil }
-
-// Reduce combines contributions at root.
-func (c *Comm) Reduce(v []float64, op Op, root int) ([]float64, error) { return v, nil }
-
 // Allreduce combines contributions everywhere.
 func (c *Comm) Allreduce(v []float64, op Op) ([]float64, error) { return v, nil }
-
-// Gather collects contributions at root.
-func (c *Comm) Gather(v []float64, root int) ([]float64, error) { return v, nil }
 
 // Allgatherv concatenates variable-length contributions everywhere.
 func (c *Comm) Allgatherv(v []float64) ([]float64, error) { return v, nil }

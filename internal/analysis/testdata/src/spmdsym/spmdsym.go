@@ -20,7 +20,8 @@ func taintedVariable(c *simmpi.Comm) error {
 	r := c.Rank()
 	leader := r == 0
 	if leader {
-		return c.Bcast(nil, 0) // want "collective Bcast is only reached under a rank-dependent condition"
+		_, err := c.Allreduce(nil, simmpi.Sum) // want "collective Allreduce is only reached under a rank-dependent condition"
+		return err
 	}
 	return nil
 }
@@ -78,9 +79,9 @@ func symmetricIfElse(c *simmpi.Comm, seg []float64) ([]float64, error) {
 func symmetricSwitch(c *simmpi.Comm) error {
 	switch c.Rank() {
 	case 0:
-		return c.Bcast(nil, 0)
+		return c.Barrier()
 	default:
-		return c.Bcast(nil, 0)
+		return c.Barrier()
 	}
 }
 

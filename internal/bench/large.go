@@ -8,7 +8,6 @@ import (
 	"gbpolar/internal/gb"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/perf"
-	"gbpolar/internal/simmpi"
 )
 
 // fig11 reproduces the Figure 11 table: the Cucumber Mosaic Virus shell
@@ -150,5 +149,3 @@ func fig11(o Options) (*Table, error) {
 func quadraticOps(n int) int64 {
 	return int64(n) * int64(n+1) / 2
 }
-
-var _ = simmpi.Stats{}

@@ -1,6 +1,6 @@
 // Package fault provides a deterministic, replayable fault model for the
 // simulated cluster runtime: a Plan is a seeded list of injected events
-// (rank crashes, message drops, message delays, straggler slowdowns) that
+// (rank crashes, straggler slowdowns, corrupted collective payloads) that
 // internal/simmpi consults at every communication operation. Events
 // trigger on per-rank operation counters, never on wall-clock time, so a
 // plan replays identically on every run of an SPMD driver — the property
@@ -24,23 +24,15 @@ const (
 	// Crash kills the rank at its AtOp-th communication operation: the
 	// rank stops executing and never contributes again.
 	Crash Kind = iota
-	// Drop discards Count consecutive point-to-point send attempts from
-	// Rank (to To, or to anyone when To < 0) starting at op AtOp. The
-	// sender observes an error and may retry; a retry is a fresh attempt
-	// that consumes the next slot of the window.
-	Drop
-	// Delay stalls Count matching send attempts by Dur each (modeled in
-	// full in the traffic statistics; the real in-process sleep is capped
-	// so tests stay fast).
-	Delay
 	// Straggle slows the rank down: every operation in [AtOp, AtOp+Count)
-	// stalls by Dur, emulating a rank pinned on an oversubscribed or
-	// thermally-throttled node.
+	// stalls by Dur (modeled in full in the traffic statistics; the real
+	// in-process sleep is capped so tests stay fast), emulating a rank
+	// pinned on an oversubscribed or thermally-throttled node.
 	Straggle
-	// Corrupt flips bits in the payload Rank publishes at the affected
-	// operations (sends and collective contributions; operations without a
-	// payload are unaffected). The runtime checksums payloads under
-	// injection, so corruption is always *detected* — this kind tests the
+	// Corrupt flips bits in the collective contribution Rank publishes at
+	// the affected operations (operations without a payload are
+	// unaffected). The runtime checksums contributions under injection, so
+	// corruption is always *detected* — this kind tests the
 	// detection/retransmit machinery, not silent data loss.
 	Corrupt
 )
@@ -49,10 +41,6 @@ func (k Kind) String() string {
 	switch k {
 	case Crash:
 		return "crash"
-	case Drop:
-		return "drop"
-	case Delay:
-		return "delay"
 	case Straggle:
 		return "slow"
 	case Corrupt:
@@ -64,17 +52,15 @@ func (k Kind) String() string {
 // Event is one injected fault.
 type Event struct {
 	Kind Kind
-	// Rank is the acting rank (the sender for Drop/Delay).
+	// Rank is the acting rank.
 	Rank int
-	// To filters the destination for Drop/Delay; -1 matches any.
-	To int
 	// AtOp is the first affected operation index of Rank's per-rank
 	// operation counter.
 	AtOp int64
-	// Count is the number of affected operations (Drop/Delay/Straggle);
+	// Count is the number of affected operations (Straggle/Corrupt);
 	// values < 1 are treated as 1. Ignored for Crash.
 	Count int64
-	// Dur is the injected per-operation latency (Delay/Straggle).
+	// Dur is the injected per-operation stall (Straggle).
 	Dur time.Duration
 }
 
@@ -91,20 +77,32 @@ type Plan struct {
 func (p *Plan) Empty() bool { return p == nil || len(p.Events) == 0 }
 
 // Chaos generates a random-but-reproducible plan for a world of the given
-// size: n events drawn from all four kinds. Rank 0 and at least half the
-// ranks are never crashed, so every run retains survivors able to heal or
-// degrade (killing everything is a different test, written by hand).
+// size: n events drawn from crashes and stragglers. Rank 0 and at least
+// half the ranks are never crashed, so every run retains survivors able to
+// heal or degrade (killing everything is a different test, written by
+// hand).
 func Chaos(seed int64, ranks, n int) *Plan {
+	return chaos(seed, ranks, n, []Kind{Crash, Straggle})
+}
+
+// ChaosWithCorruption is Chaos with Corrupt events mixed into the draw.
+func ChaosWithCorruption(seed int64, ranks, n int) *Plan {
+	return chaos(seed, ranks, n, []Kind{Crash, Straggle, Corrupt})
+}
+
+// chaos draws n events uniformly from kinds; a crash past the crash
+// budget (or in a one-rank world) becomes a straggler.
+func chaos(seed int64, ranks, n int, kinds []Kind) *Plan {
 	rng := rand.New(rand.NewSource(seed))
 	p := &Plan{Seed: seed}
 	maxCrashes := (ranks - 1) / 2
 	crashes := 0
 	for i := 0; i < n; i++ {
-		kind := Kind(rng.Intn(4))
+		kind := kinds[rng.Intn(len(kinds))]
 		if kind == Crash && (crashes >= maxCrashes || ranks < 2) {
 			kind = Straggle
 		}
-		ev := Event{Kind: kind, To: -1}
+		ev := Event{Kind: kind}
 		switch kind {
 		case Crash:
 			// Spare rank 0: it is the output/coordination rank of the
@@ -112,55 +110,6 @@ func Chaos(seed int64, ranks, n int) *Plan {
 			ev.Rank = 1 + rng.Intn(ranks-1)
 			ev.AtOp = int64(rng.Intn(12))
 			crashes++
-		case Drop:
-			ev.Rank = rng.Intn(ranks)
-			ev.AtOp = int64(rng.Intn(8))
-			ev.Count = int64(1 + rng.Intn(3))
-		case Delay:
-			ev.Rank = rng.Intn(ranks)
-			ev.AtOp = int64(rng.Intn(8))
-			ev.Count = int64(1 + rng.Intn(3))
-			ev.Dur = time.Duration(50+rng.Intn(500)) * time.Microsecond
-		case Straggle:
-			ev.Rank = rng.Intn(ranks)
-			ev.AtOp = int64(rng.Intn(4))
-			ev.Count = int64(4 + rng.Intn(16))
-			ev.Dur = time.Duration(20+rng.Intn(200)) * time.Microsecond
-		}
-		p.Events = append(p.Events, ev)
-	}
-	return p
-}
-
-// ChaosWithCorruption is Chaos with Corrupt events mixed into the draw.
-// It is a separate generator on purpose: extending Chaos's kind range
-// would shift every subsequent rng draw and silently change all existing
-// seeded plans the chaos tests and replay flags depend on.
-func ChaosWithCorruption(seed int64, ranks, n int) *Plan {
-	rng := rand.New(rand.NewSource(seed))
-	p := &Plan{Seed: seed}
-	maxCrashes := (ranks - 1) / 2
-	crashes := 0
-	for i := 0; i < n; i++ {
-		kind := Kind(rng.Intn(5))
-		if kind == Crash && (crashes >= maxCrashes || ranks < 2) {
-			kind = Straggle
-		}
-		ev := Event{Kind: kind, To: -1}
-		switch kind {
-		case Crash:
-			ev.Rank = 1 + rng.Intn(ranks-1)
-			ev.AtOp = int64(rng.Intn(12))
-			crashes++
-		case Drop:
-			ev.Rank = rng.Intn(ranks)
-			ev.AtOp = int64(rng.Intn(8))
-			ev.Count = int64(1 + rng.Intn(3))
-		case Delay:
-			ev.Rank = rng.Intn(ranks)
-			ev.AtOp = int64(rng.Intn(8))
-			ev.Count = int64(1 + rng.Intn(3))
-			ev.Dur = time.Duration(50+rng.Intn(500)) * time.Microsecond
 		case Straggle:
 			ev.Rank = rng.Intn(ranks)
 			ev.AtOp = int64(rng.Intn(4))
@@ -180,13 +129,9 @@ func ChaosWithCorruption(seed int64, ranks, n int) *Plan {
 type Action struct {
 	// Crash: the rank must die now.
 	Crash bool
-	// Drop: the send attempt is lost in transit.
-	Drop bool
 	// Corrupt: the payload this rank publishes at this operation is
 	// bit-flipped in transit.
 	Corrupt bool
-	// Delay is injected wire latency for this send.
-	Delay time.Duration
 	// Straggle is injected compute slowdown for this operation.
 	Straggle time.Duration
 }
@@ -207,7 +152,6 @@ type rankState struct {
 
 type window struct {
 	kind  Kind
-	to    int
 	at    int64
 	count int64
 	dur   time.Duration
@@ -240,16 +184,15 @@ func (p *Plan) NewInjector(ranks int) *Injector {
 			count = 1
 		}
 		rs.windows = append(rs.windows, window{
-			kind: ev.Kind, to: ev.To, at: ev.AtOp, count: count, dur: ev.Dur,
+			kind: ev.Kind, at: ev.AtOp, count: count, dur: ev.Dur,
 		})
 	}
 	return in
 }
 
 // Advance consumes one operation slot for rank and returns the injected
-// faults for it. send marks point-to-point send attempts (the only ops
-// Drop/Delay windows apply to); to is the destination rank, or -1.
-func (in *Injector) Advance(rank int, send bool, to int) Action {
+// faults for it.
+func (in *Injector) Advance(rank int) Action {
 	if in == nil || rank < 0 || rank >= len(in.ranks) {
 		return Action{}
 	}
@@ -264,18 +207,11 @@ func (in *Injector) Advance(rank int, send bool, to int) Action {
 	}
 	for i := range rs.windows {
 		w := &rs.windows[i]
-		if op < w.at || op >= w.at+w.count {
+		// op-w.at, unlike w.at+w.count, cannot overflow once op ≥ w.at.
+		if op < w.at || op-w.at >= w.count {
 			continue
 		}
 		switch w.kind {
-		case Drop:
-			if send && (w.to < 0 || w.to == to) {
-				act.Drop = true
-			}
-		case Delay:
-			if send && (w.to < 0 || w.to == to) {
-				act.Delay += w.dur
-			}
 		case Straggle:
 			act.Straggle += w.dur
 		case Corrupt:

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -11,78 +12,59 @@ func TestInjectorCrash(t *testing.T) {
 	p := &Plan{Events: []Event{{Kind: Crash, Rank: 1, AtOp: 2}}}
 	in := p.NewInjector(4)
 	for op := 0; op < 2; op++ {
-		if act := in.Advance(1, false, -1); act.Crash {
+		if act := in.Advance(1); act.Crash {
 			t.Fatalf("crashed early at op %d", op)
 		}
 	}
-	if act := in.Advance(1, false, -1); !act.Crash {
+	if act := in.Advance(1); !act.Crash {
 		t.Fatal("no crash at op 2")
 	}
 	// Other ranks unaffected.
 	for op := 0; op < 10; op++ {
-		if act := in.Advance(0, false, -1); act.Crash {
+		if act := in.Advance(0); act.Crash {
 			t.Fatal("rank 0 crashed")
 		}
 	}
 }
 
-func TestInjectorDropWindow(t *testing.T) {
-	p := &Plan{Events: []Event{{Kind: Drop, Rank: 0, To: 2, AtOp: 1, Count: 2}}}
-	in := p.NewInjector(3)
-	drops := 0
-	for op := 0; op < 6; op++ {
-		if in.Advance(0, true, 2).Drop {
-			drops++
-		}
-	}
-	if drops != 2 {
-		t.Fatalf("drops = %d, want 2", drops)
-	}
-	// Non-send ops and other destinations never drop.
-	in2 := p.NewInjector(3)
-	if in2.Advance(0, false, -1).Drop {
-		t.Error("non-send op dropped")
-	}
-	if in2.Advance(0, true, 1).Drop {
-		t.Error("send to non-matching destination dropped")
-	}
-}
-
 func TestInjectorDelayAndStraggle(t *testing.T) {
 	p := &Plan{Events: []Event{
-		{Kind: Delay, Rank: 0, To: -1, AtOp: 0, Count: 1, Dur: time.Millisecond},
 		{Kind: Straggle, Rank: 1, AtOp: 0, Count: 3, Dur: time.Microsecond},
+		// A window whose end lies past MaxInt64 still fires from its start.
+		{Kind: Straggle, Rank: 0, AtOp: 1, Count: math.MaxInt64, Dur: time.Millisecond},
 	}}
 	in := p.NewInjector(2)
-	if d := in.Advance(0, true, 1).Delay; d != time.Millisecond {
-		t.Errorf("delay = %v", d)
-	}
-	if d := in.Advance(0, true, 1).Delay; d != 0 {
-		t.Errorf("delay window leaked: %v", d)
-	}
 	total := time.Duration(0)
 	for op := 0; op < 5; op++ {
-		total += in.Advance(1, false, -1).Straggle
+		total += in.Advance(1).Straggle
 	}
 	if total != 3*time.Microsecond {
 		t.Errorf("straggle total = %v", total)
 	}
-	if got := in.Stragglers(); len(got) != 1 || got[0] != 1 {
+	if d := in.Advance(0).Straggle; d != 0 {
+		t.Errorf("max-count window fired before its start: %v", d)
+	}
+	for op := 1; op <= 10; op++ {
+		if d := in.Advance(0).Straggle; d != time.Millisecond {
+			t.Fatalf("max-count window from op 1: op %d stalled %v, want 1ms", op, d)
+		}
+	}
+	if got := in.Stragglers(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Errorf("Stragglers = %v", got)
 	}
 }
 
 func TestParseRoundTrip(t *testing.T) {
-	src := "crash:1@6,drop:2>0@3+2,delay:0>*@1+3~150µs,slow:3@0+8~200µs"
+	src := "crash:1@6,corrupt:2@3+2,slow:0@1+3~150µs,slow:3@0+8~200µs,slow:1@1+9223372036854775807~1ms"
 	p, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Events) != 4 {
+	if len(p.Events) != 5 {
 		t.Fatalf("parsed %d events", len(p.Events))
 	}
-	if p.Events[1].To != 0 || p.Events[2].To != -1 {
-		t.Errorf("destinations: %+v", p.Events)
+	if p.Events[4].Count != math.MaxInt64 {
+		t.Errorf("max count: %+v", p.Events[4])
 	}
 	back, err := Parse(p.String())
 	if err != nil {
@@ -98,7 +80,9 @@ func TestParseRoundTrip(t *testing.T) {
 func TestParseRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
 		"boom:1@0", "crash:1", "crash:x@0", "drop:0>-2@0",
-		"slow:1@0+4", // straggler without a duration
+		"drop:0>2@0", "delay:0>*@1+1~1ms", // retired kinds
+		"crash:1>2@0", // destination filters went with them
+		"slow:1@0+4",  // straggler without a duration
 		"crash:1@-3",
 	} {
 		if _, err := Parse(bad); err == nil {
@@ -140,7 +124,7 @@ func TestChaosDeterministicAndBounded(t *testing.T) {
 func TestInjectorIgnoresOutOfRangeRanks(t *testing.T) {
 	p := &Plan{Events: []Event{{Kind: Crash, Rank: 9, AtOp: 0}}}
 	in := p.NewInjector(2)
-	if in.Advance(1, false, -1).Crash {
+	if in.Advance(1).Crash {
 		t.Error("out-of-range event applied")
 	}
 }
@@ -150,7 +134,7 @@ func TestInjectorCorrupt(t *testing.T) {
 	in := p.NewInjector(3)
 	hits := 0
 	for op := 0; op < 6; op++ {
-		if in.Advance(1, false, -1).Corrupt {
+		if in.Advance(1).Corrupt {
 			hits++
 		}
 	}
@@ -159,7 +143,7 @@ func TestInjectorCorrupt(t *testing.T) {
 	}
 	in2 := p.NewInjector(3)
 	for op := 0; op < 6; op++ {
-		if in2.Advance(0, false, -1).Corrupt {
+		if in2.Advance(0).Corrupt {
 			t.Fatal("corrupt leaked to another rank")
 		}
 	}
@@ -186,10 +170,13 @@ func TestParseErrorsNameTheToken(t *testing.T) {
 	for _, tc := range []struct{ src, wantSub string }{
 		{"crash:1@zz", `"crash:1@zz"`},
 		{"boom:1@0", `"boom:1@0"`},
-		{"drop:0>x@1", `"drop:0>x@1"`},
+		{"crash:1>x@1", `"crash:1>x@1"`},
+		{"crash:1>2@0", `"crash:1>2@0"`},
 		{"crash:abc@0", `"crash:abc@0"`},
-		{"delay:0>1@2+0~1ms", `"delay:0>1@2+0~1ms"`},
+		{"slow:1@2+0~1ms", `"slow:1@2+0~1ms"`},
 		{"slow:1@0+4~nope", `"slow:1@0+4~nope"`},
+		{"drop:0>2@0", `"drop:0>2@0"`},
+		{"delay:0>*@1+1~1ms", `"delay:0>*@1+1~1ms"`},
 	} {
 		_, err := Parse(tc.src)
 		if err == nil {
@@ -198,6 +185,18 @@ func TestParseErrorsNameTheToken(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.wantSub) {
 			t.Errorf("Parse(%q) error %q does not name the token %s", tc.src, err, tc.wantSub)
+		}
+	}
+	// A retired kind is refused with the kinds that remain.
+	for _, src := range []string{"drop:0>2@0", "delay:0>*@1+1~1ms"} {
+		_, err := Parse(src)
+		if err == nil {
+			continue // reported above
+		}
+		for _, kind := range []string{"crash", "slow", "corrupt"} {
+			if !strings.Contains(err.Error(), kind) {
+				t.Errorf("Parse(%q) error %q does not name the kind %s", src, err, kind)
+			}
 		}
 	}
 }
@@ -210,9 +209,8 @@ func TestParseRejectsUnprintedSuffixes(t *testing.T) {
 	for _, src := range []string{
 		"crash:0@0+2",
 		"crash:1@4~1ms",
-		"drop:0>1@2+1~5ms",
 		"corrupt:2@5+3~1s",
-		"crash:1@6,drop:2>0@3+2,crash:0@0+2",
+		"crash:1@6,corrupt:2@3+2,crash:0@0+2",
 	} {
 		p, err := Parse(src)
 		if err == nil {
@@ -227,8 +225,8 @@ func TestParseRejectsUnprintedSuffixes(t *testing.T) {
 			t.Errorf("Parse(%q) error %q does not name the token %q", src, err, bad)
 		}
 	}
-	// Delay and slow keep both suffixes.
-	for _, ok := range []string{"delay:0>1@2+3~1ms", "slow:1@0+4~2ms"} {
+	// Slow keeps both suffixes.
+	for _, ok := range []string{"slow:1@0+4~2ms"} {
 		if _, err := Parse(ok); err != nil {
 			t.Errorf("Parse(%q) rejected: %v", ok, err)
 		}
@@ -236,19 +234,19 @@ func TestParseRejectsUnprintedSuffixes(t *testing.T) {
 }
 
 func TestParseRejectsDuplicatePlans(t *testing.T) {
-	// Two events of the same kind for the same rank/destination/op are a
-	// spec bug, not a schedule: reject with both tokens named.
+	// Two events of the same kind for the same rank and op are a spec
+	// bug, not a schedule: reject with both tokens named.
 	if _, err := Parse("crash:1@4,crash:1@4"); err == nil {
 		t.Error("duplicate crash accepted")
 	} else if !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("error %q does not say duplicate", err)
 	}
-	if _, err := Parse("drop:0>2@3+1,drop:0>2@3+5"); err == nil {
-		t.Error("duplicate drop (same rank/dest/op, different count) accepted")
+	if _, err := Parse("corrupt:0@3+1,corrupt:0@3+5"); err == nil {
+		t.Error("duplicate corrupt (same rank/op, different count) accepted")
 	}
-	// Same op, different destination or kind: legal.
+	// Same op, different rank or kind: legal.
 	for _, ok := range []string{
-		"drop:0>2@3+1,drop:0>1@3+1",
+		"corrupt:0@3+1,corrupt:1@3+1",
 		"crash:1@4,slow:1@4+2~1ms",
 		"crash:1@4,crash:2@4",
 	} {
@@ -264,10 +262,22 @@ func TestChaosWithCorruption(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatal("ChaosWithCorruption is not deterministic in seed")
 	}
-	// The base Chaos stream must be unchanged by the new kind: existing
-	// seeded plans keep their historical alignment.
 	if Chaos(7, 6, 40).String() == a.String() {
 		t.Error("corruption generator produced the plain chaos plan")
+	}
+	// Both generators draw only kinds that act on collective drivers:
+	// Chaos crashes and stragglers, ChaosWithCorruption corruptions too.
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, ev := range Chaos(seed, 6, 40).Events {
+			if ev.Kind != Crash && ev.Kind != Straggle {
+				t.Errorf("Chaos(%d) drew %s event %+v", seed, ev.Kind, ev)
+			}
+		}
+		for _, ev := range ChaosWithCorruption(seed, 6, 40).Events {
+			if ev.Kind != Crash && ev.Kind != Straggle && ev.Kind != Corrupt {
+				t.Errorf("ChaosWithCorruption(%d) drew %s event %+v", seed, ev.Kind, ev)
+			}
+		}
 	}
 	sawCorrupt := false
 	for _, ev := range a.Events {

@@ -114,7 +114,8 @@ func (p *Plan) match(kind Kind, op int64) *Event {
 		if count < 1 {
 			count = 1
 		}
-		if op >= ev.AtOp && op < ev.AtOp+count {
+		// op-ev.AtOp, unlike ev.AtOp+count, cannot overflow once op ≥ ev.AtOp.
+		if op >= ev.AtOp && op-ev.AtOp < count {
 			return ev
 		}
 	}

@@ -176,6 +176,21 @@ func TestFaultFSENOSPC(t *testing.T) {
 	if st := ffs.Stats(); st.Enospc != 2 {
 		t.Fatalf("stats.Enospc = %d, want 2", st.Enospc)
 	}
+	// A window whose end lies past MaxInt64 still fires from its start:
+	// the first publication escapes it, the next ten do not.
+	wide, perr := Parse("enospc@1+9223372036854775807")
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	ffs = NewFaultFS(wide)
+	if err := writeFile(t, ffs, "d/z", []byte("ok")); err != nil {
+		t.Fatalf("write before the max-count window: %v", err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := writeFile(t, ffs, "d/z", []byte("doomed")); !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("write %d in the max-count window: want ENOSPC, got %v", i+1, err)
+		}
+	}
 }
 
 func TestFaultFSShortWrite(t *testing.T) {

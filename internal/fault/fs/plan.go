@@ -39,7 +39,7 @@ const (
 	CorruptRead
 	// SlowIO stalls every filesystem operation in [AtOp, AtOp+Count) of
 	// the global op counter by Dur each (real sleep capped so tests stay
-	// fast, like the network Delay kind).
+	// fast, like the network slow kind).
 	SlowIO
 )
 
@@ -105,8 +105,9 @@ func (p *Plan) Empty() bool { return p == nil || len(p.Events) == 0 }
 //	slow@OP+N~DUR      every op in [OP,OP+N) of the global counter stalls DUR
 //
 // Example: "enospc@2+1,torn:40@5,syncerr@0+2,slow@0+8~200us". This is
-// the syntax of cmd/gbsoak's -disk-faults flag and the round-trip
-// target of String. Omitting :K on shortw/torn cuts at half the buffer.
+// the round-trip target of String (cmd/gbsoak draws its disk plans from
+// Chaos instead, seeded by -seed and sized by -disk-events). Omitting :K
+// on shortw/torn cuts at half the buffer.
 
 // String renders the plan in the textual format accepted by Parse.
 func (p *Plan) String() string {

@@ -10,9 +10,9 @@ import (
 // Parse(p.String()) yields the same events.
 func FuzzParsePlan(f *testing.F) {
 	for _, s := range []string{
-		"crash:1@6,drop:2>0@3+2,delay:0>*@1+3~150µs,slow:3@0+8~200µs",
+		"crash:1@6,corrupt:2@3+2,slow:0@1+3~150µs,slow:3@0+8~200µs",
 		"corrupt:2@5+3",
-		"drop:0>2@3+1,drop:0>1@3+1",
+		"corrupt:0@3+1,corrupt:1@3+1",
 		"crash:1@4,slow:1@4+2~1ms",
 		"crash:0@0+2", // a count on crash used to parse and vanish from String
 	} {

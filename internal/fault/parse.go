@@ -10,12 +10,10 @@ import (
 // The textual plan format, one comma-separated token per event:
 //
 //	crash:R@OP          rank R crashes at its OP-th communication op
-//	drop:F>T@OP+N       F's sends to T (or * = anyone) dropped, N attempts from op OP
-//	delay:F>T@OP+N~DUR  matching sends delayed by DUR each
 //	slow:R@OP+N~DUR     rank R stalls DUR on every op in [OP, OP+N)
 //	corrupt:R@OP+N      R's payloads bit-flipped in transit for N ops from OP
 //
-// Example: "crash:1@6,drop:2>0@3+2,slow:3@0+8~200us". This is the syntax
+// Example: "crash:1@6,corrupt:2@3+2,slow:3@0+8~200us". This is the syntax
 // of cmd/clustersim's -faults flag and the round-trip target of String.
 
 // String renders the plan in the textual format accepted by Parse.
@@ -39,10 +37,6 @@ func (e Event) String() string {
 	switch e.Kind {
 	case Crash:
 		return fmt.Sprintf("crash:%d@%d", e.Rank, e.AtOp)
-	case Drop:
-		return fmt.Sprintf("drop:%d>%s@%d+%d", e.Rank, toString(e.To), e.AtOp, count)
-	case Delay:
-		return fmt.Sprintf("delay:%d>%s@%d+%d~%s", e.Rank, toString(e.To), e.AtOp, count, e.Dur)
 	case Straggle:
 		return fmt.Sprintf("slow:%d@%d+%d~%s", e.Rank, e.AtOp, count, e.Dur)
 	case Corrupt:
@@ -51,16 +45,9 @@ func (e Event) String() string {
 	return "unknown"
 }
 
-func toString(to int) string {
-	if to < 0 {
-		return "*"
-	}
-	return strconv.Itoa(to)
-}
-
 // Parse reads a plan from the textual format. An empty string yields an
-// empty plan. Two events of the same kind on the same rank, destination,
-// and starting op are rejected: a duplicate is almost always a typo'd
+// empty plan. Two events of the same kind on the same rank and starting
+// op are rejected: a duplicate is almost always a typo'd
 // plan, and silently letting the last token win (the pre-PR-5 behavior)
 // hid exactly that class of mistake.
 func Parse(s string) (*Plan, error) {
@@ -72,7 +59,6 @@ func Parse(s string) (*Plan, error) {
 	type planKey struct {
 		kind Kind
 		rank int
-		to   int
 		atOp int64
 	}
 	seen := make(map[planKey]string)
@@ -82,7 +68,7 @@ func Parse(s string) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		key := planKey{kind: ev.Kind, rank: ev.Rank, to: ev.To, atOp: ev.AtOp}
+		key := planKey{kind: ev.Kind, rank: ev.Rank, atOp: ev.AtOp}
 		if prev, dup := seen[key]; dup {
 			return nil, fmt.Errorf("fault: duplicate %s plan for rank %d at op %d: %q conflicts with earlier %q",
 				ev.Kind, ev.Rank, ev.AtOp, tok, prev)
@@ -98,28 +84,24 @@ func parseEvent(tok string) (Event, error) {
 	if !ok {
 		return Event{}, fmt.Errorf("fault: malformed event %q (want kind:spec)", tok)
 	}
-	ev := Event{To: -1, Count: 1}
+	ev := Event{Count: 1}
 	switch kindStr {
 	case "crash":
 		ev.Kind = Crash
-	case "drop":
-		ev.Kind = Drop
-	case "delay":
-		ev.Kind = Delay
 	case "slow":
 		ev.Kind = Straggle
 	case "corrupt":
 		ev.Kind = Corrupt
 	default:
-		return Event{}, fmt.Errorf("fault: unknown event kind %q in token %q (want crash, drop, delay, slow, or corrupt)", kindStr, tok)
+		return Event{}, fmt.Errorf("fault: unknown event kind %q in token %q (want crash, slow, or corrupt)", kindStr, tok)
 	}
 
 	// Split off ~DUR first, then +COUNT, then @OP; what remains is the
-	// rank (and >TO for the send kinds). A suffix the kind does not take
-	// is rejected: String could not print it back.
+	// rank. A suffix the kind does not take is rejected: String could not
+	// print it back.
 	if head, durStr, ok := strings.Cut(rest, "~"); ok {
-		if ev.Kind != Delay && ev.Kind != Straggle {
-			return Event{}, fmt.Errorf("fault: duration %q not valid for %s in token %q (only delay and slow take ~DUR)", "~"+durStr, ev.Kind, tok)
+		if ev.Kind != Straggle {
+			return Event{}, fmt.Errorf("fault: duration %q not valid for %s in token %q (only slow takes ~DUR)", "~"+durStr, ev.Kind, tok)
 		}
 		d, err := time.ParseDuration(durStr)
 		if err != nil {
@@ -149,26 +131,12 @@ func parseEvent(tok string) (Event, error) {
 	}
 	ev.AtOp = op
 
-	rankStr := head
-	if fromStr, toStr, hasTo := strings.Cut(head, ">"); hasTo {
-		if ev.Kind != Drop && ev.Kind != Delay {
-			return Event{}, fmt.Errorf("fault: destination filter %q not valid for %s in token %q", ">"+toStr, ev.Kind, tok)
-		}
-		rankStr = fromStr
-		if toStr != "*" {
-			to, err := strconv.Atoi(toStr)
-			if err != nil || to < 0 {
-				return Event{}, fmt.Errorf("fault: bad destination %q in token %q (want a rank ≥ 0 or *)", toStr, tok)
-			}
-			ev.To = to
-		}
-	}
-	rank, err := strconv.Atoi(rankStr)
+	rank, err := strconv.Atoi(head)
 	if err != nil || rank < 0 {
-		return Event{}, fmt.Errorf("fault: bad rank %q in token %q (want an integer ≥ 0)", rankStr, tok)
+		return Event{}, fmt.Errorf("fault: bad rank %q in token %q (want an integer ≥ 0)", head, tok)
 	}
 	ev.Rank = rank
-	if (ev.Kind == Delay || ev.Kind == Straggle) && ev.Dur <= 0 {
+	if ev.Kind == Straggle && ev.Dur <= 0 {
 		return Event{}, fmt.Errorf("fault: %s event needs a ~duration in token %q", ev.Kind, tok)
 	}
 	return ev, nil

@@ -116,7 +116,7 @@ type bornAccum struct {
 	atomS []float64 // s_a per atom (original index)
 	// near/far tally the exact-pair and approximated evaluations for the
 	// obs pair counters. They ride along with the numeric fields but stay
-	// rank-local: encodeAcc/decodeAcc in the distributed driver exchange
+	// rank-local: encode/decode in the distributed driver exchange
 	// only the numeric payload, so each rank reports its own work split.
 	near, far int64
 	// scratch is the worker's near-field gather list for the vector

@@ -149,13 +149,12 @@ func (s *System) validateLayout(P, p int) error {
 // is 1×p. A one-rank collective copies its only slot, so those layouts
 // compute the same bits a dedicated serial or shared-memory loop would
 // (DESIGN.md §12). With an inactive fault config it reproduces the seed
-// protocol bit-for-bit. With
-// an active plan, every phase runs under the heal-by-redo discipline
-// described in faulttol.go: partition over the agreed live set, run the
-// phase, re-agree, and redo the phase over the shrunk set if membership
-// changed — or, for the final energy phase under the Degrade policy,
-// accept the partial sum and report a rigorous ErrorBound for the dead
-// ranks' missing share.
+// protocol bit-for-bit. With an active plan, every phase runs through one
+// heal closure, the heal-by-redo discipline described in faulttol.go:
+// partition over the agreed live set, run the phase, re-agree, and redo
+// the phase over the shrunk set if membership changed — or, for the final
+// energy phase under the Degrade policy, accept the partial sum and
+// report a rigorous ErrorBound for the dead ranks' missing share.
 //
 // With spec.Checkpoint set, a snapshot of the world-global state is saved
 // after each completed phase inside Sync brackets (quiet barriers), so
@@ -297,19 +296,52 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 			}
 			return liveShare(n, live, stragglers, rank)
 		}
+		// heal runs one phase under the heal-by-redo discipline of
+		// faulttol.go: tick the plan, open the phase span, run body (the
+		// phase's share of work and its collective), and re-agree on
+		// membership. An iteration whose membership changed is redone over
+		// the shrunk live set, unless degrade is given and the policy is
+		// Degrade: then degrade bounds the newly lost shares and the
+		// partial result stands. An accepted iteration applies body's
+		// commit. Without faults body runs once and commits. The
+		// "redo.iterations" histogram records the final iteration count, a
+		// workload property (zero on every rank for crash-free plans, so
+		// crash-free summaries stay byte-identical).
+		heal := func(span string, body func() (commit func(), err error), degrade func(newLost []int)) error {
+			for iter := 0; iter <= P; iter++ {
+				if ft {
+					if err := c.Tick(); err != nil {
+						return err
+					}
+				}
+				sp := rec.StartSpan(rank, phaseName(span, iter))
+				commit, err := body()
+				if err != nil {
+					return err
+				}
+				if ft {
+					newLost, err := agreeLost(c)
+					if err != nil {
+						return err
+					}
+					if !equalInts(newLost, lost) {
+						if degrade == nil || cfg.Policy == Recover {
+							lost, live = newLost, liveRanksOf(P, newLost)
+							recovered = true
+							sp.End()
+							continue
+						}
+						degrade(newLost)
+					}
+				}
+				commit()
+				sp.End()
+				rec.Observe("redo.iterations", int64(iter))
+				return nil
+			}
+			return fmt.Errorf("gb: %s heal did not converge", span)
+		}
 
-		// Flattened integral payload of Fig. 4 Step 3 (order-aware: the
-		// Hessian block rides along only at OrderQuadrupole).
-		encodeAcc := func(acc *bornAccum) []float64 { return acc.encode() }
-		decodeAcc := func(acc *bornAccum, merged []float64) { acc.decode(merged) }
-
-		// ---- Phase 1+2+3: Born integrals + Allreduce (Fig. 4 Steps 1-3),
-		// healed by redo on membership change --------------------------
-		// healIters tracks each phase loop's final iteration count; the
-		// "redo.iterations" histogram is a workload property (zero on
-		// every rank for crash-free plans, so crash-free summaries stay
-		// byte-identical).
-		var acc *bornAccum
 		// Each worker's vector-kernel buffers, lent to this rank's run
 		// (kernels.go): the Born gather list and the energy near field.
 		kernels := make([]*kernelScratch, p)
@@ -321,19 +353,13 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 				kernelScratchPool.Put(k)
 			}
 		}()
-		runIntegrals := func() error {
-			healIters := 0
-			for iter := 0; ; iter++ {
-				healIters = iter
-				if iter > P {
-					return fmt.Errorf("gb: integral phase heal did not converge")
-				}
-				if ft {
-					if err := c.Tick(); err != nil {
-						return err
-					}
-				}
-				sp := rec.StartSpan(rank, phaseName(spanBorn, iter))
+
+		// ---- Phase 1+2+3: Born integrals + Allreduce of the flattened
+		// integral payload (Fig. 4 Steps 1-3; the Hessian block rides along
+		// only at OrderQuadrupole) --------------------------------------
+		var acc *bornAccum
+		if startPhase < PhaseIntegrals {
+			err := heal(spanBorn, func() (func(), error) {
 				// One accumulator per subrange, merged in range order (see
 				// reduceRange): scheduling never changes the float merge
 				// order, so each rank's integral payload is bitwise
@@ -374,34 +400,16 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 				rec.Count("pairs.born.far", acc.far)
 				rec.Observe("pairs.born.near.rank", acc.near)
 				rec.Observe("pairs.born.far.rank", acc.far)
-				merged, err := c.Allreduce(encodeAcc(acc), simmpi.Sum)
+				merged, err := c.Allreduce(acc.encode(), simmpi.Sum)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				if ft {
-					newLost, err := agreeLost(c)
-					if err != nil {
-						return err
-					}
-					if !equalInts(newLost, lost) {
-						lost, live = newLost, liveRanksOf(P, newLost)
-						recovered = true
-						sp.End()
-						continue
-					}
-				}
-				decodeAcc(acc, merged)
-				sp.End()
-				break
-			}
-			rec.Observe("redo.iterations", int64(healIters))
-			return nil
-		}
-		if startPhase < PhaseIntegrals {
-			if err := runIntegrals(); err != nil {
+				return func() { acc.decode(merged) }, nil
+			}, nil)
+			if err != nil {
 				return err
 			}
-			if err := saveCheckpoint(PhaseIntegrals, func() []float64 { return encodeAcc(acc) }); err != nil {
+			if err := saveCheckpoint(PhaseIntegrals, func() []float64 { return acc.encode() }); err != nil {
 				return err
 			}
 			// Phase boundary: the integrals checkpoint is durable, so a
@@ -417,25 +425,13 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 			// recompute or communicate. (Resuming past this phase, the
 			// accumulator is never read and stays nil.)
 			acc = s.newBornAccum()
-			decodeAcc(acc, resume.Payload)
+			acc.decode(resume.Payload)
 		}
 
-		// ---- Phase 4+5: Born radii + gather (Fig. 4 Steps 4-5), healed
-		// by redo ------------------------------------------------------
+		// ---- Phase 4+5: Born radii + gather (Fig. 4 Steps 4-5) -----------
 		radii := make([]float64, s.NumAtoms())
-		runRadii := func() error {
-			healIters := 0
-			for iter := 0; ; iter++ {
-				healIters = iter
-				if iter > P {
-					return fmt.Errorf("gb: radii phase heal did not converge")
-				}
-				if ft {
-					if err := c.Tick(); err != nil {
-						return err
-					}
-				}
-				sp := rec.StartSpan(rank, phaseName(spanPush, iter))
+		if startPhase < PhaseRadii {
+			err := heal(spanPush, func() (func(), error) {
 				alo, ahi := share(s.NumAtoms())
 				//lint:ignore hotalloc per-phase worker body; allocated once per Born iteration and amortized over its whole range
 				s.forRange(pool, ahi-alo, func(worker int, i0, i1 int) {
@@ -451,13 +447,13 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 					}
 					all, err := c.Allgatherv(seg)
 					if err != nil {
-						return err
+						return nil, err
 					}
-					for pos, r := range all {
-						radii[s.TA.Items[pos]] = r
-					}
-					sp.End()
-					break
+					return func() {
+						for pos, r := range all {
+							radii[s.TA.Items[pos]] = r
+						}
+					}, nil
 				}
 				// Fault-tolerant protocol: (atom index, radius) pairs, so a
 				// missing rank cannot silently shift the concatenation.
@@ -469,29 +465,15 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 				}
 				all, err := c.Allgatherv(seg)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				newLost, err := agreeLost(c)
-				if err != nil {
-					return err
-				}
-				if !equalInts(newLost, lost) {
-					lost, live = newLost, liveRanksOf(P, newLost)
-					recovered = true
-					sp.End()
-					continue
-				}
-				for i := 0; i+1 < len(all); i += 2 {
-					radii[int(all[i])] = all[i+1]
-				}
-				sp.End()
-				break
-			}
-			rec.Observe("redo.iterations", int64(healIters))
-			return nil
-		}
-		if startPhase < PhaseRadii {
-			if err := runRadii(); err != nil {
+				return func() {
+					for i := 0; i+1 < len(all); i += 2 {
+						radii[int(all[i])] = all[i+1]
+					}
+				}, nil
+			}, nil)
+			if err != nil {
 				return err
 			}
 			if err := saveCheckpoint(PhaseRadii, func() []float64 { return radii }); err != nil {
@@ -505,7 +487,7 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 		}
 
 		// ---- Phase 6+7: partial energies + reduction (Fig. 4 Steps 6-7),
-		// healed by redo or degraded with a bound ------------------------
+		// degraded with a bound under the Degrade policy ----------------
 		var agg *epolAggregates
 		if startPhase < PhaseAggregates {
 			osp := rec.StartSpan(rank, spanOctree)
@@ -536,18 +518,7 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 		energy := 0.0
 		degraded := false
 		bound := 0.0
-		healIters := 0
-		for iter := 0; ; iter++ {
-			healIters = iter
-			if iter > P {
-				return fmt.Errorf("gb: energy phase heal did not converge")
-			}
-			if ft {
-				if err := c.Tick(); err != nil {
-					return err
-				}
-			}
-			sp := rec.StartSpan(rank, phaseName(spanEpol, iter))
+		err := heal(spanEpol, func() (func(), error) {
 			// Both divisions share atom leaves here: Division splits only
 			// the Born-integral phase.
 			lo, hi := share(len(s.aLeaves))
@@ -566,42 +537,22 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 					perCoreOps[coreBase+worker] += ops
 				},
 				(*epolPart).merge)
-			partial := partialP.sum
 			// Ordered interactions, as in PerCoreOps (see pairTally).
 			rec.Count("pairs.epol.near", partialP.tally.near)
 			rec.Count("pairs.epol.far", partialP.tally.far)
 			rec.Observe("pairs.epol.near.rank", partialP.tally.near)
 			rec.Observe("pairs.epol.far.rank", partialP.tally.far)
 			//lint:ignore hotalloc single-element reduce operand; simmpi slots retain it, so each round contributes a fresh slice
-			sum, err := c.Allreduce([]float64{partial}, simmpi.Sum)
+			sum, err := c.Allreduce([]float64{partialP.sum}, simmpi.Sum)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if !ft {
-				energy = -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * sum[0]
-				sp.End()
-				break
-			}
-			prevLive := live
-			newLost, err := agreeLost(c)
-			if err != nil {
-				return err
-			}
-			if equalInts(newLost, lost) {
-				energy = -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * sum[0]
-				sp.End()
-				break
-			}
-			if cfg.Policy == Recover {
-				lost, live = newLost, liveRanksOf(P, newLost)
-				recovered = true
-				sp.End()
-				continue
-			}
-			// Degrade: accept the partial sum and bound the energy mass the
-			// newly dead ranks' shares would have contributed. Conservative
-			// for a rank that died after contributing (its real missing
-			// mass is zero ≤ bound).
+			return func() { energy = -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * sum[0] }, nil
+		}, func(newLost []int) {
+			// Degrade: bound the energy mass the newly dead ranks' shares
+			// (partitioned over the live set this iteration ran on) would
+			// have contributed. Conservative for a rank that died after
+			// contributing (its real missing mass is zero ≤ bound).
 			var deadAtoms []int32
 			j := 0
 			for _, d := range newLost {
@@ -611,17 +562,16 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 				if j < len(lost) && lost[j] == d {
 					continue // lost before this phase: share already re-assigned
 				}
-				lo, hi := liveShare(len(s.aLeaves), prevLive, stragglers, d)
+				lo, hi := liveShare(len(s.aLeaves), live, stragglers, d)
 				//lint:ignore hotalloc cold degrade path; the dead share's atom count is unknown until the walk completes
 				deadAtoms = append(deadAtoms, s.shareAtomsNodeNode(lo, hi)...)
 			}
-			energy = -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * sum[0]
 			bound = s.degradedBound(deadAtoms)
 			degraded = true
-			sp.End()
-			break
+		})
+		if err != nil {
+			return err
 		}
-		rec.Observe("redo.iterations", int64(healIters))
 		if err := saveCheckpoint(PhaseEpol, func() []float64 {
 			pl := make([]float64, 0, s.NumAtoms()+3)
 			pl = append(pl, radii...)

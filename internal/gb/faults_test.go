@@ -231,10 +231,9 @@ func TestHybridCrashRecover(t *testing.T) {
 }
 
 func TestChaosRecoverNeverDeadlocksOrLies(t *testing.T) {
-	// The acceptance sweep: seeded chaos schedules (crashes, stragglers,
-	// drops — the latter inert here, the shared-data driver is collective-
-	// only) against the Recover policy. Every run must terminate, and a
-	// completed non-degraded recovery is a full-accuracy answer.
+	// The acceptance sweep: seeded chaos schedules (crashes and
+	// stragglers) against the Recover policy. Every run must terminate,
+	// and a completed non-degraded recovery is a full-accuracy answer.
 	s := buildSys(t, 300, DefaultParams())
 	serial := mustRun(t, s, RunSpec{})
 	for seed := int64(1); seed <= 6; seed++ {
@@ -277,7 +276,7 @@ func TestLayoutValidation(t *testing.T) {
 
 func TestChaosCorruptionNeverSilent(t *testing.T) {
 	// The corruption acceptance matrix: seeded chaos schedules mixing
-	// crashes, stragglers, drops, and payload corruption, across two world
+	// crashes, stragglers and payload corruption, across two world
 	// widths. Every run must terminate. A run that completes cleanly (no
 	// error, not degraded) must be full accuracy: an injected corruption is
 	// always detected and either healed by retransmit or escalated as a

@@ -21,12 +21,13 @@ import (
 //     straggler ranks down-weighted (straggler detection with work
 //     re-assignment: a slowed rank gets half a share, its siblings absorb
 //     the difference);
-//   - heal-by-redo: each driver phase runs in a loop — compute the share,
-//     run the phase collective, re-agree; if the lost set changed during
-//     the phase, the iteration's result is discarded and the phase redone
-//     over the shrunk live set. Discard-and-redo makes double-counting
-//     impossible: a result is only accepted when no rank died between the
-//     partition decision and the post-phase agreement;
+//   - heal-by-redo: each driver phase runs in runDistributed's one heal
+//     loop — compute the share, run the phase collective, re-agree; if
+//     the lost set changed during the phase, the iteration's result is
+//     discarded and the phase redone over the shrunk live set.
+//     Discard-and-redo makes double-counting impossible: a result is only
+//     accepted when no rank died between the partition decision and the
+//     post-phase agreement;
 //   - degradedBound: a rigorous upper bound on the |Epol| mass of the
 //     pair terms a lost rank's targets produce, used by the Degrade
 //     policy to return a partial energy with an honest error bar instead

@@ -15,15 +15,13 @@ import (
 )
 
 // crashFreePlan builds a deterministic fault schedule without crashes:
-// straggle/delay/drop recovery is replayed identically run to run, so
-// results and metrics stay bitwise comparable (crash timing races make
-// redo counts scheduling-dependent — those are exercised by the span
-// tests below, not the bitwise ones).
+// straggler recovery is replayed identically run to run, so results and
+// metrics stay bitwise comparable (crash timing races make redo counts
+// scheduling-dependent — those are exercised by the span tests below,
+// not the bitwise ones).
 func crashFreePlan() *fault.Plan {
 	return &fault.Plan{Events: []fault.Event{
 		{Kind: fault.Straggle, Rank: 1, AtOp: 2, Count: 3, Dur: 40 * time.Microsecond},
-		{Kind: fault.Delay, Rank: 0, To: -1, AtOp: 1, Count: 2, Dur: 25 * time.Microsecond},
-		{Kind: fault.Drop, Rank: 2, To: -1, AtOp: 3, Count: 1},
 	}}
 }
 
@@ -151,8 +149,7 @@ func TestSummaryDeterministic(t *testing.T) {
 		"counter pairs.epol.far ",
 		"counter comm.allreduce.calls ",
 		"counter comm.allgatherv.bytes ",
-		// Drop/Delay target point-to-point sends; this driver is pure
-		// collectives, so only the straggle events leave a counter.
+		// The plan's straggle events leave a counter.
 		"counter fault.straggles ",
 		// Counter-side histograms: per-rank pair splits (one observation
 		// per rank), per-call collective payloads, and the heal-loop

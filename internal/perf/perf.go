@@ -159,9 +159,8 @@ type Breakdown struct {
 	CommSeconds     float64
 	OverheadSeconds float64
 	// FaultSeconds is the modeled recovery cost of a fault-injected run:
-	// retry backoff waits, injected message delays, and straggler stalls.
-	// The wire cost of retried/dropped messages is already in CommSeconds
-	// (every send attempt is logged), so this is purely the waiting time.
+	// the injected straggler stalls, purely waiting time. The wire cost of
+	// retransmitted collective rounds is not priced separately.
 	FaultSeconds float64
 	// CheckpointSeconds is the modeled stable-storage cost of phase
 	// snapshots: per-save disk latency plus streamed bytes, from the
@@ -257,7 +256,7 @@ func (m Machine) Price(cal Calibration, shape RunShape, perCoreOps []int64, traf
 	b.CommSeconds = m.commSeconds(cal, shape, procsPerNode, traffic)
 
 	// --- fault recovery --------------------------------------------------
-	b.FaultSeconds = float64(traffic.BackoffNanos+traffic.DelayNanos+traffic.StragglerNanos) / 1e9
+	b.FaultSeconds = float64(traffic.StragglerNanos) / 1e9
 
 	// --- checkpoints ------------------------------------------------------
 	// Only the saver rank writes (one stream per snapshot), so the cost is
@@ -275,9 +274,11 @@ func (m Machine) Price(cal Calibration, shape RunShape, perCoreOps []int64, traf
 }
 
 // commSeconds prices the communication log with the ts/tw model the paper
-// uses in §IV-C: Allreduce/Gather of m bytes over P ranks costs
-// ts·log₂P + tw·m·(P−1)/P per call (both terms discounted for the
-// fraction of rank pairs living on the same node).
+// uses in §IV-C: an Allgatherv of m gathered bytes over P ranks costs
+// ts·log₂P + tw·m·(P−1)/P per call, an Allreduce twice the wire term, a
+// Barrier the latency term alone (all discounted for the fraction of rank
+// pairs living on the same node), and point-to-point traffic ts per
+// message plus tw per byte.
 func (m Machine) commSeconds(cal Calibration, shape RunShape, procsPerNode int, traffic simmpi.Stats) float64 {
 	p := float64(shape.Processes)
 	if shape.Processes <= 1 {
@@ -318,10 +319,8 @@ func (m Machine) commSeconds(cal Calibration, shape RunShape, procsPerNode int, 
 		case simmpi.KindAllreduce:
 			// Reduce-scatter + allgather: data crosses the wire twice.
 			total += calls*ts*logP + 2*tw*bytes*(p-1)/p
-		case simmpi.KindReduce, simmpi.KindBcast, simmpi.KindGather, simmpi.KindAllgatherv:
+		case simmpi.KindAllgatherv:
 			total += calls*ts*logP + tw*bytes*(p-1)/p
-		default:
-			total += calls*ts*logP + tw*bytes
 		}
 	}
 	total += float64(traffic.P2PMessages)*ts + float64(traffic.P2PBytes)*tw

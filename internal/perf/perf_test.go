@@ -212,9 +212,7 @@ func TestFaultRecoveryCostPriced(t *testing.T) {
 		t.Errorf("fault-free run priced FaultSeconds = %v", clean.FaultSeconds)
 	}
 	faulty, err := m.Price(cal, shape, ops(2, 1e8), simmpi.Stats{
-		BackoffNanos:   2_000_000,
-		DelayNanos:     3_000_000,
-		StragglerNanos: 5_000_000,
+		StragglerNanos: 10_000_000,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // TestChaosUnderLoad is the acceptance gate of the serving layer: nine
 // concurrent clients — valid jobs, malformed bodies, invalid
 // molecules, and a quota-blowing tenant — against a daemon whose runs
-// are fault-injected with crash/drop/straggle chaos plans. The
+// are fault-injected with crash/straggle/corrupt chaos plans. The
 // invariants:
 //
 //   - every admitted job reaches a terminal state, and that state is
@@ -40,9 +40,9 @@ func TestChaosUnderLoad(t *testing.T) {
 		Retries:          1,
 		Quota:            QuotaConfig{RatePerSec: 1, Burst: 3},
 		PlanFor: func(jobID string, attempt int) *fault.Plan {
-			// Deterministic per-job chaos — crashes, drops, delays,
-			// stragglers, and (for half the jobs) payload corruption —
-			// on early attempts; the ladder earns completion.
+			// Deterministic per-job chaos — crashes, stragglers, and
+			// (for half the jobs) payload corruption — on early
+			// attempts; the ladder earns completion.
 			h := fnv.New64a()
 			h.Write([]byte(jobID))
 			seed := int64(h.Sum64()%100000) + int64(attempt)

@@ -17,7 +17,7 @@ func TestRunPlanEmptyPlanMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.LostRanks) != 0 || stats.Drops != 0 {
+	if len(stats.LostRanks) != 0 || stats.StragglerNanos != 0 || stats.Corruptions != 0 {
 		t.Errorf("empty plan produced fault traffic: %+v", stats)
 	}
 }
@@ -55,43 +55,6 @@ func TestInjectedCrashSurvivorsComplete(t *testing.T) {
 	// 1 + 3 + 4 (rank 1's +2 is missing).
 	if got := sum.Load().(float64); got != 8 {
 		t.Errorf("survivor Allreduce = %v, want 8", got)
-	}
-}
-
-func TestInjectedDropReturnsErrDropped(t *testing.T) {
-	plan := &fault.Plan{Events: []fault.Event{
-		{Kind: fault.Drop, Rank: 0, To: 1, AtOp: 0, Count: 1},
-	}}
-	stats, err := RunPlan(2, plan, func(c *Comm) error {
-		if c.Rank() == 0 {
-			err := c.Send(1, []float64{1, 2})
-			if !errors.Is(err, ErrDropped) {
-				t.Errorf("first send err = %v, want ErrDropped", err)
-			}
-			c.RecordRetry(100 * time.Microsecond)
-			if err := c.Send(1, []float64{1, 2}); err != nil {
-				return err
-			}
-		} else {
-			m, err := c.Recv(0)
-			if err != nil {
-				return err
-			}
-			if len(m) != 2 {
-				t.Errorf("Recv = %v", m)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Drops != 1 || stats.Retries != 1 || stats.BackoffNanos != 100_000 {
-		t.Errorf("fault stats = %+v", stats)
-	}
-	// Both the dropped attempt and the retry pay wire cost.
-	if stats.P2PMessages != 2 || stats.P2PBytes != 32 {
-		t.Errorf("p2p stats = %+v", stats)
 	}
 }
 
@@ -137,7 +100,6 @@ func TestSendToCrashedRank(t *testing.T) {
 
 func TestInjectedDelayAndStraggleRecorded(t *testing.T) {
 	plan := &fault.Plan{Events: []fault.Event{
-		{Kind: fault.Delay, Rank: 0, To: -1, AtOp: 0, Count: 1, Dur: 3 * time.Millisecond},
 		{Kind: fault.Straggle, Rank: 1, AtOp: 0, Count: 2, Dur: 5 * time.Millisecond},
 	}}
 	stats, err := RunPlan(2, plan, func(c *Comm) error {
@@ -162,11 +124,8 @@ func TestInjectedDelayAndStraggleRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.DelayNanos != 3e6 {
-		t.Errorf("DelayNanos = %d, want 3e6 (full modeled duration)", stats.DelayNanos)
-	}
 	if stats.StragglerNanos != 10e6 {
-		t.Errorf("StragglerNanos = %d, want 10e6", stats.StragglerNanos)
+		t.Errorf("StragglerNanos = %d, want 10e6 (full modeled duration)", stats.StragglerNanos)
 	}
 }
 
@@ -183,46 +142,6 @@ func TestCrashDuringBarrierWaitReleasesSurvivors(t *testing.T) {
 			return err
 		}
 		return c.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPhaseMarkersSurviveCrash(t *testing.T) {
-	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: 1, AtOp: 2}}}
-	_, err := RunPlan(3, plan, func(c *Comm) error {
-		c.Post(7)
-		if err := c.Barrier(); err != nil { // op 0
-			return err
-		}
-		if err := c.Barrier(); err != nil { // op 1
-			return err
-		}
-		if err := c.Barrier(); err != nil { // op 2: rank 1 dies here
-			return err
-		}
-		if got := c.PhaseOf(1); got != 7 {
-			t.Errorf("PhaseOf(1) = %d, want frozen marker 7", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBcastDeadRoot(t *testing.T) {
-	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: 0, AtOp: 0}}}
-	_, err := RunPlan(3, plan, func(c *Comm) error {
-		_, err := c.Bcast(0, []float64{1})
-		if c.Rank() != 0 {
-			var lost *RankLostError
-			if !errors.As(err, &lost) {
-				t.Errorf("rank %d: Bcast err = %v, want RankLostError", c.Rank(), err)
-			}
-		}
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,15 +1,15 @@
 // Package simmpi is an in-process message-passing runtime standing in for
 // MPI (Go has no MPI ecosystem): ranks are goroutines, point-to-point
-// messages move through per-pair channels, and collectives (Barrier,
-// Bcast, Reduce, Allreduce, Gather, Allgatherv) are implemented over a
-// reusable generation barrier with real data movement.
+// messages move through per-pair channels, and the collectives (Barrier,
+// Allreduce, Allgatherv) are implemented over a reusable generation
+// barrier with real data movement.
 //
 // All communication traffic is recorded (message counts, byte volumes,
-// collective events, and — under fault injection — drops, retries and
-// modeled stall time) so the performance model in internal/perf can price
-// runs with the ts/tw (α–β) cost model the paper uses in §IV-C — the
-// computation is executed for real, only the *time* of the interconnect is
-// modeled.
+// collective events, and — under fault injection — modeled straggler
+// stall time, detected corruptions and retransmits) so the performance
+// model in internal/perf can price runs with the ts/tw (α–β) cost model
+// the paper uses in §IV-C — the computation is executed for real, only the
+// *time* of the interconnect is modeled.
 //
 // Collective reductions are computed in rank order on every rank, so
 // results are deterministic and identical across ranks and across runs
@@ -18,8 +18,9 @@
 // # Fault model
 //
 // RunPlan accepts a fault.Plan whose events the world injects at
-// communication operations: ranks crash, sends are dropped or delayed,
-// stragglers stall. The runtime itself never deadlocks on a lost rank:
+// communication operations: ranks crash, stragglers stall, and collective
+// contributions are corrupted in transit (always detected by checksum and
+// retransmitted). The runtime itself never deadlocks on a lost rank:
 //
 //   - the generation barrier releases once every *live* rank has arrived,
 //     and a rank dying mid-wait re-evaluates the release condition;
@@ -31,7 +32,7 @@
 //     every blocked operation returns the causal error instead of hanging.
 //
 // Recovering lost work (or degrading gracefully) is the *driver's* job —
-// the runtime provides the health view (Alive, Lost, PhaseOf) and the
+// the runtime provides the health view (Alive, Lost, Health) and the
 // error returns that make those policies implementable without deadlock.
 package simmpi
 
@@ -92,10 +93,7 @@ type CollectiveKind string
 // Collective kinds recorded in Stats.
 const (
 	KindBarrier    CollectiveKind = "barrier"
-	KindBcast      CollectiveKind = "bcast"
-	KindReduce     CollectiveKind = "reduce"
 	KindAllreduce  CollectiveKind = "allreduce"
-	KindGather     CollectiveKind = "gather"
 	KindAllgatherv CollectiveKind = "allgatherv"
 )
 
@@ -113,16 +111,8 @@ type Stats struct {
 	P2PBytes    int64
 	Collectives map[CollectiveKind]CollectiveStat
 
-	// Fault-injection traffic: Drops counts send attempts lost in
-	// transit, Retries the re-sends drivers issued in response (recorded
-	// via RecordRetry), BackoffNanos the modeled retry backoff stall,
-	// DelayNanos the modeled injected wire latency, and StragglerNanos
-	// the modeled injected compute slowdown. internal/perf prices these
-	// as recovery cost.
-	Drops          int64
-	Retries        int64
-	BackoffNanos   int64
-	DelayNanos     int64
+	// StragglerNanos is the modeled injected compute slowdown;
+	// internal/perf prices it as recovery cost.
 	StragglerNanos int64
 	// Corruptions counts payloads bit-flipped in transit by injected
 	// Corrupt events; Retransmits the extra collective rounds spent
@@ -140,17 +130,12 @@ type Stats struct {
 	LostRanks []int
 }
 
-// ErrDropped is returned by Send when the attempt was lost to an injected
-// drop fault; the caller may retry.
-var ErrDropped = errors.New("simmpi: message dropped in transit")
-
 // ErrTimeout is returned by RecvTimeout when the deadline expires first.
 var ErrTimeout = errors.New("simmpi: receive timed out")
 
-// ErrCorrupt reports a payload whose checksum no longer matches — an
-// injected corruption that was detected. Collectives retransmit a bounded
-// number of times before returning it; for point-to-point receives the
-// caller decides (retry, rebuild locally, or escalate to the supervisor).
+// ErrCorrupt reports a collective contribution whose checksum still fails
+// after a bounded number of retransmits — an injected corruption that was
+// detected and escalated (through the drivers, to the run supervisor).
 var ErrCorrupt = errors.New("simmpi: payload corrupted in transit")
 
 // RankLostError reports that an operation could not complete because the
@@ -173,20 +158,12 @@ type Health struct {
 	Straggling []int
 }
 
-// envelope is one payload in transit plus its checksum. The checksum is
-// computed only under fault injection (sum stays zero otherwise): clean
-// runs pay nothing for the integrity machinery.
-type envelope struct {
-	data []float64
-	sum  uint32
-}
-
 // World is one communicator instance shared by all ranks of a Run.
 type World struct {
 	size int
 
 	// point-to-point mailboxes: mail[to][from].
-	mail [][]chan envelope
+	mail [][]chan []float64
 
 	// generation barrier + collective scratch, all guarded by mu. live is
 	// the number of ranks still executing: the barrier releases when every
@@ -210,11 +187,6 @@ type World struct {
 	deadCh  []chan struct{}
 	abortCh chan struct{}
 
-	// phase[r] is rank r's driver-posted progress marker (Post/PhaseOf):
-	// the recovery protocols use it to decide which phases a dead rank
-	// completed.
-	phase []atomic.Int64
-
 	inj *fault.Injector
 
 	// rec is the optional observability recorder: collectives open
@@ -225,10 +197,6 @@ type World struct {
 
 	p2pMessages     atomic.Int64
 	p2pBytes        atomic.Int64
-	drops           atomic.Int64
-	retries         atomic.Int64
-	backoffNanos    atomic.Int64
-	delayNanos      atomic.Int64
 	stragglerNanos  atomic.Int64
 	corruptions     atomic.Int64
 	retransmits     atomic.Int64
@@ -252,8 +220,8 @@ type Comm struct {
 
 const float64Bytes = 8
 
-// maxRealSleep caps the real in-process sleep of injected delay/straggle
-// faults; the full duration is recorded in the modeled stall statistics.
+// maxRealSleep caps the real in-process sleep of injected straggle faults;
+// the full duration is recorded in the modeled stall statistics.
 const maxRealSleep = 2 * time.Millisecond
 
 // rankCrashed is the panic sentinel an injected crash uses to unwind the
@@ -296,7 +264,6 @@ func RunPlanObs(size int, plan *fault.Plan, rec *obs.Recorder, fn func(c *Comm) 
 		slotSum:     make([]uint32, size),
 		deadCh:      make([]chan struct{}, size),
 		abortCh:     make(chan struct{}),
-		phase:       make([]atomic.Int64, size),
 		collectives: make(map[CollectiveKind]CollectiveStat),
 		rec:         rec,
 	}
@@ -317,11 +284,11 @@ func RunPlanObs(size int, plan *fault.Plan, rec *obs.Recorder, fn func(c *Comm) 
 	for r := range w.deadCh {
 		w.deadCh[r] = make(chan struct{})
 	}
-	w.mail = make([][]chan envelope, size)
+	w.mail = make([][]chan []float64, size)
 	for to := range w.mail {
-		w.mail[to] = make([]chan envelope, size)
+		w.mail[to] = make([]chan []float64, size)
 		for from := range w.mail[to] {
-			w.mail[to][from] = make(chan envelope, 64)
+			w.mail[to][from] = make(chan []float64, 64)
 		}
 	}
 	var wg sync.WaitGroup
@@ -447,10 +414,6 @@ func (w *World) stats() Stats {
 		P2PMessages:     w.p2pMessages.Load(),
 		P2PBytes:        w.p2pBytes.Load(),
 		Collectives:     coll,
-		Drops:           w.drops.Load(),
-		Retries:         w.retries.Load(),
-		BackoffNanos:    w.backoffNanos.Load(),
-		DelayNanos:      w.delayNanos.Load(),
 		StragglerNanos:  w.stragglerNanos.Load(),
 		Corruptions:     w.corruptions.Load(),
 		Retransmits:     w.retransmits.Load(),
@@ -487,12 +450,12 @@ func (c *Comm) span(kind CollectiveKind) obs.Span {
 }
 
 // faultPoint is consulted at every communication operation: it applies
-// the injected faults for this op and returns ErrDropped for a dropped
-// send, the abort cause if the world is canceled, or nil. An injected
-// crash does not return — it retires the rank and unwinds via panic. The
-// returned Action carries the verdicts the *caller* must apply (today
-// only Corrupt: the payload, if any, is bit-flipped in transit).
-func (c *Comm) faultPoint(send bool, to int) (fault.Action, error) {
+// the injected faults for this op and returns the abort cause if the
+// world is canceled, or nil. An injected crash does not return — it
+// retires the rank and unwinds via panic. The returned Action carries the
+// verdict the *caller* must apply: Corrupt, which bit-flips a collective
+// contribution in transit (operations without one ignore it).
+func (c *Comm) faultPoint() (fault.Action, error) {
 	w := c.world
 	if err := w.aborted(); err != nil {
 		return fault.Action{}, err
@@ -500,30 +463,18 @@ func (c *Comm) faultPoint(send bool, to int) (fault.Action, error) {
 	if w.inj == nil {
 		return fault.Action{}, nil
 	}
-	act := w.inj.Advance(c.rank, send, to)
+	act := w.inj.Advance(c.rank)
 	if act.Straggle > 0 {
 		w.rec.Count("fault.straggles", 1)
 		w.rec.Event(c.rank, "fault", "straggle")
 		w.stragglerNanos.Add(int64(act.Straggle))
 		sleepCapped(act.Straggle)
 	}
-	if act.Delay > 0 {
-		w.rec.Count("fault.delays", 1)
-		w.rec.Event(c.rank, "fault", "delay")
-		w.delayNanos.Add(int64(act.Delay))
-		sleepCapped(act.Delay)
-	}
 	if act.Crash {
 		w.rec.Count("fault.crashes", 1)
 		w.rec.Event(c.rank, "fault", "crash")
 		w.retire(c.rank, true)
 		panic(rankCrashed{c.rank})
-	}
-	if act.Drop {
-		w.rec.Count("fault.drops", 1)
-		w.rec.Event(c.rank, "fault", "drop")
-		w.drops.Add(1)
-		return act, ErrDropped
 	}
 	return act, nil
 }
@@ -545,7 +496,7 @@ func payloadChecksum(data []float64) uint32 {
 // corruptPayload returns a copy of data with one high bit of the first
 // element flipped — the smallest injected damage that any honest
 // checksum must catch. An empty payload has no bits to flip and is
-// returned as-is (corruption of a zero-length message is vacuous).
+// returned as-is (corruption of a zero-length contribution is vacuous).
 func corruptPayload(data []float64) []float64 {
 	out := make([]float64, len(data))
 	copy(out, data)
@@ -604,15 +555,6 @@ func (c *Comm) Lost() []int {
 	return lost
 }
 
-// LiveCount returns the number of ranks still executing.
-func (c *Comm) LiveCount() int {
-	w := c.world
-	w.mu.Lock()
-	n := w.live
-	w.mu.Unlock()
-	return n
-}
-
 // Health returns the world's per-rank health snapshot.
 func (c *Comm) Health() Health {
 	w := c.world
@@ -627,69 +569,36 @@ func (c *Comm) Health() Health {
 	return h
 }
 
-// Post publishes this rank's progress marker (a driver-defined monotone
-// phase id). Survivors read it with PhaseOf to decide which phases a dead
-// rank completed; markers are frozen at death.
-func (c *Comm) Post(v int64) { c.world.phase[c.rank].Store(v) }
-
-// PhaseOf reads rank's last posted progress marker.
-func (c *Comm) PhaseOf(rank int) int64 { return c.world.phase[rank].Load() }
-
 // Tick is a communication-free fault point for compute loops: it advances
 // this rank's operation counter so crash and straggler events can strike
 // mid-phase, and returns the abort cause if the world is canceled. Safe
 // to call only from the rank's own goroutine (a crash unwinds the calling
 // stack). There is no payload, so a Corrupt verdict here is inert.
 func (c *Comm) Tick() error {
-	_, err := c.faultPoint(false, -1)
+	_, err := c.faultPoint()
 	return err
-}
-
-// RecordRetry accounts one driver-level re-send after a drop plus the
-// backoff the driver would have waited; internal/perf prices it.
-func (c *Comm) RecordRetry(backoff time.Duration) {
-	c.world.rec.Count("fault.retries", 1)
-	c.world.retries.Add(1)
-	c.world.backoffNanos.Add(int64(backoff))
 }
 
 // Send delivers a copy of data to rank `to`. It blocks only if the
 // destination mailbox is full (64 outstanding messages), and unblocks
-// with a *RankLostError if the destination dies. Under fault injection it
-// can return ErrDropped (the attempt is lost; the caller may retry).
+// with a *RankLostError if the destination dies.
 func (c *Comm) Send(to int, data []float64) error {
 	w := c.world
 	if to < 0 || to >= w.size {
 		return fmt.Errorf("simmpi: Send to invalid rank %d (world size %d)", to, w.size)
 	}
-	act, err := c.faultPoint(true, to)
-	if err != nil && !errors.Is(err, ErrDropped) {
+	if _, err := c.faultPoint(); err != nil {
 		return err
 	}
-	// The wire attempt is paid whether or not the message arrives: the
-	// performance model prices dropped attempts as wasted transfers.
 	w.p2pMessages.Add(1)
 	w.p2pBytes.Add(int64(len(data)) * float64Bytes)
-	if err != nil {
-		return err
-	}
 	if !c.Alive(to) {
 		return &RankLostError{Ranks: []int{to}}
 	}
 	buf := make([]float64, len(data))
 	copy(buf, data)
-	env := envelope{data: buf}
-	if w.inj != nil {
-		// Checksum the authentic payload, then apply any corruption verdict
-		// to the copy in flight: the receiver's verification sees exactly
-		// what a damaged wire would deliver.
-		env.sum = payloadChecksum(data)
-		if act.Corrupt {
-			env.data = w.applyCorrupt(c.rank, buf)
-		}
-	}
 	select {
-	case w.mail[to][c.rank] <- env:
+	case w.mail[to][c.rank] <- buf:
 		return nil
 	case <-w.deadCh[to]:
 		return &RankLostError{Ranks: []int{to}}
@@ -719,13 +628,13 @@ func (c *Comm) recvDeadline(from int, d time.Duration) ([]float64, error) {
 	if from < 0 || from >= w.size {
 		return nil, fmt.Errorf("simmpi: Recv from invalid rank %d (world size %d)", from, w.size)
 	}
-	if _, err := c.faultPoint(false, -1); err != nil {
+	if _, err := c.faultPoint(); err != nil {
 		return nil, err
 	}
 	box := w.mail[c.rank][from]
 	select {
 	case m := <-box:
-		return c.openEnvelope(from, m)
+		return m, nil
 	default:
 	}
 	var timeout <-chan time.Time
@@ -736,12 +645,12 @@ func (c *Comm) recvDeadline(from int, d time.Duration) ([]float64, error) {
 	}
 	select {
 	case m := <-box:
-		return c.openEnvelope(from, m)
+		return m, nil
 	case <-w.deadCh[from]:
 		// The peer died — but a message may already be in flight.
 		select {
 		case m := <-box:
-			return c.openEnvelope(from, m)
+			return m, nil
 		default:
 			return nil, &RankLostError{Ranks: []int{from}}
 		}
@@ -752,35 +661,15 @@ func (c *Comm) recvDeadline(from int, d time.Duration) ([]float64, error) {
 	}
 }
 
-// openEnvelope verifies a received payload against its transit checksum.
-// The message is consumed either way: a corrupt delivery returns
-// ErrCorrupt (never silent data), and the caller decides whether to ask
-// for a retransmit, rebuild locally, or escalate.
-func (c *Comm) openEnvelope(from int, env envelope) ([]float64, error) {
-	w := c.world
-	if w.inj != nil && payloadChecksum(env.data) != env.sum {
-		w.rec.Count("fault.corruptions.detected", 1)
-		return nil, fmt.Errorf("simmpi: message from rank %d to rank %d: %w", from, c.rank, ErrCorrupt)
-	}
-	return env.data, nil
-}
-
 // TryRecv returns a pending message from rank `from` without blocking;
 // ok is false when the mailbox is empty. This is the polling primitive
 // the dynamic load-balancing coordinator uses to serve many workers. It
 // is not a fault point: polling frequency is scheduler-dependent, and
 // charging it to the op counter would make fault replay nondeterministic.
-// A message whose transit checksum fails verification is consumed,
-// counted, and reported as absent (ok = false) — detected and discarded,
-// never delivered silently damaged.
 func (c *Comm) TryRecv(from int) (data []float64, ok bool) {
 	select {
 	case m := <-c.world.mail[c.rank][from]:
-		out, err := c.openEnvelope(from, m)
-		if err != nil {
-			return nil, false
-		}
-		return out, true
+		return m, true
 	default:
 		return nil, false
 	}
@@ -793,7 +682,7 @@ func (c *Comm) Barrier() error {
 	w := c.world
 	sp := c.span(KindBarrier)
 	defer sp.End()
-	if _, err := c.faultPoint(false, -1); err != nil {
+	if _, err := c.faultPoint(); err != nil {
 		return err
 	}
 	if c.rank == 0 {
@@ -898,19 +787,16 @@ func (w *World) corruptContributors() []int {
 // (and, through the drivers, to the run supervisor).
 const maxRetransmits = 3
 
-// contributeVerified is the integrity-checked head of every collective:
-// contribute (when this rank has a payload in the round), synchronize,
-// verify every contribution, and retransmit a bounded number of times if
-// any slot arrived corrupted. On success the slots hold authentic data.
-// Each retransmit round consumes one fault-plan op per rank (a real
-// re-attempt, like a driver's send retry) and re-synchronizes before
-// re-contributing so slot writes never race verification reads.
-func (c *Comm) contributeVerified(kind CollectiveKind, data []float64, contributing bool, act fault.Action) error {
+// contributeVerified is the integrity-checked head of every data
+// collective: contribute, synchronize, verify every contribution, and
+// retransmit a bounded number of times if any slot arrived corrupted. On
+// success the slots hold authentic data. Each retransmit round consumes
+// one fault-plan op per rank (a real re-attempt) and re-synchronizes
+// before re-contributing so slot writes never race verification reads.
+func (c *Comm) contributeVerified(kind CollectiveKind, data []float64, act fault.Action) error {
 	w := c.world
 	for attempt := 0; ; attempt++ {
-		if contributing {
-			c.contribute(data, act.Corrupt)
-		}
+		c.contribute(data, act.Corrupt)
 		if err := c.barrierNoRecord(); err != nil {
 			return err
 		}
@@ -955,47 +841,11 @@ func (c *Comm) contributeVerified(kind CollectiveKind, data []float64, contribut
 			return err
 		}
 		var err error
-		act, err = c.faultPoint(false, -1)
+		act, err = c.faultPoint()
 		if err != nil {
 			return err
 		}
 	}
-}
-
-// Bcast distributes root's data to every rank: on the root, data is
-// returned unchanged; on other ranks a copy of root's slice is returned
-// (data may be nil there). If the root is dead, every rank receives a
-// *RankLostError.
-func (c *Comm) Bcast(root int, data []float64) ([]float64, error) {
-	w := c.world
-	sp := c.span(KindBcast)
-	defer sp.End()
-	act, err := c.faultPoint(false, -1)
-	if err != nil {
-		return nil, err
-	}
-	if c.rank == root {
-		w.recordCollective(KindBcast, int64(len(data))*float64Bytes)
-	}
-	if err := c.contributeVerified(KindBcast, data, c.rank == root, act); err != nil {
-		return nil, err
-	}
-	if !w.slotOK[root] {
-		// Consistent verdict on every live rank: all skip the close
-		// barrier together.
-		return nil, &RankLostError{Ranks: []int{root}}
-	}
-	var out []float64
-	if c.rank == root {
-		out = data
-	} else {
-		out = make([]float64, len(w.slots[root]))
-		copy(out, w.slots[root])
-	}
-	if err := c.barrierNoRecord(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Allreduce combines data elementwise across the live ranks with op and
@@ -1006,11 +856,11 @@ func (c *Comm) Allreduce(data []float64, op Op) ([]float64, error) {
 	w := c.world
 	sp := c.span(KindAllreduce)
 	defer sp.End()
-	act, err := c.faultPoint(false, -1)
+	act, err := c.faultPoint()
 	if err != nil {
 		return nil, err
 	}
-	if err := c.contributeVerified(KindAllreduce, data, true, act); err != nil {
+	if err := c.contributeVerified(KindAllreduce, data, act); err != nil {
 		return nil, err
 	}
 	ranks := w.contributors()
@@ -1036,50 +886,6 @@ func (c *Comm) Allreduce(data []float64, op Op) ([]float64, error) {
 	return out, nil
 }
 
-// Reduce combines data across the live ranks onto the root, which
-// receives the combined vector; other ranks receive nil. A dead root is
-// an error on every rank.
-func (c *Comm) Reduce(root int, data []float64, op Op) ([]float64, error) {
-	w := c.world
-	sp := c.span(KindReduce)
-	defer sp.End()
-	act, err := c.faultPoint(false, -1)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.contributeVerified(KindReduce, data, true, act); err != nil {
-		return nil, err
-	}
-	if !w.slotOK[root] {
-		return nil, &RankLostError{Ranks: []int{root}}
-	}
-	ranks := w.contributors()
-	if c.rank == ranks[0] {
-		w.recordCollective(KindReduce, int64(len(data))*float64Bytes)
-	}
-	var out []float64
-	var redErr error
-	if c.rank == root {
-		out = make([]float64, len(data))
-		copy(out, w.slots[ranks[0]])
-		for _, r := range ranks[1:] {
-			if len(w.slots[r]) != len(out) {
-				redErr = fmt.Errorf("simmpi: Reduce length mismatch: rank %d has %d elements, want %d",
-					r, len(w.slots[r]), len(out))
-				break
-			}
-			op.apply(out, w.slots[r])
-		}
-	}
-	if berr := c.barrierNoRecord(); berr != nil {
-		return nil, berr
-	}
-	if redErr != nil {
-		return nil, redErr
-	}
-	return out, nil
-}
-
 // Allgatherv concatenates every live rank's (variable-length)
 // contribution in rank order and returns the concatenation on every rank.
 // Crashed ranks contribute nothing — callers running a recovery protocol
@@ -1089,11 +895,11 @@ func (c *Comm) Allgatherv(data []float64) ([]float64, error) {
 	w := c.world
 	sp := c.span(KindAllgatherv)
 	defer sp.End()
-	act, err := c.faultPoint(false, -1)
+	act, err := c.faultPoint()
 	if err != nil {
 		return nil, err
 	}
-	if err := c.contributeVerified(KindAllgatherv, data, true, act); err != nil {
+	if err := c.contributeVerified(KindAllgatherv, data, act); err != nil {
 		return nil, err
 	}
 	ranks := w.contributors()
@@ -1109,43 +915,6 @@ func (c *Comm) Allgatherv(data []float64) ([]float64, error) {
 	out := make([]float64, 0, total)
 	for _, r := range ranks {
 		out = append(out, w.slots[r]...)
-	}
-	if err := c.barrierNoRecord(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Gather concatenates the live ranks' contributions in rank order onto
-// the root; other ranks receive nil. A dead root is an error on every
-// rank.
-func (c *Comm) Gather(root int, data []float64) ([]float64, error) {
-	w := c.world
-	sp := c.span(KindGather)
-	defer sp.End()
-	act, err := c.faultPoint(false, -1)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.contributeVerified(KindGather, data, true, act); err != nil {
-		return nil, err
-	}
-	if !w.slotOK[root] {
-		return nil, &RankLostError{Ranks: []int{root}}
-	}
-	ranks := w.contributors()
-	if c.rank == ranks[0] {
-		total := 0
-		for _, r := range ranks {
-			total += len(w.slots[r])
-		}
-		w.recordCollective(KindGather, int64(total)*float64Bytes)
-	}
-	var out []float64
-	if c.rank == root {
-		for _, r := range ranks {
-			out = append(out, w.slots[r]...)
-		}
 	}
 	if err := c.barrierNoRecord(); err != nil {
 		return nil, err
