@@ -6,7 +6,7 @@ GO ?= go
 BENCH_MAX_ATOMS ?= 2000
 BENCH_REPEATS ?= 3
 
-.PHONY: build test cross portable-test lint lint-json lint-self check check-race chaos-smoke trace-smoke serve-smoke soak soak-short bench-json bench-gate perfbench-selftest fuzz-short tune-roster
+.PHONY: build test cross portable-test lint lint-json lint-self check check-race chaos-smoke trace-smoke serve-smoke soak soak-short bench-json bench-gate perfbench-selftest fuzz-short tune-roster loc
 
 build:
 	$(GO) build ./...
@@ -58,11 +58,13 @@ lint-self:
 # any deadlock fails fast: crash and straggler plans (fault.Chaos)
 # against the runtime and runDistributed, the self-healing driver; plans
 # with corruptions too (fault.ChaosWithCorruption) against
-# runDistributed, which must never return silently damaged numbers; and
-# both generators through serve's supervisor under load.
+# runDistributed, which must never return silently damaged numbers; a
+# rank lost at the energy phase under Degrade, whose energy checkpoint
+# must record the shrunk membership; and both generators through serve's
+# supervisor under load.
 chaos-smoke:
 	$(GO) test -timeout 120s -count=1 \
-		-run 'TestChaosPlanNoDeadlock|TestChaosRecoverNeverDeadlocksOrLies|TestChaosCorruptionNeverSilent|TestChaosUnderLoad' \
+		-run 'TestChaosPlanNoDeadlock|TestChaosRecoverNeverDeadlocksOrLies|TestChaosCorruptionNeverSilent|TestDegradedEnergyCheckpointRecordsLostRanks|TestChaosUnderLoad' \
 		./internal/simmpi/ ./internal/gb/ ./internal/serve/
 
 # trace-smoke runs a small fault-free layout sweep with -trace-out and
@@ -127,6 +129,15 @@ bench-gate: bench-json
 # breaks the benchmark fails here rather than in a benchmark run.
 perfbench-selftest:
 	cd _perfbench && GOWORK=off $(GO) test -count=1 ./...
+
+# loc prints the line counts the ROADMAP's size baseline tracks: non-test
+# Go, test Go and amd64 assembly, leaving out _perfbench/ (a module of
+# its own) and testdata/ corpora.
+loc:
+	@lines() { find . \( -path ./.git -o -path ./_perfbench -o -name testdata \) -prune -o -type f "$$@" -print0 | xargs -0 cat | wc -l; }; \
+	printf 'non-test Go  %s\n' $$(lines -name '*.go' ! -name '*_test.go'); \
+	printf 'test Go      %s\n' $$(lines -name '*_test.go'); \
+	printf 'amd64 asm    %s\n' $$(lines -name '*_amd64.s')
 
 # tune-roster is the tuner's full acceptance sweep: tune.Select at a
 # 1 kcal/mol target on all 42 ZDock roster molecules, at one and at two

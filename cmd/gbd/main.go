@@ -81,8 +81,7 @@ func main() {
 		retries    = flag.Int("retries", 2, "supervised retry budget per job")
 		quotaRate  = flag.Float64("quota-rate", 0, "per-tenant admission rate (jobs/sec, 0 = no quotas)")
 		quotaBurst = flag.Float64("quota-burst", 0, "per-tenant burst (default max(1, rate))")
-		shedDepth  = flag.Int("shed-depth", 0, "queue depth that pre-sheds new jobs onto the relax rung (0 = queue-depth/2, negative = never)")
-		shedEps    = flag.Float64("shed-eps", 1.5, "ε relaxation factor used when shedding")
+		shedDepth  = flag.Int("shed-depth", 0, "queue depth that pre-sheds new jobs onto their accuracy ladder's first step (0 = queue-depth/2, negative = never)")
 		keep       = flag.Int("keep-checkpoints", 1, "checkpoint snapshots retained per job after completion")
 		ckptDelay  = flag.Duration("checkpoint-delay", 0, "slow every checkpoint save (test knob: widens the drain window)")
 		memBudget  = flag.Int64("mem-budget", 1<<30, "memory budget in bytes for the modeled resident size of admitted work (413 when one serial job exceeds it, 429 when the fleet would)")
@@ -106,7 +105,6 @@ func main() {
 		Retries:          *retries,
 		Quota:            serve.QuotaConfig{RatePerSec: *quotaRate, Burst: *quotaBurst},
 		ShedQueueDepth:   *shedDepth,
-		ShedEpsFactor:    *shedEps,
 		KeepCheckpoints:  *keep,
 		CheckpointDelay:  *ckptDelay,
 		MemBudgetBytes:   *memBudget,

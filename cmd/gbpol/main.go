@@ -198,7 +198,7 @@ func main() {
 	}
 	if sup != nil {
 		fmt.Printf("supervision   rung=%s attempts=%d eps-factor=%.3g\n",
-			sup.Rung, len(sup.Attempts), sup.EpsFactor)
+			sup.Rung, len(sup.Attempts), sup.Accuracy.EpsEpol/sys.Params.Accuracy.EpsEpol)
 		if sup.DeadlineExceeded {
 			fmt.Printf("supervision   deadline exceeded — fell back to a best-effort run\n")
 		}

@@ -26,9 +26,9 @@ func workprec(o Options) (*Table, error) {
 	}
 	naive := entry.naiveResult().Energy
 
-	// The default point anchors the speedup column.
-	defAcc := gb.DefaultAccuracy()
-	defRes, err := entry.sys.Run(gb.RunSpec{Accuracy: &defAcc})
+	// The system is built at the default point, which anchors the
+	// speedup column.
+	defRes, err := entry.sys.Run(gb.RunSpec{})
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,11 @@ func workprec(o Options) (*Table, error) {
 				BinWidth:  math.Min(eps/4, 0.2),
 				QuadOrder: 1, Order: ord,
 			}
-			res, err := entry.sys.Run(gb.RunSpec{Accuracy: &acc})
+			ws, err := entry.sys.WithAccuracy(acc)
+			if err != nil {
+				return nil, err
+			}
+			res, err := ws.Run(gb.RunSpec{})
 			if err != nil {
 				return nil, err
 			}

@@ -34,10 +34,10 @@ const (
 
 // Accuracy is the single validated work/precision specification of a
 // run: every knob that trades energy error against work, in one struct.
-// It is consumed by NewSystem (via Params.Accuracy), by RunSpec.Accuracy
-// as a per-run override, by the checkpoint machinery (payload shapes
-// depend on Order), by internal/tune's search, and by the serving
-// layer's job envelope.
+// A run's accuracy is its System's point, set by NewSystem (via
+// Params.Accuracy) or by WithAccuracy on a prepared system. It is also
+// read by the checkpoint machinery (payload shapes depend on Order), by
+// internal/tune's search, and by the serving layer's job envelope.
 //
 // The zero value means "unset" and resolves to DefaultAccuracy. A
 // non-zero Accuracy's own zero fields take the calibrated defaults (eps
@@ -130,9 +130,8 @@ func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Relaxed returns the point with the eps pair scaled by factor (> 1
-// loosens): the supervisor's relax rung and its deprecated
-// supervise.Spec.StartEpsFactor pre-shed run on
-// WithAccuracy(s.Params.Accuracy.Relaxed(factor)). The bin width is kept.
+// loosens); the bin width is kept. The supervisor's default accuracy
+// ladder is the system's point relaxed by 1.5 and then 2.25.
 func (a Accuracy) Relaxed(factor float64) Accuracy {
 	if factor <= 1 {
 		return a

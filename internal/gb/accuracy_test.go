@@ -165,11 +165,11 @@ func TestParamsRejectEpsBinAboveEpsEpol(t *testing.T) {
 	}
 }
 
-// TestRunSpecAccuracyOverrideMatchesDedicatedSystem pins the override
-// path: running a prepared quadrupole system at a looser dipole point via
-// RunSpec.Accuracy is bitwise the same as building a system at that point
-// directly (same surface) — one System serves many accuracy points.
-func TestRunSpecAccuracyOverrideMatchesDedicatedSystem(t *testing.T) {
+// TestWithAccuracyMatchesDedicatedSystem pins the shallow-copy path:
+// running a prepared quadrupole system at another point via WithAccuracy
+// is bitwise the same as building a system at that point directly (same
+// surface) — one System serves many accuracy points.
+func TestWithAccuracyMatchesDedicatedSystem(t *testing.T) {
 	m := molecule.Exactly(molecule.Globule("ovr", 300, 23), 300, 23)
 	surf, err := surface.Build(m, surface.DefaultConfig())
 	if err != nil {
@@ -186,11 +186,11 @@ func TestRunSpecAccuracyOverrideMatchesDedicatedSystem(t *testing.T) {
 		{EpsBorn: 1.2, EpsEpol: 1.2, QuadOrder: 1, Order: OrderMonopole},
 		{EpsBorn: 0.6, EpsEpol: 0.6, QuadOrder: 1, Order: OrderQuadrupole},
 	} {
-		acc := acc
-		over, err := host.Run(RunSpec{Accuracy: &acc})
+		ws, err := host.WithAccuracy(acc)
 		if err != nil {
-			t.Fatalf("override %+v: %v", acc, err)
+			t.Fatalf("WithAccuracy %+v: %v", acc, err)
 		}
+		over := mustRun(t, ws, RunSpec{})
 		dp := DefaultParams()
 		dp.Accuracy = acc
 		dedicated, err := NewSystem(m, surf, dp)
@@ -199,7 +199,7 @@ func TestRunSpecAccuracyOverrideMatchesDedicatedSystem(t *testing.T) {
 		}
 		direct := mustRun(t, dedicated, RunSpec{})
 		if math.Float64bits(over.Epol) != math.Float64bits(direct.Epol) {
-			t.Errorf("override at %+v: Epol %v, dedicated system %v", acc, over.Epol, direct.Epol)
+			t.Errorf("WithAccuracy at %+v: Epol %v, dedicated system %v", acc, over.Epol, direct.Epol)
 		}
 	}
 }

@@ -95,10 +95,9 @@ func TestDistributedBitwiseDeterministic(t *testing.T) {
 
 // TestForceProtocolMatchesPlainRun pins the property a tuned job's served
 // answer rests on: at one layout, a point computes the same Epol, every
-// radius and the same per-core ops whether it runs on the plain protocol
-// with a RunSpec.Accuracy override (the tuner's run), on the forced
-// fault-tolerance protocol (the supervisor's run), or as a WithAccuracy
-// system on the forced protocol (the supervised tuned system). Each
+// radius and the same per-core ops whether a WithAccuracy copy runs it on
+// the plain protocol (the tuner's run) or the selected system runs it on
+// the forced fault-tolerance protocol (the supervisor's run). Each
 // system is built as the tuner builds it, at the monopole ε 0.3 corner
 // on a surface of the point's quadrature degree.
 func TestForceProtocolMatchesPlainRun(t *testing.T) {
@@ -137,17 +136,18 @@ func TestForceProtocolMatchesPlainRun(t *testing.T) {
 				}
 				for _, l := range layouts {
 					label := fmt.Sprintf("%s q=%d order=%d %d×%d", mol.Name, q, ord, l[0], l[1])
-					spec := RunSpec{Processes: l[0], ThreadsPerProcess: l[1], Accuracy: &acc}
-					plain := mustRun(t, sys, spec)
+					// The tuner runs each candidate on its own copy.
+					candidate, err := sys.WithAccuracy(acc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					spec := RunSpec{Processes: l[0], ThreadsPerProcess: l[1]}
+					plain := mustRun(t, candidate, spec)
 					spec.Faults = &FaultConfig{ForceProtocol: true}
-					forced := mustRun(t, sys, spec)
-					spec.Accuracy = nil
 					supervised := mustRun(t, tuned, spec)
-					for _, r := range []*Result{forced, supervised} {
-						bitwiseSame(t, label, plain, r)
-						if fmt.Sprint(r.PerCoreOps) != fmt.Sprint(plain.PerCoreOps) {
-							t.Errorf("%s: PerCoreOps %v, plain run %v (%s)", label, r.PerCoreOps, plain.PerCoreOps, kernelPath())
-						}
+					bitwiseSame(t, label, plain, supervised)
+					if fmt.Sprint(supervised.PerCoreOps) != fmt.Sprint(plain.PerCoreOps) {
+						t.Errorf("%s: PerCoreOps %v, plain run %v (%s)", label, supervised.PerCoreOps, plain.PerCoreOps, kernelPath())
 					}
 				}
 			}

@@ -301,12 +301,14 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 		// phase's share of work and its collective), and re-agree on
 		// membership. An iteration whose membership changed is redone over
 		// the shrunk live set, unless degrade is given and the policy is
-		// Degrade: then degrade bounds the newly lost shares and the
-		// partial result stands. An accepted iteration applies body's
-		// commit. Without faults body runs once and commits. The
-		// "redo.iterations" histogram records the final iteration count, a
-		// workload property (zero on every rank for crash-free plans, so
-		// crash-free summaries stay byte-identical).
+		// Degrade: then degrade bounds the newly lost shares (reading the
+		// membership the iteration ran on), the partial result stands, and
+		// the shrunk membership is adopted for the phase's checkpoint. An
+		// accepted iteration applies body's commit. Without faults body
+		// runs once and commits. The "redo.iterations" histogram records
+		// the final iteration count, a workload property (zero on every
+		// rank for crash-free plans, so crash-free summaries stay
+		// byte-identical).
 		heal := func(span string, body func() (commit func(), err error), degrade func(newLost []int)) error {
 			for iter := 0; iter <= P; iter++ {
 				if ft {
@@ -332,6 +334,7 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 							continue
 						}
 						degrade(newLost)
+						lost, live = newLost, liveRanksOf(P, newLost)
 					}
 				}
 				commit()

@@ -3,11 +3,14 @@ package gb
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"gbpolar/internal/fault"
+	"gbpolar/internal/molecule"
 	"gbpolar/internal/obs"
+	"gbpolar/internal/surface"
 )
 
 // Op-count map of runDistributed's fault-tolerant path (P ranks, no
@@ -129,6 +132,50 @@ func TestCrashDegradeHonestBound(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestDegradedEnergyCheckpointRecordsLostRanks pins the energy snapshot
+// of a degraded run: when a rank dies at the energy phase's Allreduce
+// (op 8) and Degrade accepts the partial energy, the PhaseEpol snapshot
+// is still saved, by the lowest surviving rank, and records the
+// membership the result reports — Lost equal to LostRanks, Live the
+// complement — with the accepted energy, flag and bound as its tail.
+func TestDegradedEnergyCheckpointRecordsLostRanks(t *testing.T) {
+	const P = 3
+	s := newTestSystem(t, molecule.ZDockMolecule(molecule.ZDockRoster()[0]), surface.DefaultConfig(), DefaultParams())
+	for rank := range P {
+		t.Run(fmt.Sprintf("crash:%d@8", rank), func(t *testing.T) {
+			plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: rank, AtOp: 8}}}
+			sink := &memSink{}
+			r, err := s.Run(RunSpec{Processes: P, Faults: &FaultConfig{Plan: plan, Policy: Degrade}, Checkpoint: sink})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Degraded || !reflect.DeepEqual(r.LostRanks, []int{rank}) {
+				t.Fatalf("Degraded=%v LostRanks=%v, want a degraded run that lost rank %d", r.Degraded, r.LostRanks, rank)
+			}
+			var epol *Checkpoint
+			for _, sv := range sink.saves {
+				ck, err := DecodeCheckpoint(sv.data)
+				if err != nil {
+					t.Fatalf("decoding saved %s checkpoint: %v", sv.phase, err)
+				}
+				if ck.Phase == PhaseEpol {
+					epol = ck
+				}
+			}
+			if epol == nil {
+				t.Fatalf("no %s checkpoint saved (saved %v)", PhaseEpol, sink.phases())
+			}
+			if !reflect.DeepEqual(epol.Lost, r.LostRanks) || !reflect.DeepEqual(epol.Live, liveRanksOf(P, r.LostRanks)) {
+				t.Errorf("%s checkpoint records Live %v Lost %v, result lost %v", PhaseEpol, epol.Live, epol.Lost, r.LostRanks)
+			}
+			tail := epol.Payload[len(epol.Payload)-3:]
+			if tail[0] != r.Epol || tail[1] != 1 || tail[2] != r.ErrorBound {
+				t.Errorf("%s checkpoint tail %v, want [%v 1 %v]", PhaseEpol, tail, r.Epol, r.ErrorBound)
+			}
+		})
 	}
 }
 

@@ -47,13 +47,6 @@ type RunSpec struct {
 	// same configuration tag (ε may differ — see Accuracy.Relaxed); the
 	// process count may differ from the saving run's.
 	Resume *Checkpoint
-	// Accuracy overrides the system's accuracy point for this run only:
-	// the run executes on a shallow WithAccuracy copy, so one prepared
-	// System serves many (target error, accuracy point) jobs without
-	// rebuilding octrees. Nil (or the zero Accuracy) keeps the system's
-	// own point. QuadOrder cannot be changed here — the surface is
-	// prebuilt; use tune.Select/NewSystem to search over it.
-	Accuracy *Accuracy
 	// Trace is the request identity of the job this run serves (see
 	// obs.TraceContext): Run stamps it onto Obs before the drivers open
 	// their first span, so every span, flight event, and export of the
@@ -115,13 +108,6 @@ func (s *System) dispatch(spec RunSpec) (*Result, error) {
 	}
 	if spec.ThreadsPerProcess < 0 {
 		return nil, fmt.Errorf("gb: invalid spec: ThreadsPerProcess=%d must be non-negative", spec.ThreadsPerProcess)
-	}
-	if spec.Accuracy != nil {
-		ws, err := s.WithAccuracy(*spec.Accuracy)
-		if err != nil {
-			return nil, fmt.Errorf("gb: invalid spec: %w", err)
-		}
-		s = ws
 	}
 	if spec.Resume != nil {
 		if err := s.validateResume(spec.Resume); err != nil {

@@ -80,12 +80,6 @@ func (p *Pool) NumWorkers() int { return len(p.workers) }
 // Steals returns the number of successful steals so far.
 func (p *Pool) Steals() int64 { return p.steals.Load() }
 
-// Parks returns how often a worker ran out of local and stealable work
-// and went to sleep — the pool-level steal-idle signal the critical-path
-// attribution reads alongside comm time (a high park count with low comm
-// means the layout starves workers, not the network).
-func (p *Pool) Parks() int64 { return p.parks.Load() }
-
 // TasksSpawned returns the number of tasks spawned so far.
 func (p *Pool) TasksSpawned() int64 { return p.spawned.Load() }
 

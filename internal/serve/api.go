@@ -109,8 +109,8 @@ type JobRequest struct {
 	// for this |Epol| error budget (kcal/mol), and the chosen point
 	// comes back in the result's "accuracy" envelope. The supervisor's
 	// accuracy-shedding ladder then steps down the tuner's admissible
-	// frontier instead of scaling ε blindly. 0 keeps the calibrated
-	// default accuracy.
+	// frontier instead of scaling ε. 0 keeps the calibrated default
+	// accuracy.
 	TargetErrorKcal float64 `json:"target_error_kcal,omitempty"`
 }
 
@@ -154,10 +154,13 @@ type ResultDoc struct {
 	Degraded   bool    `json:"degraded"`
 	ErrorBound float64 `json:"error_bound"`
 	Rung       string  `json:"rung"`
-	EpsFactor  float64 `json:"eps_factor"`
-	Attempts   int     `json:"attempts"`
-	// Shed reports the job was started on a relaxed rung by the
-	// overload policy (queue pressure or unhealthy ranks).
+	// EpsFactor is the ε_Epol the job ran at over the one it was given
+	// (the default point's, or the tuner's pick): 1 unless accuracy was
+	// shed.
+	EpsFactor float64 `json:"eps_factor"`
+	Attempts  int     `json:"attempts"`
+	// Shed reports the job was started on its accuracy ladder's first
+	// step by the overload policy (queue pressure or unhealthy ranks).
 	Shed bool `json:"shed,omitempty"`
 	// Resumed reports the job picked its checkpoint back up after a
 	// daemon restart.

@@ -68,18 +68,15 @@ type Config struct {
 	// Quota is the per-tenant admission quota (zero disables it).
 	Quota QuotaConfig
 	// ShedQueueDepth is the queue depth at which newly started jobs are
-	// pre-shed onto the relax rung (ShedEpsFactor). 0 defaults to
-	// QueueDepth/2; negative disables depth-based shedding. Jobs are
-	// also shed when the previous run's health view reports lost or
-	// straggling ranks — the cluster is struggling, so buy slack.
+	// pre-shed onto the first step of their accuracy ladder
+	// (supervise.Spec.Shed): ε ×1.5 for a default job, the tuner's first
+	// cheaper point for a tuned one. 0 defaults to QueueDepth/2;
+	// negative disables depth-based shedding. Jobs are also shed when
+	// the previous run's health view reports lost or straggling ranks —
+	// the cluster is struggling, so buy slack. The shed accuracy is
+	// priced into the response's ErrorBound and the result is marked
+	// Degraded — shedding is visible, never silent.
 	ShedQueueDepth int
-	// ShedEpsFactor is the pre-relaxation used when shedding (default
-	// 1.5). The shed accuracy is priced into the response's ErrorBound
-	// and the result is marked Degraded — shedding is visible, never
-	// silent. In Accuracy terms the factor maps onto
-	// gb.Accuracy.Relaxed(ShedEpsFactor) applied to the job's point
-	// (tuned or default) — see supervise.Spec.StartEpsFactor.
-	ShedEpsFactor float64
 	// KeepCheckpoints is the per-config snapshot retention passed to
 	// DirStore.Prune after a job completes (default 1).
 	KeepCheckpoints int
@@ -127,9 +124,6 @@ func (c *Config) fillDefaults() {
 		if c.ShedQueueDepth < 1 {
 			c.ShedQueueDepth = 1
 		}
-	}
-	if c.ShedEpsFactor <= 1 {
-		c.ShedEpsFactor = 1.5
 	}
 	if c.KeepCheckpoints <= 0 {
 		c.KeepCheckpoints = 1
@@ -219,11 +213,6 @@ type Server struct {
 // terminal views, and re-queues unfinished ones (each will resume from
 // its newest checkpoint). Start launches the workers.
 func New(cfg Config) (*Server, error) {
-	// A non-finite factor would fail every pre-shed job at
-	// gb.WithAccuracy; refuse it before any job is admitted.
-	if math.IsNaN(cfg.ShedEpsFactor) || math.IsInf(cfg.ShedEpsFactor, 0) {
-		return nil, fmt.Errorf("serve: shed eps factor %v must be finite", cfg.ShedEpsFactor)
-	}
 	cfg.fillDefaults()
 	s := &Server{
 		cfg:  cfg,
@@ -303,9 +292,6 @@ func (s *Server) Drain() {
 	//lint:ignore ctxflow blocking until workers exit is Drain's contract; stop() just canceled runCtx, so every worker unblocks and Wait terminates
 	s.wg.Wait()
 }
-
-// Draining reports whether drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // QueueDepth reports how many jobs are waiting in the admission queue
 // right now (gbd's structured log lines report it at startup and drain).
@@ -615,17 +601,14 @@ func (s *Server) runJob(j *job) {
 
 	// Overload-aware shedding: under queue pressure, or when the last
 	// run's health view says ranks were lost or straggling, start on
-	// the relax rung. The job completes sooner at priced accuracy
-	// instead of competing at full cost.
-	shed := false
-	startEps := 0.0
-	if (s.cfg.ShedQueueDepth > 0 && len(s.queue) >= s.cfg.ShedQueueDepth) || s.unhealthy.Load() {
-		shed = true
-		startEps = s.cfg.ShedEpsFactor
+	// the accuracy ladder's first step. The job completes sooner at
+	// priced accuracy instead of competing at full cost.
+	shed := (s.cfg.ShedQueueDepth > 0 && len(s.queue) >= s.cfg.ShedQueueDepth) || s.unhealthy.Load()
+	if shed {
 		s.count("serve.jobs.shed", 1)
 	}
 
-	out, sel, runErr := s.superviseJob(j, deadline, startEps)
+	out, sel, runErr := s.superviseJob(j, deadline, shed)
 
 	if runErr != nil {
 		if errors.Is(runErr, supervise.ErrCanceled) || errors.Is(runErr, gb.ErrRunCanceled) {
@@ -647,6 +630,10 @@ func (s *Server) runJob(j *job) {
 	}
 
 	res := out.Result
+	base := gb.DefaultAccuracy()
+	if sel != nil {
+		base = sel.Point.Acc
+	}
 	doc := &ResultDoc{
 		Epol:            res.Epol,
 		EpolBits:        epolBits(res.Epol),
@@ -655,7 +642,7 @@ func (s *Server) runJob(j *job) {
 		Degraded:        out.Degraded,
 		ErrorBound:      res.ErrorBound,
 		Rung:            out.Rung.String(),
-		EpsFactor:       out.EpsFactor,
+		EpsFactor:       out.Accuracy.EpsEpol / base.EpsEpol,
 		Attempts:        len(out.Attempts),
 		Shed:            shed,
 		Resumed:         j.resumed,
@@ -705,7 +692,7 @@ func (s *Server) runJob(j *job) {
 // error first go through the tuner: the job runs at the cheapest
 // admitted accuracy point, and the supervisor's relax rung steps down
 // the tuner's frontier (selection returned for the result envelope).
-func (s *Server) superviseJob(j *job, deadline time.Duration, startEps float64) (*supervise.Outcome, *tune.Selection, error) {
+func (s *Server) superviseJob(j *job, deadline time.Duration, shed bool) (*supervise.Outcome, *tune.Selection, error) {
 	var (
 		sys    *gb.System
 		sel    *tune.Selection
@@ -729,9 +716,7 @@ func (s *Server) superviseJob(j *job, deadline time.Duration, startEps float64) 
 			return nil, nil, fmt.Errorf("tuning accuracy: %w", err)
 		}
 		sys = sel.System
-		for _, p := range sel.Ladder {
-			ladder = append(ladder, supervise.RelaxStep{Accuracy: p.Acc, RelError: p.PredictedRelError})
-		}
+		ladder = relaxLadder(sel)
 	} else {
 		// The surface is sampled on the job's own cores, at most one
 		// per atom (threads never exceed the atoms; P may).
@@ -756,7 +741,7 @@ func (s *Server) superviseJob(j *job, deadline time.Duration, startEps float64) 
 	// A pre-shed job must run the shed point, and a pick that ran on one
 	// rank has no snapshot; both compute. A failed save only loses the
 	// shortcut.
-	if sel != nil && sel.Snapshot != nil && startEps <= 1 {
+	if sel != nil && sel.Snapshot != nil && !shed {
 		if err := store.Save(gb.PhaseEpol, sel.Snapshot); err != nil {
 			s.count("serve.tune_handoff_errors", 1)
 		}
@@ -795,9 +780,19 @@ func (s *Server) superviseJob(j *job, deadline time.Duration, startEps float64) 
 		Clock:             s.cfg.Clock,
 		Context:           s.runCtx,
 		AccuracyLadder:    ladder,
-		StartEpsFactor:    startEps,
+		Shed:              shed,
 	})
 	return out, sel, err
+}
+
+// relaxLadder is a tuned job's accuracy ladder: the tuner's shed points,
+// each priced at its predicted relative error.
+func relaxLadder(sel *tune.Selection) []supervise.RelaxStep {
+	var ladder []supervise.RelaxStep
+	for _, p := range sel.Ladder {
+		ladder = append(ladder, supervise.RelaxStep{Accuracy: p.Acc, RelError: p.PredictedRelError})
+	}
+	return ladder
 }
 
 // finishJob records a terminal view (exactly one of doc/errDoc is

@@ -387,19 +387,6 @@ func TestShedUnderQueuePressureIsPricedAndBounded(t *testing.T) {
 	}
 }
 
-// A non-finite shed factor used to pass New (NaN survives the "≤ 1 means
-// default" rule) and then fail every pre-shed job at WithAccuracy.
-func TestNewRejectsNonFiniteShedEpsFactor(t *testing.T) {
-	for _, f := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
-		if _, err := New(Config{ShedEpsFactor: f}); err == nil {
-			t.Errorf("New accepted ShedEpsFactor %v", f)
-		}
-	}
-	if _, err := New(Config{ShedEpsFactor: 2}); err != nil {
-		t.Errorf("New refused a finite ShedEpsFactor: %v", err)
-	}
-}
-
 func TestReadyzFlipsOnDrain(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	get := func(path string) int {

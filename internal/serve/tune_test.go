@@ -397,7 +397,8 @@ func TestPreShedTunedJobRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := supervise.Run(sel.System, supervise.Spec{Processes: 2, ThreadsPerProcess: 1, StartEpsFactor: 1.5})
+	out, err := supervise.Run(sel.System, supervise.Spec{Processes: 2, ThreadsPerProcess: 1,
+		Shed: true, AccuracyLadder: relaxLadder(sel)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,5 +408,60 @@ func TestPreShedTunedJobRecomputes(t *testing.T) {
 	}
 	if n := rec.Counters()["serve.tune_handoff_errors"]; n != 0 {
 		t.Errorf("serve.tune_handoff_errors = %d, want 0", n)
+	}
+}
+
+// A shed tuned job starts on the first step of its tuner ladder, not on a
+// scaled copy of its pick: the served point is that step's, eps_factor
+// is the step's ε over the pick's, the bits are a direct supervised Shed
+// run's over the same ladder, and the priced bound contains the distance
+// to the unshed job's energy.
+func TestShedTunedJobRunsLadderFirstStep(t *testing.T) {
+	// Staged before Start: the first job dequeued sees the second queued
+	// (depth 1 ≥ ShedQueueDepth) and is shed; the second is not.
+	s, err := New(Config{DataDir: t.TempDir(), QueueDepth: 4, ShedQueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	mol := testMol(300, 17)
+	ids := []string{submitTuned(t, ts.URL, mol), submitTuned(t, ts.URL, mol)}
+	s.Start()
+	defer s.Drain()
+	shed, plain := awaitTerminal(t, ts.URL, ids[0]), awaitTerminal(t, ts.URL, ids[1])
+	if shed.State != StateDone || !shed.Result.Shed || plain.State != StateDone || plain.Result.Shed {
+		t.Fatalf("want the first job shed and the second not: %+v / %+v", shed.Result, plain.Result)
+	}
+
+	sel, err := tune.Select(mol, 1.0, tune.Options{Processes: 2, ThreadsPerProcess: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ladder := relaxLadder(sel)
+	if len(ladder) == 0 {
+		t.Fatal("the tuner's pick has no cheaper point: the job would shed on the default ladder")
+	}
+	got, first := shed.Result, ladder[0].Accuracy
+	if a := got.Accuracy; a == nil || a.EpsBorn != first.EpsBorn || a.EpsEpol != first.EpsEpol ||
+		a.BinWidth != first.BinWidth || a.QuadOrder != first.QuadOrder || a.Order != first.Order {
+		t.Errorf("shed job ran at %+v, want the ladder's first step %+v", got.Accuracy, first)
+	}
+	if want := first.EpsEpol / sel.Point.Acc.EpsEpol; got.EpsFactor != want {
+		t.Errorf("eps_factor %v, want the step's ε over the pick's, %v", got.EpsFactor, want)
+	}
+	out, err := supervise.Run(sel.System, supervise.Spec{Processes: 2, ThreadsPerProcess: 1,
+		Shed: true, AccuracyLadder: ladder})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.EpolBits != epolBits(out.Result.Epol) {
+		t.Errorf("shed job Epol %s, supervised Shed run %s", got.EpolBits, epolBits(out.Result.Epol))
+	}
+	if !got.Degraded {
+		t.Error("shed job not marked Degraded")
+	}
+	if d := math.Abs(got.Epol - plain.Result.Epol); !(d <= got.ErrorBound) {
+		t.Errorf("|E_shed − E_unshed| = %g outside the priced bound %g", d, got.ErrorBound)
 	}
 }

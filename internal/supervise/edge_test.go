@@ -94,8 +94,8 @@ func TestExpiredDeadlineBeforeFirstRetry(t *testing.T) {
 
 // TestRetryBudgetExhaustedAtEveryRung pins the budget accounting: with a
 // plan that kills every attempt, each rung consumes exactly its budget
-// (Retries for the retry rung, one per ε ladder notch, one for degrade)
-// before the terminal fallback completes.
+// (Retries for the retry rung, one per default ladder step, one for
+// degrade) before the terminal fallback completes.
 func TestRetryBudgetExhaustedAtEveryRung(t *testing.T) {
 	const P = 3
 	s := buildSys(t, 300)
@@ -112,14 +112,15 @@ func TestRetryBudgetExhaustedAtEveryRung(t *testing.T) {
 	if got := rungs(out); !reflect.DeepEqual(got, want) {
 		t.Errorf("ladder walk %v, want %v", got, want)
 	}
-	var factors []float64
+	var points []gb.Accuracy
 	for _, a := range out.Attempts {
 		if a.Rung == RungRelax {
-			factors = append(factors, a.EpsFactor)
+			points = append(points, a.Accuracy)
 		}
 	}
-	if !reflect.DeepEqual(factors, epsLadder[:]) {
-		t.Errorf("relax notches ran at ε factors %v, want %v", factors, epsLadder)
+	base := s.Params.Accuracy
+	if want := []gb.Accuracy{base.Relaxed(1.5), base.Relaxed(2.25)}; !reflect.DeepEqual(points, want) {
+		t.Errorf("relax steps ran at %+v, want ε ×1.5 and ×2.25 of the system's point %+v", points, want)
 	}
 	for i, a := range out.Attempts[:len(out.Attempts)-1] {
 		if a.Err == "" {
@@ -132,7 +133,7 @@ func TestRetryBudgetExhaustedAtEveryRung(t *testing.T) {
 }
 
 // TestAuditOrderingUnderSeededBackoff pins the audit trail: attempt
-// numbers are dense and ascending, the eps factors follow the ladder,
+// numbers are dense and ascending, the accuracy points follow the ladder,
 // and the same seed reproduces the identical walk and modeled backoff
 // while a different seed draws different jitter.
 func TestAuditOrderingUnderSeededBackoff(t *testing.T) {
@@ -167,8 +168,8 @@ func TestAuditOrderingUnderSeededBackoff(t *testing.T) {
 		if i > 0 && ar.Rung < a.Attempts[i-1].Rung {
 			t.Errorf("rung regressed at attempt %d: %s after %s", i, ar.Rung, a.Attempts[i-1].Rung)
 		}
-		if i > 0 && ar.EpsFactor < a.Attempts[i-1].EpsFactor {
-			t.Errorf("eps factor regressed at attempt %d", i)
+		if i > 0 && ar.Accuracy.EpsEpol < a.Attempts[i-1].Accuracy.EpsEpol {
+			t.Errorf("eps regressed at attempt %d", i)
 		}
 	}
 }
@@ -204,39 +205,44 @@ func TestPreCanceledContextRunsNothing(t *testing.T) {
 	}
 }
 
-// TestStartEpsFactorPreShedsAccuracy pins the overload-shedding knob: a
-// clean run started on the relax rung completes on the first attempt,
-// is Degraded with the relaxation priced into ErrorBound, and the bound
-// really contains the distance to the unrelaxed result.
-func TestStartEpsFactorPreShedsAccuracy(t *testing.T) {
+// TestShedStartsOnFirstLadderStep pins the overload-shedding knob: a
+// clean run started on the default ladder's first step (ε ×1.5)
+// completes on the first attempt, is Degraded with the step priced into
+// ErrorBound, and the bound really contains the distance to the unshed
+// result.
+func TestShedStartsOnFirstLadderStep(t *testing.T) {
 	const P = 3
 	s := buildSys(t, 300)
 	ref, err := Run(s, Spec{Processes: P})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(s, Spec{Processes: P, StartEpsFactor: 1.5})
+	out, err := Run(s, Spec{Processes: P, Shed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Rung != RungInitial || len(out.Attempts) != 1 {
-		t.Errorf("pre-shed clean run escalated: rung=%s attempts=%d", out.Rung, len(out.Attempts))
+		t.Errorf("shed clean run escalated: rung=%s attempts=%d", out.Rung, len(out.Attempts))
 	}
-	if !out.Degraded || out.EpsFactor != 1.5 || out.Result.ErrorBound <= 0 {
-		t.Errorf("pre-shed outcome degraded=%v eps=%v bound=%v",
-			out.Degraded, out.EpsFactor, out.Result.ErrorBound)
+	shedAcc := s.Params.Accuracy.Relaxed(1.5)
+	if !out.Degraded || out.Accuracy != shedAcc || out.Result.ErrorBound <= 0 {
+		t.Errorf("shed outcome degraded=%v accuracy=%+v bound=%v, want ε ×1.5 (%+v)",
+			out.Degraded, out.Accuracy, out.Result.ErrorBound, shedAcc)
+	}
+	if want := s.Params.Accuracy.EpsEpol * 0.5; out.RelError != want {
+		t.Errorf("shed step predicts relative error %v, want ε·(1.5−1) = %v", out.RelError, want)
 	}
 	if diff := math.Abs(out.Result.Epol - ref.Result.Epol); diff > out.Result.ErrorBound {
-		t.Errorf("relaxed Epol %v vs %v outside bound %v",
+		t.Errorf("shed Epol %v vs %v outside bound %v",
 			out.Result.Epol, ref.Result.Epol, out.Result.ErrorBound)
 	}
-	// A ladder notch at the pre-shed factor is skipped on escalation: the
-	// walk under a killing plan never repeats factor 1.5.
+	// The relax rung skips the shed step: the walk under a killing plan
+	// never re-runs ε ×1.5.
 	out2, err := Run(s, Spec{
-		Processes:      P,
-		StartEpsFactor: 1.5,
-		Plan:           alwaysCrash(P),
-		Retries:        1,
+		Processes: P,
+		Shed:      true,
+		Plan:      alwaysCrash(P),
+		Retries:   1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -245,13 +251,13 @@ func TestStartEpsFactorPreShedsAccuracy(t *testing.T) {
 	for _, a := range out2.Attempts {
 		if a.Rung == RungRelax {
 			relaxed++
-			if a.EpsFactor <= 1.5 {
-				t.Errorf("relax rung re-ran pre-shed factor %v", a.EpsFactor)
+			if a.Accuracy.EpsEpol <= shedAcc.EpsEpol {
+				t.Errorf("relax rung re-ran the shed point: eps %v", a.Accuracy.EpsEpol)
 			}
 		}
 	}
 	if relaxed != 1 {
-		t.Errorf("relax rung ran %d notches, want 1 (2.25 only)", relaxed)
+		t.Errorf("relax rung ran %d steps, want 1 (×2.25 only)", relaxed)
 	}
 }
 

@@ -3,14 +3,15 @@
 // exponential backoff and jitter, phase-checkpoint persistence, and an
 // accuracy-shedding escalation ladder. Where internal/gb heals WITHIN a
 // run (heal-by-redo over the live set), the supervisor decides what to
-// do when a whole run attempt fails — crashed quorum, exhausted
-// retransmits, persistent corruption — and trades accuracy for
-// completion one deliberate notch at a time:
+// do when a whole run attempt fails — crashed quorum, persistent
+// corruption — and trades accuracy for completion one deliberate step
+// at a time:
 //
 //	retry     same configuration, resumed from the newest checkpoint
 //	shrink    resume with membership shrunk to the checkpoint's live set
-//	relax     relax the ε tolerances one ladder notch (priced into
-//	          the returned ErrorBound) and resume
+//	relax     move one step down the accuracy ladder (Spec.AccuracyLadder,
+//	          or ε ×1.5 then ×2.25 of the system's point), price the
+//	          step's predicted error into the returned ErrorBound, resume
 //	degrade   accept a partial energy with the rigorous missing-mass
 //	          bound (gb's Degrade policy)
 //	fallback  serial single-rank run, no injection, resumed from the
@@ -53,8 +54,8 @@ const (
 	// RungShrink resumes with the process count shrunk to the
 	// checkpoint's agreed live membership.
 	RungShrink
-	// RungRelax relaxes the ε tolerances one notch (gb.Accuracy.Relaxed)
-	// and prices the shed accuracy into ErrorBound.
+	// RungRelax moves one step down the accuracy ladder and prices the
+	// step's predicted error into ErrorBound.
 	RungRelax
 	// RungDegrade switches to gb's Degrade policy: accept a partial
 	// energy with its rigorous missing-mass bound.
@@ -84,14 +85,12 @@ func (r Rung) String() string {
 	return fmt.Sprintf("Rung(%d)", int(r))
 }
 
-// RelaxStep is one notch of an accuracy-shedding ladder expressed as a
-// full gb.Accuracy point rather than a scalar ε factor: the tuner
+// RelaxStep is one step of the accuracy-shedding ladder: a full
+// gb.Accuracy point and its predicted relative Epol error. The tuner
 // (internal/tune) hands the supervisor its admissible frontier, and the
-// relax rung steps DOWN that frontier — cheaper points, larger predicted
-// error — instead of blindly scaling ε. RelError is the step's predicted
-// relative Epol error; it prices the shed accuracy into the returned
-// ErrorBound as |Epol|·RelError·1.25 (the same slack the scalar
-// epsPenalty and gb's degraded bound use).
+// relax rung steps DOWN it — cheaper points, larger predicted error.
+// RelError prices the shed accuracy into the returned ErrorBound as
+// |Epol|·RelError·1.25 (the slack gb's degraded bound uses too).
 type RelaxStep struct {
 	Accuracy gb.Accuracy
 	RelError float64
@@ -130,14 +129,16 @@ type Spec struct {
 	BackoffBase time.Duration
 	// Seed seeds the jitter generator — same seed, same ladder walk.
 	Seed int64
-	// AccuracyLadder replaces the scalar relax rung (epsLadder) with the
-	// tuner's admissible frontier: each step is a full accuracy point
-	// plus its predicted relative error (see RelaxStep). Steps are tried
-	// in order; steps that do not loosen the energy criterion beyond the
-	// current point are skipped (escalation only ever relaxes further).
-	// A step that changes the expansion order changes the checkpoint
-	// payload shape — the supervisor detects the mismatch and resumes
-	// from scratch instead of failing the attempt.
+	// AccuracyLadder is the relax rung's schedule, typically the tuner's
+	// admissible frontier: each step is a full accuracy point plus its
+	// predicted relative error (see RelaxStep). Empty means the default
+	// two steps, the system's point with both ε scaled by 1.5 and then
+	// 2.25 (see defaultLadder). Steps are tried in order; steps that do
+	// not loosen the energy criterion beyond the current point are
+	// skipped (escalation only ever relaxes further). A step that changes
+	// the expansion order changes the checkpoint payload shape — the
+	// supervisor detects the mismatch and resumes from scratch instead of
+	// failing the attempt.
 	AccuracyLadder []RelaxStep
 	// Store persists checkpoints across attempts (default: an in-memory
 	// MemStore, so even without explicit storage a retry resumes rather
@@ -176,18 +177,12 @@ type Spec struct {
 	// supervised run over the same store resumes bitwise-identically.
 	// Nil means never canceled.
 	Context context.Context
-	// StartEpsFactor pre-relaxes the ε tolerances before the first
-	// attempt (1 or 0 = unrelaxed). This is the serving layer's
-	// overload-shedding knob: under queue pressure a request starts on
-	// the relax rung directly, trading priced accuracy (the factor's
-	// epsPenalty lands in ErrorBound and the Outcome is Degraded) for
-	// admission capacity. Ladder entries at or below the factor are
-	// skipped — escalation only ever relaxes further.
-	//
-	// Deprecated: the factor now maps onto Accuracy scaling — the
-	// pre-shed system runs at Params.Accuracy.Relaxed(factor). Callers
-	// with a tuned ladder should prefer starting on AccuracyLadder[0].
-	StartEpsFactor float64
+	// Shed starts the first attempt on the ladder's first step. This is
+	// the serving layer's overload-shedding knob: under queue pressure a
+	// request trades priced accuracy (the step's RelError lands in
+	// ErrorBound and the Outcome is Degraded) for admission capacity. The
+	// relax rung then skips the steps that are not looser than that one.
+	Shed bool
 }
 
 // AttemptRecord describes one attempt of the ladder walk.
@@ -198,12 +193,7 @@ type AttemptRecord struct {
 	Rung Rung
 	// Processes is the attempt's process count.
 	Processes int
-	// EpsFactor is the ε relaxation in effect (1 = unrelaxed). On an
-	// AccuracyLadder step it is the step's EpsEpol over the base EpsEpol
-	// (informational).
-	EpsFactor float64
-	// Accuracy is the accuracy point of an AccuracyLadder step (zero on
-	// the scalar rungs).
+	// Accuracy is the accuracy point the attempt ran at.
 	Accuracy gb.Accuracy
 	// ResumedFrom is the checkpoint phase the attempt resumed from
 	// (gb.PhaseNone = from scratch).
@@ -223,18 +213,16 @@ type Outcome struct {
 	Result *gb.Result
 	// Rung is the ladder rung that produced Result.
 	Rung Rung
-	// EpsFactor is the final ε relaxation (1 = unrelaxed).
-	EpsFactor float64
 	// Accuracy is the final attempt's accuracy point (the system's own
-	// point, after any pre-shed or ladder step).
+	// point, or the ladder step it was shed or relaxed to).
 	Accuracy gb.Accuracy
-	// RelError is the final AccuracyLadder step's predicted relative
-	// error (0 when no accuracy step was taken); it has already been
-	// priced into Result.ErrorBound.
+	// RelError is the final ladder step's predicted relative error (0
+	// when no accuracy step was taken); it has already been priced into
+	// Result.ErrorBound.
 	RelError float64
 	// Degraded reports a best-effort result: either the run itself
-	// degraded (partial energy) or accuracy was shed on the way
-	// (relaxed ε, fallback). Result.ErrorBound then bounds the damage.
+	// degraded (partial energy) or accuracy was shed on the way (a
+	// ladder step, fallback). Result.ErrorBound then bounds the damage.
 	Degraded bool
 	// Attempts is the full ladder walk, in order.
 	Attempts []AttemptRecord
@@ -249,32 +237,22 @@ type Outcome struct {
 	Recorder *obs.Recorder
 }
 
-// epsLadder are the scalar relax rung's ε factors, tried in order when
-// no AccuracyLadder is given. Notches at or below a pre-shed
-// StartEpsFactor are skipped.
-var epsLadder = [...]float64{1.5, 2.25}
-
-// epsPenalty prices a relaxed far-field tolerance into the error bound:
-// the octree truncation error of both phases is first-order in ε, so
-// relaxing by factor adds at most about |Epol|·ε_epol·(factor−1),
-// widened by the same 1.25 slack gb.degradedBound uses. This is a
+// defaultLadder is the relax rung's schedule when Spec.AccuracyLadder is
+// empty: acc with both ε scaled by 1.5 and then 2.25, the bin width kept.
+// The octree truncation error of both phases is first-order in ε, so a
+// factor-f step predicts a relative error of ε_Epol·(f−1). This is a
 // first-order accuracy model (the same one the ε parameters themselves
 // express), not a worst-case theorem like the degraded bound.
-func epsPenalty(epol, baseEps, factor float64) float64 {
-	if factor <= 1 {
-		return 0
+func defaultLadder(acc gb.Accuracy) []RelaxStep {
+	steps := make([]RelaxStep, 0, 2)
+	for _, f := range [...]float64{1.5, 2.25} {
+		steps = append(steps, RelaxStep{Accuracy: acc.Relaxed(f), RelError: acc.EpsEpol * (f - 1)})
 	}
-	mag := epol
-	if mag < 0 {
-		mag = -mag
-	}
-	return mag * baseEps * (factor - 1) * 1.25
+	return steps
 }
 
-// relErrPenalty prices an AccuracyLadder step's predicted relative error
-// into the bound with the same 1.25 slack as epsPenalty. The two agree
-// on the scalar ladder: a factor-f relaxation predicts a relative error
-// of about baseEps·(f−1), which is exactly epsPenalty's model.
+// relErrPenalty prices a ladder step's predicted relative error into the
+// bound, widened by the same 1.25 slack gb.degradedBound uses.
 func relErrPenalty(epol, relErr float64) float64 {
 	if relErr <= 0 {
 		return 0
@@ -311,29 +289,43 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 	if spec.Deadline > 0 {
 		deadline = clock().Add(spec.Deadline)
 	}
+	ladder := spec.AccuracyLadder
+	if len(ladder) == 0 {
+		ladder = defaultLadder(s.Params.Accuracy)
+	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	rec := spec.Obs
 
-	out := &Outcome{EpsFactor: 1}
+	out := &Outcome{}
 	curSys := s
 	curP := spec.Processes
-	curFactor := 1.0
 	curRelErr := 0.0
-	var curAcc gb.Accuracy
-	baseEps := s.Params.Accuracy.EpsEpol
-	if spec.StartEpsFactor > 1 {
-		curFactor = spec.StartEpsFactor
-		ws, err := s.WithAccuracy(s.Params.Accuracy.Relaxed(curFactor))
+	// step moves the following attempts onto a ladder point.
+	step := func(st RelaxStep) error {
+		ws, err := s.WithAccuracy(st.Accuracy)
 		if err != nil {
-			return nil, fmt.Errorf("supervise: pre-shed to eps factor %g: %w", curFactor, err)
+			return fmt.Errorf("supervise: accuracy ladder step: %w", err)
 		}
-		curSys = ws
+		curSys, curRelErr = ws, st.RelError
+		return nil
+	}
+	if spec.Shed {
+		if err := step(ladder[0]); err != nil {
+			return nil, err
+		}
 		rec.Count("supervise.preshed", 1)
-		rec.Event(0, "supervise", fmt.Sprintf("pre-shed: start at eps factor %.3g", curFactor))
+		rec.Event(0, "supervise", fmt.Sprintf("pre-shed: start at eps %.3g", curSys.Params.Accuracy.EpsEpol))
 	}
 
-	expired := func() bool {
-		return !deadline.IsZero() && clock().After(deadline)
+	// expire reports a spent deadline and records the jump to the
+	// fallback it forces.
+	expire := func() bool {
+		if deadline.IsZero() || !clock().After(deadline) {
+			return false
+		}
+		out.DeadlineExceeded = true
+		rec.Count("supervise.deadline_exceeded", 1)
+		return true
 	}
 	canceled := func() error {
 		if spec.Context == nil {
@@ -354,8 +346,9 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 		}
 		n := attemptNo
 		attemptNo++
+		acc := curSys.Params.Accuracy
 		rec.Count("supervise.attempts", 1)
-		rec.Event(0, "supervise", fmt.Sprintf("attempt %d rung=%s P=%d eps=%.3g", n, rung, curP, curFactor))
+		rec.Event(0, "supervise", fmt.Sprintf("attempt %d rung=%s P=%d eps=%.3g", n, rung, curP, acc.EpsEpol))
 
 		var cfg *gb.FaultConfig
 		if inject && spec.Plan != nil {
@@ -371,9 +364,9 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 		if resume != nil {
 			if rerr := curSys.CanResume(resume); rerr != nil {
 				// The stored snapshot cannot resume this configuration —
-				// typically an AccuracyLadder step changed the expansion
-				// order and with it the integral payload shape. Recompute
-				// from scratch instead of failing the attempt.
+				// typically a ladder step changed the expansion order and
+				// with it the integral payload shape. Recompute from
+				// scratch instead of failing the attempt.
 				resume = nil
 				dropped = true
 				rec.Count("supervise.checkpoint_dropped", 1)
@@ -405,8 +398,8 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 			spec.TraceSink(traceNo, runRec)
 		}
 		ar := AttemptRecord{
-			Attempt: n, Rung: rung, Processes: curP, EpsFactor: curFactor,
-			Accuracy: curAcc, DroppedCheckpoint: dropped,
+			Attempt: n, Rung: rung, Processes: curP,
+			Accuracy: acc, DroppedCheckpoint: dropped,
 		}
 		if resume != nil {
 			ar.ResumedFrom = resume.Phase
@@ -428,17 +421,12 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 			return false, nil
 		}
 		out.Attempts = append(out.Attempts, ar)
-		if curRelErr > 0 {
-			res.ErrorBound += relErrPenalty(res.Epol, curRelErr)
-		} else {
-			res.ErrorBound += epsPenalty(res.Epol, baseEps, curFactor)
-		}
+		res.ErrorBound += relErrPenalty(res.Epol, curRelErr)
 		out.Result = res
 		out.Rung = rung
-		out.EpsFactor = curFactor
-		out.Accuracy = curSys.Params.Accuracy
+		out.Accuracy = acc
 		out.RelError = curRelErr
-		out.Degraded = res.Degraded || curFactor > 1 || curRelErr > 0 || rung == RungFallback
+		out.Degraded = res.Degraded || curSys != s || rung == RungFallback
 		out.Result.Degraded = out.Degraded
 		out.Recorder = runRec
 		rec.Count("supervise.successes", 1)
@@ -453,9 +441,9 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 	fallback := func() (*Outcome, error) {
 		escalate(RungFallback)
 		curP = 1
-		// The fallback keeps the current (possibly relaxed) system: its
-		// checkpoints — saved under relaxed ε — stay internally
-		// consistent, and the ε penalty already accrued stays priced in.
+		// The fallback keeps the current (possibly shed) system: its
+		// checkpoints — saved at that point — stay internally consistent,
+		// and the step's price stays in the bound.
 		ok, err := attempt(RungFallback, gb.Recover, false)
 		if err != nil {
 			return nil, err
@@ -479,9 +467,7 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 
 	// Rung: retry (budgeted, backoff modeled).
 	for r := 0; r < retries; r++ {
-		if expired() {
-			out.DeadlineExceeded = true
-			rec.Count("supervise.deadline_exceeded", 1)
+		if expire() {
 			return fallback()
 		}
 		backoff := backoffBase << uint(r)
@@ -496,9 +482,7 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 	}
 
 	// Rung: shrink to the checkpoint's live membership.
-	if expired() {
-		out.DeadlineExceeded = true
-		rec.Count("supervise.deadline_exceeded", 1)
+	if expire() {
 		return fallback()
 	}
 	if ck, err := store.Latest(); err == nil && ck != nil && len(ck.Live) > 0 && len(ck.Live) < curP {
@@ -509,69 +493,31 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 		}
 	}
 
-	// Rung: relax, one notch per attempt. With an AccuracyLadder the
-	// notches are the tuner's admissible-frontier points (skipping any
-	// that do not loosen the energy criterion beyond the current point);
-	// otherwise the scalar ε factors. Scalar notches at or below a
-	// pre-shed StartEpsFactor are already in effect and are skipped.
-	if len(spec.AccuracyLadder) > 0 {
-		for _, step := range spec.AccuracyLadder {
-			cur := curSys.Params.Accuracy
-			if step.Accuracy.OpeningFactor() >= cur.OpeningFactor() {
-				continue // not looser than where we already are
-			}
-			if expired() {
-				out.DeadlineExceeded = true
-				rec.Count("supervise.deadline_exceeded", 1)
-				return fallback()
-			}
-			escalate(RungRelax)
-			ws, werr := s.WithAccuracy(step.Accuracy)
-			if werr != nil {
-				return nil, fmt.Errorf("supervise: accuracy ladder step: %w", werr)
-			}
-			curSys = ws
-			curAcc = step.Accuracy
-			curRelErr = step.RelError
-			if baseEps > 0 {
-				curFactor = curSys.Params.Accuracy.EpsEpol / baseEps
-			}
-			if ok, err := attempt(RungRelax, spec.Policy, true); err != nil || ok {
-				return out, err
-			}
+	// Rung: relax, one ladder step per attempt, skipping the steps that do
+	// not loosen the energy criterion beyond the current point (a shed
+	// start's own step among them).
+	for _, st := range ladder {
+		if st.Accuracy.OpeningFactor() >= curSys.Params.Accuracy.OpeningFactor() {
+			continue
 		}
-	} else {
-		for _, f := range epsLadder {
-			if f <= curFactor {
-				continue
-			}
-			if expired() {
-				out.DeadlineExceeded = true
-				rec.Count("supervise.deadline_exceeded", 1)
-				return fallback()
-			}
-			escalate(RungRelax)
-			curFactor = f
-			ws, err := s.WithAccuracy(s.Params.Accuracy.Relaxed(f))
-			if err != nil {
-				return nil, fmt.Errorf("supervise: relax to eps factor %g: %w", f, err)
-			}
-			curSys = ws
-			if ok, err := attempt(RungRelax, spec.Policy, true); err != nil || ok {
-				return out, err
-			}
+		if expire() {
+			return fallback()
+		}
+		escalate(RungRelax)
+		if err := step(st); err != nil {
+			return nil, err
+		}
+		if ok, err := attempt(RungRelax, spec.Policy, true); err != nil || ok {
+			return out, err
 		}
 	}
 
 	// Rung: degrade — accept a partial energy with its rigorous bound.
-	if !expired() {
+	if !expire() {
 		escalate(RungDegrade)
 		if ok, err := attempt(RungDegrade, gb.Degrade, true); err != nil || ok {
 			return out, err
 		}
-	} else {
-		out.DeadlineExceeded = true
-		rec.Count("supervise.deadline_exceeded", 1)
 	}
 
 	return fallback()

@@ -198,8 +198,8 @@ func TestQuorumLossDescendsToDegradedFallback(t *testing.T) {
 	if math.Abs(out.Result.Epol-serial.Epol) > out.Result.ErrorBound+1e-9*math.Abs(serial.Epol) {
 		t.Errorf("|Epol−serial| = %v exceeds bound %v", math.Abs(out.Result.Epol-serial.Epol), out.Result.ErrorBound)
 	}
-	if out.EpsFactor <= 1 {
-		t.Errorf("EpsFactor = %v, want relaxed", out.EpsFactor)
+	if out.Accuracy.EpsEpol <= s.Params.Accuracy.EpsEpol {
+		t.Errorf("outcome eps %v, want relaxed beyond %v", out.Accuracy.EpsEpol, s.Params.Accuracy.EpsEpol)
 	}
 	counters := rec.Counters()
 	if counters["supervise.attempts"] < 5 {

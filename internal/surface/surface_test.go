@@ -555,16 +555,23 @@ func TestRejectsProbeThatCullsNothing(t *testing.T) {
 	}
 }
 
-// A multi-worker build returns after its pool's goroutines have exited.
+// A multi-worker build closes its pool and waits for it: once
+// BuildWorkers returns, no worker the pool started is still parked in its
+// loop, or woken but not yet back from the park. Close returns when the
+// last worker has signaled its exit, a moment before that goroutine ends,
+// so a worker may still be unwinding; and goroutines that are not the
+// build's do not count, so the check needs no sleep.
 func TestBuildWorkersLeavesNoGoroutine(t *testing.T) {
 	m := molecule.Globule("g", 400, 3)
-	before := runtime.NumGoroutine()
+	buf := make([]byte, 1<<20)
 	for w := 2; w <= 4; w++ {
 		if _, err := BuildWorkers(m, DefaultConfig(), w); err != nil {
 			t.Fatal(err)
 		}
-		if after := runtime.NumGoroutine(); after != before {
-			t.Fatalf("%d goroutines after a %d-worker build, %d before", after, w, before)
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "created by gbpolar/internal/sched.New ") && strings.Contains(g, "sync.(*Cond).Wait(") {
+				t.Fatalf("a %d-worker build left a worker parked:\n%s", w, g)
+			}
 		}
 	}
 }

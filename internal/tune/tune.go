@@ -357,8 +357,8 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 	// The reference is the grid's tightest point: monopole, the smallest
 	// ε, the highest degree searched. Lazily built surface + system per
 	// quadrature order, each at the reference point, so every candidate
-	// at that degree is a cheap RunSpec.Accuracy override (WithAccuracy
-	// builds the quadrupole moments only for an order-2 candidate). The
+	// at that degree is a cheap WithAccuracy copy (which builds the
+	// quadrupole moments only for an order-2 candidate). The
 	// degrees differ only in the rule placed on the surviving triangles,
 	// so one burial pass serves them all; both passes run on the
 	// search's cores, at most one per atom.
@@ -399,14 +399,14 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 		surfs[q], systems[q] = surf, sys
 		return sys, surf, nil
 	}
-	// run makes one search run on sys at the caller's layout (acc nil
-	// runs the system's own point) and returns its finished-run
-	// checkpoint. gb rejects a layout before the run starts, so the
-	// one-rank retry repeats no run work; it keeps no checkpoint.
-	run := func(sys *gb.System, acc *gb.Accuracy) (*gb.Result, []byte, error) {
+	// run makes one search run of sys's point at the caller's layout and
+	// returns its finished-run checkpoint. gb rejects a layout before the
+	// run starts, so the one-rank retry repeats no run work; it keeps no
+	// checkpoint.
+	run := func(sys *gb.System) (*gb.Result, []byte, error) {
 		sink := &epolSink{}
 		spec := gb.RunSpec{Processes: opt.Processes, ThreadsPerProcess: opt.ThreadsPerProcess,
-			Accuracy: acc, Ctx: opt.Ctx, Checkpoint: sink}
+			Ctx: opt.Ctx, Checkpoint: sink}
 		res, err := sys.Run(spec)
 		if errors.Is(err, gb.ErrInvalidLayout) {
 			spec.Processes, spec.ThreadsPerProcess, spec.Checkpoint = 1, 1, nil
@@ -420,7 +420,7 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 	if err != nil {
 		return nil, err
 	}
-	refRes, refSnap, err := run(refSys, nil)
+	refRes, refSnap, err := run(refSys)
 	if err != nil {
 		return nil, fmt.Errorf("tune: reference run: %w", err)
 	}
@@ -514,8 +514,9 @@ func Select(mol *molecule.Molecule, targetKcal float64, opt Options) (*Selection
 			if err != nil {
 				return false, err
 			}
-			acc := pt.Acc
-			res, snap, err = run(sys, &acc)
+			if sys, err = sys.WithAccuracy(pt.Acc); err == nil {
+				res, snap, err = run(sys)
+			}
 			if err != nil {
 				return false, fmt.Errorf("tune: verifying %+v: %w", pt.Acc, err)
 			}

@@ -298,16 +298,18 @@ func TestDriversWithinBoundAtHigherOrders(t *testing.T) {
 	for _, ord := range []int{gb.OrderDipole, gb.OrderQuadrupole} {
 		acc := gb.Accuracy{EpsBorn: 0.9, EpsEpol: 0.9, QuadOrder: 2, Order: ord}
 		bound := RelErrorBound(acc) * math.Abs(ref.Epol)
+		at, err := sys.WithAccuracy(acc)
+		if err != nil {
+			t.Fatal(err)
+		}
 		drivers := []struct {
 			name string
 			run  func() (*gb.Result, error)
 		}{
-			{"serial", func() (*gb.Result, error) { return sys.Run(gb.RunSpec{Accuracy: &acc}) }},
-			{"cilk", func() (*gb.Result, error) { return sys.Run(gb.RunSpec{ThreadsPerProcess: 4, Accuracy: &acc}) }},
-			{"mpi", func() (*gb.Result, error) { return sys.Run(gb.RunSpec{Processes: 3, Accuracy: &acc}) }},
-			{"hybrid", func() (*gb.Result, error) {
-				return sys.Run(gb.RunSpec{Processes: 2, ThreadsPerProcess: 2, Accuracy: &acc})
-			}},
+			{"serial", func() (*gb.Result, error) { return at.Run(gb.RunSpec{}) }},
+			{"cilk", func() (*gb.Result, error) { return at.Run(gb.RunSpec{ThreadsPerProcess: 4}) }},
+			{"mpi", func() (*gb.Result, error) { return at.Run(gb.RunSpec{Processes: 3}) }},
+			{"hybrid", func() (*gb.Result, error) { return at.Run(gb.RunSpec{Processes: 2, ThreadsPerProcess: 2}) }},
 		}
 		for _, d := range drivers {
 			a, err := d.run()
