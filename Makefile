@@ -60,11 +60,13 @@ lint-self:
 # with corruptions too (fault.ChaosWithCorruption) against
 # runDistributed, which must never return silently damaged numbers; a
 # rank lost at the energy phase under Degrade, whose energy checkpoint
-# must record the shrunk membership; and both generators through serve's
-# supervisor under load.
+# must record the shrunk membership; both generators' plans and a crash
+# at every op, each run ten times to identical outcomes; Degraded set
+# exactly when a lost rank's energy share is missing; and both
+# generators through serve's supervisor under load.
 chaos-smoke:
 	$(GO) test -timeout 120s -count=1 \
-		-run 'TestChaosPlanNoDeadlock|TestChaosRecoverNeverDeadlocksOrLies|TestChaosCorruptionNeverSilent|TestDegradedEnergyCheckpointRecordsLostRanks|TestChaosUnderLoad' \
+		-run 'TestChaosPlanNoDeadlock|TestChaosRecoverNeverDeadlocksOrLies|TestChaosCorruptionNeverSilent|TestDegradedEnergyCheckpointRecordsLostRanks|TestChaosReplaysIdentically|TestDegradedOnlyWhenEnergyShareMissing|TestChaosUnderLoad' \
 		./internal/simmpi/ ./internal/gb/ ./internal/serve/
 
 # trace-smoke runs a small fault-free layout sweep with -trace-out and

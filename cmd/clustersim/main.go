@@ -9,7 +9,7 @@
 //	clustersim -atoms 50000 -shape shell      # capsid-like workload
 //	clustersim -nodes 1,2,4,8 -rpn 12,2       # custom node counts / ranks-per-node
 //	clustersim -faults chaos:6                # seeded chaos schedule per layout
-//	clustersim -faults 'crash:1@4,slow:2@0+8~100us' -policy degrade
+//	clustersim -faults 'crash:1@4,slow:2@0+8~100us' -policy degrade  # rank 1 dies at the energy tick
 //	clustersim -faults chaos:6 -retries 3     # supervised: retry/resume per layout
 //	clustersim -checkpoint-dir ckpt           # phase checkpoints per layout
 //	clustersim -checkpoint-dir ckpt -resume   # pick interrupted layouts back up
@@ -50,7 +50,7 @@ func main() {
 		nodesF     = flag.String("nodes", "1,2,4,8,16,32", "comma-separated node counts")
 		rpnF       = flag.String("rpn", "12,2", "ranks per node to compare (threads fill the node)")
 		seed       = flag.Int64("seed", 7, "workload seed (also seeds chaos fault schedules)")
-		faultsF    = flag.String("faults", "", "fault plan: 'chaos:N' for N seeded random crash and slow events per layout, or an explicit schedule like 'crash:1@4,corrupt:2@3+2,slow:1@0+8~100us' (kinds crash, slow, corrupt; empty: no injection)")
+		faultsF    = flag.String("faults", "", "fault plan: 'chaos:N' for N seeded random crash and slow events per layout, or an explicit schedule like 'crash:1@4,corrupt:2@3+2,slow:1@0+8~100us' (kinds crash, slow, corrupt; a clean run's ops per rank are 0/1 Born tick/Allreduce, 2/3 radii tick/Allgatherv, 4/5 energy tick/Allreduce; empty: no injection)")
 		policyF    = flag.String("policy", "recover", "fault policy: recover (re-assign lost work) | degrade (partial Epol + error bound)")
 		traceOut   = flag.String("trace-out", "", "write the sweep's spans as one Chrome trace-event JSON (chrome://tracing; one process row per layout) to this file")
 		metrics    = flag.String("metrics", "", "print per-layout metrics to stdout after the table: text (deterministic summaries) | json (one document per layout)")

@@ -248,7 +248,7 @@ func isDoneRecv(info *types.Info, u *ast.UnaryExpr) bool {
 
 // simmpiBlocking are the Comm methods that block until every (live)
 // rank arrives or a message lands: the collectives plus the bare Recv.
-// RecvTimeout and TryRecv are the non-blocking escape hatches.
+// TryRecv is the non-blocking escape hatch.
 var simmpiBlocking = map[string]bool{
 	"Recv": true, "Barrier": true, "Sync": true,
 	"Allreduce": true, "Allgatherv": true,

@@ -2,9 +2,12 @@
 // simulated cluster runtime: a Plan is a seeded list of injected events
 // (rank crashes, straggler slowdowns, corrupted collective payloads) that
 // internal/simmpi consults at every communication operation. Events
-// trigger on per-rank operation counters, never on wall-clock time, so a
-// plan replays identically on every run of an SPMD driver — the property
-// the chaos tests and the -faults replay flag of cmd/clustersim rely on.
+// trigger on per-rank operation counters, never on wall-clock time, and
+// membership is read from the same clock (Injector.CrashedBefore): a rank
+// that crashed at op k is lost, for every survivor, from op k+1 on. So a
+// plan replays identically on every run of an SPMD driver, whatever the
+// goroutine schedule — the property the chaos tests and the -faults
+// replay flag of cmd/clustersim rely on.
 //
 // The package knows nothing about simmpi; simmpi imports fault and asks
 // the Injector what to do at each operation.
@@ -90,6 +93,13 @@ func ChaosWithCorruption(seed int64, ranks, n int) *Plan {
 	return chaos(seed, ranks, n, []Kind{Crash, Straggle, Corrupt})
 }
 
+// chaosOps is the op range chaos draws crash and corrupt events from: a
+// clean run of internal/gb's driver passes six fault points per rank (a
+// tick and a collective in each of its three phases), so an event drawn
+// past them would fire only on runs that a redo or a retransmit has
+// lengthened, and mostly never.
+const chaosOps = 6
+
 // chaos draws n events uniformly from kinds; a crash past the crash
 // budget (or in a one-rank world) becomes a straggler.
 func chaos(seed int64, ranks, n int, kinds []Kind) *Plan {
@@ -108,7 +118,7 @@ func chaos(seed int64, ranks, n int, kinds []Kind) *Plan {
 			// Spare rank 0: it is the output/coordination rank of the
 			// drivers and its failover is exercised by dedicated tests.
 			ev.Rank = 1 + rng.Intn(ranks-1)
-			ev.AtOp = int64(rng.Intn(12))
+			ev.AtOp = int64(rng.Intn(chaosOps))
 			crashes++
 		case Straggle:
 			ev.Rank = rng.Intn(ranks)
@@ -117,8 +127,8 @@ func chaos(seed int64, ranks, n int, kinds []Kind) *Plan {
 			ev.Dur = time.Duration(20+rng.Intn(200)) * time.Microsecond
 		case Corrupt:
 			ev.Rank = rng.Intn(ranks)
-			ev.AtOp = int64(rng.Intn(10))
-			ev.Count = int64(1 + rng.Intn(2))
+			ev.AtOp = int64(rng.Intn(chaosOps))
+			ev.Count = int64(2 + rng.Intn(2))
 		}
 		p.Events = append(p.Events, ev)
 	}
@@ -219,6 +229,32 @@ func (in *Injector) Advance(rank int) Action {
 		}
 	}
 	return act
+}
+
+// CrashedBefore returns the ranks, sorted, whose crash op lies below
+// rank's next op index: the ranks that are lost as seen from rank's
+// current point in its program. Live ranks of an SPMD program pass the
+// same op indices in the same order, so at any program point every
+// survivor gets the same set whatever the goroutine schedule: a rank that
+// crashed at op k is lost from op k+1 on, and never before. The plan is
+// the only source of crashes, so its clock is ground truth and no
+// agreement round is needed.
+func (in *Injector) CrashedBefore(rank int) []int {
+	if in == nil || rank < 0 || rank >= len(in.ranks) {
+		return nil
+	}
+	rs := &in.ranks[rank]
+	rs.mu.Lock()
+	next := rs.op
+	rs.mu.Unlock()
+	var out []int
+	// crashAt is fixed by NewInjector before any rank runs.
+	for r := range in.ranks {
+		if at := in.ranks[r].crashAt; at >= 0 && at < next {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // Stragglers returns the ranks with at least one Straggle window — the

@@ -27,6 +27,40 @@ func TestInjectorCrash(t *testing.T) {
 	}
 }
 
+// TestCrashedBeforeFollowsOpClock pins the membership query to the
+// asking rank's own op counter: a crash planned at op k is reported from
+// the asker's op k+1 on, never before, whether or not the crashing rank
+// has reached its op yet (here it never advances at all).
+func TestCrashedBeforeFollowsOpClock(t *testing.T) {
+	p := &Plan{Events: []Event{
+		{Kind: Crash, Rank: 2, AtOp: 3},
+		{Kind: Crash, Rank: 1, AtOp: 5},
+		{Kind: Crash, Rank: 1, AtOp: 9}, // the earliest crash op counts
+		{Kind: Straggle, Rank: 3, AtOp: 0, Count: 2},
+	}}
+	in := p.NewInjector(4)
+	for next := 0; next <= 8; next++ {
+		want := "[]"
+		switch {
+		case next > 5:
+			want = "[1 2]"
+		case next > 3:
+			want = "[2]"
+		}
+		if got := fmt.Sprint(in.CrashedBefore(0)); got != want {
+			t.Errorf("at op %d: CrashedBefore(0) = %s, want %s", next, got, want)
+		}
+		in.Advance(0)
+	}
+	if got := in.CrashedBefore(3); got != nil {
+		t.Errorf("rank 3 has passed no op: CrashedBefore(3) = %v, want none", got)
+	}
+	var nilInj *Injector
+	if got := nilInj.CrashedBefore(0); got != nil {
+		t.Errorf("nil injector: CrashedBefore = %v", got)
+	}
+}
+
 func TestInjectorDelayAndStraggle(t *testing.T) {
 	p := &Plan{Events: []Event{
 		{Kind: Straggle, Rank: 1, AtOp: 0, Count: 3, Dur: time.Microsecond},

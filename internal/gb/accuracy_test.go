@@ -275,13 +275,13 @@ func TestOrder2CheckpointResume(t *testing.T) {
 	}
 
 	sinkA := &memSink{}
-	resA, err := s.Run(RunSpec{Processes: P, Faults: &FaultConfig{ForceProtocol: true}, Checkpoint: sinkA})
+	resA, err := s.Run(RunSpec{Processes: P, Checkpoint: sinkA})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	sinkB := &memSink{}
-	_, err = s.Run(RunSpec{Processes: P, Faults: &FaultConfig{Plan: crashAllAt(P, 4)}, Checkpoint: sinkB})
+	_, err = s.Run(RunSpec{Processes: P, Faults: &FaultConfig{Plan: crashAllAt(P, 2)}, Checkpoint: sinkB})
 	if err == nil {
 		t.Fatal("killing every rank should fail the run")
 	}
@@ -290,7 +290,7 @@ func TestOrder2CheckpointResume(t *testing.T) {
 		t.Fatalf("last checkpoint at phase %s, want %s", ck.Phase, PhaseIntegrals)
 	}
 
-	resB, err := s.Run(RunSpec{Processes: P, Faults: &FaultConfig{ForceProtocol: true}, Resume: ck})
+	resB, err := s.Run(RunSpec{Processes: P, Resume: ck})
 	if err != nil {
 		t.Fatalf("quadrupole resume failed: %v", err)
 	}
@@ -327,7 +327,7 @@ func TestCanResumeRejectsOrderMismatch(t *testing.T) {
 	dip, quad := mkSys(OrderDipole), mkSys(OrderQuadrupole)
 
 	sink := &memSink{}
-	if _, err := dip.Run(RunSpec{Processes: P, Faults: &FaultConfig{Plan: crashAllAt(P, 4)}, Checkpoint: sink}); err == nil {
+	if _, err := dip.Run(RunSpec{Processes: P, Faults: &FaultConfig{Plan: crashAllAt(P, 2)}, Checkpoint: sink}); err == nil {
 		t.Fatal("killing every rank should fail the run")
 	}
 	ck := sink.latest(t)

@@ -52,8 +52,9 @@ func TestNilContextNeverCancels(t *testing.T) {
 // canceled at a phase boundary keeps its last completed phase's
 // checkpoint, and resuming from it reproduces the uninterrupted run's
 // Epol and Born radii bitwise. Serial, shared-memory and message-passing
-// layouts share the one driver, so each must honour it, with the plain
-// protocol and with the fault-tolerant one the supervisor forces.
+// layouts share the one driver, so each must honour it, with and without
+// the retained FaultConfig.ForceProtocol field set: the field has no
+// effect, so setting it must change nothing.
 func TestCancelAtPhaseBoundaryResumesBitwise(t *testing.T) {
 	s := buildSys(t, 300, DefaultParams())
 	for _, lay := range []struct{ P, p int }{{1, 1}, {1, 4}, {4, 1}} {

@@ -87,7 +87,8 @@ type Checkpoint struct {
 	// Processes is the world size of the run that saved the snapshot. The
 	// payload is world-global, so a resume may use a different P.
 	Processes int
-	// Live and Lost are the agreed rank membership at save time — the
+	// Live and Lost are the rank membership at save time, read off the
+	// fault plan's op clock and so the same on every survivor — the
 	// supervisor's shrink rung resumes with P = len(Live).
 	Live, Lost []int
 	// ConfigTag fingerprints the System the snapshot belongs to (atom and

@@ -93,14 +93,15 @@ func TestDistributedBitwiseDeterministic(t *testing.T) {
 	bitwiseSame(t, "distdata", da, db)
 }
 
-// TestForceProtocolMatchesPlainRun pins the property a tuned job's served
+// TestSupervisedRunMatchesPlainRun pins the property a tuned job's served
 // answer rests on: at one layout, a point computes the same Epol, every
-// radius and the same per-core ops whether a WithAccuracy copy runs it on
-// the plain protocol (the tuner's run) or the selected system runs it on
-// the forced fault-tolerance protocol (the supervisor's run). Each
-// system is built as the tuner builds it, at the monopole ε 0.3 corner
-// on a surface of the point's quadrature degree.
-func TestForceProtocolMatchesPlainRun(t *testing.T) {
+// radius and the same per-core ops whether a WithAccuracy copy runs it
+// with no fault config (the tuner's run) or the selected system runs it
+// with the FaultConfig the supervisor builds for an attempt without a
+// plan (the supervisor's run). Each system is built as the tuner builds
+// it, at the monopole ε 0.3 corner on a surface of the point's quadrature
+// degree.
+func TestSupervisedRunMatchesPlainRun(t *testing.T) {
 	maxAtoms := 1500
 	if testing.Short() {
 		maxAtoms = 600
@@ -143,7 +144,7 @@ func TestForceProtocolMatchesPlainRun(t *testing.T) {
 					}
 					spec := RunSpec{Processes: l[0], ThreadsPerProcess: l[1]}
 					plain := mustRun(t, candidate, spec)
-					spec.Faults = &FaultConfig{ForceProtocol: true}
+					spec.Faults = &FaultConfig{Policy: Recover}
 					supervised := mustRun(t, tuned, spec)
 					bitwiseSame(t, label, plain, supervised)
 					if fmt.Sprint(supervised.PerCoreOps) != fmt.Sprint(plain.PerCoreOps) {

@@ -3,6 +3,7 @@ package gb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"gbpolar/internal/perf"
@@ -148,13 +149,14 @@ func (s *System) validateLayout(P, p int) error {
 // threads, the one driver behind every layout: serial is 1×1 and OCT_CILK
 // is 1×p. A one-rank collective copies its only slot, so those layouts
 // compute the same bits a dedicated serial or shared-memory loop would
-// (DESIGN.md §12). With an inactive fault config it reproduces the seed
-// protocol bit-for-bit. With an active plan, every phase runs through one
-// heal closure, the heal-by-redo discipline described in faulttol.go:
-// partition over the agreed live set, run the phase, re-agree, and redo
-// the phase over the shrunk set if membership changed — or, for the final
-// energy phase under the Degrade policy, accept the partial sum and
-// report a rigorous ErrorBound for the dead ranks' missing share.
+// (DESIGN.md §12). Every run, with a fault plan or without, runs each
+// phase through one heal closure, the heal-by-redo discipline described
+// in faulttol.go: partition over the live set, run the phase, read the
+// membership on the plan's op clock, and redo the phase over the shrunk
+// set if it changed — or, for the final energy phase under the Degrade
+// policy, accept the partial sum and report a rigorous ErrorBound for the
+// dead ranks' missing share. Without a plan nothing is ever lost, so the
+// shares are the static segments and each phase runs once.
 //
 // With spec.Checkpoint set, a snapshot of the world-global state is saved
 // after each completed phase inside Sync brackets (quiet barriers), so
@@ -162,12 +164,13 @@ func (s *System) validateLayout(P, p int) error {
 // With spec.Resume set, completed phases are skipped: their merged state
 // comes from the snapshot and the run re-enters at the first incomplete
 // phase. The restored obs.CounterSnapshot makes the resumed run's Summary
-// cover the whole logical run; the initial membership agreement is
-// skipped on resume because the snapshot's run already performed it (the
-// resumed half starts with all its ranks live and agrees after its first
-// phase as usual).
+// cover the whole logical run; the resumed half starts with all its ranks
+// live, as every fresh world does.
 func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 	cfg, rec, sink, resume := spec.Faults, spec.Obs, spec.Checkpoint, spec.Resume
+	if cfg == nil {
+		cfg = &FaultConfig{}
+	}
 	if err := s.validateLayout(P, p); err != nil {
 		return nil, err
 	}
@@ -199,9 +202,9 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 
 	// Every rank that completes records its outcome in its own slot; the
 	// lowest surviving rank's slot becomes the Result. (All survivors hold
-	// identical agreed values — per-rank slots just keep the writes
-	// race-free without electing a writer, which would itself be a
-	// fault-prone protocol.)
+	// identical values — per-rank slots just keep the writes race-free
+	// without electing a writer, which would itself be a fault-prone
+	// protocol.)
 	type rankOutcome struct {
 		done      bool
 		energy    float64
@@ -212,10 +215,9 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 		recovered bool
 	}
 	outs := make([]rankOutcome, P)
-	ft := cfg.active()
 
 	//lint:ignore ctxflow the world's run IS this call; RunSpec.Ctx is observed cooperatively at phase boundaries (spec.canceled), not by interrupting ranks
-	traffic, err := simmpi.RunPlanObs(P, cfg.plan(), rec, func(c *simmpi.Comm) error {
+	traffic, err := simmpi.RunPlanObs(P, cfg.Plan, rec, func(c *simmpi.Comm) error {
 		rank := c.Rank()
 		// The rank root span. Its deferred End force-closes any phase span
 		// leaked by an error return or an injected crash (panic unwind), so
@@ -230,30 +232,13 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 		}
 		coreBase := rank * p
 
-		var lost, live, stragglers []int
-		recovered := false
-		if ft {
-			if startPhase == PhaseNone {
-				var err error
-				if lost, err = agreeLost(c); err != nil {
-					return err
-				}
-			} else {
-				// Resume: the saving run already performed the initial
-				// membership agreement (it is part of the restored counter
-				// snapshot), and every rank of this fresh world is live.
-				// Running it again would double the op and counter cost
-				// relative to an uninterrupted run; the first post-phase
-				// agreement below catches any injected early crash.
-				lost = nil
-			}
-			live = liveRanksOf(P, lost)
-			stragglers = c.Health().Straggling
-			if len(stragglers) > 0 {
-				recovered = true // slowed ranks shed half their share
-			}
-		}
-		// saveCheckpoint snapshots the agreed world-global state after a
+		// Every rank of a fresh world starts live, resumed or not; the plan's
+		// stragglers are known up front and shed half their share.
+		var lost []int
+		live := liveRanksOf(P, nil)
+		stragglers := c.Health().Straggling
+		recovered := len(stragglers) > 0
+		// saveCheckpoint snapshots the world-global state after a
 		// completed phase. The bracket Syncs are quiet barriers: the first
 		// guarantees every live rank finished the phase's counting before
 		// the lowest live rank encodes (one writer, no concurrent Save),
@@ -267,14 +252,10 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 			if err := c.Sync(); err != nil {
 				return err
 			}
-			liveNow := live
-			if !ft {
-				liveNow = liveRanksOf(P, nil)
-			}
-			if len(liveNow) > 0 && rank == liveNow[0] {
+			if len(live) > 0 && rank == live[0] {
 				enc := (&Checkpoint{
 					Phase: phase, Processes: P,
-					Live: liveNow, Lost: lost,
+					Live: live, Lost: lost,
 					ConfigTag: s.configTag(),
 					EpsBorn:   s.Params.Accuracy.EpsBorn,
 					EpsEpol:   s.Params.Accuracy.EpsEpol,
@@ -288,54 +269,44 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 			}
 			return c.Sync()
 		}
-		// share partitions n items: the seed's static segment without
-		// faults, the agreed-live straggler-weighted partition with them.
+		// share partitions n items over the live set, stragglers at half
+		// weight; with every rank live and none slowed it is the static
+		// segment, bit for bit.
 		share := func(n int) (int, int) {
-			if !ft {
-				return segment(n, P, rank)
-			}
 			return liveShare(n, live, stragglers, rank)
 		}
 		// heal runs one phase under the heal-by-redo discipline of
 		// faulttol.go: tick the plan, open the phase span, run body (the
-		// phase's share of work and its collective), and re-agree on
-		// membership. An iteration whose membership changed is redone over
-		// the shrunk live set, unless degrade is given and the policy is
-		// Degrade: then degrade bounds the newly lost shares (reading the
-		// membership the iteration ran on), the partial result stands, and
-		// the shrunk membership is adopted for the phase's checkpoint. An
-		// accepted iteration applies body's commit. Without faults body
-		// runs once and commits. The "redo.iterations" histogram records
-		// the final iteration count, a workload property (zero on every
-		// rank for crash-free plans, so crash-free summaries stay
-		// byte-identical).
+		// phase's share of work and its collective), and read the
+		// membership on the plan's op clock. An iteration whose membership
+		// changed is redone over the shrunk live set, unless degrade is
+		// given and the policy is Degrade: then degrade bounds the newly
+		// lost shares (reading the membership the iteration ran on), the
+		// partial result stands, and the shrunk membership is adopted for
+		// the phase's checkpoint. An accepted iteration applies body's
+		// commit, so a commit only ever sees a round every live rank
+		// contributed to. The "redo.iterations" histogram records the final
+		// iteration count, a workload property (zero on every rank for
+		// crash-free plans, so crash-free summaries stay byte-identical).
 		heal := func(span string, body func() (commit func(), err error), degrade func(newLost []int)) error {
 			for iter := 0; iter <= P; iter++ {
-				if ft {
-					if err := c.Tick(); err != nil {
-						return err
-					}
+				if err := c.Tick(); err != nil {
+					return err
 				}
 				sp := rec.StartSpan(rank, phaseName(span, iter))
 				commit, err := body()
 				if err != nil {
 					return err
 				}
-				if ft {
-					newLost, err := agreeLost(c)
-					if err != nil {
-						return err
-					}
-					if !equalInts(newLost, lost) {
-						if degrade == nil || cfg.Policy == Recover {
-							lost, live = newLost, liveRanksOf(P, newLost)
-							recovered = true
-							sp.End()
-							continue
-						}
-						degrade(newLost)
+				if newLost := c.Lost(); !slices.Equal(newLost, lost) {
+					if degrade == nil || cfg.Policy == Recover {
 						lost, live = newLost, liveRanksOf(P, newLost)
+						recovered = true
+						sp.End()
+						continue
 					}
+					degrade(newLost)
+					lost, live = newLost, liveRanksOf(P, newLost)
 				}
 				commit()
 				sp.End()
@@ -440,39 +411,21 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 				s.forRange(pool, ahi-alo, func(worker int, i0, i1 int) {
 					perCoreOps[coreBase+worker] += s.PushIntegralsToAtoms(acc, alo+i0, alo+i1, radii)
 				})
-				if !ft {
-					// Seed protocol: positional concatenation in octree item
-					// order (every rank present by construction).
-					//lint:ignore hotalloc collective payload: simmpi slots retain the contributed slice, so each round needs a fresh buffer
-					seg := make([]float64, 0, ahi-alo)
-					for pos := alo; pos < ahi; pos++ {
-						seg = append(seg, radii[s.TA.Items[pos]])
-					}
-					all, err := c.Allgatherv(seg)
-					if err != nil {
-						return nil, err
-					}
-					return func() {
-						for pos, r := range all {
-							radii[s.TA.Items[pos]] = r
-						}
-					}, nil
-				}
-				// Fault-tolerant protocol: (atom index, radius) pairs, so a
-				// missing rank cannot silently shift the concatenation.
+				// Positional concatenation in octree item order: live shares
+				// tile the items in rank order, and heal commits only a round
+				// in which no rank was lost, so position pos is item pos.
 				//lint:ignore hotalloc collective payload: simmpi slots retain the contributed slice, so each round needs a fresh buffer
-				seg := make([]float64, 0, 2*(ahi-alo))
+				seg := make([]float64, 0, ahi-alo)
 				for pos := alo; pos < ahi; pos++ {
-					ai := s.TA.Items[pos]
-					seg = append(seg, float64(ai), radii[ai])
+					seg = append(seg, radii[s.TA.Items[pos]])
 				}
 				all, err := c.Allgatherv(seg)
 				if err != nil {
 					return nil, err
 				}
 				return func() {
-					for i := 0; i+1 < len(all); i += 2 {
-						radii[int(all[i])] = all[i+1]
+					for pos, r := range all {
+						radii[s.TA.Items[pos]] = r
 					}
 				}, nil
 			}, nil)
@@ -554,8 +507,9 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 		}, func(newLost []int) {
 			// Degrade: bound the energy mass the newly dead ranks' shares
 			// (partitioned over the live set this iteration ran on) would
-			// have contributed. Conservative for a rank that died after
-			// contributing (its real missing mass is zero ≤ bound).
+			// have contributed. A newly lost rank crashed at this
+			// iteration's tick or inside its Allreduce, before its
+			// contribution was combined, so its share really is missing.
 			var deadAtoms []int32
 			j := 0
 			for _, d := range newLost {

@@ -13,11 +13,11 @@ import (
 	"gbpolar/internal/surface"
 )
 
-// Op-count map of runDistributed's fault-tolerant path (P ranks, no
-// faults firing): op0 initial agree; integral phase: op1 Tick, op2
-// Allreduce, op3 agree; radii phase: op4 Tick, op5 Allgatherv, op6
-// agree; energy phase: op7 Tick, op8 Allreduce, op9 agree. The chaos
-// tests below target crashes by these indices.
+// Op-count map of runDistributed (P ranks, no faults firing): integral
+// phase: op0 Tick, op1 Allreduce; radii phase: op2 Tick, op3 Allgatherv;
+// energy phase: op4 Tick, op5 Allreduce. A redo iteration or a
+// retransmit shifts every later op. The tests below target crashes by
+// these indices.
 
 func TestFaultsEmptyPlanBitwiseIdentical(t *testing.T) {
 	s := buildSys(t, 300, DefaultParams())
@@ -55,13 +55,13 @@ func TestFaultsEmptyPlanBitwiseIdentical(t *testing.T) {
 }
 
 func TestCrashRecoverMatchesSerial(t *testing.T) {
-	// Rank 1 dies entering the radii phase (op 4). The survivors must
+	// Rank 1 dies entering the radii phase (op 2). The survivors must
 	// detect the loss, re-partition, redo the phase, and still produce the
 	// full-accuracy answer — node division is P-invariant, so the healed
 	// energy matches serial to reassociation noise.
 	s := buildSys(t, 400, DefaultParams())
 	serial := mustRun(t, s, RunSpec{})
-	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: 1, AtOp: 4}}}
+	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: 1, AtOp: 2}}}
 	r, err := s.Run(RunSpec{Processes: 4, Faults: &FaultConfig{Plan: plan, Policy: Recover}})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestCrashRecoverMatchesSerial(t *testing.T) {
 }
 
 func TestCrashDegradeHonestBound(t *testing.T) {
-	// A rank dies entering the energy phase (op 7): its share's V-side
+	// A rank dies entering the energy phase (op 4): its share's V-side
 	// terms are missing from the accepted partial sum, and so are the
 	// mirror terms of the mutually near blocks its targets own across the
 	// share boundary, which the live neighbours skipped (ownership is
@@ -108,7 +108,7 @@ func TestCrashDegradeHonestBound(t *testing.T) {
 					name = "atom-node/" + name
 				}
 				t.Run(name, func(t *testing.T) {
-					plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: rank, AtOp: 7}}}
+					plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: rank, AtOp: 4}}}
 					r, err := s.Run(RunSpec{Processes: P, Faults: &FaultConfig{Plan: plan, Policy: Degrade}})
 					if err != nil {
 						t.Fatal(err)
@@ -137,7 +137,7 @@ func TestCrashDegradeHonestBound(t *testing.T) {
 
 // TestDegradedEnergyCheckpointRecordsLostRanks pins the energy snapshot
 // of a degraded run: when a rank dies at the energy phase's Allreduce
-// (op 8) and Degrade accepts the partial energy, the PhaseEpol snapshot
+// (op 5) and Degrade accepts the partial energy, the PhaseEpol snapshot
 // is still saved, by the lowest surviving rank, and records the
 // membership the result reports — Lost equal to LostRanks, Live the
 // complement — with the accepted energy, flag and bound as its tail.
@@ -145,8 +145,8 @@ func TestDegradedEnergyCheckpointRecordsLostRanks(t *testing.T) {
 	const P = 3
 	s := newTestSystem(t, molecule.ZDockMolecule(molecule.ZDockRoster()[0]), surface.DefaultConfig(), DefaultParams())
 	for rank := range P {
-		t.Run(fmt.Sprintf("crash:%d@8", rank), func(t *testing.T) {
-			plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: rank, AtOp: 8}}}
+		t.Run(fmt.Sprintf("crash:%d@5", rank), func(t *testing.T) {
+			plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: rank, AtOp: 5}}}
 			sink := &memSink{}
 			r, err := s.Run(RunSpec{Processes: P, Faults: &FaultConfig{Plan: plan, Policy: Degrade}, Checkpoint: sink})
 			if err != nil {
@@ -232,7 +232,7 @@ func TestDegradedBoundWeightsPartners(t *testing.T) {
 }
 
 func TestStragglerShedsWork(t *testing.T) {
-	// A straggling rank (known from the plan-derived health view) carries
+	// A straggling rank (known from the plan) carries
 	// half a share; its siblings absorb the rest. Node division keeps leaf
 	// boundaries whole, so the answer is unchanged.
 	s := buildSys(t, 600, DefaultParams())
@@ -264,7 +264,7 @@ func TestHybridCrashRecover(t *testing.T) {
 	// (crash unwinding releases the pool via defer, survivors heal).
 	s := buildSys(t, 400, DefaultParams())
 	serial := mustRun(t, s, RunSpec{})
-	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: 1, AtOp: 4}}}
+	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: 1, AtOp: 2}}}
 	r, err := s.Run(RunSpec{Processes: 3, ThreadsPerProcess: 2, Faults: &FaultConfig{Plan: plan}})
 	if err != nil {
 		t.Fatal(err)
@@ -359,5 +359,116 @@ func TestChaosCorruptionNeverSilent(t *testing.T) {
 	}
 	if detected == 0 {
 		t.Error("corruption was injected but never detected")
+	}
+}
+
+// replayFingerprint lists every field of a run's outcome a replayed plan
+// must reproduce, one field per entry: the Epol and radius bits, per-core
+// ops, the fault flags and bound, and the traffic log — or the error.
+func replayFingerprint(r *Result, err error) []string {
+	if err != nil {
+		return []string{"error " + err.Error()}
+	}
+	born := make([]uint64, len(r.Born))
+	for i, v := range r.Born {
+		born[i] = math.Float64bits(v)
+	}
+	return []string{
+		fmt.Sprintf("Epol %x", math.Float64bits(r.Epol)),
+		fmt.Sprintf("Born %x", born),
+		fmt.Sprintf("PerCoreOps %v", r.PerCoreOps),
+		fmt.Sprintf("Degraded %v", r.Degraded),
+		fmt.Sprintf("ErrorBound %x", math.Float64bits(r.ErrorBound)),
+		fmt.Sprintf("LostRanks %v", r.LostRanks),
+		fmt.Sprintf("Recovered %v", r.Recovered),
+		fmt.Sprintf("Traffic %+v", r.Traffic),
+	}
+}
+
+// TestChaosReplaysIdentically pins the promise of internal/fault: a plan
+// replays identically on every run. Seeded plans from both generators
+// under both policies at 3×1, 5×1 and 2×2, and a crash of every rank at
+// every op in [0, 12) on 1PPE_l_b at 3×1, each run ten times, must agree
+// in every field replayFingerprint lists. Membership is read off the
+// plan's op clock, so no goroutine schedule can change an outcome.
+func TestChaosReplaysIdentically(t *testing.T) {
+	const repeats = 10
+	replay := func(t *testing.T, label string, s *System, spec RunSpec) {
+		t.Helper()
+		first := replayFingerprint(s.Run(spec))
+		for i := 1; i < repeats; i++ {
+			again := replayFingerprint(s.Run(spec))
+			for f := range max(len(first), len(again)) {
+				if f >= len(first) || f >= len(again) || first[f] != again[f] {
+					t.Errorf("%s: run %d differs from run 0 in %.60s", label, i, again[min(f, len(again)-1)])
+					return
+				}
+			}
+		}
+	}
+	globule := buildSys(t, 300, DefaultParams())
+	gens := []struct {
+		name string
+		plan func(seed int64, P int) *fault.Plan
+	}{
+		{"chaos", func(seed int64, P int) *fault.Plan { return fault.Chaos(seed, P, 8) }},
+		{"corrupt", func(seed int64, P int) *fault.Plan { return fault.ChaosWithCorruption(seed, P, 10) }},
+	}
+	for _, g := range gens {
+		for _, pol := range []FaultPolicy{Recover, Degrade} {
+			for _, lay := range [][2]int{{3, 1}, {5, 1}, {2, 2}} {
+				for seed := int64(1); seed <= 3; seed++ {
+					plan := g.plan(seed, lay[0])
+					label := fmt.Sprintf("%s %s %d×%d %s", g.name, pol, lay[0], lay[1], plan)
+					replay(t, label, globule, RunSpec{Processes: lay[0], ThreadsPerProcess: lay[1],
+						Faults: &FaultConfig{Plan: plan, Policy: pol}})
+				}
+			}
+		}
+	}
+	const P = 3
+	s := newTestSystem(t, molecule.ZDockMolecule(molecule.ZDockRoster()[0]), surface.DefaultConfig(), DefaultParams())
+	for rank := range P {
+		for op := int64(0); op < 12; op++ {
+			plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: rank, AtOp: op}}}
+			for _, pol := range []FaultPolicy{Recover, Degrade} {
+				replay(t, fmt.Sprintf("%s %s", plan, pol), s, RunSpec{Processes: P, Faults: &FaultConfig{Plan: plan, Policy: pol}})
+			}
+		}
+	}
+}
+
+// TestDegradedOnlyWhenEnergyShareMissing pins what Degraded means: under
+// the Degrade policy a result is Degraded exactly when a lost rank's
+// energy share is missing from it. For a crash of every rank at every op
+// in [0, 12) on 1PPE_l_b at 3×1, five runs each, a Degraded result must
+// differ from the clean run (by more than 1e-10 relative) and by no more
+// than its ErrorBound; any other result must be the clean energy to
+// 1e-10 relative (a healed phase reassociates its sums), and a run that
+// lost no rank must be the clean run's bits. None of these checks depend
+// on how the driver numbers its ops.
+func TestDegradedOnlyWhenEnergyShareMissing(t *testing.T) {
+	const P = 3
+	s := newTestSystem(t, molecule.ZDockMolecule(molecule.ZDockRoster()[0]), surface.DefaultConfig(), DefaultParams())
+	clean := mustRun(t, s, RunSpec{Processes: P})
+	for rank := range P {
+		for op := int64(0); op < 12; op++ {
+			plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: rank, AtOp: op}}}
+			for i := 0; i < 5; i++ {
+				r := mustRun(t, s, RunSpec{Processes: P, Faults: &FaultConfig{Plan: plan, Policy: Degrade}})
+				rel := relDiff(r.Epol, clean.Epol)
+				switch {
+				case r.Degraded && rel <= 1e-10:
+					t.Errorf("%s run %d: Degraded (bound %v) with the clean energy (rel %v)", plan, i, r.ErrorBound, rel)
+				case r.Degraded && math.Abs(r.Epol-clean.Epol) > r.ErrorBound:
+					t.Errorf("%s run %d: |Epol−clean| = %v exceeds ErrorBound %v", plan, i, math.Abs(r.Epol-clean.Epol), r.ErrorBound)
+				case !r.Degraded && rel > 1e-10:
+					t.Errorf("%s run %d: not Degraded but Epol %v vs clean %v (rel %v, lost %v)", plan, i, r.Epol, clean.Epol, rel, r.LostRanks)
+				}
+				if len(r.LostRanks) == 0 && math.Float64bits(r.Epol) != math.Float64bits(clean.Epol) {
+					t.Errorf("%s run %d: no rank lost but Epol %v, clean %v", plan, i, r.Epol, clean.Epol)
+				}
+			}
+		}
 	}
 }

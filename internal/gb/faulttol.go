@@ -2,32 +2,33 @@ package gb
 
 import (
 	"math"
+	"slices"
 
 	"gbpolar/internal/fault"
-	"gbpolar/internal/simmpi"
 )
 
 // This file holds the fault-tolerance policy layer of runDistributed,
 // the driver behind every layout. The runtime half lives in
-// internal/simmpi (deadlock-free collectives over the live set, health
-// view, error returns); this half turns those primitives into
-// *self-healing*:
+// internal/simmpi (deadlock-free collectives over the live set,
+// membership on the plan's op clock, error returns); this half turns
+// those primitives into *self-healing*:
 //
-//   - agreeLost: survivors agree on one identical lost-rank set through a
-//     Max-allreduce of crash-observation bitmasks, so every recovery
-//     decision below is derived from agreed data and all live ranks take
-//     the same control-flow branch (no divergence, no deadlock);
-//   - liveShare: work partitioning over the agreed live set, with
-//     straggler ranks down-weighted (straggler detection with work
-//     re-assignment: a slowed rank gets half a share, its siblings absorb
-//     the difference);
+//   - membership: simmpi.Comm.Lost reads the lost-rank set off the fault
+//     plan's op clock. Live ranks pass the same ops in the same order, so
+//     every survivor holds the same set at the same program point and all
+//     live ranks take the same control-flow branch (no divergence, no
+//     deadlock, no agreement round). The plan is the only source of
+//     crashes, which is what makes its clock ground truth;
+//   - liveShare: work partitioning over the live set, with straggler
+//     ranks down-weighted (straggler detection with work re-assignment: a
+//     slowed rank gets half a share, its siblings absorb the difference);
 //   - heal-by-redo: each driver phase runs in runDistributed's one heal
-//     loop — compute the share, run the phase collective, re-agree; if
-//     the lost set changed during the phase, the iteration's result is
-//     discarded and the phase redone over the shrunk live set.
+//     loop — compute the share, run the phase collective, read the
+//     membership; if a rank was lost during the phase, the iteration's
+//     result is discarded and the phase redone over the shrunk live set.
 //     Discard-and-redo makes double-counting impossible: a result is only
-//     accepted when no rank died between the partition decision and the
-//     post-phase agreement;
+//     accepted when every rank live at the partition decision contributed
+//     to the phase's collective;
 //   - degradedBound: a rigorous upper bound on the |Epol| mass of the
 //     pair terms a lost rank's targets produce, used by the Degrade
 //     policy to return a partial energy with an honest error bar instead
@@ -69,64 +70,21 @@ func (p FaultPolicy) String() string {
 }
 
 // FaultConfig configures fault injection and recovery for a distributed
-// run. The zero/nil config means no injection and seed-identical
-// behavior.
+// run. Every run executes the same protocol; without a plan nothing is
+// injected and no rank is ever lost, so a nil config, an empty plan and a
+// Policy alone all compute the same bits.
 type FaultConfig struct {
-	// Plan is the injected fault schedule; nil or empty disables the
-	// fault-tolerance protocol entirely (bitwise-identical results to the
-	// fault-free driver).
+	// Plan is the injected fault schedule; nil or empty injects nothing.
 	Plan *fault.Plan
 	// Policy selects Recover (default) or Degrade.
 	Policy FaultPolicy
-	// ForceProtocol runs the fault-tolerance protocol (the agreement
-	// rounds and ft collectives) even with an empty Plan. A run resumed
-	// from a checkpoint executes the ft protocol, so an uninterrupted
-	// reference run must too for its op sequence and counter-side Summary
-	// to be comparable — the resume-identity tests set this on both sides.
+	// ForceProtocol has no effect: every run executes the one protocol.
+	// It remains so that existing callers keep compiling.
 	ForceProtocol bool
 }
 
-// active reports whether the fault-tolerance protocol should run.
-func (cfg *FaultConfig) active() bool {
-	return cfg != nil && (!cfg.Plan.Empty() || cfg.ForceProtocol)
-}
-
-func (cfg *FaultConfig) plan() *fault.Plan {
-	if cfg == nil {
-		return nil
-	}
-	return cfg.Plan
-}
-
-// agreeLost produces one lost-rank set identical on every live rank: a
-// Max-allreduce over per-rank crash-observation bitmasks. Local health
-// views may lag (a crash is visible to some survivors before others);
-// the union is what everyone commits to. A rank dying *during* this
-// collective may be missing from the agreed set — that staleness is safe
-// because every phase re-agrees after its collective and discards
-// iterations whose membership changed.
-func agreeLost(c *simmpi.Comm) ([]int, error) {
-	mask := make([]float64, c.Size())
-	for r := 0; r < c.Size(); r++ {
-		if !c.Alive(r) {
-			mask[r] = 1
-		}
-	}
-	out, err := c.Allreduce(mask, simmpi.Max)
-	if err != nil {
-		return nil, err
-	}
-	lost := make([]int, 0, len(out))
-	for r, v := range out {
-		if v > 0 {
-			lost = append(lost, r)
-		}
-	}
-	return lost, nil
-}
-
-// liveRanksOf returns the ranks of a P-rank world not in the agreed lost
-// set (which is sorted, as agreeLost produces it).
+// liveRanksOf returns the ranks of a P-rank world not in the lost set
+// (which is sorted, as simmpi.Comm.Lost returns it).
 func liveRanksOf(P int, lost []int) []int {
 	live := make([]int, 0, P-len(lost))
 	j := 0
@@ -140,18 +98,16 @@ func liveRanksOf(P int, lost []int) []int {
 	return live
 }
 
-// liveShare partitions n work items over the agreed live ranks and
-// returns rank's half-open share. Straggler ranks (known from the fault
-// plan via the health view) carry half weight, so detected-slow ranks
-// shed work onto their healthy siblings. Deterministic in its inputs:
-// every rank computes every other rank's share identically.
+// liveShare partitions n work items over the live ranks and returns
+// rank's half-open share. Straggler ranks (known from the fault plan, a
+// sorted list) carry half weight, so detected-slow ranks shed work onto
+// their healthy siblings. Shares tile [0, n) in rank order, and with every
+// rank live and none slowed they are segment's, bit for bit (⌊n·2r/2P⌋ =
+// ⌊n·r/P⌋). Deterministic in its inputs: every rank computes every other
+// rank's share identically.
 func liveShare(n int, live, stragglers []int, rank int) (lo, hi int) {
-	slow := make(map[int]bool, len(stragglers))
-	for _, r := range stragglers {
-		slow[r] = true
-	}
 	weight := func(r int) int {
-		if slow[r] {
+		if _, slow := slices.BinarySearch(stragglers, r); slow {
 			return 1
 		}
 		return 2
@@ -172,18 +128,6 @@ func liveShare(n int, live, stragglers []int, rank int) (lo, hi int) {
 		cum = next
 	}
 	return 0, 0 // rank not in the live set: empty share
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // boundSlack pads the rigorous missing-pair bound for floating-point

@@ -127,7 +127,7 @@ func TestHealthSourceRegistered(t *testing.T) {
 	res, err := s.Run(RunSpec{
 		Processes: 4,
 		Faults: &FaultConfig{
-			Plan:   &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: 2, AtOp: 4}}},
+			Plan:   &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: 2, AtOp: 2}}},
 			Policy: Recover,
 		},
 		Obs: rec,

@@ -69,10 +69,9 @@ func crashAllAt(P int, op int64) *fault.Plan {
 	return pl
 }
 
-// runResumeIdentity is the tentpole acceptance scenario at one kill
-// point: run A uninterrupted (forced ft protocol so its op and counter
-// structure matches a resumed run's), run B1 killed on every rank at
-// killOp, run B2 resumed from B1's last checkpoint on a fresh recorder.
+// runResumeIdentity is the resume acceptance scenario at one kill point:
+// run A uninterrupted, run B1 killed on every rank at killOp, run B2
+// resumed from B1's last checkpoint on a fresh recorder.
 // B2's Epol and Born must be bitwise A's, and B2's counter-side Summary
 // byte-identical to A's.
 func runResumeIdentity(t *testing.T, killOp int64, wantPhase CheckpointPhase) {
@@ -84,7 +83,6 @@ func runResumeIdentity(t *testing.T, killOp int64, wantPhase CheckpointPhase) {
 	sinkA := &memSink{}
 	resA, err := s.Run(RunSpec{
 		Processes:  P,
-		Faults:     &FaultConfig{ForceProtocol: true},
 		Obs:        recA,
 		Checkpoint: sinkA,
 	})
@@ -120,7 +118,6 @@ func runResumeIdentity(t *testing.T, killOp int64, wantPhase CheckpointPhase) {
 	recB2 := obs.NewRecorder(nil)
 	resB2, err := s.Run(RunSpec{
 		Processes: P,
-		Faults:    &FaultConfig{ForceProtocol: true},
 		Obs:       recB2,
 		Resume:    ck,
 	})
@@ -145,53 +142,45 @@ func runResumeIdentity(t *testing.T, killOp int64, wantPhase CheckpointPhase) {
 }
 
 func TestResumeAfterEnergyPhaseKill(t *testing.T) {
-	// Every rank dies at op 7 (the energy-phase tick): the aggregates
+	// Every rank dies at op 4 (the energy-phase tick): the aggregates
 	// checkpoint is the last one on disk.
-	runResumeIdentity(t, 7, PhaseAggregates)
+	runResumeIdentity(t, 4, PhaseAggregates)
 }
 
 func TestResumeAfterRadiiPhaseKill(t *testing.T) {
-	// Every rank dies at op 4 (the radii-phase tick): only the integral
+	// Every rank dies at op 2 (the radii-phase tick): only the integral
 	// checkpoint exists, and the resumed run redoes radii + energy.
-	runResumeIdentity(t, 4, PhaseIntegrals)
+	runResumeIdentity(t, 2, PhaseIntegrals)
 }
 
 func TestCheckpointSinkIsNeutral(t *testing.T) {
 	// A sink must not perturb the run: same Epol, Born, and Summary with
-	// and without one, both on the seed protocol and the forced ft
-	// protocol.
+	// and without one.
 	s := buildSys(t, 300, DefaultParams())
-	for _, ft := range []bool{false, true} {
-		var cfg, cfg2 *FaultConfig
-		if ft {
-			cfg = &FaultConfig{ForceProtocol: true}
-			cfg2 = &FaultConfig{ForceProtocol: true}
+	recPlain := obs.NewRecorder(nil)
+	plain, err := s.Run(RunSpec{Processes: 3, Obs: recPlain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recSink := obs.NewRecorder(nil)
+	sink := &memSink{}
+	withSink, err := s.Run(RunSpec{Processes: 3, Obs: recSink, Checkpoint: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withSink.Epol != plain.Epol {
+		t.Errorf("sink changed Epol: %v vs %v", withSink.Epol, plain.Epol)
+	}
+	for i := range plain.Born {
+		if withSink.Born[i] != plain.Born[i] {
+			t.Fatalf("sink changed Born[%d]", i)
 		}
-		recPlain := obs.NewRecorder(nil)
-		plain, err := s.Run(RunSpec{Processes: 3, Faults: cfg, Obs: recPlain})
-		if err != nil {
-			t.Fatal(err)
-		}
-		recSink := obs.NewRecorder(nil)
-		sink := &memSink{}
-		withSink, err := s.Run(RunSpec{Processes: 3, Faults: cfg2, Obs: recSink, Checkpoint: sink})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if withSink.Epol != plain.Epol {
-			t.Errorf("ft=%v: sink changed Epol: %v vs %v", ft, withSink.Epol, plain.Epol)
-		}
-		for i := range plain.Born {
-			if withSink.Born[i] != plain.Born[i] {
-				t.Fatalf("ft=%v: sink changed Born[%d]", ft, i)
-			}
-		}
-		if got, want := recSink.Summary(), recPlain.Summary(); got != want {
-			t.Errorf("ft=%v: sink changed the Summary:\n--- with sink\n%s--- without\n%s", ft, got, want)
-		}
-		if got := sink.phases(); len(got) != 4 {
-			t.Errorf("ft=%v: saved phases %v, want all four", ft, got)
-		}
+	}
+	if got, want := recSink.Summary(), recPlain.Summary(); got != want {
+		t.Errorf("sink changed the Summary:\n--- with sink\n%s--- without\n%s", got, want)
+	}
+	if got := sink.phases(); len(got) != 4 {
+		t.Errorf("saved phases %v, want all four", got)
 	}
 }
 

@@ -27,7 +27,7 @@ type RunSpec struct {
 	// means one thread.
 	ThreadsPerProcess int
 	// Faults replays a fault-injection plan against the run (see
-	// faulttol.go). Nil or inactive means a clean run.
+	// faulttol.go). Nil, or a config without a plan, means a clean run.
 	Faults *FaultConfig
 	// Obs collects spans, counters, and gauges for the run (see
 	// internal/obs). Nil disables instrumentation at zero cost; recording

@@ -207,9 +207,8 @@ func TestDrainDuringTuningInterruptsAndResumes(t *testing.T) {
 	}
 }
 
-// directRunAt runs mol at a result's accuracy envelope on P ranks, on the
-// forced fault-tolerance protocol the supervisor runs: the bits a tuned
-// job is served.
+// directRunAt runs mol at a result's accuracy envelope on P ranks: the
+// bits a tuned job is served.
 func directRunAt(t *testing.T, mol *molecule.Molecule, acc *AccuracyDoc, P int) *gb.Result {
 	t.Helper()
 	cfg := surface.DefaultConfig()
@@ -225,7 +224,7 @@ func directRunAt(t *testing.T, mol *molecule.Molecule, acc *AccuracyDoc, P int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run(gb.RunSpec{Processes: P, Faults: &gb.FaultConfig{ForceProtocol: true}})
+	res, err := sys.Run(gb.RunSpec{Processes: P})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package simmpi
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -126,6 +127,57 @@ func TestInjectedDelayAndStraggleRecorded(t *testing.T) {
 	}
 	if stats.StragglerNanos != 10e6 {
 		t.Errorf("StragglerNanos = %d, want 10e6 (full modeled duration)", stats.StragglerNanos)
+	}
+}
+
+// TestLostFollowsPlanClock pins membership to the plan's op clock: rank
+// 2 crashes at its Tick op 2, which no collective follows before the
+// survivors read Lost, and the survivors' view at each op must not depend
+// on who reaches the crash op first. Whether rank 2 sleeps before its
+// crash op or the survivors sleep before theirs, each survivor reads no
+// loss before op 3 and {2} from op 3 on — the instantaneous view would
+// read {} in the first schedule and {2} early in the second.
+func TestLostFollowsPlanClock(t *testing.T) {
+	const P, ops = 3, 6
+	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: 2, AtOp: 2}}}
+	for _, sleeper := range []string{"crasher", "survivors"} {
+		t.Run("sleep="+sleeper, func(t *testing.T) {
+			var seen [P][ops + 1][]int
+			_, err := RunPlan(P, plan, func(c *Comm) error {
+				r := c.Rank()
+				for op := 0; op < ops; op++ {
+					seen[r][op] = c.Lost()
+					if op == 2 && (r == 2) == (sleeper == "crasher") {
+						time.Sleep(5 * time.Millisecond)
+					}
+					var err error
+					if op%2 == 0 {
+						err = c.Tick()
+					} else {
+						_, err = c.Allreduce([]float64{1}, Sum)
+					}
+					if err != nil {
+						return err
+					}
+				}
+				seen[r][ops] = c.Lost()
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < 2; r++ {
+				for op, lost := range seen[r] {
+					want := []int(nil)
+					if op > 2 {
+						want = []int{2}
+					}
+					if fmt.Sprint(lost) != fmt.Sprint(want) {
+						t.Errorf("rank %d before op %d: Lost = %v, want %v", r, op, lost, want)
+					}
+				}
+			}
+		})
 	}
 }
 

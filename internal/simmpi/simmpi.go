@@ -26,14 +26,16 @@
 //     and a rank dying mid-wait re-evaluates the release condition;
 //   - collectives combine the contributions of the ranks that are alive
 //     this round (dead ranks are skipped, not waited for);
-//   - Recv unblocks with a *RankLostError when its peer dies, and
-//     RecvTimeout adds a deadline;
+//   - Recv unblocks with a *RankLostError when its peer dies;
 //   - a rank returning an error, or genuinely panicking, aborts the world:
 //     every blocked operation returns the causal error instead of hanging.
 //
-// Recovering lost work (or degrading gracefully) is the *driver's* job —
-// the runtime provides the health view (Alive, Lost, Health) and the
-// error returns that make those policies implementable without deadlock.
+// Recovering lost work (or degrading gracefully) is the *driver's* job.
+// The runtime gives it membership on the plan's op clock (Lost: a rank
+// that crashed at op k is lost from op k+1 on, the same set on every
+// survivor at the same program point) and the error returns that make
+// those policies implementable without deadlock. Health is the world's
+// instantaneous view, for monitoring.
 package simmpi
 
 import (
@@ -129,9 +131,6 @@ type Stats struct {
 	// LostRanks are the ranks killed by injected crashes, sorted.
 	LostRanks []int
 }
-
-// ErrTimeout is returned by RecvTimeout when the deadline expires first.
-var ErrTimeout = errors.New("simmpi: receive timed out")
 
 // ErrCorrupt reports a collective contribution whose checksum still fails
 // after a bounded number of retransmits — an injected corruption that was
@@ -542,30 +541,32 @@ func (c *Comm) Alive(rank int) bool {
 	return alive
 }
 
-// Lost returns the ranks killed by injected crashes so far, sorted. This
-// is each rank's *local instantaneous* view; recovery protocols that need
-// an identical view on every rank should agree on one through a
-// collective (see internal/gb's agreeLost).
-func (c *Comm) Lost() []int {
-	w := c.world
-	w.mu.Lock()
-	lost := append([]int(nil), w.lost...)
-	w.mu.Unlock()
-	sort.Ints(lost)
-	return lost
-}
+// Lost returns the ranks lost as seen from this rank's point in its
+// program, sorted: those the plan crashed at an op below this rank's next
+// op index (fault.Injector.CrashedBefore). Live ranks of an SPMD program
+// pass the same ops in the same order, so every survivor reads the same
+// set at the same program point whatever the schedule — the membership a
+// recovery protocol can branch on without an agreement round. Nil
+// without a plan.
+func (c *Comm) Lost() []int { return c.world.inj.CrashedBefore(c.rank) }
 
-// Health returns the world's per-rank health snapshot.
+// Health returns the world's per-rank health snapshot. Live and Lost are
+// the instantaneous view, the ranks executing and retired by a crash right
+// now, which depends on the goroutine schedule: they are for monitoring
+// (obs's /healthz, serve's shed trigger), and recovery decisions read
+// Lost instead. Straggling comes from the plan.
 func (c *Comm) Health() Health {
 	w := c.world
-	h := Health{Lost: c.Lost(), Straggling: w.inj.Stragglers()}
+	h := Health{Straggling: w.inj.Stragglers()}
 	w.mu.Lock()
+	h.Lost = append([]int(nil), w.lost...)
 	for r := 0; r < w.size; r++ {
 		if !w.gone[r] {
 			h.Live = append(h.Live, r)
 		}
 	}
 	w.mu.Unlock()
+	sort.Ints(h.Lost)
 	return h
 }
 
@@ -611,19 +612,6 @@ func (c *Comm) Send(to int, data []float64) error {
 // unblocks with a *RankLostError if `from` dies with an empty mailbox, or
 // with the abort cause if the world is canceled.
 func (c *Comm) Recv(from int) ([]float64, error) {
-	return c.recvDeadline(from, 0)
-}
-
-// RecvTimeout is Recv with a deadline: it returns ErrTimeout if no
-// message arrives within d.
-func (c *Comm) RecvTimeout(from int, d time.Duration) ([]float64, error) {
-	if d <= 0 {
-		return nil, fmt.Errorf("simmpi: RecvTimeout needs a positive deadline, got %v", d)
-	}
-	return c.recvDeadline(from, d)
-}
-
-func (c *Comm) recvDeadline(from int, d time.Duration) ([]float64, error) {
 	w := c.world
 	if from < 0 || from >= w.size {
 		return nil, fmt.Errorf("simmpi: Recv from invalid rank %d (world size %d)", from, w.size)
@@ -636,12 +624,6 @@ func (c *Comm) recvDeadline(from int, d time.Duration) ([]float64, error) {
 	case m := <-box:
 		return m, nil
 	default:
-	}
-	var timeout <-chan time.Time
-	if d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		timeout = t.C
 	}
 	select {
 	case m := <-box:
@@ -656,8 +638,6 @@ func (c *Comm) recvDeadline(from int, d time.Duration) ([]float64, error) {
 		}
 	case <-w.abortCh:
 		return nil, w.aborted()
-	case <-timeout:
-		return nil, ErrTimeout
 	}
 }
 
@@ -888,9 +868,8 @@ func (c *Comm) Allreduce(data []float64, op Op) ([]float64, error) {
 
 // Allgatherv concatenates every live rank's (variable-length)
 // contribution in rank order and returns the concatenation on every rank.
-// Crashed ranks contribute nothing — callers running a recovery protocol
-// should encode (index, value) pairs rather than relying on positional
-// concatenation.
+// Crashed ranks contribute nothing, so a caller that reads the
+// concatenation by position must discard a round in which Lost changed.
 func (c *Comm) Allgatherv(data []float64) ([]float64, error) {
 	w := c.world
 	sp := c.span(KindAllgatherv)

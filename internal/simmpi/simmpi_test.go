@@ -418,55 +418,6 @@ func TestZeroLengthPayloads(t *testing.T) {
 	}
 }
 
-func TestRecvTimeoutExpires(t *testing.T) {
-	_, err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			_, err := c.RecvTimeout(1, 5e6) // 5ms, nothing is ever sent
-			if err != ErrTimeout {
-				t.Errorf("RecvTimeout err = %v, want ErrTimeout", err)
-			}
-		}
-		return c.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecvTimeoutDeliversPending(t *testing.T) {
-	_, err := Run(2, func(c *Comm) error {
-		if c.Rank() == 1 {
-			if err := c.Send(0, []float64{7}); err != nil {
-				return err
-			}
-			return c.Barrier()
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		m, err := c.RecvTimeout(1, 1e9)
-		if err != nil || len(m) != 1 || m[0] != 7 {
-			t.Errorf("RecvTimeout = %v, %v", m, err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecvTimeoutInvalidDeadline(t *testing.T) {
-	_, err := Run(1, func(c *Comm) error {
-		if _, err := c.RecvTimeout(0, 0); err == nil {
-			t.Error("zero deadline accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSendInvalidRank(t *testing.T) {
 	_, err := Run(2, func(c *Comm) error {
 		if err := c.Send(5, []float64{1}); err == nil {

@@ -36,7 +36,7 @@ func TestAccuracyLadderStepsFrontier(t *testing.T) {
 	rec := obs.NewRecorder(nil)
 	out, err := Run(s, Spec{
 		Processes:      P,
-		Plan:           crashFirst(2, P, 1),
+		Plan:           crashFirst(2, P, 0),
 		Retries:        1,
 		AccuracyLadder: steps,
 		Obs:            rec,
@@ -83,7 +83,7 @@ func TestAccuracyLadderSkipsTighterSteps(t *testing.T) {
 	}
 	out, err := Run(s, Spec{
 		Processes:      P,
-		Plan:           crashFirst(2, P, 1),
+		Plan:           crashFirst(2, P, 0),
 		Retries:        1,
 		AccuracyLadder: steps,
 	})
@@ -118,17 +118,17 @@ func TestAccuracyLadderDropsMismatchedCheckpoint(t *testing.T) {
 	rec := obs.NewRecorder(nil)
 	out, err := Run(s, Spec{
 		Processes: P,
-		// Attempt 0 crashes past the integrals tick, leaving a
-		// PhaseIntegrals snapshot (at the base dipole shape) in the store;
-		// the retry crashes immediately after resuming, before it can save
-		// a later (order-independent) radii snapshot — so the relax step
-		// faces the shape-mismatched integrals checkpoint.
+		// Attempt 0 crashes at the radii tick, leaving a PhaseIntegrals
+		// snapshot (at the base dipole shape) in the store; the retry
+		// crashes immediately after resuming, before it can save a later
+		// (order-independent) radii snapshot — so the relax step faces the
+		// shape-mismatched integrals checkpoint.
 		Plan: func(attempt int) *fault.Plan {
 			switch attempt {
 			case 0:
-				return crashAll(P, 4)
+				return crashAll(P, 2)
 			case 1:
-				return crashAll(P, 1)
+				return crashAll(P, 0)
 			}
 			return nil
 		},

@@ -12,6 +12,7 @@ import (
 
 	"gbpolar/internal/fault"
 	"gbpolar/internal/gb"
+	"gbpolar/internal/tune"
 )
 
 // fakeClock advances by step on every read, so deadline checks see time
@@ -29,7 +30,7 @@ func (c *fakeClock) read() time.Time {
 // alwaysCrash returns a Plan func killing every rank of a P-rank world
 // on every injected attempt.
 func alwaysCrash(P int) func(int) *fault.Plan {
-	return func(int) *fault.Plan { return crashAll(P, 1) }
+	return func(int) *fault.Plan { return crashAll(P, 0) }
 }
 
 func rungs(out *Outcome) []Rung {
@@ -184,7 +185,7 @@ func TestCanceledContextAbandonsLadder(t *testing.T) {
 		Plan: func(attempt int) *fault.Plan {
 			// The drain signal arrives while the first attempt is failing.
 			cancel()
-			return crashAll(P, 1)
+			return crashAll(P, 0)
 		},
 	})
 	if out != nil || err == nil {
@@ -208,8 +209,8 @@ func TestPreCanceledContextRunsNothing(t *testing.T) {
 // TestShedStartsOnFirstLadderStep pins the overload-shedding knob: a
 // clean run started on the default ladder's first step (ε ×1.5)
 // completes on the first attempt, is Degraded with the step priced into
-// ErrorBound, and the bound really contains the distance to the unshed
-// result.
+// ErrorBound at the tuner's error model of the shed point, and the bound
+// really contains the distance to the unshed result.
 func TestShedStartsOnFirstLadderStep(t *testing.T) {
 	const P = 3
 	s := buildSys(t, 300)
@@ -229,8 +230,8 @@ func TestShedStartsOnFirstLadderStep(t *testing.T) {
 		t.Errorf("shed outcome degraded=%v accuracy=%+v bound=%v, want ε ×1.5 (%+v)",
 			out.Degraded, out.Accuracy, out.Result.ErrorBound, shedAcc)
 	}
-	if want := s.Params.Accuracy.EpsEpol * 0.5; out.RelError != want {
-		t.Errorf("shed step predicts relative error %v, want ε·(1.5−1) = %v", out.RelError, want)
+	if want := tune.RelErrorBound(shedAcc); out.RelError != want {
+		t.Errorf("shed step predicts relative error %v, want tune.RelErrorBound of the shed point, %v", out.RelError, want)
 	}
 	if diff := math.Abs(out.Result.Epol - ref.Result.Epol); diff > out.Result.ErrorBound {
 		t.Errorf("shed Epol %v vs %v outside bound %v",

@@ -33,6 +33,7 @@ import (
 	"gbpolar/internal/gb"
 	"gbpolar/internal/obs"
 	"gbpolar/internal/perf"
+	"gbpolar/internal/tune"
 )
 
 // ErrCanceled marks a supervised computation stopped by Spec.Context —
@@ -52,7 +53,7 @@ const (
 	// checkpoint, after a modeled backoff.
 	RungRetry
 	// RungShrink resumes with the process count shrunk to the
-	// checkpoint's agreed live membership.
+	// checkpoint's live membership.
 	RungShrink
 	// RungRelax moves one step down the accuracy ladder and prices the
 	// step's predicted error into ErrorBound.
@@ -238,15 +239,16 @@ type Outcome struct {
 }
 
 // defaultLadder is the relax rung's schedule when Spec.AccuracyLadder is
-// empty: acc with both ε scaled by 1.5 and then 2.25, the bin width kept.
-// The octree truncation error of both phases is first-order in ε, so a
-// factor-f step predicts a relative error of ε_Epol·(f−1). This is a
-// first-order accuracy model (the same one the ε parameters themselves
-// express), not a worst-case theorem like the degraded bound.
+// empty: acc with both ε scaled by 1.5 and then 2.25, the bin width kept,
+// each step priced at tune.RelErrorBound of its point — the per-term
+// error model the tuner's ladder steps carry, so a default and a tuned
+// job price a step alike. It is a model, not a worst-case theorem like
+// the degraded bound.
 func defaultLadder(acc gb.Accuracy) []RelaxStep {
 	steps := make([]RelaxStep, 0, 2)
 	for _, f := range [...]float64{1.5, 2.25} {
-		steps = append(steps, RelaxStep{Accuracy: acc.Relaxed(f), RelError: acc.EpsEpol * (f - 1)})
+		relaxed := acc.Relaxed(f)
+		steps = append(steps, RelaxStep{Accuracy: relaxed, RelError: tune.RelErrorBound(relaxed)})
 	}
 	return steps
 }
@@ -350,11 +352,9 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 		rec.Count("supervise.attempts", 1)
 		rec.Event(0, "supervise", fmt.Sprintf("attempt %d rung=%s P=%d eps=%.3g", n, rung, curP, acc.EpsEpol))
 
-		var cfg *gb.FaultConfig
+		var plan *fault.Plan
 		if inject && spec.Plan != nil {
-			cfg = &gb.FaultConfig{Plan: spec.Plan(n), Policy: policy, ForceProtocol: true}
-		} else {
-			cfg = &gb.FaultConfig{Policy: policy, ForceProtocol: true}
+			plan = spec.Plan(n)
 		}
 		resume, err := store.Latest()
 		if err != nil {
@@ -387,7 +387,7 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 		res, err := curSys.Run(gb.RunSpec{
 			Processes:         curP,
 			ThreadsPerProcess: spec.ThreadsPerProcess,
-			Faults:            cfg,
+			Faults:            &gb.FaultConfig{Plan: plan, Policy: policy},
 			Obs:               runRec,
 			Trace:             tc,
 			Checkpoint:        store,

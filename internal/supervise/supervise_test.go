@@ -65,11 +65,11 @@ func TestCleanRunStaysOnInitialRung(t *testing.T) {
 func TestRetryResumesFromCheckpoint(t *testing.T) {
 	// The first attempt's quorum dies entering the energy phase — after
 	// the aggregates checkpoint. The retry must resume there, complete,
-	// and be bitwise the uninterrupted forced-protocol run.
+	// and be bitwise the uninterrupted run.
 	const P = 4
 	s := buildSys(t, 300)
 
-	ref, err := s.Run(gb.RunSpec{Processes: P, Faults: &gb.FaultConfig{ForceProtocol: true}})
+	ref, err := s.Run(gb.RunSpec{Processes: P})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 		Processes: P,
 		Plan: func(attempt int) *fault.Plan {
 			if attempt == 0 {
-				return crashAll(P, 7)
+				return crashAll(P, 4)
 			}
 			return nil
 		},
@@ -107,7 +107,7 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 }
 
 func TestShrinkRungUsesCheckpointMembership(t *testing.T) {
-	// The store holds an aggregates checkpoint whose agreed live set is
+	// The store holds an aggregates checkpoint whose live set is
 	// {0, 1}; every full-width attempt dies instantly. The shrink rung
 	// must resume at P = 2 and complete.
 	const P = 4
@@ -115,7 +115,7 @@ func TestShrinkRungUsesCheckpointMembership(t *testing.T) {
 
 	// Capture the run's aggregates snapshot, then shrink its membership.
 	store := NewMemStore()
-	full, err := s.Run(gb.RunSpec{Processes: P, Faults: &gb.FaultConfig{ForceProtocol: true}, Checkpoint: rewindSink{store, gb.PhaseAggregates}})
+	full, err := s.Run(gb.RunSpec{Processes: P, Checkpoint: rewindSink{store, gb.PhaseAggregates}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestTraceThreadedThroughAttempts(t *testing.T) {
 		},
 		Plan: func(attempt int) *fault.Plan {
 			if attempt == 0 {
-				return crashAll(P, 7)
+				return crashAll(P, 4)
 			}
 			return nil
 		},
@@ -436,8 +436,7 @@ func TestBadValueCheckpointIsDroppedAndRecomputed(t *testing.T) {
 		{gb.PhaseEpol, func(n int) int { return n }}, // the energy
 	} {
 		store := NewMemStore()
-		if _, err := s.Run(gb.RunSpec{Processes: P, Faults: &gb.FaultConfig{ForceProtocol: true},
-			Checkpoint: rewindSink{store, c.phase}}); err != nil {
+		if _, err := s.Run(gb.RunSpec{Processes: P, Checkpoint: rewindSink{store, c.phase}}); err != nil {
 			t.Fatal(err)
 		}
 		ck, err := store.Latest()
@@ -494,8 +493,7 @@ func TestCapacityChangeCheckpointIsDroppedAndRecomputed(t *testing.T) {
 	}
 	for _, phase := range []gb.CheckpointPhase{gb.PhaseIntegrals, gb.PhaseRadii, gb.PhaseAggregates, gb.PhaseEpol} {
 		store := NewMemStore()
-		if _, err := old.Run(gb.RunSpec{Processes: P, Faults: &gb.FaultConfig{ForceProtocol: true},
-			Checkpoint: rewindSink{store, phase}}); err != nil {
+		if _, err := old.Run(gb.RunSpec{Processes: P, Checkpoint: rewindSink{store, phase}}); err != nil {
 			t.Fatal(err)
 		}
 		if ck, err := store.Latest(); err != nil || ck == nil || ck.Phase != phase {

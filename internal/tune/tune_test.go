@@ -385,8 +385,7 @@ func TestReferencePointAdmittedFromReferenceRun(t *testing.T) {
 // the caller's layout, whether the pick is the reference (admitted from
 // the reference run) or a verified cheaper point. The selected system
 // resumes from it to the verification run's Epol and to the bits of a
-// recompute on the forced fault-tolerance protocol, which the supervisor
-// runs. A layout gb rejects tunes on one rank and hands back no
+// recompute. A layout gb rejects tunes on one rank and hands back no
 // checkpoint.
 func TestSnapshotIsTheAdmittedRun(t *testing.T) {
 	globule := func(n int) *molecule.Molecule {
@@ -421,9 +420,8 @@ func TestSnapshotIsTheAdmittedRun(t *testing.T) {
 			if err := sel.System.CanResume(ck); err != nil {
 				t.Fatal(err)
 			}
-			ft := &gb.FaultConfig{ForceProtocol: true}
-			resumed := mustRun(t, sel.System, gb.RunSpec{Processes: procs, Faults: ft, Resume: ck})
-			fresh := mustRun(t, sel.System, gb.RunSpec{Processes: procs, Faults: ft})
+			resumed := mustRun(t, sel.System, gb.RunSpec{Processes: procs, Resume: ck})
+			fresh := mustRun(t, sel.System, gb.RunSpec{Processes: procs})
 			if math.Float64bits(resumed.Epol) != math.Float64bits(sel.Point.Epol) {
 				t.Errorf("resumed Epol %v, the admitting run's %v", resumed.Epol, sel.Point.Epol)
 			}
